@@ -23,7 +23,7 @@ from .instruments import (InstrumentSet, build_instruments, normalize_columns,
                           q1_roster, q2_roster)
 from .regularization import (Scheme, Spectrum, apply_projector,
                              projector_diagonal, projector_matrix,
-                             projector_traces, q_weight, q_weights)
+                             projector_traces, q_weights)
 from .estimation import (EstimationResult, SingularSystemError, assemble_z,
                          bias_corrected_2sls, classical_2sls,
                          preliminary_delta, preliminary_rho, regularized_2sls)

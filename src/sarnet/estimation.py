@@ -15,16 +15,17 @@ instrument-count bias, in the spirit of Liu and Lee (2010).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import (Scheme, Spectrum, projector_trace_with, q_weights)
-from .transforms import JProjector, j_projector, solve_blockwise
+from .transforms import (JProjector, apply_D, assemble_z, j_projector, whiten,
+                         whitened_residual)
 
 __all__ = [
     "EstimationResult",
@@ -39,6 +40,8 @@ __all__ = [
 
 #: condition number beyond which a normal-equations solve is refused
 CONDITION_LIMIT = 1e12
+#: interval searched by the method-of-moments rho
+RHO_BOUNDS = (-0.99, 0.99)
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -84,11 +87,6 @@ class EstimationResult:
     @property
     def beta2_hat(self) -> np.ndarray:
         return self.delta[1 + self.k1:]
-
-
-def assemble_z(data: PanelData, network: GroupedNetwork) -> np.ndarray:
-    """Structural regressor block Z = (W Y, X1, W X2)."""
-    return np.column_stack([network.lag_W(data.y), data.regressors(network)])
 
 
 def _checked_solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -151,35 +149,18 @@ def _build_moment_ops(network: GroupedNetwork, J: JProjector):
     return ops
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def preliminary_rho(data: PanelData, network: GroupedNetwork,
                     delta_tilde: np.ndarray,
-                    bounds: tuple[float, float] = (-0.99, 0.99),
-                    grid_step: float = 0.01,
                     J: JProjector | None = None) -> float:
-    """Method-of-moments rho: minimize ||g(rho)||^2 over the bounded interval.
+    """Method-of-moments rho: the exact minimizer of ||g(rho)||^2 on [-0.99, 0.99].
 
     g(rho) stacks eps(rho)' M_i eps(rho) for the three recentered quadratic
     moment matrices built from W, M and MW, with eps(rho) = J R(rho)(Y - Z
-    delta_tilde).  A dense grid (step 0.01) locates the basin and a
-    golden-section pass refines the minimizer to 1e-6.  A numerically zero
+    delta_tilde).  Each moment is quadratic in rho, so the objective is a
+    quartic polynomial; its minimum over the interval lies at a bound or at
+    a real root of the cubic derivative.  Every such candidate (the real
+    parts of all three roots, clipped to the interval, and both bounds) is
+    evaluated and the smallest objective value wins.  A numerically zero
     residual makes the objective flat; by convention that returns 0 with a
     warning.
     """
@@ -191,43 +172,30 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     if float(a @ a + b @ b) < 1e-24 * network.n:
         warnings.warn("rho objective is degenerate (residual ~ 0); returning 0")
         return 0.0
-    ops = _build_moment_ops(network, J)
     # each moment is quadratic in rho: eps(rho) = a - rho b
-    coefs = []
-    for op in ops:
+    moments = []
+    for op in _build_moment_ops(network, J):
         Ma, Mb = op(a), op(b)
-        coefs.append((float(a @ Ma), float(a @ Mb + b @ Ma), float(b @ Mb)))
-
-    def objective(rho: float) -> float:
-        total = 0.0
-        for c0, c1, c2 in coefs:
-            g = c0 - rho * c1 + rho * rho * c2
-            total += g * g
-        return total
-
-    grid = np.arange(bounds[0], bounds[1] + grid_step / 2, grid_step)
-    values = np.array([objective(r) for r in grid])
-    best = int(np.argmin(values))
-    lo = max(bounds[0], grid[best] - grid_step)
-    hi = min(bounds[1], grid[best] + grid_step)
-    return float(_golden_section(objective, lo, hi))
+        moments.append(Polynomial([float(a @ Ma), -float(a @ Mb + b @ Ma),
+                                   float(b @ Mb)]))
+    lo, hi = RHO_BOUNDS
+    slopes = sum(g * g for g in moments).deriv()
+    candidates = np.concatenate([np.clip(slopes.roots().real, lo, hi), [lo, hi]])
+    values = sum(g(candidates) ** 2 for g in moments)
+    return float(candidates[np.argmin(values)])
 
 
 # ---------------------------------------------------------------------------
 # Regularized and classical 2SLS
 # ---------------------------------------------------------------------------
 
-def _cochrane_orcutt(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
-    return V - rho * network.lag_M(V)
-
-
 def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
                scheme: Scheme, rho_tilde: float,
                J: JProjector | None = None):
     """Shared solve for the (regularized) 2SLS normal equations."""
     Z = assemble_z(data, network)
-    rz = _cochrane_orcutt(network, rho_tilde, Z)
-    ry = _cochrane_orcutt(network, rho_tilde, data.y)
+    rz = whiten(network, rho_tilde, Z)
+    ry = whiten(network, rho_tilde, data.y)
     scheme = scheme.resolved(spectrum)
     q = q_weights(scheme, spectrum)
     U = spectrum.vectors.T @ rz
@@ -236,8 +204,7 @@ def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
     rhs = U.T @ (q * uy)
     delta = _checked_solve(A, rhs, "regularized 2SLS normal equations")
     J = J if J is not None else j_projector(network.group_sizes, network.M)
-    resid = data.y - Z @ delta
-    eps_hat = J.apply(_cochrane_orcutt(network, rho_tilde, resid))
+    eps_hat = whitened_residual(network, J, rho_tilde, data.y, Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
     cov = sigma2 * np.linalg.inv(A)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -297,20 +264,13 @@ def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
     spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
     scheme = scheme if scheme is not None else Scheme.principal_components(spectrum.rank)
     scheme = scheme.resolved(spectrum)
-    tr_P, _ = float(q_weights(scheme, spectrum).sum()), None
+    tr_P = float(q_weights(scheme, spectrum).sum())
     if tr_P < 1e-8:
         raise ValueError("projector trace is ~0: bias correction undefined")
     delta, se, sigma2, A, scheme = _fit_r2sls(
         data, network, spectrum, scheme, rho_tilde, J)
-
-    def apply_D(V: np.ndarray) -> np.ndarray:
-        # R W S^{-1} R^{-1} V through per-group solves
-        t = solve_blockwise(rho_tilde, network.M, network.group_sizes, V, "R(rho)")
-        t = solve_blockwise(lambda_tilde, network.W, network.group_sizes, t, "S(lambda)")
-        t = network.lag_W(t)
-        return _cochrane_orcutt(network, rho_tilde, t)
-
-    tr_PD = projector_trace_with(spectrum, scheme, apply_D)
+    tr_PD = projector_trace_with(
+        spectrum, scheme, lambda V: apply_D(network, lambda_tilde, rho_tilde, V))
     e1 = np.zeros(delta.size)
     e1[0] = 1.0
     correction = sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")

@@ -43,6 +43,12 @@ def _group_slices(group_sizes: Sequence[int]) -> tuple[slice, ...]:
     return tuple(out)
 
 
+def _as_rows(A: np.ndarray, n: int) -> np.ndarray:
+    """``A`` as a 2-D float array with n rows, transposing a row-major input."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return A.T if A.shape[0] != n else A
+
+
 @dataclass(frozen=True)
 class GroupedNetwork:
     """Block-diagonal pair of sociomatrices over a fixed group partition.
@@ -271,12 +277,7 @@ class PanelData:
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float).ravel()
-        x1 = np.atleast_2d(np.asarray(self.x1, dtype=float))
-        x2 = np.atleast_2d(np.asarray(self.x2, dtype=float))
-        if x1.shape[0] != y.size:
-            x1 = x1.T
-        if x2.shape[0] != y.size:
-            x2 = x2.T
+        x1, x2 = _as_rows(self.x1, y.size), _as_rows(self.x2, y.size)
         n = sum(self.group_sizes)
         if y.size != n or x1.shape[0] != n or x2.shape[0] != n:
             raise ValueError("y, x1, x2 must all have one row per individual")
@@ -323,15 +324,36 @@ class PanelData:
 # (group_id, node_id, x1..., x2..., y).  Node ordering is always sorted by
 # (group_id, node_id) so repeated loads give identical stacking.
 
-def _read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and the nonblank rows, each with its 1-based line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    return [h.strip() for h in header], rows
+        rows = []
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) < len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(header)} columns, got {len(row)}")
+            rows.append((reader.line_num, row))
+    return header, rows
+
+
+def _number(path: str | Path, line: int, header: list[str], row: list[str],
+            j: int) -> float:
+    """Cell j of a CSV row as a finite float; errors name file, line and column."""
+    where = f"{path}, line {line}, column {j + 1} ({header[j]})"
+    try:
+        value = float(row[j])
+    except ValueError:
+        raise ValueError(f"{where}: not a number: {row[j]!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{where}: non-finite value {row[j]!r}")
+    return value
 
 
 def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
@@ -353,11 +375,14 @@ def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
     if not x1_idx or not x2_idx:
         raise ValueError(f"{path}: node CSV needs at least one x1* and one x2* column")
 
-    def key(row: list[str]) -> tuple:
-        return (_as_id(row[gi]), _as_id(row[ni]))
+    numeric = [yi] + x1_idx + x2_idx
 
-    rows.sort(key=key)
-    keys = [key(r) for r in rows]
+    def parse(line: int, row: list[str]) -> tuple:
+        values = [_number(path, line, header, row, j) for j in numeric]
+        return (_as_id(row[gi]), _as_id(row[ni])), values
+
+    parsed = sorted((parse(line, row) for line, row in rows), key=lambda p: p[0])
+    keys = [k for k, _ in parsed]
     if len(set(keys)) != len(keys):
         raise ValueError(f"{path}: duplicate (group_id, node_id) pairs")
     groups: list = []
@@ -367,9 +392,8 @@ def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
             groups.append(g)
             sizes.append(0)
         sizes[-1] += 1
-    y = np.array([float(r[yi]) for r in rows])
-    x1 = np.array([[float(r[j]) for j in x1_idx] for r in rows])
-    x2 = np.array([[float(r[j]) for j in x2_idx] for r in rows])
+    values = np.array([v for _, v in parsed]).reshape(len(parsed), len(numeric))
+    y, x1, x2 = np.split(values, [1, 1 + len(x1_idx)], axis=1)
     data = PanelData(y=y, x1=x1, x2=x2, group_sizes=tuple(sizes), node_ids=tuple(keys))
     return keys, data
 
@@ -402,10 +426,13 @@ def load_edge_csv(path: str | Path,
     wi = lower.index("weight") if "weight" in lower else None
 
     edges = []
-    for r in rows:
+    for line, r in rows:
         g = _as_id(r[gi])
         s, d = _as_id(r[si]), _as_id(r[di])
-        w = float(r[wi]) if wi is not None else 1.0
+        w = _number(path, line, header, r, wi) if wi is not None else 1.0
+        if w < 0:
+            raise ValueError(f"{path}, line {line}, column {wi + 1} ({header[wi]}): "
+                             f"negative weight {w:g}")
         edges.append((g, s, d, w))
 
     if node_keys is None:

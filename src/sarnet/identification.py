@@ -18,10 +18,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .graphs import GroupedNetwork
+from .graphs import GroupedNetwork, _as_rows
 
 __all__ = [
     "Verdict",
@@ -29,6 +30,7 @@ __all__ = [
     "distinct_eigenvalues",
     "proposition1_check",
     "proposition2_rank_check",
+    "labelled_stack",
     "instrument_stack",
     "lee_reduced_coefficient",
     "build_report",
@@ -108,44 +110,57 @@ def proposition1_check(W: np.ndarray, tol: float = CLUSTER_TOL) -> Verdict:
     return Verdict.NOT_IDENTIFIED if count == 2 else Verdict.POSSIBLY_IDENTIFIED
 
 
-def instrument_stack(W: np.ndarray, X: np.ndarray, order: int,
-                     M: np.ndarray | None = None,
-                     bonacich: bool = False,
-                     iota: np.ndarray | None = None) -> np.ndarray:
-    """Stack [W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)].
+def labelled_stack(lag_W: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
+                   order: int, iota: np.ndarray | None = None,
+                   lag_M: Callable[[np.ndarray], np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, list[str]]:
+    """Columns [W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)].
 
-    ``order`` is the highest network-lag power.  With ``bonacich`` the
-    centrality columns W^j iota are appended; ``iota`` may be the plain ones
-    vector (default) or the block-diagonal per-group ones matrix, in which
-    case each power contributes one column per group.  With ``M`` the whole
-    stack is doubled by its M-premultiplied copy (the spatially-correlated
-    case).
+    ``lag_W`` and ``lag_M`` map an n x k array V to W V and M V (dense
+    products or the network's block-wise lags).  ``X`` is n x k.  With
+    ``iota`` (n x r) each power contributes r centrality columns; with
+    ``lag_M`` the whole stack is doubled by its M-premultiplied copy.
+    Returns the stack and one provenance label per column: ``W^j.X[c]``,
+    ``W^j.iota[r]``, ``X[c]`` and ``M.`` in front of the copy's labels.
     """
-    W = np.asarray(W, dtype=float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != W.shape[0]:
-        X = X.T
     if X.size == 0 or X.shape[1] == 0:
         raise ValueError("X must have at least one column")
     if order < 1:
         raise ValueError("order must be >= 1")
-    cols = []
-    powX = X
-    for _ in range(order):
-        powX = W @ powX
-        cols.append(powX)
-    if bonacich:
-        V = np.ones((W.shape[0], 1)) if iota is None else np.atleast_2d(np.asarray(iota, dtype=float))
-        if V.shape[0] != W.shape[0]:
-            V = V.T
-        for _ in range(order):
-            V = W @ V
+    cols, labels = [], []
+    for name, V in (("X", X), ("iota", iota)):
+        if V is None:
+            continue
+        for j in range(1, order + 1):
+            V = lag_W(V)
             cols.append(V)
+            labels += [f"W^{j}.{name}[{c}]" for c in range(V.shape[1])]
     cols.append(X)
+    labels += [f"X[{c}]" for c in range(X.shape[1])]
     stack = np.column_stack(cols)
-    if M is not None:
-        stack = np.column_stack([stack, np.asarray(M, dtype=float) @ stack])
-    return stack
+    if lag_M is not None:
+        stack = np.column_stack([stack, lag_M(stack)])
+        labels += [f"M.{lab}" for lab in labels]
+    return stack, labels
+
+
+def instrument_stack(W: np.ndarray, X: np.ndarray, order: int,
+                     M: np.ndarray | None = None,
+                     bonacich: bool = False,
+                     iota: np.ndarray | None = None) -> np.ndarray:
+    """``labelled_stack`` of dense W (and M) without the labels.
+
+    With ``bonacich`` the centrality columns W^j iota are appended; ``iota``
+    may be the plain ones vector (default) or the block-diagonal per-group
+    ones matrix, in which case each power contributes one column per group.
+    """
+    W = np.asarray(W, dtype=float)
+    n = W.shape[0]
+    if bonacich:
+        iota = np.ones((n, 1)) if iota is None else _as_rows(iota, n)
+    lag_M = None if M is None else np.asarray(M, dtype=float).__matmul__
+    return labelled_stack(W.__matmul__, _as_rows(X, n), order,
+                          iota if bonacich else None, lag_M)[0]
 
 
 def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:
@@ -160,6 +175,18 @@ def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:
     else:
         cond = float((smax / smin) ** 2)
     return rank, full, cond
+
+
+def _stack_rank_check(lag_W, lag_M, X: np.ndarray, count: int, rho_zero: bool,
+                      iota: np.ndarray) -> tuple[bool, float]:
+    """Rank flag and Gram condition number of the stack of order count - 1."""
+    if rho_zero:
+        iota = lag_M = None
+    elif lag_M is None:
+        raise ValueError("the spatially correlated case needs M")
+    stack, _ = labelled_stack(lag_W, X, max(count - 1, 1), iota, lag_M)
+    _, full, cond = _rank_and_condition(stack)
+    return full, cond
 
 
 def proposition2_rank_check(W: np.ndarray, X: np.ndarray,
@@ -177,21 +204,12 @@ def proposition2_rank_check(W: np.ndarray, X: np.ndarray,
     infinite condition number marks exact rank deficiency.
     """
     W = _require_symmetric(W)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != W.shape[0]:
-        X = X.T
-    if X.shape[1] == 0:
-        raise ValueError("X must have at least one column")
+    n = W.shape[0]
     count, _ = distinct_eigenvalues(W, tol)
-    order = max(count - 1, 1)
-    if rho_zero:
-        stack = instrument_stack(W, X, order)
-    else:
-        if M is None:
-            raise ValueError("the spatially correlated case needs M")
-        stack = instrument_stack(W, X, order, M=M, bonacich=True, iota=iota)
-    _, full, cond = _rank_and_condition(stack)
-    return full, cond
+    iota = np.ones((n, 1)) if iota is None else _as_rows(iota, n)
+    lag_M = None if M is None else np.asarray(M, dtype=float).__matmul__
+    return _stack_rank_check(W.__matmul__, lag_M, _as_rows(X, n), count,
+                             rho_zero, iota)
 
 
 def lee_reduced_coefficient(m_r: int, lam: float, beta1: float, beta2: float) -> float:
@@ -266,15 +284,17 @@ def build_report(network: GroupedNetwork | np.ndarray,
     rank/condition fields stay empty.
     """
     if isinstance(network, GroupedNetwork):
-        W, M, iota = network.W, network.M, network.group_ones()
+        W, lag_W, lag_M = network.W, network.lag_W, network.lag_M
+        iota = network.group_ones()
     else:
-        W, M, iota = np.asarray(network, dtype=float), None, None
+        W = np.asarray(network, dtype=float)
+        lag_W, lag_M, iota = W.__matmul__, None, np.ones((W.shape[0], 1))
     count, clusters = distinct_eigenvalues(W, tol)
     rank_flag: bool | None = None
     cond: float | None = None
     if X is not None:
-        rank_flag, cond = proposition2_rank_check(W, X, rho_zero=rho_zero, M=M,
-                                                  tol=tol, iota=iota)
+        rank_flag, cond = _stack_rank_check(lag_W, lag_M, _as_rows(X, W.shape[0]),
+                                            count, rho_zero, iota)
     if count == 2:
         verdict = Verdict.NOT_IDENTIFIED
     elif rank_flag is None:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GroupedNetwork
-from .identification import AsymmetricMatrixError, distinct_eigenvalues
+from .graphs import GroupedNetwork, _as_rows
+from .identification import (AsymmetricMatrixError, distinct_eigenvalues,
+                             labelled_stack)
 from .transforms import JProjector, j_projector
 
 __all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
@@ -60,20 +61,16 @@ class InstrumentSet:
                              self.labels + (label,), self.normalization)
 
 
-def _drop_zero_columns(cols: list[np.ndarray], labels: list[str]
-                       ) -> tuple[list[np.ndarray], list[str]]:
-    peaks = [float(np.max(np.abs(c))) for c in cols]
-    scale = max(peaks) if peaks else 0.0
+def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
+    peaks = np.abs(Q).max(axis=0)
+    scale = float(peaks.max()) if peaks.size else 0.0
     if scale <= 0.0:
         raise ValueError("all instrument columns are numerically zero")
-    kept_cols, kept_labels = [], []
-    for c, lab, peak in zip(cols, labels, peaks):
-        if peak <= ZERO_COLUMN_RTOL * scale:
+    keep = peaks > ZERO_COLUMN_RTOL * scale
+    for lab, kept in zip(labels, keep):
+        if not kept:
             warnings.warn(f"dropping numerically zero instrument column {lab!r}")
-            continue
-        kept_cols.append(c)
-        kept_labels.append(lab)
-    return kept_cols, kept_labels
+    return InstrumentSet(Q[:, keep], tuple(lab for lab, k in zip(labels, keep) if k))
 
 
 def build_instruments(network: GroupedNetwork, X: np.ndarray,
@@ -85,15 +82,16 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray,
 
     Columns, before J: W X, ..., W^order X, then (optionally) W iota, ...,
     W^order iota, then X itself, then (optionally) the M-premultiplied copy
-    of everything so far.  ``order=None`` picks d-1 where d is the number of
+    of everything so far, as built by ``identification.labelled_stack``
+    with the network's block-wise lags.  iota is the block-diagonal matrix
+    of per-group ones vectors, so every power contributes one centrality
+    column per group.  ``order=None`` picks d-1 where d is the number of
     distinct eigenvalues of a symmetric W (powers beyond that add no span, by
     Cayley-Hamilton) and falls back to 10 for asymmetric W.  Numerically zero
     columns (underflowed high powers, covariates constant within groups) are
     dropped with a warning carrying their label.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != network.n:
-        X = X.T
+    X = _as_rows(X, network.n)
     if X.shape[0] != network.n:
         raise ValueError("X rows must match the network order")
     if order is None:
@@ -102,41 +100,12 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray,
             order = max(count - 1, 1)
         except AsymmetricMatrixError:
             order = 10
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    cols: list[np.ndarray] = []
-    labels: list[str] = []
-    powX = X
-    for j in range(1, order + 1):
-        powX = network.lag_W(powX)
-        for c in range(X.shape[1]):
-            cols.append(powX[:, c])
-            labels.append(f"W^{j}.X[{c}]")
-    if include_bonacich:
-        # iota is the block-diagonal matrix of per-group ones vectors, so
-        # every power contributes one centrality column per group
-        V = network.group_ones()
-        for j in range(1, order + 1):
-            V = network.lag_W(V)
-            for r in range(V.shape[1]):
-                cols.append(V[:, r])
-                labels.append(f"W^{j}.iota[{r}]")
-    for c in range(X.shape[1]):
-        cols.append(X[:, c])
-        labels.append(f"X[{c}]")
-    if include_M_lags:
-        base = list(cols)
-        base_labels = list(labels)
-        for c, lab in zip(base, base_labels):
-            cols.append(network.lag_M(c))
-            labels.append(f"M.{lab}")
-
+    stack, labels = labelled_stack(
+        network.lag_W, X, order,
+        iota=network.group_ones() if include_bonacich else None,
+        lag_M=network.lag_M if include_M_lags else None)
     J = J if J is not None else j_projector(network.group_sizes, network.M)
-    cols = [J.apply(c) for c in cols]
-    labels = [f"J.{lab}" for lab in labels]
-    cols, labels = _drop_zero_columns(cols, labels)
-    return InstrumentSet(np.column_stack(cols), tuple(labels))
+    return _drop_zero_columns(J.apply(stack), [f"J.{lab}" for lab in labels])
 
 
 def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
@@ -178,9 +147,7 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray,
     duplicate columns are removed (keeping the first occurrence) to keep the
     Gram matrix invertible.
     """
-    base = np.atleast_2d(np.asarray(base, dtype=float))
-    if base.shape[0] != network.n:
-        base = base.T
+    base = _as_rows(base, network.n)
     J = J if J is not None else j_projector(network.group_sizes, network.M)
     Wb = network.lag_W(base)
     blocks = [base, Wb, network.lag_M(base), network.lag_M(Wb)]
@@ -201,9 +168,10 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray,
                 continue
             cols.append(col)
             labels.append(f"J.{tag}[{c}]")
-    cols = [J.apply(c) for c in cols]
-    cols, labels = _drop_zero_columns(cols, labels)
-    return InstrumentSet(np.column_stack(cols), tuple(labels))
+    # J goes column by column so each column's rounding is independent of the
+    # others; PC selection inside a repeated eigenvalue turns a last-bit
+    # change into a different component count
+    return _drop_zero_columns(np.column_stack([J.apply(c) for c in cols]), labels)
 
 
 def q2_roster(network: GroupedNetwork, base: np.ndarray,
@@ -217,10 +185,5 @@ def q2_roster(network: GroupedNetwork, base: np.ndarray,
     J = J if J is not None else j_projector(network.group_sizes, network.M)
     q1 = q1_roster(network, base, J)
     V = J.apply(network.lag_W(network.group_ones()))
-    cols = list(q1.Q.T)
-    labels = list(q1.labels)
-    for r in range(V.shape[1]):
-        cols.append(V[:, r])
-        labels.append(f"J.W.iota[{r}]")
-    cols, labels = _drop_zero_columns(cols, labels)
-    return InstrumentSet(np.column_stack(cols), tuple(labels))
+    labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
+    return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)

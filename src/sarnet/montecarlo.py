@@ -51,6 +51,10 @@ PARAMETERS = ("lambda", "beta1", "beta2", "rho")
 
 THREADS_ENV_VAR = "SARNET_THREADS"
 
+#: what a numerically failed fit raises (``SingularSystemError`` is a
+#: ``LinAlgError``); anything else is a bug and propagates
+NUMERICAL_FAILURES = (np.linalg.LinAlgError, ValueError)
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -123,7 +127,7 @@ def _draw_sample(config: McConfig, seed) -> tuple[GroupedNetwork, PanelData]:
 
 
 def run_replication(config: McConfig, seed) -> ReplicationResult:
-    """One draw, all six estimators on it; failures become missing cells."""
+    """One draw, all six estimators on it; numerical failures become missing cells."""
     nan3 = np.full(3, np.nan)
     estimates = {name: nan3.copy() for name in ESTIMATORS}
     alphas: dict[str, float] = {}
@@ -137,7 +141,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         q1 = q1_roster(net, base, J)
         delta_tilde = preliminary_delta(data, net, q1)
         rho_tilde = preliminary_rho(data, net, delta_tilde, J=J)
-    except Exception as exc:  # no preliminary stage, nothing can run
+    except NUMERICAL_FAILURES as exc:  # no preliminary stage, nothing can run
         msg = f"preliminary stage failed: {exc}"
         return ReplicationResult(estimates, np.nan, alphas,
                                  {name: msg for name in ESTIMATORS})
@@ -152,7 +156,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
             estimates[name] = result.delta[:3].copy()
             if result.alpha_star is not None:
                 alphas[name] = float(result.alpha_star)
-        except Exception as exc:
+        except NUMERICAL_FAILURES as exc:
             failures[name] = str(exc)
 
     spec1 = Spectrum.from_instruments(q1)
@@ -173,7 +177,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
                                 config=SelectionConfig(criterion=config.criterion),
                                 spectrum=spec2n)
-    except Exception as exc:
+    except NUMERICAL_FAILURES as exc:
         msg = f"selection context failed: {exc}"
         for name in ("t_2sls", "lf_2sls", "pc_2sls"):
             failures[name] = msg

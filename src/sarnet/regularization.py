@@ -27,7 +27,7 @@ import numpy as np
 
 from .instruments import InstrumentSet
 
-__all__ = ["Spectrum", "Scheme", "q_weight", "q_weights", "apply_projector",
+__all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector",
            "projector_traces", "projector_matrix", "projector_diagonal",
            "projector_trace_with"]
 
@@ -87,19 +87,12 @@ class Spectrum:
         Q = inst.Q if isinstance(inst, InstrumentSet) else np.asarray(inst, dtype=float)
         Q = np.atleast_2d(Q)
         n, m = Q.shape
-        if m < n / 4:
-            K = Q.T @ Q / n
-            vals, phi = np.linalg.eigh(K)
-            vals, phi = vals[::-1], phi[:, ::-1]
-            keep = vals > max(cutoff * max(vals[0], 0.0), 0.0)
-            vals, phi = vals[keep], phi[:, keep]
-            psi = (Q @ phi) / np.sqrt(n * vals)
-        else:
-            G = Q @ Q.T / n
-            vals, psi = np.linalg.eigh(G)
-            vals, psi = vals[::-1], psi[:, ::-1]
-            keep = vals > max(cutoff * max(vals[0], 0.0), 0.0)
-            vals, psi = vals[keep], psi[:, keep]
+        gram_route = m < n / 4
+        vals, vecs = np.linalg.eigh(Q.T @ Q / n if gram_route else Q @ Q.T / n)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        keep = vals > max(cutoff * max(vals[0], 0.0), 0.0)
+        vals, vecs = vals[keep], vecs[:, keep]
+        psi = (Q @ vecs) / np.sqrt(n * vals) if gram_route else vecs
         if vals.size == 0:
             raise ValueError("instrument matrix has no nonzero spectrum")
         return cls(eigenvalues=vals, vectors=psi, n=n)
@@ -157,28 +150,13 @@ class Scheme:
         return self
 
 
-def q_weight(scheme: Scheme, nu: float, position: int | None = None) -> float:
-    """Scalar damping weight q(alpha, nu^2) in [0, 1].
-
-    PC weights depend on the rank ``position`` (1-based, descending
-    eigenvalue order) rather than on nu itself.
-    """
-    nu2 = float(nu) ** 2
-    if scheme.kind == "T":
-        return nu2 / (nu2 + scheme.alpha)
-    if scheme.kind == "LF":
-        if scheme.c is None:
-            raise ValueError("LF weight needs the step size c (use Scheme.resolved)")
-        if scheme.c * nu2 >= 1.0:
-            raise ValueError(f"LF requires c nu^2 < 1, got {scheme.c * nu2:.6g}")
-        return 1.0 - (1.0 - scheme.c * nu2) ** scheme.steps
-    if position is None:
-        raise ValueError("PC weight needs the eigenvalue's rank position")
-    return 1.0 if position <= scheme.steps else 0.0
-
-
 def q_weights(scheme: Scheme, spectrum: Spectrum) -> np.ndarray:
-    """Vector of damping weights over the retained spectrum."""
+    """Damping weights q(alpha, nu_j^2) in [0, 1] over the retained spectrum.
+
+    PC weights depend on the rank position j (descending eigenvalue order)
+    rather than on nu_j itself.  The LF step size defaults through
+    ``Scheme.resolved``; c nu_j^2 >= 1 for any j is rejected.
+    """
     scheme = scheme.resolved(spectrum)
     nu2 = spectrum.eigenvalues ** 2
     if scheme.kind == "T":

@@ -23,11 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import assemble_z
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import (Scheme, Spectrum, projector_diagonal, q_weights)
-from .transforms import j_projector, solve_blockwise
+from .transforms import apply_D, assemble_z, j_projector, whiten, whitened_residual
 
 __all__ = [
     "SelectionConfig",
@@ -138,7 +137,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     J = j_projector(network.group_sizes, network.M)
 
     Z = assemble_z(data, network)
-    rz = Z - rho_tilde * network.lag_M(Z)
+    rz = whiten(network, rho_tilde, Z)
     gamma_bar = config.gamma_bar
     if gamma_bar is None:
         gamma_bar = np.zeros(Z.shape[1])
@@ -158,19 +157,14 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     resid_full = w - spectrum.vectors @ coef
     sigma2_v = float(resid_full @ resid_full) / network.n
 
-    resid = data.y - Z @ delta_tilde
-    eps_hat = J.apply(resid - rho_tilde * network.lag_M(resid))
+    eps_hat = whitened_residual(network, J, rho_tilde, data.y, Z, delta_tilde)
     sigma2_eps = float(eps_hat @ eps_hat) / network.n
 
     # squared norm of D iota, averaged over observations: the raw sum grows
     # like n and would make the bias proxy drown the fit terms for every
     # alpha, contradicting the 1/(n alpha^2) order of the term it estimates
-    iota = np.ones(network.n)
-    t = solve_blockwise(rho_tilde, network.M, network.group_sizes, iota, "R(rho)")
-    t = solve_blockwise(float(delta_tilde[0]), network.W, network.group_sizes,
-                        t, "S(lambda)")
-    t = network.lag_W(t)
-    t = J.apply(t - rho_tilde * network.lag_M(t))
+    t = J.apply(apply_D(network, float(delta_tilde[0]), rho_tilde,
+                        np.ones(network.n)))
     bias_factor = float(gamma_bar[0]) ** 2 * float(t @ t) / network.n
 
     return SelectionContext(
@@ -252,12 +246,15 @@ def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
 
 def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:
     """Plug-in estimate of the dominant MSE term along gamma_bar."""
-    scheme = scheme.resolved(ctx.spectrum)
-    q = q_weights(scheme, ctx.spectrum)
+    return _s_hat_from_fit(ctx, scheme, criterion_value(ctx, scheme))
+
+
+def _s_hat_from_fit(ctx: SelectionContext, scheme: Scheme, fit: float) -> float:
+    """S_hat given the criterion value ``fit`` already computed at ``scheme``."""
+    q = q_weights(scheme.resolved(ctx.spectrum), ctx.spectrum)
     n = ctx.n
     tr_P = float(q.sum())
     tr_P2 = float((q ** 2).sum())
-    fit = criterion_value(ctx, scheme)
     return ctx.sigma2_eps * (
         fit
         - ctx.sigma2_v * tr_P2 / n
@@ -306,8 +303,8 @@ def select_from_context(ctx: SelectionContext, kind: str,
     grid = (np.asarray(grid, dtype=float) if grid is not None
             else default_grid(kind, ctx.spectrum, ctx.min_components))
     schemes = _schemes_for_grid(kind, grid, ctx.spectrum)
-    values = np.array([s_hat(ctx, sc) for sc in schemes])
     crits = np.array([criterion_value(ctx, sc) for sc in schemes])
+    values = np.array([_s_hat_from_fit(ctx, sc, c) for sc, c in zip(schemes, crits)])
     finite = np.isfinite(values)
     if not np.any(finite):
         raise ValueError("selection curve has no finite values")

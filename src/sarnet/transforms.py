@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import GroupedNetwork, _group_slices
+from .graphs import GroupedNetwork, PanelData, _group_slices
 
 __all__ = [
     "ModelParams",
@@ -29,6 +29,10 @@ __all__ = [
     "s_matrix",
     "r_matrix",
     "j_projector",
+    "assemble_z",
+    "whiten",
+    "apply_D",
+    "whitened_residual",
     "structural_residual",
     "reduced_form",
     "row_sum_norm",
@@ -194,17 +198,44 @@ def j_projector(group_sizes: Sequence[int], M: np.ndarray) -> JProjector:
 # Structural and reduced forms
 # ---------------------------------------------------------------------------
 
+def assemble_z(data: PanelData, network: GroupedNetwork) -> np.ndarray:
+    """Structural regressor block Z = (W Y, X1, W X2)."""
+    return np.column_stack([network.lag_W(data.y), data.regressors(network)])
+
+
+def whiten(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
+    """R(rho) V = V - rho M V, the Cochrane-Orcutt whitening."""
+    return V - rho * network.lag_M(V)
+
+
+def apply_D(network: GroupedNetwork, lam: float, rho: float,
+            V: np.ndarray) -> np.ndarray:
+    """D V = R(rho) W S(lambda)^{-1} R(rho)^{-1} V through per-group solves.
+
+    D is the bias operator of the many-instruments correction (Liu and Lee
+    2010): the endogenous regressor R W Y has the component D eps.
+    """
+    t = solve_blockwise(rho, network.M, network.group_sizes, V, "R(rho)")
+    t = solve_blockwise(lam, network.W, network.group_sizes, t, "S(lambda)")
+    return whiten(network, rho, network.lag_W(t))
+
+
+def whitened_residual(network: GroupedNetwork, J: JProjector, rho: float,
+                      y: np.ndarray, Z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """J R(rho) (y - Z delta); its mean square is the sigma2 plug-in."""
+    return J.apply(whiten(network, rho, y - Z @ np.asarray(delta, dtype=float)))
+
+
 def structural_residual(params: ModelParams, data, network: GroupedNetwork,
                         J: JProjector | None = None) -> np.ndarray:
     """J R(rho) (Y - lambda W Y - X beta); equals J eps at the true values."""
-    X = data.regressors(network)
-    beta = params.beta
-    if X.shape[1] != beta.size:
-        raise ValueError(f"X has {X.shape[1]} columns but beta has {beta.size} entries")
-    e = data.y - params.lam * network.lag_W(data.y) - X @ beta
-    e = e - params.rho * network.lag_M(e)
+    Z = assemble_z(data, network)
+    delta = np.concatenate([[params.lam], params.beta])
+    if Z.shape[1] != delta.size:
+        raise ValueError(f"X has {Z.shape[1] - 1} columns but beta has "
+                         f"{delta.size - 1} entries")
     J = J if J is not None else j_projector(network.group_sizes, network.M)
-    return J.apply(e)
+    return whitened_residual(network, J, params.rho, data.y, Z, delta)
 
 
 def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,

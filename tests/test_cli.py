@@ -140,6 +140,57 @@ class TestSimulate:
         assert out.splitlines()[0] == "estimator,parameter,mean,sd,rmse,n_used,n_failed"
 
 
+class TestBadInput:
+    """Malformed numbers fail at load time as data errors naming the cell."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        net, data, _, _, _ = draw_dataset(seed=31, group_count=3, group_size=6)
+        return write_network_csvs(tmp_path, net, data)
+
+    @staticmethod
+    def corrupt(path, line, column, value):
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column - 1] = value
+        lines[line - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("value,reason", [("nan", "non-finite"),
+                                              ("abc", "not a number")])
+    def test_bad_outcome_names_file_line_and_column(self, files, capsys,
+                                                    value, reason):
+        edges, nodes = files
+        self.corrupt(nodes, 4, 5, value)      # column 5 is y
+        code, _, err = run_cli(["estimate", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"{nodes}, line 4, column 5 (y): {reason}" in err
+
+    def test_infinite_weight_is_data_error(self, files, capsys):
+        edges, nodes = files
+        self.corrupt(edges, 3, 4, "inf")
+        code, _, err = run_cli(["estimate", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"{edges}, line 3, column 4 (weight): non-finite" in err
+
+    def test_negative_weight_is_data_error(self, files, capsys):
+        edges, nodes = files
+        self.corrupt(edges, 2, 4, "-1")
+        code, _, err = run_cli(["estimate", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"{edges}, line 2, column 4 (weight): negative weight -1" in err
+
+    def test_short_row_is_data_error(self, files, capsys):
+        edges, _ = files
+        edges.write_text(edges.read_text() + "0,1\n")
+        code, _, err = run_cli(["diagnose", "--edges", str(edges)], capsys)
+        assert code == 2
+        assert "expected 4 columns, got 2" in err
+
+
 class TestConfigAndErrors:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["simulate", "--bogus"], capsys)

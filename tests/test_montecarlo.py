@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sarnet import montecarlo
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
@@ -41,6 +42,26 @@ class TestRunReplication:
         rep = run_replication(config, np.random.SeedSequence(1))
         assert np.isfinite(rep.rho_tilde)
         assert -0.99 <= rep.rho_tilde <= 0.99
+
+
+class TestFailureHandling:
+    @pytest.mark.parametrize("target", ["preliminary_rho", "regularized_2sls",
+                                        "prepare_selection"])
+    def test_programming_error_propagates(self, monkeypatch, target):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+        monkeypatch.setattr(montecarlo, target, broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+
+    def test_linalg_error_becomes_failure_cell(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular sandwich")
+        monkeypatch.setattr(montecarlo, "bias_corrected_2sls", singular)
+        rep = run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+        assert rep.failures == {"bias_corrected": "singular sandwich"}
+        assert np.all(np.isnan(rep.estimates["bias_corrected"]))
+        assert np.all(np.isfinite(rep.estimates["2sls_large"]))
 
 
 class TestRunStudy:

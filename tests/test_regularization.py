@@ -5,7 +5,7 @@ from sarnet.instruments import InstrumentSet
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
                                    projector_diagonal, projector_matrix,
                                    projector_traces, projector_trace_with,
-                                   q_weight, q_weights)
+                                   q_weights)
 
 
 def random_instruments(seed, n=40, m=6):
@@ -70,21 +70,28 @@ class TestScheme:
         assert scheme.c * spectrum.nu_max ** 2 < 1.0
 
 
+def spectrum_of(*nus):
+    """A spectrum with the given descending eigenvalues and trivial vectors."""
+    return Spectrum(np.array(nus, dtype=float), np.eye(len(nus)), len(nus))
+
+
 class TestQWeight:
     def test_tikhonov_formula(self):
-        assert q_weight(Scheme.tikhonov(1.0), 1.0) == pytest.approx(0.5)
+        q = q_weights(Scheme.tikhonov(1.0), spectrum_of(1.0))
+        assert q[0] == pytest.approx(0.5)
 
     def test_landweber_formula(self):
-        assert q_weight(Scheme.landweber(2, c=0.5), 1.0) == pytest.approx(0.75)
+        q = q_weights(Scheme.landweber(2, c=0.5), spectrum_of(1.0))
+        assert q[0] == pytest.approx(0.75)
 
     def test_pc_indicator(self):
-        scheme = Scheme.principal_components(2)
-        assert q_weight(scheme, 0.7, position=2) == 1.0
-        assert q_weight(scheme, 0.7, position=3) == 0.0
+        # weights follow the rank position, not the eigenvalue itself
+        q = q_weights(Scheme.principal_components(2), spectrum_of(0.7, 0.7, 0.7))
+        np.testing.assert_array_equal(q, [1.0, 1.0, 0.0])
 
     def test_lf_step_size_bound_enforced(self):
         with pytest.raises(ValueError, match="c nu\\^2 < 1"):
-            q_weight(Scheme.landweber(2, c=1.5), 1.0)
+            q_weights(Scheme.landweber(2, c=1.5), spectrum_of(1.0))
 
     def test_weights_lie_in_unit_interval(self, spectrum):
         for scheme in (Scheme.tikhonov(0.3), Scheme.landweber(5),

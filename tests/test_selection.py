@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from sarnet import selection
 from sarnet.estimation import preliminary_delta, preliminary_rho
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces, q_weights
@@ -173,6 +174,18 @@ class TestSelect:
         assert np.all(np.isfinite(curve))
         np.testing.assert_allclose(curve[:, 0],
                                    default_grid("T", ctx.spectrum), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["T", "LF", "PC"])
+    def test_one_criterion_call_per_grid_point(self, monkeypatch, kind):
+        calls = []
+
+        def counted(ctx, scheme):
+            calls.append(scheme)
+            return criterion_value(ctx, scheme)
+
+        monkeypatch.setattr(selection, "criterion_value", counted)
+        result = select_from_context(make_context(seed=7), kind)
+        assert len(calls) == len(result.curve) > 1
 
     def test_deterministic(self):
         net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=55)
