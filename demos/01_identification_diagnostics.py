@@ -31,11 +31,13 @@ print()
 # ----------------------------------------------------------------------
 # 2. Equal-weight group interaction: each group of size m contributes the
 #    eigenvalue -1/(m-1) (plus the common 1).  Equal group sizes give two
-#    distinct eigenvalues -> not identified; varied sizes give more.
+#    distinct eigenvalues -> not identified; varied sizes give more.  The
+#    spectrum of a grouped network is the union of its group spectra, which
+#    is how distinct_eigenvalues(net) computes it.
 # ----------------------------------------------------------------------
 for sizes in ([10, 10], [5, 7], [4, 5, 6]):
     net = lee_group_network(sizes)
-    count, clusters = distinct_eigenvalues(net.W)
+    count, clusters = distinct_eigenvalues(net)
     print(f"group sizes {sizes}: {count} distinct eigenvalues "
           f"{[round(v, 4) for v, _ in clusters]}")
 print()

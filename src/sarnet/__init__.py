@@ -12,9 +12,8 @@ Monte Carlo harness.
 from .graphs import (GroupedNetwork, PanelData, build_block_diagonal,
                      generate_mc_network, lee_group_network, load_edge_csv,
                      load_network, load_node_csv, row_normalize)
-from .transforms import (JProjector, ModelParams, j_projector, r_matrix,
-                         reduced_form, row_sum_norm, s_matrix,
-                         structural_residual)
+from .transforms import (JProjector, ModelParams, r_matrix, reduced_form,
+                         row_sum_norm, s_matrix, structural_residual)
 from .identification import (IdentificationReport, Verdict, build_report,
                              distinct_eigenvalues, instrument_stack,
                              lee_reduced_coefficient, proposition1_check,

@@ -21,8 +21,8 @@ from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import build_instruments, normalize_columns, q1_roster
 from .montecarlo import McConfig, run_study, summarize
+from .regularization import Spectrum
 from .selection import SelectionConfig, curve_to_csv, select_alpha
-from .transforms import j_projector
 
 __all__ = ["main"]
 
@@ -194,25 +194,25 @@ def _cmd_diagnose(args) -> int:
 def _prepare_estimation(args):
     net, data = _load(args, need_data=True)
     X = data.regressors(net)
-    J = j_projector(net.group_sizes, net.M)
-    q1 = q1_roster(net, X, J)
+    q1 = q1_roster(net, X)
     delta_tilde = preliminary_delta(data, net, q1)
-    rho_tilde = preliminary_rho(data, net, delta_tilde, J=J)
+    rho_tilde = preliminary_rho(data, net, delta_tilde)
     inst = build_instruments(net, X, order=args.order,
                              include_bonacich=not args.no_bonacich,
-                             include_M_lags=not args.no_m_lags, J=J)
+                             include_M_lags=not args.no_m_lags)
     inst = normalize_columns(inst, args.normalize)
+    spectrum = Spectrum.from_instruments(inst)
     sel_config = SelectionConfig(criterion=args.criterion)
     sel = select_alpha(data, net, inst, args.scheme, sel_config,
-                       rho_tilde=rho_tilde, delta_tilde=delta_tilde)
-    return net, data, inst, delta_tilde, rho_tilde, sel
+                       rho_tilde=rho_tilde, delta_tilde=delta_tilde, spectrum=spectrum)
+    return net, data, inst, spectrum, rho_tilde, sel
 
 
 def _cmd_estimate(args) -> int:
-    net, data, inst, _, rho_tilde, sel = _prepare_estimation(args)
-    result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde)
+    net, data, inst, spectrum, rho_tilde, sel = _prepare_estimation(args)
+    result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde, spectrum=spectrum)
     try:
-        count, _ = distinct_eigenvalues(net.W)
+        count, _ = distinct_eigenvalues(net)
     except AsymmetricMatrixError:
         count = None
     lines = [

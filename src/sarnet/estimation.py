@@ -24,8 +24,7 @@ from numpy.polynomial import Polynomial
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import (Scheme, Spectrum, projector_trace_with, q_weights)
-from .transforms import (JProjector, apply_D, assemble_z, j_projector, whiten,
-                         whitened_residual)
+from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
     "EstimationResult",
@@ -120,27 +119,24 @@ def preliminary_delta(data: PanelData, network: GroupedNetwork,
     return _checked_solve(A, b, "2SLS sandwich")
 
 
-def _build_moment_ops(network: GroupedNetwork, J: JProjector):
+def _build_moment_ops(network: GroupedNetwork):
     """Operators for M1 = JWJ - cI, M2 = JMJ - cI, M3 = JMWJ - cI.
 
     Each c is tr(J A J)/tr(J); the recentering makes eps' M_i eps a valid
     moment at the true rho.  Returned as closures acting block by block.
     """
-    trJ = J.trace
+    J = network.J
     ops = []
     specs = [
-        (lambda V: network.lag_W(V),
-         lambda sl: network.W[sl, sl]),
-        (lambda V: network.lag_M(V),
-         lambda sl: network.M[sl, sl]),
+        (network.lag_W, network.blocks_W()),
+        (network.lag_M, network.blocks_M()),
         (lambda V: network.lag_M(network.lag_W(V)),
-         lambda sl: network.M[sl, sl] @ network.W[sl, sl]),
+         [M_r @ W_r for M_r, W_r in zip(network.blocks_M(), network.blocks_W())]),
     ]
-    for lag, block_of in specs:
+    for lag, blocks in specs:
         # tr(J A J) = sum_r tr(A_r J_r) over the small dense blocks
-        total = sum(float(np.trace(block_of(sl) @ J.block(r)))
-                    for r, sl in enumerate(J.slices))
-        c = total / trJ
+        total = sum(float(np.trace(A_r @ J.block(r))) for r, A_r in enumerate(blocks))
+        c = total / J.trace
 
         def apply_op(v, lag=lag, c=c):
             return J.apply(lag(J.apply(v))) - c * v
@@ -150,8 +146,7 @@ def _build_moment_ops(network: GroupedNetwork, J: JProjector):
 
 
 def preliminary_rho(data: PanelData, network: GroupedNetwork,
-                    delta_tilde: np.ndarray,
-                    J: JProjector | None = None) -> float:
+                    delta_tilde: np.ndarray) -> float:
     """Method-of-moments rho: the exact minimizer of ||g(rho)||^2 on [-0.99, 0.99].
 
     g(rho) stacks eps(rho)' M_i eps(rho) for the three recentered quadratic
@@ -164,7 +159,7 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     residual makes the objective flat; by convention that returns 0 with a
     warning.
     """
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
+    J = network.J
     Z = assemble_z(data, network)
     e = data.y - Z @ np.asarray(delta_tilde, dtype=float)
     a = J.apply(e)
@@ -174,7 +169,7 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
         return 0.0
     # each moment is quadratic in rho: eps(rho) = a - rho b
     moments = []
-    for op in _build_moment_ops(network, J):
+    for op in _build_moment_ops(network):
         Ma, Mb = op(a), op(b)
         moments.append(Polynomial([float(a @ Ma), -float(a @ Mb + b @ Ma),
                                    float(b @ Mb)]))
@@ -190,8 +185,7 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
 # ---------------------------------------------------------------------------
 
 def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
-               scheme: Scheme, rho_tilde: float,
-               J: JProjector | None = None):
+               scheme: Scheme, rho_tilde: float):
     """Shared solve for the (regularized) 2SLS normal equations."""
     Z = assemble_z(data, network)
     rz = whiten(network, rho_tilde, Z)
@@ -203,8 +197,7 @@ def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
     A = U.T @ (q[:, None] * U)
     rhs = U.T @ (q * uy)
     delta = _checked_solve(A, rhs, "regularized 2SLS normal equations")
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
-    eps_hat = whitened_residual(network, J, rho_tilde, data.y, Z, delta)
+    eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
     cov = sigma2 * np.linalg.inv(A)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -214,8 +207,7 @@ def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
 def regularized_2sls(data: PanelData, network: GroupedNetwork,
                      instruments: InstrumentSet, scheme: Scheme,
                      rho_tilde: float,
-                     spectrum: Spectrum | None = None,
-                     J: JProjector | None = None) -> EstimationResult:
+                     spectrum: Spectrum | None = None) -> EstimationResult:
     """Damped-projection 2SLS of the transformed structural equation.
 
     The instrument projection is applied through the spectrum of Q Q'/n, so
@@ -225,7 +217,7 @@ def regularized_2sls(data: PanelData, network: GroupedNetwork,
     """
     spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
     delta, se, sigma2, _, scheme = _fit_r2sls(
-        data, network, spectrum, scheme, rho_tilde, J)
+        data, network, spectrum, scheme, rho_tilde)
     tr_P = float(q_weights(scheme, spectrum).sum())
     return EstimationResult(
         delta=delta, std_errors=se, rho_tilde=float(rho_tilde),
@@ -237,21 +229,19 @@ def regularized_2sls(data: PanelData, network: GroupedNetwork,
 
 def classical_2sls(data: PanelData, network: GroupedNetwork,
                    instruments: InstrumentSet, rho_tilde: float,
-                   spectrum: Spectrum | None = None,
-                   J: JProjector | None = None) -> EstimationResult:
+                   spectrum: Spectrum | None = None) -> EstimationResult:
     """Ordinary-projection 2SLS: the principal-components scheme kept in full."""
     spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
     scheme = Scheme.principal_components(spectrum.rank)
     return regularized_2sls(data, network, instruments, scheme, rho_tilde,
-                            spectrum=spectrum, J=J)
+                            spectrum=spectrum)
 
 
 def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
                         instruments: InstrumentSet, rho_tilde: float,
                         lambda_tilde: float,
                         spectrum: Spectrum | None = None,
-                        scheme: Scheme | None = None,
-                        J: JProjector | None = None) -> EstimationResult:
+                        scheme: Scheme | None = None) -> EstimationResult:
     """Many-instrument 2SLS minus the plug-in estimate of its leading bias.
 
     The correction targets the endogenous-effect coordinate:
@@ -268,7 +258,7 @@ def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
     if tr_P < 1e-8:
         raise ValueError("projector trace is ~0: bias correction undefined")
     delta, se, sigma2, A, scheme = _fit_r2sls(
-        data, network, spectrum, scheme, rho_tilde, J)
+        data, network, spectrum, scheme, rho_tilde)
     tr_PD = projector_trace_with(
         spectrum, scheme, lambda V: apply_D(network, lambda_tilde, rho_tilde, V))
     e1 = np.zeros(delta.size)

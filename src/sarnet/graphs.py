@@ -2,17 +2,19 @@
 
 A sample is a collection of disjoint groups.  Interactions only happen within
 a group, so the full-sample interaction matrices W (outcome spillovers) and M
-(disturbance spillovers) are block diagonal with one block per group.  All
-routines here preserve and, where cheap, verify that block structure.
+(disturbance spillovers) are block diagonal with one block per group, and a
+``GroupedNetwork`` stores only those blocks.  Dense n x n forms are assembled
+on request, for tests and small problems.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +30,6 @@ __all__ = [
     "load_node_csv",
     "load_network",
 ]
-
-# Entries smaller than this (absolute) count as structural zeros when
-# validating block structure.
-_ZERO_TOL = 0.0
 
 
 def _group_slices(group_sizes: Sequence[int]) -> tuple[slice, ...]:
@@ -49,51 +47,58 @@ def _as_rows(A: np.ndarray, n: int) -> np.ndarray:
     return A.T if A.shape[0] != n else A
 
 
-@dataclass(frozen=True)
 class GroupedNetwork:
-    """Block-diagonal pair of sociomatrices over a fixed group partition.
+    """Block-diagonal pair of sociomatrices, stored as one block per group.
 
-    Parameters
-    ----------
-    group_sizes : tuple of int
-        Number of individuals per group; the matrix order is their sum.
-    W : ndarray
-        Interaction matrix for outcomes, block diagonal, zero diagonal.
-    M : ndarray
-        Interaction matrix for disturbances, same block structure.  May be
-        identical to ``W`` or a row-normalization of it.
-    m_row_normalized : bool
-        Declares that every nonzero row of ``M`` sums to one (checked).
+    W (outcome spillovers) and M (disturbance spillovers, possibly W itself
+    or its row-normalization) share the group partition and have zero
+    diagonals.  ``GroupedNetwork(group_sizes, W, M, m_row_normalized)``
+    validates dense n x n input (zero outside the diagonal blocks) and splits
+    it; ``from_blocks(W_blocks, M_blocks, m_row_normalized)`` takes the
+    blocks directly.  ``m_row_normalized`` declares, and is checked, that
+    every nonzero row of M sums to one.  Stored blocks are read-only copies.
     """
 
-    group_sizes: tuple[int, ...]
-    W: np.ndarray
-    M: np.ndarray
-    m_row_normalized: bool = False
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(m) for m in self.group_sizes)
+    def __init__(self, group_sizes: Sequence[int], W: np.ndarray, M: np.ndarray,
+                 m_row_normalized: bool = False) -> None:
+        sizes = tuple(int(m) for m in group_sizes)
         if not sizes or any(m < 1 for m in sizes):
             raise ValueError("group_sizes must be positive integers")
-        object.__setattr__(self, "group_sizes", sizes)
         n = sum(sizes)
-        W = np.asarray(self.W, dtype=float)
-        M = np.asarray(self.M, dtype=float)
+        split = []
         for name, A in (("W", W), ("M", M)):
+            A = np.asarray(A, dtype=float)
             if A.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {A.shape}")
-            if np.any(np.abs(np.diag(A)) > _ZERO_TOL):
-                raise ValueError(f"{name} has nonzero diagonal entries (self-links)")
-        _check_block_structure(W, sizes, "W")
-        _check_block_structure(M, sizes, "M")
-        if self.m_row_normalized:
-            rowsums = M.sum(axis=1)
-            bad = np.abs(rowsums - 1.0) > 1e-10
-            bad &= np.abs(M).sum(axis=1) > 0
-            if np.any(bad):
-                raise ValueError("M declared row-normalized but some nonzero row does not sum to 1")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "M", M)
+            blocks = [A[sl, sl] for sl in _group_slices(sizes)]
+            if np.count_nonzero(A) != sum(np.count_nonzero(B) for B in blocks):
+                raise ValueError(f"{name} has nonzero entries outside the diagonal blocks")
+            split.append(blocks)
+        self._set_blocks(*split, m_row_normalized)
+
+    @classmethod
+    def from_blocks(cls, W_blocks: Iterable[np.ndarray], M_blocks: Iterable[np.ndarray],
+                    m_row_normalized: bool = False) -> "GroupedNetwork":
+        """The network whose W and M have the given square diagonal blocks."""
+        net = cls.__new__(cls)
+        net._set_blocks(W_blocks, M_blocks, m_row_normalized)
+        return net
+
+    def _set_blocks(self, W_blocks, M_blocks, m_row_normalized: bool) -> None:
+        W_blocks, M_blocks = _frozen_blocks(W_blocks, "W"), _frozen_blocks(M_blocks, "M")
+        sizes = tuple(B.shape[0] for B in W_blocks)
+        if not sizes or sizes != tuple(B.shape[0] for B in M_blocks):
+            raise ValueError("W and M need the same nonempty list of group sizes")
+        if m_row_normalized:
+            for B in M_blocks:
+                bad = np.abs(B.sum(axis=1) - 1.0) > 1e-10
+                if np.any(bad & (np.abs(B).sum(axis=1) > 0)):
+                    raise ValueError("M declared row-normalized but some nonzero row "
+                                     "does not sum to 1")
+        self.group_sizes = sizes
+        self.m_row_normalized = bool(m_row_normalized)
+        self._W, self._M = W_blocks, M_blocks
+        self.slices = _group_slices(sizes)
 
     # -- basic geometry -----------------------------------------------------
 
@@ -105,27 +110,46 @@ class GroupedNetwork:
     def group_count(self) -> int:
         return len(self.group_sizes)
 
+    def blocks_W(self) -> tuple[np.ndarray, ...]:
+        """The read-only diagonal blocks of W, one per group."""
+        return self._W
+
+    def blocks_M(self) -> tuple[np.ndarray, ...]:
+        """The read-only diagonal blocks of M, one per group."""
+        return self._M
+
     @property
-    def slices(self) -> tuple[slice, ...]:
-        return _group_slices(self.group_sizes)
+    def W(self) -> np.ndarray:
+        """Dense n x n W, assembled on every access (tests, small problems)."""
+        return build_block_diagonal(self._W)
 
-    def blocks_W(self) -> Iterator[np.ndarray]:
-        for sl in self.slices:
-            yield self.W[sl, sl]
+    @property
+    def M(self) -> np.ndarray:
+        """Dense n x n M, assembled on every access (tests, small problems)."""
+        return build_block_diagonal(self._M)
 
-    def blocks_M(self) -> Iterator[np.ndarray]:
-        for sl in self.slices:
-            yield self.M[sl, sl]
+    @functools.cached_property
+    def J(self):
+        """The fixed-effect annihilator of this network's M (a ``JProjector``)."""
+        from .transforms import JProjector
+        return JProjector(self._M)
 
     # -- block-wise products ------------------------------------------------
 
     def lag_W(self, V: np.ndarray) -> np.ndarray:
         """W @ V computed block by block."""
-        return _block_matmul(self.W, self.slices, V)
+        return self._lag(self._W, V)
 
     def lag_M(self, V: np.ndarray) -> np.ndarray:
         """M @ V computed block by block."""
-        return _block_matmul(self.M, self.slices, V)
+        return self._lag(self._M, V)
+
+    def _lag(self, blocks: tuple[np.ndarray, ...], V: np.ndarray) -> np.ndarray:
+        V = np.asarray(V, dtype=float)
+        out = np.empty_like(V)
+        for B, sl in zip(blocks, self.slices):
+            out[sl] = B @ V[sl]
+        return out
 
     def group_ones(self) -> np.ndarray:
         """The n x r indicator matrix whose columns are the group ι vectors."""
@@ -142,20 +166,18 @@ class GroupedNetwork:
         return np.repeat(per_group, self.group_sizes)
 
 
-def _check_block_structure(A: np.ndarray, sizes: Sequence[int], name: str) -> None:
-    mask = np.zeros(A.shape, dtype=bool)
-    for sl in _group_slices(sizes):
-        mask[sl, sl] = True
-    if np.any(np.abs(A[~mask]) > _ZERO_TOL):
-        raise ValueError(f"{name} has nonzero entries outside the diagonal blocks")
-
-
-def _block_matmul(A: np.ndarray, slices: Sequence[slice], V: np.ndarray) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    out = np.empty_like(V)
-    for sl in slices:
-        out[sl] = A[sl, sl] @ V[sl]
-    return out
+def _frozen_blocks(blocks: Iterable[np.ndarray], name: str) -> tuple[np.ndarray, ...]:
+    """Read-only float copies of square blocks with a zero diagonal."""
+    out = []
+    for r, B in enumerate(blocks):
+        B = np.array(B, dtype=float, order="C")     # always a copy
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
+            raise ValueError(f"{name} block {r} is not a nonempty square (shape {B.shape})")
+        if np.any(np.diag(B) != 0.0):
+            raise ValueError(f"{name} has nonzero diagonal entries (self-links)")
+        B.setflags(write=False)
+        out.append(B)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +230,7 @@ def lee_group_network(group_sizes: Sequence[int]) -> GroupedNetwork:
             blocks.append(np.zeros((1, 1)))
         else:
             blocks.append((np.ones((m, m)) - np.eye(m)) / (m - 1))
-    W = build_block_diagonal(blocks)
-    return GroupedNetwork(tuple(int(m) for m in group_sizes), W, W.copy(),
-                          m_row_normalized=True)
+    return GroupedNetwork.from_blocks(blocks, blocks, m_row_normalized=True)
 
 
 def _ring_row(i: int, k: int, m: int) -> np.ndarray:
@@ -251,10 +271,8 @@ def generate_mc_network(group_count: int, group_size: int, max_links: int,
         for i, k in enumerate(degrees):
             B[i] = _ring_row(i, int(k), group_size)
         blocks.append(B)
-    W = build_block_diagonal(blocks)
-    M = row_normalize(W)
-    return GroupedNetwork(tuple([group_size] * group_count), W, M,
-                          m_row_normalized=True)
+    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
+                                      m_row_normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +403,27 @@ def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
     keys = [k for k, _ in parsed]
     if len(set(keys)) != len(keys):
         raise ValueError(f"{path}: duplicate (group_id, node_id) pairs")
-    groups: list = []
-    sizes: list[int] = []
-    for g, _ in keys:
-        if not groups or groups[-1] != g:
-            groups.append(g)
-            sizes.append(0)
-        sizes[-1] += 1
+    sizes, _ = _group_layout(keys)
     values = np.array([v for _, v in parsed]).reshape(len(parsed), len(numeric))
     y, x1, x2 = np.split(values, [1, 1 + len(x1_idx)], axis=1)
     data = PanelData(y=y, x1=x1, x2=x2, group_sizes=tuple(sizes), node_ids=tuple(keys))
     return keys, data
+
+
+def _group_layout(keys: Sequence[tuple]) -> tuple[list[int], dict]:
+    """Group sizes of grouped (group_id, node_id) keys; key -> (group, position)."""
+    sizes: list[int] = []
+    groups: list = []
+    index = {}
+    for key in keys:
+        if not groups or groups[-1] != key[0]:
+            groups.append(key[0])
+            sizes.append(0)
+        index[key] = (len(sizes) - 1, sizes[-1])
+        sizes[-1] += 1
+    if len(set(groups)) != len(groups):
+        raise ValueError("node keys must list each group's nodes together")
+    return sizes, index
 
 
 def _as_id(cell: str):
@@ -438,27 +466,19 @@ def load_edge_csv(path: str | Path,
     if node_keys is None:
         seen = {(g, s) for g, s, _, _ in edges} | {(g, d) for g, _, d, _ in edges}
         node_keys = sorted(seen)
-    index = {key: i for i, key in enumerate(node_keys)}
-    sizes: list[int] = []
-    groups: list = []
-    for g, _ in node_keys:
-        if not groups or groups[-1] != g:
-            groups.append(g)
-            sizes.append(0)
-        sizes[-1] += 1
-
-    n = len(node_keys)
-    W = np.zeros((n, n))
+    sizes, index = _group_layout(node_keys)
+    blocks = [np.zeros((m, m)) for m in sizes]
     for g, s, d, w in edges:
         try:
-            i, j = index[(g, s)], index[(g, d)]
+            (r, i), (_, j) = index[(g, s)], index[(g, d)]
         except KeyError as exc:
             raise ValueError(f"{path}: edge refers to unknown node {exc} in group {g}") from None
         if i == j:
             warnings.warn(f"{path}: dropping self-link on node {(g, s)}")
             continue
-        W[i, j] = w
-    return GroupedNetwork(tuple(sizes), W, row_normalize(W), m_row_normalized=True)
+        blocks[r][i, j] = w
+    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
+                                      m_row_normalized=True)
 
 
 def load_network(edges_path: str | Path,
@@ -475,5 +495,5 @@ def load_network(edges_path: str | Path,
         m_net = load_edge_csv(m_edges_path, node_keys if node_keys is not None else None)
         if m_net.n != net.n or m_net.group_sizes != net.group_sizes:
             raise ValueError("M edge list does not match the W edge list's node set")
-        net = GroupedNetwork(net.group_sizes, net.W, m_net.W, m_row_normalized=False)
+        net = GroupedNetwork.from_blocks(net.blocks_W(), m_net.blocks_W())
     return net, data

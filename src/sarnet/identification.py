@@ -68,27 +68,31 @@ class AsymmetricMatrixError(ValueError):
         )
 
 
-def _require_symmetric(W: np.ndarray) -> np.ndarray:
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+def _require_symmetric(*blocks: np.ndarray) -> list[np.ndarray]:
+    """The blocks as float arrays; refused unless every one is symmetric."""
+    blocks = [np.asarray(B, dtype=float) for B in blocks]
+    if any(B.ndim != 2 or B.shape[0] != B.shape[1] for B in blocks):
         raise ValueError("W must be square")
-    asym = float(np.abs(W - W.T).max()) if W.size else 0.0
+    asym = max(float(np.abs(B - B.T).max()) if B.size else 0.0 for B in blocks)
     if asym > SYMMETRY_TOL:
         raise AsymmetricMatrixError(asym)
-    return W
+    return blocks
 
 
-def distinct_eigenvalues(W: np.ndarray, tol: float = CLUSTER_TOL,
+def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TOL,
                          ) -> tuple[int, list[tuple[float, int]]]:
     """Count distinct eigenvalues of a symmetric W by greedy gap clustering.
 
+    For a ``GroupedNetwork`` the spectrum of its block-diagonal W is the
+    union of the spectra of the blocks, each of which must be symmetric.
     Eigenvalues are sorted descending; a new cluster opens whenever the gap
     to the previous eigenvalue exceeds ``tol * max(1, |nu_max|)``.  Returns
     the cluster count and a list of (cluster mean, multiplicity) pairs.
     "Distinct" is exact only in exact arithmetic, hence the tolerance knob.
     """
-    W = _require_symmetric(W)
-    vals = np.linalg.eigvalsh(W)[::-1]
+    blocks = W.blocks_W() if isinstance(W, GroupedNetwork) else (W,)
+    vals = np.concatenate([np.linalg.eigvalsh(B) for B in _require_symmetric(*blocks)])
+    vals = np.sort(vals)[::-1]
     scale = max(1.0, abs(vals[0]))
     clusters: list[list[float]] = [[vals[0]]]
     for v in vals[1:]:
@@ -203,7 +207,7 @@ def proposition2_rank_check(W: np.ndarray, X: np.ndarray,
     Returns (full_rank, condition number of the stack's Gram matrix); an
     infinite condition number marks exact rank deficiency.
     """
-    W = _require_symmetric(W)
+    W, = _require_symmetric(W)
     n = W.shape[0]
     count, _ = distinct_eigenvalues(W, tol)
     iota = np.ones((n, 1)) if iota is None else _as_rows(iota, n)
@@ -284,16 +288,16 @@ def build_report(network: GroupedNetwork | np.ndarray,
     rank/condition fields stay empty.
     """
     if isinstance(network, GroupedNetwork):
-        W, lag_W, lag_M = network.W, network.lag_W, network.lag_M
+        n, lag_W, lag_M = network.n, network.lag_W, network.lag_M
         iota = network.group_ones()
     else:
         W = np.asarray(network, dtype=float)
-        lag_W, lag_M, iota = W.__matmul__, None, np.ones((W.shape[0], 1))
-    count, clusters = distinct_eigenvalues(W, tol)
+        n, lag_W, lag_M, iota = W.shape[0], W.__matmul__, None, np.ones((W.shape[0], 1))
+    count, clusters = distinct_eigenvalues(network, tol)
     rank_flag: bool | None = None
     cond: float | None = None
     if X is not None:
-        rank_flag, cond = _stack_rank_check(lag_W, lag_M, _as_rows(X, W.shape[0]),
+        rank_flag, cond = _stack_rank_check(lag_W, lag_M, _as_rows(X, n),
                                             count, rho_zero, iota)
     if count == 2:
         verdict = Verdict.NOT_IDENTIFIED

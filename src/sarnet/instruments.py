@@ -18,7 +18,6 @@ import numpy as np
 from .graphs import GroupedNetwork, _as_rows
 from .identification import (AsymmetricMatrixError, distinct_eigenvalues,
                              labelled_stack)
-from .transforms import JProjector, j_projector
 
 __all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
            "q1_roster", "q2_roster"]
@@ -76,8 +75,7 @@ def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
 def build_instruments(network: GroupedNetwork, X: np.ndarray,
                       order: int | None = None,
                       include_bonacich: bool = True,
-                      include_M_lags: bool = True,
-                      J: JProjector | None = None) -> InstrumentSet:
+                      include_M_lags: bool = True) -> InstrumentSet:
     """Truncated instrument family J [lags of X, centrality columns, X, M copy].
 
     Columns, before J: W X, ..., W^order X, then (optionally) W iota, ...,
@@ -96,7 +94,7 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray,
         raise ValueError("X rows must match the network order")
     if order is None:
         try:
-            count, _ = distinct_eigenvalues(network.W)
+            count, _ = distinct_eigenvalues(network)
             order = max(count - 1, 1)
         except AsymmetricMatrixError:
             order = 10
@@ -104,8 +102,7 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray,
         network.lag_W, X, order,
         iota=network.group_ones() if include_bonacich else None,
         lag_M=network.lag_M if include_M_lags else None)
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
-    return _drop_zero_columns(J.apply(stack), [f"J.{lab}" for lab in labels])
+    return _drop_zero_columns(network.J.apply(stack), [f"J.{lab}" for lab in labels])
 
 
 def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
@@ -138,8 +135,7 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     return InstrumentSet(np.column_stack(cols), tuple(labels), mode)
 
 
-def q1_roster(network: GroupedNetwork, base: np.ndarray,
-              J: JProjector | None = None) -> InstrumentSet:
+def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     """Small roster J [base, W base, M base, M W base], duplicates dropped.
 
     ``base`` is normally the regressor block (X1, W X2); when own and
@@ -148,7 +144,6 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray,
     Gram matrix invertible.
     """
     base = _as_rows(base, network.n)
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
     Wb = network.lag_W(base)
     blocks = [base, Wb, network.lag_M(base), network.lag_M(Wb)]
     tags = ["X", "W.X", "M.X", "M.W.X"]
@@ -171,19 +166,18 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray,
     # J goes column by column so each column's rounding is independent of the
     # others; PC selection inside a repeated eigenvalue turns a last-bit
     # change into a different component count
-    return _drop_zero_columns(np.column_stack([J.apply(c) for c in cols]), labels)
+    return _drop_zero_columns(np.column_stack([network.J.apply(c) for c in cols]),
+                              labels)
 
 
-def q2_roster(network: GroupedNetwork, base: np.ndarray,
-              J: JProjector | None = None) -> InstrumentSet:
+def q2_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     """The q1 roster augmented with the centrality block J W iota.
 
     iota is the block-diagonal matrix of per-group ones vectors, so this adds
     one out-degree column per group; the instrument count grows with the
     number of groups (the many-instruments regime).
     """
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
-    q1 = q1_roster(network, base, J)
-    V = J.apply(network.lag_W(network.group_ones()))
+    q1 = q1_roster(network, base)
+    V = network.J.apply(network.lag_W(network.group_ones()))
     labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
     return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)

@@ -29,7 +29,7 @@ from .graphs import GroupedNetwork, PanelData, generate_mc_network
 from .instruments import normalize_columns, q1_roster, q2_roster
 from .regularization import Scheme, Spectrum
 from .selection import SelectionConfig, prepare_selection, select_from_context
-from .transforms import ModelParams, j_projector, reduced_form
+from .transforms import ModelParams, reduced_form
 
 __all__ = ["McConfig", "ReplicationResult", "StudySummary", "ESTIMATORS",
            "ESTIMATOR_LABELS", "PARAMETERS", "run_replication", "run_study",
@@ -134,20 +134,19 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     failures: dict[str, str] = {}
 
     net, data = _draw_sample(config, seed)
-    J = j_projector(net.group_sizes, net.M)
     base = data.regressors(net)
 
     try:
-        q1 = q1_roster(net, base, J)
+        q1 = q1_roster(net, base)
         delta_tilde = preliminary_delta(data, net, q1)
-        rho_tilde = preliminary_rho(data, net, delta_tilde, J=J)
+        rho_tilde = preliminary_rho(data, net, delta_tilde)
     except NUMERICAL_FAILURES as exc:  # no preliminary stage, nothing can run
         msg = f"preliminary stage failed: {exc}"
         return ReplicationResult(estimates, np.nan, alphas,
                                  {name: msg for name in ESTIMATORS})
 
     rho_plug = rho_tilde if config.transform_with_rho else 0.0
-    q2 = q2_roster(net, base, J)
+    q2 = q2_roster(net, base)
     q2_norm = normalize_columns(q2, "unit-variance")
 
     def attempt(name: str, fit) -> None:
@@ -165,13 +164,13 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
 
     attempt("2sls_finite", lambda: regularized_2sls(
         data, net, q1, Scheme.principal_components(spec1.rank), rho_plug,
-        spectrum=spec1, J=J))
+        spectrum=spec1))
     attempt("2sls_large", lambda: regularized_2sls(
         data, net, q2, Scheme.principal_components(spec2.rank), rho_plug,
-        spectrum=spec2, J=J))
+        spectrum=spec2))
     attempt("bias_corrected", lambda: bias_corrected_2sls(
         data, net, q2, rho_plug, lambda_tilde=float(delta_tilde[0]),
-        spectrum=spec2, J=J))
+        spectrum=spec2))
 
     try:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
@@ -187,7 +186,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         def fit(kind=kind):
             sel = select_from_context(ctx, kind)
             return regularized_2sls(data, net, q2_norm, sel.scheme, rho_plug,
-                                    spectrum=spec2n, J=J)
+                                    spectrum=spec2n)
         attempt(name, fit)
 
     return ReplicationResult(estimates, float(rho_tilde), alphas, failures)

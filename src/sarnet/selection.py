@@ -26,7 +26,7 @@ import numpy as np
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import (Scheme, Spectrum, projector_diagonal, q_weights)
-from .transforms import apply_D, assemble_z, j_projector, whiten, whitened_residual
+from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
     "SelectionConfig",
@@ -134,7 +134,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     config = config if config is not None else SelectionConfig()
     spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
     delta_tilde = np.asarray(delta_tilde, dtype=float)
-    J = j_projector(network.group_sizes, network.M)
+    J = network.J
 
     Z = assemble_z(data, network)
     rz = whiten(network, rho_tilde, Z)
@@ -157,7 +157,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     resid_full = w - spectrum.vectors @ coef
     sigma2_v = float(resid_full @ resid_full) / network.n
 
-    eps_hat = whitened_residual(network, J, rho_tilde, data.y, Z, delta_tilde)
+    eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta_tilde)
     sigma2_eps = float(eps_hat @ eps_hat) / network.n
 
     # squared norm of D iota, averaged over observations: the raw sum grows

@@ -28,7 +28,6 @@ __all__ = [
     "JProjector",
     "s_matrix",
     "r_matrix",
-    "j_projector",
     "assemble_z",
     "whiten",
     "apply_D",
@@ -43,6 +42,13 @@ __all__ = [
 def row_sum_norm(A: np.ndarray) -> float:
     """Maximum absolute row sum (the operator infinity-norm)."""
     return float(np.abs(A).sum(axis=1).max())
+
+
+def _require_stable(lam: float, network: GroupedNetwork, what: str) -> None:
+    """Refuse ||lambda W|| >= 1 in the row-sum norm, the largest over the blocks."""
+    norm = abs(lam) * max(row_sum_norm(B) for B in network.blocks_W())
+    if norm >= 1.0:
+        raise ValueError(f"||lambda W|| = {norm:.3f} >= 1: {what}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,7 @@ class ModelParams:
     def checked(cls, network: GroupedNetwork, **kwargs) -> "ModelParams":
         """Construct and verify the stability condition ||lambda W|| < 1."""
         params = cls(**kwargs)
-        norm = abs(params.lam) * row_sum_norm(network.W)
-        if norm >= 1.0:
-            raise ValueError(
-                f"||lambda W|| = {norm:.3f} >= 1: outside the stable operating regime"
-            )
+        _require_stable(params.lam, network, "outside the stable operating regime")
         return params
 
 
@@ -91,16 +93,17 @@ def r_matrix(rho: float, M: np.ndarray) -> np.ndarray:
     return np.eye(M.shape[0]) - rho * M
 
 
-def solve_blockwise(coef: float, A: np.ndarray, group_sizes: Sequence[int],
-                    B: np.ndarray, label: str) -> np.ndarray:
-    """Solve (I - coef * A) X = B per diagonal block of A.
+def solve_blockwise(coef: float, blocks: Sequence[np.ndarray], B: np.ndarray,
+                    label: str) -> np.ndarray:
+    """Solve (I - coef * A) X = B for the block-diagonal A with these blocks.
 
     ``label`` names the factor ("S(lambda)" or "R(rho)") in error messages.
     """
     B = np.asarray(B, dtype=float)
     out = np.empty_like(B)
-    for r, sl in enumerate(_group_slices(group_sizes)):
-        block = np.eye(sl.stop - sl.start) - coef * A[sl, sl]
+    slices = _group_slices([A.shape[0] for A in blocks])
+    for r, (A, sl) in enumerate(zip(blocks, slices)):
+        block = np.eye(A.shape[0]) - coef * A
         try:
             out[sl] = np.linalg.solve(block, B[sl])
         except np.linalg.LinAlgError:
@@ -124,7 +127,8 @@ class JProjector:
 
     The generalized inverse in the textbook formula
     I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
-    relative singular-value cutoff of 1e-10.
+    relative singular-value cutoff of 1e-10.  Built from the diagonal blocks
+    M_r of M; a network holds its own as ``network.J``.
     """
 
     #: relative residual of M iota on iota below which the two are treated
@@ -133,18 +137,14 @@ class JProjector:
     #: relative singular-value cutoff for the generalized inverse
     sv_cutoff = 1e-10
 
-    def __init__(self, group_sizes: Sequence[int], M: np.ndarray):
-        self.group_sizes = tuple(int(m) for m in group_sizes)
+    def __init__(self, M_blocks: Sequence[np.ndarray]):
+        self.group_sizes = tuple(B.shape[0] for B in M_blocks)
         self.slices = _group_slices(self.group_sizes)
-        n = sum(self.group_sizes)
-        M = np.asarray(M, dtype=float)
-        if M.shape != (n, n):
-            raise ValueError(f"M must be {n}x{n}, got {M.shape}")
         self._bases: list[np.ndarray] = []
-        for sl in self.slices:
-            m = sl.stop - sl.start
+        for M_r in M_blocks:
+            m = M_r.shape[0]
             iota = np.ones(m)
-            mi = M[sl, sl] @ iota
+            mi = M_r @ iota
             resid = mi - (mi.sum() / m) * iota
             scale = max(np.linalg.norm(mi), 1e-300)
             if np.linalg.norm(resid) / scale < self.collinearity_tol:
@@ -189,11 +189,6 @@ class JProjector:
         return out
 
 
-def j_projector(group_sizes: Sequence[int], M: np.ndarray) -> JProjector:
-    """Build the group fixed-effect annihilator for the given M."""
-    return JProjector(group_sizes, M)
-
-
 # ---------------------------------------------------------------------------
 # Structural and reduced forms
 # ---------------------------------------------------------------------------
@@ -215,27 +210,26 @@ def apply_D(network: GroupedNetwork, lam: float, rho: float,
     D is the bias operator of the many-instruments correction (Liu and Lee
     2010): the endogenous regressor R W Y has the component D eps.
     """
-    t = solve_blockwise(rho, network.M, network.group_sizes, V, "R(rho)")
-    t = solve_blockwise(lam, network.W, network.group_sizes, t, "S(lambda)")
+    t = solve_blockwise(rho, network.blocks_M(), V, "R(rho)")
+    t = solve_blockwise(lam, network.blocks_W(), t, "S(lambda)")
     return whiten(network, rho, network.lag_W(t))
 
 
-def whitened_residual(network: GroupedNetwork, J: JProjector, rho: float,
-                      y: np.ndarray, Z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,
+                      Z: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """J R(rho) (y - Z delta); its mean square is the sigma2 plug-in."""
-    return J.apply(whiten(network, rho, y - Z @ np.asarray(delta, dtype=float)))
+    return network.J.apply(whiten(network, rho, y - Z @ np.asarray(delta, dtype=float)))
 
 
 def structural_residual(params: ModelParams, data, network: GroupedNetwork,
-                        J: JProjector | None = None) -> np.ndarray:
+                        ) -> np.ndarray:
     """J R(rho) (Y - lambda W Y - X beta); equals J eps at the true values."""
     Z = assemble_z(data, network)
     delta = np.concatenate([[params.lam], params.beta])
     if Z.shape[1] != delta.size:
         raise ValueError(f"X has {Z.shape[1] - 1} columns but beta has "
                          f"{delta.size - 1} entries")
-    J = J if J is not None else j_projector(network.group_sizes, network.M)
-    return whitened_residual(network, J, params.rho, data.y, Z, delta)
+    return whitened_residual(network, params.rho, data.y, Z, delta)
 
 
 def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,
@@ -246,11 +240,8 @@ def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,
     on some block raises an error naming the offending factor.  Requires the
     stable regime ||lambda W|| < 1.
     """
-    norm = abs(params.lam) * row_sum_norm(network.W)
-    if norm >= 1.0:
-        raise ValueError(f"||lambda W|| = {norm:.3f} >= 1: reduced form not defined")
+    _require_stable(params.lam, network, "reduced form not defined")
     gamma = params.gamma if gamma is None else np.asarray(gamma, dtype=float)
     mean_part = X @ params.beta + network.expand_group_values(gamma)
-    u = solve_blockwise(params.rho, network.M, network.group_sizes, eps, "R(rho)")
-    return solve_blockwise(params.lam, network.W, network.group_sizes,
-                           mean_part + u, "S(lambda)")
+    u = solve_blockwise(params.rho, network.blocks_M(), eps, "R(rho)")
+    return solve_blockwise(params.lam, network.blocks_W(), mean_part + u, "S(lambda)")

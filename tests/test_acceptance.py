@@ -25,7 +25,6 @@ from sarnet.regularization import (Scheme, Spectrum, apply_projector,
 from sarnet.selection import (SelectionConfig, SelectionContext,
                               criterion_value, default_grid,
                               prepare_selection, select_from_context)
-from sarnet.transforms import j_projector
 from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
 
 GROUPS = (30, 60)
@@ -192,7 +191,7 @@ def test_criterion_5_identification_suite(capsys):
 def test_criterion_6_projector_properties(capsys):
     problems = []
     net, data, _, _, _ = draw_dataset(seed=500, group_count=5, group_size=9)
-    J = j_projector(net.group_sizes, net.M)
+    J = net.J
     Jm = J.as_matrix()
     if np.abs(Jm @ Jm - Jm).max() >= 1e-10:
         problems.append("J not idempotent to 1e-10")

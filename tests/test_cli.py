@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sarnet.cli import main
+from sarnet.regularization import Spectrum
 from conftest import draw_dataset, write_network_csvs
 
 
@@ -105,6 +106,22 @@ class TestEstimate:
             except ValueError:
                 continue  # non-numeric field such as the scheme label
             assert np.isfinite(number), line
+
+    def test_instrument_spectrum_decomposed_once(self, csv_pair, capsys,
+                                                 monkeypatch):
+        edges, nodes = csv_pair
+        calls = []
+        original = Spectrum.from_instruments.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(counting))
+        code, _, _ = run_cli(["estimate", "--data", str(nodes), "--edges",
+                              str(edges), "--scheme", "T"], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestSelect:

@@ -8,7 +8,6 @@ from sarnet.estimation import (SingularSystemError, assemble_z,
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.instruments import InstrumentSet, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum
-from sarnet.transforms import j_projector
 from conftest import draw_dataset
 
 
@@ -81,7 +80,7 @@ class TestPreliminaryDelta:
 
     def test_singular_sandwich_reports_condition_number(self):
         net, data, _, _, _ = draw_dataset(seed=34)
-        col = j_projector(net.group_sizes, net.M).apply(data.x1[:, 0])
+        col = net.J.apply(data.x1[:, 0])
         inst = InstrumentSet(np.column_stack([col, col * 2.0]), ("a", "b"))
         with pytest.raises(SingularSystemError) as err:
             preliminary_delta(data, net, inst)
@@ -184,7 +183,7 @@ class TestRegularized2sls:
         assert result.sigma2_hat >= 0.0
         assert np.all(np.isfinite(result.std_errors))
         # sigma2 equals the squared structural residual norm over n
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         resid = data.y - assemble_z(data, net) @ result.delta
         expect = float(J.apply(resid) @ J.apply(resid)) / net.n
         assert result.sigma2_hat == pytest.approx(expect, rel=1e-10)
@@ -218,8 +217,8 @@ class TestBiasCorrected:
         from sarnet.transforms import solve_blockwise
 
         def apply_D(V):
-            t = solve_blockwise(rho, net.M, net.group_sizes, V, "R")
-            t = solve_blockwise(lam, net.W, net.group_sizes, t, "S")
+            t = solve_blockwise(rho, net.blocks_M(), V, "R")
+            t = solve_blockwise(lam, net.blocks_W(), t, "S")
             t = net.lag_W(t)
             return t - rho * net.lag_M(t)
 

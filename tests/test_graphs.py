@@ -153,6 +153,28 @@ class TestGroupedNetworkInvariants:
         for got, expect in zip(net.blocks_W(), blocks):
             np.testing.assert_array_equal(got, expect)
 
+    def test_stored_blocks_are_read_only_copies(self):
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        net = GroupedNetwork.from_blocks([W], [W])
+        W[0, 1] = 5.0                      # the caller's array is not aliased
+        assert net.blocks_W()[0][0, 1] == 1.0
+        with pytest.raises(ValueError):
+            net.blocks_W()[0][0, 1] = 2.0
+        with pytest.raises(ValueError):
+            net.blocks_M()[0][1, 0] = 2.0
+        dense = GroupedNetwork((2,), W, W)
+        with pytest.raises(ValueError):
+            dense.blocks_W()[0][0, 0] = 1.0
+
+    def test_from_blocks_rejects_bad_blocks(self):
+        with pytest.raises(ValueError, match="block 1"):
+            GroupedNetwork.from_blocks([np.zeros((2, 2)), np.zeros((2, 3))],
+                                       [np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="same"):
+            GroupedNetwork.from_blocks([np.zeros((2, 2))], [np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="self-links"):
+            GroupedNetwork.from_blocks([np.eye(2)], [np.zeros((2, 2))])
+
     def test_blockwise_lag_matches_dense(self):
         net = generate_mc_network(4, 6, 3, seed=2)
         V = np.random.default_rng(0).standard_normal((net.n, 3))
@@ -205,6 +227,11 @@ class TestCsvIngestion:
             "group_id,node_id,x1,x2,y\n1,0,0,0,0\n1,1,0,0,0\n")
         with pytest.raises(ValueError, match="unknown node"):
             load_network(tmp_path / "edges.csv", tmp_path / "nodes.csv")
+
+    def test_node_keys_split_across_a_group_rejected(self, tmp_path):
+        (tmp_path / "edges.csv").write_text("group_id,src,dst,weight\n1,0,1,1\n")
+        with pytest.raises(ValueError, match="together"):
+            load_edge_csv(tmp_path / "edges.csv", [(1, 0), (2, 0), (1, 1)])
 
     def test_missing_columns_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")

@@ -4,7 +4,6 @@ import pytest
 from sarnet.graphs import generate_mc_network
 from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
-from sarnet.transforms import j_projector
 from conftest import draw_dataset
 
 
@@ -21,7 +20,7 @@ class TestBuildInstruments:
         net, X = net_and_x
         inst = build_instruments(net, X, order=1, include_bonacich=False,
                                  include_M_lags=False)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         expect = np.column_stack([J.apply(net.W @ X), J.apply(X)])
         np.testing.assert_allclose(inst.Q, expect, atol=1e-10)
         assert inst.labels == ("J.W^1.X[0]", "J.W^1.X[1]", "J.X[0]", "J.X[1]")
@@ -58,7 +57,7 @@ class TestBuildInstruments:
     def test_projected_instruments_are_j_invariant(self, net_and_x):
         net, X = net_and_x
         inst = build_instruments(net, X, order=2)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         np.testing.assert_allclose(J.apply(inst.Q), inst.Q, atol=1e-10)
 
     def test_constant_within_group_covariate_dropped_with_warning(self):
@@ -119,8 +118,8 @@ class TestRosters:
         net, data, _, _, _ = draw_dataset(seed=4, group_count=3, group_size=6,
                                           shared_x=False)
         X = data.regressors(net)
-        J = j_projector(net.group_sizes, net.M)
-        q1 = q1_roster(net, X, J)
+        J = net.J
+        q1 = q1_roster(net, X)
         expect = np.column_stack([X, net.W @ X, net.M @ X, net.M @ net.W @ X])
         np.testing.assert_allclose(q1.Q, J.apply(expect), atol=1e-10)
 
@@ -144,8 +143,8 @@ class TestRosters:
     def test_rosters_are_j_projected(self):
         net, data, _, _, _ = draw_dataset(seed=6)
         X = data.regressors(net)
-        J = j_projector(net.group_sizes, net.M)
-        q2 = q2_roster(net, X, J)
+        J = net.J
+        q2 = q2_roster(net, X)
         np.testing.assert_allclose(J.apply(q2.Q), q2.Q, atol=1e-10)
 
 

@@ -11,15 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from sarnet.estimation import preliminary_rho
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
-from sarnet.identification import labelled_stack
-from sarnet.transforms import assemble_z, j_projector
+from sarnet.identification import distinct_eigenvalues, labelled_stack
+from sarnet.transforms import (ModelParams, assemble_z, r_matrix, reduced_form,
+                               row_sum_norm, s_matrix)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def odd_networks(draw, min_last=1):
-    """Group sizes in 1..7 (the last one at least ``min_last``), zero rows."""
+def odd_blocks(draw, min_last=1):
+    """W blocks of sizes 1..7 (the last one at least ``min_last``), zero rows."""
     sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
     sizes.append(draw(st.integers(min_last, 7)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -29,8 +30,16 @@ def odd_networks(draw, min_last=1):
         np.fill_diagonal(B, 0.0)
         B[rng.random(m) < 0.25] = 0.0          # isolated individuals
         blocks.append(B)
+    return blocks
+
+
+@st.composite
+def odd_networks(draw, min_last=1):
+    """The dense-constructed network of ``odd_blocks``, M the row-normalized W."""
+    blocks = draw(odd_blocks(min_last))
     W = build_block_diagonal(blocks)
-    return GroupedNetwork(tuple(sizes), W, row_normalize(W), m_row_normalized=True)
+    return GroupedNetwork(tuple(len(B) for B in blocks), W, row_normalize(W),
+                          m_row_normalized=True)
 
 
 @PROPERTY_SETTINGS
@@ -52,7 +61,7 @@ def test_labelled_stack_matches_dense_oracle(net, order, k, seed):
 
 def dense_rho_objective(net, data, delta, rhos):
     """||g(rho)||^2 from explicit n x n matrices, independent of the library."""
-    J = j_projector(net.group_sizes, net.M).as_matrix()
+    J = net.J.as_matrix()
     e = data.y - assemble_z(data, net) @ delta
     trJ = np.trace(J)
     moments = []
@@ -80,3 +89,71 @@ def test_exact_rho_no_worse_than_fine_grid(net, seed):
     grid = dense_rho_objective(net, data, delta, np.linspace(-0.99, 0.99, 3961))
     exact = dense_rho_objective(net, data, delta, [rho])[0]
     assert exact <= grid.min() + 1e-9 * max(1.0, grid.max())
+
+
+@PROPERTY_SETTINGS
+@given(blocks=odd_blocks(), seed=st.integers(0, 1000))
+def test_block_and_dense_constructors_agree(blocks, seed):
+    M_blocks = [row_normalize(B) for B in blocks]
+    dense = GroupedNetwork(tuple(len(B) for B in blocks), build_block_diagonal(blocks),
+                           build_block_diagonal(M_blocks), m_row_normalized=True)
+    block = GroupedNetwork.from_blocks(blocks, M_blocks, m_row_normalized=True)
+    V = np.random.default_rng(seed).standard_normal((dense.n, 3))
+    assert block.group_sizes == dense.group_sizes
+    for got, want in ((block.W, dense.W), (block.M, dense.M),
+                      (block.lag_W(V), dense.lag_W(V)), (block.lag_M(V), dense.lag_M(V)),
+                      (block.J.as_matrix(), dense.J.as_matrix())):
+        np.testing.assert_array_equal(got, want)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), seed=st.integers(0, 1000))
+def test_lags_match_dense_products(net, seed):
+    V = np.random.default_rng(seed).standard_normal((net.n, 3))
+    np.testing.assert_allclose(net.lag_W(V), net.W @ V, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.lag_M(V), net.M @ V, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.lag_W(V[:, 0]), net.W @ V[:, 0], rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks())
+def test_j_is_a_symmetric_projector_annihilating_iota_and_m_iota(net):
+    J = net.J.as_matrix()
+    assert np.abs(J - J.T).max() <= 1e-12
+    assert np.abs(J @ J - J).max() <= 1e-10
+    iota = net.group_ones()
+    assert np.abs(net.J.apply(iota)).max() <= 1e-10
+    assert np.abs(net.J.apply(net.lag_M(iota))).max() <= 1e-10
+    assert abs(net.J.trace - np.trace(J)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), seed=st.integers(0, 1000))
+def test_reduced_form_satisfies_structural_equation(net, seed):
+    rng = np.random.default_rng(seed)
+    lam = 0.9 * rng.uniform(-1, 1) / max(1.0, row_sum_norm(net.W))
+    params = ModelParams.checked(net, lam=lam, beta1=[0.3], beta2=[-0.2],
+                                 rho=0.9 * rng.uniform(-1, 1),
+                                 gamma=rng.standard_normal(net.group_count), sigma2=1.0)
+    X = rng.standard_normal((net.n, 2))
+    eps = rng.standard_normal(net.n)
+    y = reduced_form(params, X, None, eps, net)
+    inner = (s_matrix(params.lam, net.W) @ y - X @ params.beta
+             - net.expand_group_values(params.gamma))
+    np.testing.assert_allclose(r_matrix(params.rho, net.M) @ inner, eps,
+                               rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(blocks=odd_blocks())
+def test_spectrum_union_matches_dense_spectrum(blocks):
+    # a repeated block makes every one of its eigenvalues a multiple one
+    sym = [B + B.T for B in blocks + blocks[:1]]
+    W = build_block_diagonal(sym)
+    net = GroupedNetwork(tuple(len(B) for B in sym), W, row_normalize(W))
+    count, clusters = distinct_eigenvalues(net)
+    dense_count, dense_clusters = distinct_eigenvalues(net.W)
+    assert count == dense_count
+    assert [m for _, m in clusters] == [m for _, m in dense_clusters]
+    np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in dense_clusters],
+                               rtol=0, atol=1e-10)

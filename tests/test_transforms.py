@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sarnet.graphs import GroupedNetwork, PanelData, generate_mc_network, row_normalize
-from sarnet.transforms import (ModelParams, j_projector, r_matrix, reduced_form,
+from sarnet.transforms import (JProjector, ModelParams, r_matrix, reduced_form,
                                row_sum_norm, s_matrix, solve_blockwise,
                                structural_residual)
 from conftest import draw_dataset
@@ -45,18 +45,18 @@ class TestJProjector:
     def test_row_normalized_full_rows_give_group_mean_block(self):
         net = generate_mc_network(1, 4, 3, seed=4)
         M = row_normalize(np.ones((4, 4)) - np.eye(4))
-        J = j_projector((4,), M)
+        J = JProjector([M])
         np.testing.assert_allclose(J.block(0), np.eye(4) - np.ones((4, 4)) / 4,
                                    atol=1e-12)
 
     def test_annihilates_ones(self):
         net = generate_mc_network(5, 8, 3, seed=1)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         assert np.linalg.norm(J.apply(np.ones(net.n))) < 1e-10
 
     def test_annihilates_m_iota(self):
         net = generate_mc_network(5, 8, 3, seed=2)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         mi = net.M @ np.ones(net.n)
         assert np.linalg.norm(J.apply(mi)) < 1e-10
 
@@ -65,7 +65,7 @@ class TestJProjector:
         M = rng.random((6, 6))
         np.fill_diagonal(M, 0.0)
         M[2] = 0.0  # isolated node
-        J = j_projector((6,), M)
+        J = JProjector([M])
         Jm = J.block(0)
         # spectral rank oracle on the annihilated span
         A = np.column_stack([np.ones(6), M @ np.ones(6)])
@@ -76,19 +76,19 @@ class TestJProjector:
     @pytest.mark.parametrize("seed", range(4))
     def test_idempotent_and_symmetric(self, seed):
         net = generate_mc_network(4, 7, 3, seed=seed)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         Jm = J.as_matrix()
         assert np.abs(Jm @ Jm - Jm).max() < 1e-10
         assert np.abs(Jm - Jm.T).max() == 0.0
 
     def test_trace_counts_annihilated_dimensions(self):
         net = generate_mc_network(6, 9, 3, seed=3)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         assert J.trace == pytest.approx(np.trace(J.as_matrix()), abs=1e-10)
 
     def test_apply_matches_dense(self):
         net = generate_mc_network(3, 6, 2, seed=5)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         v = np.random.default_rng(0).standard_normal(net.n)
         np.testing.assert_allclose(J.apply(v), J.as_matrix() @ v, atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestStructuralResidual:
         params = ModelParams(lam=0.0, beta1=[0.0], beta2=[0.0], rho=0.0,
                              gamma=[0.0], sigma2=1.0)
         res = structural_residual(params, data, ring3_network)
-        J = j_projector((3,), ring3_network.M)
+        J = ring3_network.J
         np.testing.assert_allclose(res, J.apply(y), atol=1e-12)
 
     def test_matches_dense_term_by_term_oracle(self):
@@ -114,7 +114,7 @@ class TestStructuralResidual:
                                                      group_size=6)
         res = structural_residual(params, data, net)
         # dense oracle assembled term by term
-        J = j_projector(net.group_sizes, net.M).as_matrix()
+        J = net.J.as_matrix()
         R = np.eye(net.n) - params.rho * net.M
         X = np.column_stack([data.x1, net.W @ data.x2])
         inner = data.y - params.lam * (net.W @ data.y) - X @ params.beta
@@ -123,7 +123,7 @@ class TestStructuralResidual:
     def test_equals_projected_noise_at_truth(self):
         net, data, params, gamma, eps = draw_dataset(seed=21)
         res = structural_residual(params, data, net)
-        J = j_projector(net.group_sizes, net.M)
+        J = net.J
         np.testing.assert_allclose(res, J.apply(eps), atol=1e-9)
 
 
@@ -180,7 +180,7 @@ class TestReducedForm:
     def test_singular_s_named_in_error(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError, match="S\\(lambda\\)"):
-            solve_blockwise(1.0, W, (2,), np.ones(2), "S(lambda)")
+            solve_blockwise(1.0, [W], np.ones(2), "S(lambda)")
 
 
 def test_model_params_stability_check():
