@@ -15,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo
 from .estimation import (preliminary_delta, preliminary_rho, regularized_2sls)
 from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import build_instruments, normalize_columns, q1_roster
 from .montecarlo import McConfig, run_study, summarize
-from .regularization import Spectrum
 from .selection import SelectionConfig, curve_to_csv, select_alpha
 
 __all__ = ["main"]
@@ -43,8 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _coerce_config(key: str, value: str, where: str) -> object:
+    """One config value as its flag's type; a malformed number is a data error."""
+    try:
+        if key in {"groups", "size", "max_links", "reps", "seed", "order", "workers"}:
+            return int(value)
+        if key in {"tol", "weak_threshold"}:
+            return float(value)
+    except ValueError as exc:
+        raise DataError(f"{where}: {key}: {exc}") from exc
+    if key in {"transform_rho", "no_bonacich", "no_m_lags", "correlated"}:
+        return value.lower() in ("1", "true", "yes", "on")
+    return value
+
+
+def _read_config_file(path: str) -> dict[str, object]:
+    out: dict[str, object] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -56,11 +68,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        out[key] = _coerce_config(key, value.strip(), f"{path}:{lineno}")
     return out
 
 
-def _build_parser(defaults: dict[str, str]) -> _Parser:
+def _build_parser(defaults: dict[str, object]) -> _Parser:
     parser = _Parser(prog="sarnet", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key = value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +89,7 @@ def _build_parser(defaults: dict[str, str]) -> _Parser:
                      help="whiten every estimator with the estimated rho")
     sim.add_argument("--format", choices=("text", "csv"), default="text")
     sim.add_argument("--workers", type=int, default=None,
-                     help=f"process count (default ${montecarlo.THREADS_ENV_VAR} or 1)")
+                     help="process count (default 1)")
     sim.add_argument("--out")
 
     def add_data_flags(p, need_data: bool):
@@ -128,23 +141,6 @@ def _build_parser(defaults: dict[str, str]) -> _Parser:
     return parser
 
 
-def _coerce_config(defaults: dict[str, str]) -> dict[str, object]:
-    coerced: dict[str, object] = {}
-    int_keys = {"groups", "size", "max_links", "reps", "seed", "order", "workers"}
-    float_keys = {"tol", "weak_threshold"}
-    bool_keys = {"transform_rho", "no_bonacich", "no_m_lags", "correlated"}
-    for k, v in defaults.items():
-        if k in int_keys:
-            coerced[k] = int(v)
-        elif k in float_keys:
-            coerced[k] = float(v)
-        elif k in bool_keys:
-            coerced[k] = v.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            coerced[k] = v
-    return coerced
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -171,9 +167,7 @@ def _cmd_simulate(args) -> int:
 def _load(args, need_data: bool):
     try:
         net, data = load_network(args.edges, getattr(args, "data", None), args.m_edges)
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:    # unreadable path or malformed file
         raise DataError(str(exc)) from exc
     if need_data and data is None:
         raise DataError("this command needs --data (node CSV)")
@@ -201,16 +195,15 @@ def _prepare_estimation(args):
                              include_bonacich=not args.no_bonacich,
                              include_M_lags=not args.no_m_lags)
     inst = normalize_columns(inst, args.normalize)
-    spectrum = Spectrum.from_instruments(inst)
     sel_config = SelectionConfig(criterion=args.criterion)
     sel = select_alpha(data, net, inst, args.scheme, sel_config,
-                       rho_tilde=rho_tilde, delta_tilde=delta_tilde, spectrum=spectrum)
-    return net, data, inst, spectrum, rho_tilde, sel
+                       rho_tilde=rho_tilde, delta_tilde=delta_tilde)
+    return net, data, inst, rho_tilde, sel
 
 
 def _cmd_estimate(args) -> int:
-    net, data, inst, spectrum, rho_tilde, sel = _prepare_estimation(args)
-    result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde, spectrum=spectrum)
+    net, data, inst, rho_tilde, sel = _prepare_estimation(args)
+    result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde)
     try:
         count, _ = distinct_eigenvalues(net)
     except AsymmetricMatrixError:
@@ -246,7 +239,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    _, _, _, _, _, sel = _prepare_estimation(args)
+    *_, sel = _prepare_estimation(args)
     if args.out:
         curve_to_csv(sel, args.out)
     else:
@@ -258,12 +251,12 @@ def _cmd_select(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        defaults: dict[str, str] = {}
+        defaults: dict[str, object] = {}
         if "--config" in argv:
             idx = argv.index("--config")
             if idx + 1 >= len(argv):
                 raise UsageError("--config needs a path")
-            defaults = _coerce_config(_read_config_file(argv[idx + 1]))
+            defaults = _read_config_file(argv[idx + 1])
         parser = _build_parser(defaults)
         args = parser.parse_args(argv)
         if args.command == "simulate":

@@ -23,7 +23,7 @@ from numpy.polynomial import Polynomial
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
-from .regularization import (Scheme, Spectrum, projector_trace_with, q_weights)
+from .regularization import Scheme, q_weights
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
@@ -73,7 +73,6 @@ class EstimationResult:
     k1: int
     k2: int
     n: int
-    distinct_eigenvalue_count: int | None = None
 
     @property
     def lambda_hat(self) -> float:
@@ -184,41 +183,36 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
 # Regularized and classical 2SLS
 # ---------------------------------------------------------------------------
 
-def _fit_r2sls(data: PanelData, network: GroupedNetwork, spectrum: Spectrum,
-               scheme: Scheme, rho_tilde: float):
-    """Shared solve for the (regularized) 2SLS normal equations."""
-    Z = assemble_z(data, network)
-    rz = whiten(network, rho_tilde, Z)
-    ry = whiten(network, rho_tilde, data.y)
+def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
+         scheme: Scheme, rho_tilde: float,
+         lambda_tilde: float | None = None) -> EstimationResult:
+    """The one (regularized) 2SLS fit; bias-corrected when ``lambda_tilde`` is set.
+
+    The damping weights q are computed once, from the instruments' cached
+    spectrum, and serve the normal equations, tr P and the bias trace.
+    """
+    spectrum = instruments.spectrum
     scheme = scheme.resolved(spectrum)
     q = q_weights(scheme, spectrum)
-    U = spectrum.vectors.T @ rz
-    uy = spectrum.vectors.T @ ry
+    tr_P = float(q.sum())
+    if lambda_tilde is not None and tr_P < 1e-8:
+        raise ValueError("projector trace is ~0: bias correction undefined")
+    V = spectrum.vectors
+    Z = assemble_z(data, network)
+    U = V.T @ whiten(network, rho_tilde, Z)
+    uy = V.T @ whiten(network, rho_tilde, data.y)
     A = U.T @ (q[:, None] * U)
-    rhs = U.T @ (q * uy)
-    delta = _checked_solve(A, rhs, "regularized 2SLS normal equations")
+    delta = _checked_solve(A, U.T @ (q * uy), "regularized 2SLS normal equations")
     eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
-    cov = sigma2 * np.linalg.inv(A)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return delta, se, sigma2, A, scheme
-
-
-def regularized_2sls(data: PanelData, network: GroupedNetwork,
-                     instruments: InstrumentSet, scheme: Scheme,
-                     rho_tilde: float,
-                     spectrum: Spectrum | None = None) -> EstimationResult:
-    """Damped-projection 2SLS of the transformed structural equation.
-
-    The instrument projection is applied through the spectrum of Q Q'/n, so
-    P^alpha is never materialized; the normal equations reduce to a
-    (1 + k1 + k2) square solve.  sigma2 comes from the structural residuals
-    at (delta_hat, rho_tilde) divided by n.
-    """
-    spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
-    delta, se, sigma2, _, scheme = _fit_r2sls(
-        data, network, spectrum, scheme, rho_tilde)
-    tr_P = float(q_weights(scheme, spectrum).sum())
+    se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
+    if lambda_tilde is not None:
+        # tr(P D) = sum_j q_j psi_j' D psi_j, D never materialized
+        tr_PD = float(np.einsum("ij,ij,j->", V,
+                                apply_D(network, lambda_tilde, rho_tilde, V), q))
+        e1 = np.zeros(delta.size)
+        e1[0] = 1.0
+        delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")
     return EstimationResult(
         delta=delta, std_errors=se, rho_tilde=float(rho_tilde),
         sigma2_hat=sigma2, scheme=scheme, alpha_star=scheme.alpha,
@@ -227,20 +221,29 @@ def regularized_2sls(data: PanelData, network: GroupedNetwork,
     )
 
 
+def regularized_2sls(data: PanelData, network: GroupedNetwork,
+                     instruments: InstrumentSet, scheme: Scheme,
+                     rho_tilde: float) -> EstimationResult:
+    """Damped-projection 2SLS of the transformed structural equation.
+
+    The instrument projection is applied through the spectrum of Q Q'/n, so
+    P^alpha is never materialized; the normal equations reduce to a
+    (1 + k1 + k2) square solve.  sigma2 comes from the structural residuals
+    at (delta_hat, rho_tilde) divided by n.
+    """
+    return _fit(data, network, instruments, scheme, rho_tilde)
+
+
 def classical_2sls(data: PanelData, network: GroupedNetwork,
-                   instruments: InstrumentSet, rho_tilde: float,
-                   spectrum: Spectrum | None = None) -> EstimationResult:
+                   instruments: InstrumentSet, rho_tilde: float) -> EstimationResult:
     """Ordinary-projection 2SLS: the principal-components scheme kept in full."""
-    spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
-    scheme = Scheme.principal_components(spectrum.rank)
-    return regularized_2sls(data, network, instruments, scheme, rho_tilde,
-                            spectrum=spectrum)
+    scheme = Scheme.principal_components(instruments.spectrum.rank)
+    return regularized_2sls(data, network, instruments, scheme, rho_tilde)
 
 
 def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
                         instruments: InstrumentSet, rho_tilde: float,
                         lambda_tilde: float,
-                        spectrum: Spectrum | None = None,
                         scheme: Scheme | None = None) -> EstimationResult:
     """Many-instrument 2SLS minus the plug-in estimate of its leading bias.
 
@@ -249,24 +252,9 @@ def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
         b_hat = sigma2_hat * tr(P R W S^{-1} R^{-1}) * (Z'R'P R Z)^{-1} e_1,
 
     evaluated at the preliminary (rho_tilde, lambda_tilde) and the fitted
-    sigma2 of the uncorrected estimator.
+    sigma2 of the uncorrected estimator.  The default scheme keeps every
+    principal component (classical 2SLS).
     """
-    spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
-    scheme = scheme if scheme is not None else Scheme.principal_components(spectrum.rank)
-    scheme = scheme.resolved(spectrum)
-    tr_P = float(q_weights(scheme, spectrum).sum())
-    if tr_P < 1e-8:
-        raise ValueError("projector trace is ~0: bias correction undefined")
-    delta, se, sigma2, A, scheme = _fit_r2sls(
-        data, network, spectrum, scheme, rho_tilde)
-    tr_PD = projector_trace_with(
-        spectrum, scheme, lambda V: apply_D(network, lambda_tilde, rho_tilde, V))
-    e1 = np.zeros(delta.size)
-    e1[0] = 1.0
-    correction = sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")
-    return EstimationResult(
-        delta=delta - correction, std_errors=se, rho_tilde=float(rho_tilde),
-        sigma2_hat=sigma2, scheme=scheme, alpha_star=scheme.alpha,
-        tr_P=tr_P, condition_number=spectrum.condition_number,
-        k1=data.k1, k2=data.k2, n=network.n,
-    )
+    if scheme is None:
+        scheme = Scheme.principal_components(instruments.spectrum.rank)
+    return _fit(data, network, instruments, scheme, rho_tilde, lambda_tilde)

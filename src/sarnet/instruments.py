@@ -10,6 +10,7 @@ orthogonal to the swept-out group effects by construction (J Q = Q).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +33,11 @@ _NORMALIZATIONS = ("none", "unit-variance", "standardized")
 
 @dataclass(frozen=True)
 class InstrumentSet:
-    """Instrument matrix with per-column provenance labels."""
+    """Instrument matrix with per-column provenance labels.
+
+    The set owns the spectrum of its Q Q'/n as ``spectrum``, decomposed once
+    on first access; every estimator and selector reads it from there.
+    """
 
     Q: np.ndarray
     labels: tuple[str, ...]
@@ -55,9 +60,11 @@ class InstrumentSet:
     def n_columns(self) -> int:
         return self.Q.shape[1]
 
-    def with_extra_column(self, col: np.ndarray, label: str) -> "InstrumentSet":
-        return InstrumentSet(np.column_stack([self.Q, col]),
-                             self.labels + (label,), self.normalization)
+    @functools.cached_property
+    def spectrum(self):
+        """Nonzero eigenpairs of Q Q'/n (a ``regularization.Spectrum``)."""
+        from .regularization import Spectrum    # regularization imports this module
+        return Spectrum.from_instruments(self)
 
 
 def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:

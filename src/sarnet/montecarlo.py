@@ -17,23 +17,21 @@ draw order is fixed: network, covariate, group effects, disturbances.
 from __future__ import annotations
 
 import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .estimation import (EstimationResult, bias_corrected_2sls, preliminary_delta,
-                         preliminary_rho, regularized_2sls)
+from .estimation import (EstimationResult, bias_corrected_2sls, classical_2sls,
+                         preliminary_delta, preliminary_rho, regularized_2sls)
 from .graphs import GroupedNetwork, PanelData, generate_mc_network
 from .instruments import normalize_columns, q1_roster, q2_roster
-from .regularization import Scheme, Spectrum
 from .selection import SelectionConfig, prepare_selection, select_from_context
 from .transforms import ModelParams, reduced_form
 
 __all__ = ["McConfig", "ReplicationResult", "StudySummary", "ESTIMATORS",
            "ESTIMATOR_LABELS", "PARAMETERS", "run_replication", "run_study",
-           "summarize", "worker_count_from_env"]
+           "summarize"]
 
 ESTIMATORS = ("2sls_finite", "2sls_large", "bias_corrected",
               "t_2sls", "lf_2sls", "pc_2sls")
@@ -48,8 +46,6 @@ ESTIMATOR_LABELS = {
 }
 
 PARAMETERS = ("lambda", "beta1", "beta2", "rho")
-
-THREADS_ENV_VAR = "SARNET_THREADS"
 
 #: what a numerically failed fit raises (``SingularSystemError`` is a
 #: ``LinAlgError``); anything else is a bug and propagates
@@ -158,24 +154,14 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         except NUMERICAL_FAILURES as exc:
             failures[name] = str(exc)
 
-    spec1 = Spectrum.from_instruments(q1)
-    spec2 = Spectrum.from_instruments(q2)
-    spec2n = Spectrum.from_instruments(q2_norm)
-
-    attempt("2sls_finite", lambda: regularized_2sls(
-        data, net, q1, Scheme.principal_components(spec1.rank), rho_plug,
-        spectrum=spec1))
-    attempt("2sls_large", lambda: regularized_2sls(
-        data, net, q2, Scheme.principal_components(spec2.rank), rho_plug,
-        spectrum=spec2))
+    attempt("2sls_finite", lambda: classical_2sls(data, net, q1, rho_plug))
+    attempt("2sls_large", lambda: classical_2sls(data, net, q2, rho_plug))
     attempt("bias_corrected", lambda: bias_corrected_2sls(
-        data, net, q2, rho_plug, lambda_tilde=float(delta_tilde[0]),
-        spectrum=spec2))
+        data, net, q2, rho_plug, lambda_tilde=float(delta_tilde[0])))
 
     try:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
-                                config=SelectionConfig(criterion=config.criterion),
-                                spectrum=spec2n)
+                                config=SelectionConfig(criterion=config.criterion))
     except NUMERICAL_FAILURES as exc:
         msg = f"selection context failed: {exc}"
         for name in ("t_2sls", "lf_2sls", "pc_2sls"):
@@ -185,8 +171,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     for name, kind in (("t_2sls", "T"), ("lf_2sls", "LF"), ("pc_2sls", "PC")):
         def fit(kind=kind):
             sel = select_from_context(ctx, kind)
-            return regularized_2sls(data, net, q2_norm, sel.scheme, rho_plug,
-                                    spectrum=spec2n)
+            return regularized_2sls(data, net, q2_norm, sel.scheme, rho_plug)
         attempt(name, fit)
 
     return ReplicationResult(estimates, float(rho_tilde), alphas, failures)
@@ -197,18 +182,10 @@ def _replicate_task(args) -> ReplicationResult:
     return run_replication(config, seed)
 
 
-def worker_count_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_study(config: McConfig, workers: int | None = None) -> list[ReplicationResult]:
-    """All replications of one cell; worker count from SARNET_THREADS by default."""
+    """All replications of one cell on ``workers`` processes (default 1)."""
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
-    workers = worker_count_from_env() if workers is None else max(1, workers)
+    workers = 1 if workers is None else max(1, workers)
     if workers == 1:
         return [run_replication(config, s) for s in seeds]
     tasks = [(config, s) for s in seeds]

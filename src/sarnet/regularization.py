@@ -75,14 +75,14 @@ class Spectrum:
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
     @classmethod
-    def from_instruments(cls, inst: InstrumentSet | np.ndarray,
-                         cutoff: float = EIGENVALUE_CUTOFF) -> "Spectrum":
+    def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
         """Eigendecompose Q Q'/n, working in whichever dimension is smaller.
 
         For m < n/4 instruments the m x m Gram K = Q'Q/n is decomposed and
         the n-dimensional eigenvectors recovered through psi = Q phi /
         sqrt(n nu); otherwise Q Q'/n is decomposed directly.  Both routes
-        share their nonzero spectrum.
+        share their nonzero spectrum.  Callers with an ``InstrumentSet`` read
+        its cached ``inst.spectrum``, which is built here.
         """
         Q = inst.Q if isinstance(inst, InstrumentSet) else np.asarray(inst, dtype=float)
         Q = np.atleast_2d(Q)
@@ -90,7 +90,7 @@ class Spectrum:
         gram_route = m < n / 4
         vals, vecs = np.linalg.eigh(Q.T @ Q / n if gram_route else Q @ Q.T / n)
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        keep = vals > max(cutoff * max(vals[0], 0.0), 0.0)
+        keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
         vals, vecs = vals[keep], vecs[:, keep]
         psi = (Q @ vecs) / np.sqrt(n * vals) if gram_route else vecs
         if vals.size == 0:

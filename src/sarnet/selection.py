@@ -51,20 +51,16 @@ class SelectionConfig:
     ``alpha_grid`` is interpreted per scheme kind: Tikhonov penalties for T,
     iteration counts for LF, component counts for PC.  ``gamma_bar`` defaults
     to the first unit vector (the endogenous effect is the coefficient of
-    interest).  ``loo_route`` switches between the linear-smoother identity
-    and the literal refit-without-i oracle.
+    interest).
     """
 
     criterion: str = "cp"
     gamma_bar: np.ndarray | None = None
     alpha_grid: Sequence[float] | None = None
-    loo_route: str = "identity"
 
     def __post_init__(self) -> None:
         if self.criterion not in _CRITERIA:
             raise ValueError(f"criterion must be one of {_CRITERIA}")
-        if self.loo_route not in ("identity", "refit"):
-            raise ValueError("loo_route must be 'identity' or 'refit'")
         if self.gamma_bar is not None:
             g = np.asarray(self.gamma_bar, dtype=float)
             if not np.any(g != 0):
@@ -117,7 +113,6 @@ class SelectionContext:
     sigma2_v: float
     bias_factor: float          # (e1' gamma_bar)^2 * ||D iota||^2 / n
     criterion: str = "cp"
-    loo_route: str = "identity"
     min_components: int = 1     # second stage needs this many kept components
 
     @property
@@ -128,11 +123,10 @@ class SelectionContext:
 def prepare_selection(data: PanelData, network: GroupedNetwork,
                       instruments: InstrumentSet, rho_tilde: float,
                       delta_tilde: np.ndarray,
-                      config: SelectionConfig | None = None,
-                      spectrum: Spectrum | None = None) -> SelectionContext:
+                      config: SelectionConfig | None = None) -> SelectionContext:
     """Assemble the per-dataset selection context from preliminary estimates."""
     config = config if config is not None else SelectionConfig()
-    spectrum = spectrum if spectrum is not None else Spectrum.from_instruments(instruments)
+    spectrum = instruments.spectrum
     delta_tilde = np.asarray(delta_tilde, dtype=float)
     J = network.J
 
@@ -170,8 +164,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     return SelectionContext(
         spectrum=spectrum, w=w, coef=coef, sigma2_eps=sigma2_eps,
         sigma2_v=sigma2_v, bias_factor=bias_factor,
-        criterion=config.criterion, loo_route=config.loo_route,
-        min_components=Z.shape[1],
+        criterion=config.criterion, min_components=Z.shape[1],
     )
 
 
@@ -191,8 +184,8 @@ def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
     Mallows Cp:  v'v/n + 2 s2_v tr(P)/n
     GCV:         (v'v/n) / (1 - tr(P)/n)^2, rejected when tr(P) >= n
     LOO:         mean of squared leave-one-out residuals, computed through
-                 the linear-smoother identity r_i / (1 - P_ii) unless the
-                 refit route is configured.
+                 the linear-smoother identity r_i / (1 - P_ii) (``_loo_refit``
+                 is the literal delete-one reference it is tested against).
     """
     scheme = scheme.resolved(ctx.spectrum)
     q = q_weights(scheme, ctx.spectrum)
@@ -204,8 +197,6 @@ def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
         if tr_P >= n:
             raise ValueError(f"GCV undefined: tr(P) = {tr_P:.3g} >= n = {n}")
         return (_first_stage_residual_norm2(ctx, q) / n) / (1.0 - tr_P / n) ** 2
-    if ctx.loo_route == "refit":
-        return _loo_refit(ctx, scheme)
     resid = ctx.w - ctx.spectrum.vectors @ (q * ctx.coef)
     denom = 1.0 - projector_diagonal(ctx.spectrum, scheme)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,8 +211,8 @@ def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
     features U = Psi diag(sqrt(n nu)) with per-component penalty
     nu (1 - q)/q (zero-weight components dropped).  For each i the fit is
     re-solved without row i, holding that penalty fixed, and the held-out
-    point is predicted.  Quadratic per observation; meant as the slow oracle
-    route for the identity.
+    point is predicted.  Quadratic per observation: the slow reference
+    that the linear-smoother identity of ``criterion_value`` is tested against.
     """
     q = q_weights(scheme, ctx.spectrum)
     keep = q > 0.0
@@ -325,15 +316,14 @@ def select_from_context(ctx: SelectionContext, kind: str,
 def select_alpha(data: PanelData, network: GroupedNetwork,
                  instruments: InstrumentSet, kind: str,
                  config: SelectionConfig | None = None, *,
-                 rho_tilde: float, delta_tilde: np.ndarray,
-                 spectrum: Spectrum | None = None) -> SelectionResult:
+                 rho_tilde: float, delta_tilde: np.ndarray) -> SelectionResult:
     """End-to-end alpha selection for one scheme kind.
 
     Deterministic given the data and grid: no randomness enters the search,
     and the returned curve follows the grid order for audit and export.
     """
     ctx = prepare_selection(data, network, instruments, rho_tilde, delta_tilde,
-                            config=config, spectrum=spectrum)
+                            config=config)
     return select_from_context(ctx, kind, config)
 
 

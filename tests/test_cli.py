@@ -224,6 +224,19 @@ class TestConfigAndErrors:
         assert code == 2
         assert "data error" in err
 
+    def test_directory_path_is_data_error(self, tmp_path, capsys):
+        code, _, err = run_cli(["diagnose", "--edges", str(tmp_path)], capsys)
+        assert code == 2
+        assert "data error" in err and str(tmp_path) in err
+
+    def test_malformed_config_value_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reps = 2\ngroups = ten\n")
+        code, _, err = run_cli(["--config", str(cfg), "simulate"], capsys)
+        assert code == 2
+        assert f"data error: {cfg}:2: groups: " in err
+        assert "'ten'" in err
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

@@ -124,21 +124,18 @@ class TestRegularized2sls:
             net, data, _, _, _ = draw_dataset(seed=(40, rep), group_count=4,
                                               group_size=6)
             q2 = q2_roster(net, data.regressors(net))
-            spec = Spectrum.from_instruments(q2)
             result = regularized_2sls(data, net, q2,
-                                      Scheme.principal_components(spec.rank),
-                                      rho_tilde=0.0, spectrum=spec)
+                                      Scheme.principal_components(q2.spectrum.rank),
+                                      rho_tilde=0.0)
             oracle = textbook_iv_oracle(assemble_z(data, net), data.y, q2.Q)
             np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_classical_wrapper_matches_pc_full(self):
         net, data, _, _, _ = draw_dataset(seed=41)
         q2 = q2_roster(net, data.regressors(net))
-        spec = Spectrum.from_instruments(q2)
         a = classical_2sls(data, net, q2, rho_tilde=0.1)
         b = regularized_2sls(data, net, q2,
-                             Scheme.principal_components(spec.rank), 0.1,
-                             spectrum=spec)
+                             Scheme.principal_components(q2.spectrum.rank), 0.1)
         np.testing.assert_allclose(a.delta, b.delta, atol=1e-12)
 
     def test_noiseless_light_tikhonov_recovers_truth(self):
@@ -158,10 +155,8 @@ class TestRegularized2sls:
         P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
         oracle = np.linalg.solve((Rm @ Z).T @ P @ (Rm @ Z),
                                  (Rm @ Z).T @ P @ (Rm @ data.y))
-        spec = Spectrum.from_instruments(q2)
         result = regularized_2sls(data, net, q2,
-                                  Scheme.principal_components(spec.rank), rho,
-                                  spectrum=spec)
+                                  Scheme.principal_components(q2.spectrum.rank), rho)
         np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_scale_equivariance(self):
@@ -234,13 +229,11 @@ class TestBiasCorrected:
             q1 = q1_roster(net, X)
             q2 = q2_roster(net, X)
             delta_t = preliminary_delta(data, net, q1)
-            spec = Spectrum.from_instruments(q2)
             plain = regularized_2sls(data, net, q2,
-                                     Scheme.principal_components(spec.rank),
-                                     0.0, spectrum=spec)
+                                     Scheme.principal_components(q2.spectrum.rank),
+                                     0.0)
             corrected = bias_corrected_2sls(data, net, q2, 0.0,
-                                            lambda_tilde=float(delta_t[0]),
-                                            spectrum=spec)
+                                            lambda_tilde=float(delta_t[0]))
             lam_plain.append(plain.lambda_hat)
             lam_corrected.append(corrected.lambda_hat)
         assert abs(np.mean(lam_corrected) - 0.1) < abs(np.mean(lam_plain) - 0.1)

@@ -4,6 +4,7 @@ import pytest
 from sarnet.graphs import generate_mc_network
 from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
+from sarnet.regularization import Spectrum
 from conftest import draw_dataset
 
 
@@ -153,3 +154,12 @@ def test_instrument_set_validation():
         InstrumentSet(np.ones((3, 2)), ("only-one",))
     with pytest.raises(ValueError, match="normalization"):
         InstrumentSet(np.ones((3, 1)), ("a",), "weird")
+
+
+def test_spectrum_is_decomposed_once_and_cached(net_and_x):
+    net, X = net_and_x
+    inst = q2_roster(net, X)
+    assert inst.spectrum is inst.spectrum
+    direct = Spectrum.from_instruments(inst.Q)
+    np.testing.assert_array_equal(inst.spectrum.eigenvalues, direct.eigenvalues)
+    np.testing.assert_array_equal(inst.spectrum.vectors, direct.vectors)

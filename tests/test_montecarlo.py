@@ -5,6 +5,7 @@ from sarnet import montecarlo
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
+from sarnet.regularization import Spectrum
 
 
 SMALL = dict(group_count=6, group_size=8, max_links=3, replications=4, seed=5)
@@ -36,6 +37,23 @@ class TestRunReplication:
             lam = rep.estimates[name][0]
             assert np.isfinite(lam) and -1.0 <= lam <= 1.0
         assert {"t_2sls", "lf_2sls", "pc_2sls"} <= set(rep.alphas)
+
+    def test_three_spectra_per_replication(self, monkeypatch):
+        # q1, q2 and the normalized q2 are each decomposed exactly once
+        calls = []
+        original = Spectrum.from_instruments.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(counting))
+        config = McConfig(**SMALL)
+        for rep in range(3):
+            calls.clear()
+            result = run_replication(config, np.random.SeedSequence(rep))
+            assert not result.failures
+            assert len(calls) == 3
 
     def test_shared_rho_is_recorded(self):
         config = McConfig(**SMALL)

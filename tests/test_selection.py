@@ -8,15 +8,15 @@ from sarnet import selection
 from sarnet.estimation import preliminary_delta, preliminary_rho
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces, q_weights
-from sarnet.selection import (SelectionConfig, SelectionContext, criterion_value,
-                              curve_to_csv, default_grid, prepare_selection,
-                              s_hat, select_alpha, select_from_context)
+from sarnet.selection import (SelectionConfig, SelectionContext, _loo_refit,
+                              criterion_value, curve_to_csv, default_grid,
+                              prepare_selection, s_hat, select_alpha,
+                              select_from_context)
 from conftest import draw_dataset
 
 
 def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
-                 bias_factor=0.5, criterion="cp", loo_route="identity",
-                 min_components=1):
+                 bias_factor=0.5, criterion="cp", min_components=1):
     """Synthetic selection context with a controlled signal/noise split.
 
     The target direction w is a combination of an in-span component
@@ -37,7 +37,7 @@ def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
     return SelectionContext(spectrum=spec, w=w, coef=coef,
                             sigma2_eps=sigma2_eps, sigma2_v=sigma2_v,
                             bias_factor=bias_factor, criterion=criterion,
-                            loo_route=loo_route, min_components=min_components)
+                            min_components=min_components)
 
 
 def pipeline_context(seed=50, criterion="cp", **kwargs):
@@ -88,7 +88,7 @@ class TestCriterionValues:
         else:
             scheme = Scheme.principal_components(param)
         identity = criterion_value(ctx, scheme)
-        refit = criterion_value(dataclasses.replace(ctx, loo_route="refit"), scheme)
+        refit = _loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
     def test_loo_identity_matches_refit_on_pipeline_data(self):
@@ -96,7 +96,7 @@ class TestCriterionValues:
                                               group_count=3, group_size=10)
         scheme = Scheme.tikhonov(0.3 * ctx.spectrum.nu_max ** 2)
         identity = criterion_value(ctx, scheme)
-        refit = criterion_value(dataclasses.replace(ctx, loo_route="refit"), scheme)
+        refit = _loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
 
@@ -261,8 +261,6 @@ class TestConfigAndExport:
             SelectionConfig(gamma_bar=np.zeros(3))
         with pytest.raises(ValueError):
             SelectionConfig(alpha_grid=[0.5, 0.1])
-        with pytest.raises(ValueError):
-            SelectionConfig(loo_route="exact")
 
     def test_curve_csv_export(self):
         _, _, _, _, _, ctx = pipeline_context(seed=58)
