@@ -10,6 +10,7 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -128,12 +129,15 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
     add_estimation_flags(sel)
 
     if defaults:
-        known = {a.dest for a in parser._actions}
-        for p in sub.choices.values():
-            known |= {a.dest for a in p._actions}
-        unknown = set(defaults) - known
+        actions = parser._actions + [a for p in sub.choices.values() for a in p._actions]
+        unknown = set(defaults) - {a.dest for a in actions}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
+        for a in actions:   # set_defaults bypasses argparse's choices check
+            if a.choices is not None and a.dest in defaults \
+                    and defaults[a.dest] not in a.choices:
+                raise DataError(f"config key {a.dest}: {defaults[a.dest]!r} is not "
+                                f"one of {', '.join(map(repr, a.choices))}")
         parser.set_defaults(**defaults)
         for p in sub.choices.values():
             p.set_defaults(**{k: v for k, v in defaults.items()
@@ -142,10 +146,13 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:       # a directory, a missing parent, no permission
+        raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +247,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_select(args) -> int:
     *_, sel = _prepare_estimation(args)
-    if args.out:
-        curve_to_csv(sel, args.out)
-    else:
-        curve_to_csv(sel, sys.stdout)
+    curve = io.StringIO()
+    curve_to_csv(sel, curve)
+    _emit(curve.getvalue(), args.out)
     print(f"alpha_star = {sel.alpha_star:.6g}", file=sys.stderr)
     return 0
 

@@ -114,6 +114,17 @@ def proposition1_check(W: np.ndarray, tol: float = CLUSTER_TOL) -> Verdict:
     return Verdict.NOT_IDENTIFIED if count == 2 else Verdict.POSSIBLY_IDENTIFIED
 
 
+def _stack_width(X: np.ndarray, order: int, iota: np.ndarray | None,
+                 doubled: bool) -> int:
+    """Column count of ``labelled_stack`` on these arguments, after its checks."""
+    if X.size == 0 or X.shape[1] == 0:
+        raise ValueError("X must have at least one column")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    r = 0 if iota is None else iota.shape[1]
+    return (X.shape[1] * (order + 1) + r * order) * (2 if doubled else 1)
+
+
 def labelled_stack(lag_W: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
                    order: int, iota: np.ndarray | None = None,
                    lag_M: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -127,10 +138,7 @@ def labelled_stack(lag_W: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
     Returns the stack and one provenance label per column: ``W^j.X[c]``,
     ``W^j.iota[r]``, ``X[c]`` and ``M.`` in front of the copy's labels.
     """
-    if X.size == 0 or X.shape[1] == 0:
-        raise ValueError("X must have at least one column")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _stack_width(X, order, iota, lag_M is not None)     # checks the arguments
     cols, labels = [], []
     for name, V in (("X", X), ("iota", iota)):
         if V is None:
@@ -183,12 +191,19 @@ def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:
 
 def _stack_rank_check(lag_W, lag_M, X: np.ndarray, count: int, rho_zero: bool,
                       iota: np.ndarray) -> tuple[bool, float]:
-    """Rank flag and Gram condition number of the stack of order count - 1."""
+    """Rank flag and Gram condition number of the stack of order count - 1.
+
+    A stack with more columns than rows cannot have full column rank, so it
+    reports ``(False, inf)`` without being built or decomposed.
+    """
     if rho_zero:
         iota = lag_M = None
     elif lag_M is None:
         raise ValueError("the spatially correlated case needs M")
-    stack, _ = labelled_stack(lag_W, X, max(count - 1, 1), iota, lag_M)
+    order = max(count - 1, 1)
+    if _stack_width(X, order, iota, lag_M is not None) > X.shape[0]:
+        return False, math.inf
+    stack, _ = labelled_stack(lag_W, X, order, iota, lag_M)
     _, full, cond = _rank_and_condition(stack)
     return full, cond
 
@@ -205,7 +220,8 @@ def proposition2_rank_check(W: np.ndarray, X: np.ndarray,
     [WX, ..., W^{d-1} X, X] with d the number of distinct eigenvalues of W.
     With correlation, the Bonacich columns and the M-lagged copy are added.
     Returns (full_rank, condition number of the stack's Gram matrix); an
-    infinite condition number marks exact rank deficiency.
+    infinite condition number marks exact rank deficiency.  A stack with
+    more columns than rows reports ``(False, inf)`` without any SVD.
     """
     W, = _require_symmetric(W)
     n = W.shape[0]

@@ -237,6 +237,48 @@ class TestConfigAndErrors:
         assert f"data error: {cfg}:2: groups: " in err
         assert "'ten'" in err
 
+    def test_config_criterion_outside_choices_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reps = 2\ngroups = 4\nsize = 8\ncriterion = bogus\n")
+        code, out, err = run_cli(["--config", str(cfg), "simulate"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "data error: config key criterion: 'bogus' is not one of " \
+               "'cp', 'gcv', 'loo'" in err
+
+    def test_config_scheme_outside_choices_is_data_error(self, csv_pair, tmp_path,
+                                                          capsys):
+        edges, nodes = csv_pair
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = X\n")
+        code, _, err = run_cli(["--config", str(cfg), "estimate", "--data", str(nodes),
+                                "--edges", str(edges)], capsys)
+        assert code == 2
+        assert "config key scheme: 'X' is not one of 'T', 'LF', 'PC'" in err
+
+    def test_config_value_inside_choices_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reps = 2\ngroups = 4\nsize = 8\ncriterion = gcv\n"
+                       "format = csv\n")
+        code, out, _ = run_cli(["--config", str(cfg), "simulate"], capsys)
+        assert code == 0
+        assert out.startswith("estimator,")
+
+    def test_unwritable_simulate_out_is_data_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["simulate", "--reps", "2", "--groups", "4",
+                                  "--size", "8", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"data error: cannot write {tmp_path}: " in err
+
+    def test_unwritable_select_out_is_data_error(self, csv_pair, tmp_path, capsys):
+        edges, nodes = csv_pair
+        code, out, err = run_cli(["select", "--data", str(nodes), "--edges", str(edges),
+                                  "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"data error: cannot write {tmp_path}: " in err
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

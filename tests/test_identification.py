@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sarnet.graphs import build_block_diagonal, lee_group_network
+from sarnet import identification
+from sarnet.graphs import (GroupedNetwork, build_block_diagonal, lee_group_network,
+                           row_normalize)
 from sarnet.identification import (AsymmetricMatrixError, Verdict, build_report,
                                    distinct_eigenvalues, instrument_stack,
                                    lee_reduced_coefficient, proposition1_check,
@@ -16,6 +18,15 @@ def path_graph(n):
     W = np.zeros((n, n))
     for i in range(n - 1):
         W[i, i + 1] = W[i + 1, i] = 1.0
+    return W
+
+
+def chorded_ring(n=7):
+    """Symmetric ring with weight-2 chords at distance 3 (four eigenvalues)."""
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[i, (i + 1) % n] = W[(i + 1) % n, i] = 1.0
+        W[i, (i + 3) % n] = W[(i + 3) % n, i] = 2.0
     return W
 
 
@@ -152,6 +163,27 @@ class TestProposition2:
         with pytest.raises(ValueError, match="needs M"):
             proposition2_rank_check(net.W, np.ones((9, 1)), rho_zero=False)
 
+    def test_wide_stack_has_infinite_condition(self):
+        # order 3, 2 covariates, 1 centrality column, M copy: 7 x 22 stack,
+        # which can never have full column rank
+        W = chorded_ring()
+        X = np.random.default_rng(0).standard_normal((7, 2))
+        M = row_normalize(W)
+        assert proposition2_rank_check(W, X, rho_zero=False, M=M) == (False, np.inf)
+        net = GroupedNetwork((7,), W, M, m_row_normalized=True)
+        report = build_report(net, X, rho_zero=False)
+        assert report.rank_flag is False
+        assert report.stack_condition_number == np.inf
+        assert "stack_condition_number = inf" in report.lines()
+
+    def test_wide_stack_keeps_argument_checks(self):
+        W = chorded_ring()
+        with pytest.raises(ValueError, match="needs M"):
+            proposition2_rank_check(W, np.ones((7, 2)), rho_zero=False)
+        with pytest.raises(ValueError, match="at least one column"):
+            proposition2_rank_check(W, np.ones((7, 0)), rho_zero=False,
+                                    M=row_normalize(W))
+
 
 class TestLeeReducedCoefficient:
     def test_zero_betas_give_zero(self):
@@ -209,6 +241,27 @@ class TestReport:
                 eigenvalue_clusters=((1.0, 1), (-1.0, 3)),
                 stack_condition_number=None, rank_flag=None,
                 verdict=Verdict.IDENTIFIED)
+
+    def test_wide_stack_is_neither_built_nor_decomposed(self, monkeypatch):
+        calls = {"svd": 0, "labelled_stack": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(identification, "labelled_stack",
+                            counting("labelled_stack", identification.labelled_stack))
+        net = lee_group_network([4, 5, 6])     # four distinct eigenvalues
+        X = np.random.default_rng(5).standard_normal((net.n, 1))
+        wide = build_report(net, X, rho_zero=False)   # 15 x 26
+        assert (wide.rank_flag, wide.stack_condition_number) == (False, np.inf)
+        assert calls == {"svd": 0, "labelled_stack": 0}
+        tall = build_report(net, X)                    # 15 x 4
+        assert tall.rank_flag is True
+        assert calls == {"svd": 1, "labelled_stack": 1}
 
     def test_report_lines_render(self):
         report = build_report(lee_group_network([5, 5]))

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from sarnet.estimation import preliminary_rho
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
-from sarnet.identification import distinct_eigenvalues, labelled_stack
+from sarnet.identification import (_rank_and_condition, _stack_rank_check,
+                                   distinct_eigenvalues, instrument_stack,
+                                   labelled_stack)
 from sarnet.transforms import (ModelParams, assemble_z, r_matrix, reduced_form,
                                row_sum_norm, s_matrix)
 
@@ -57,6 +59,23 @@ def test_labelled_stack_matches_dense_oracle(net, order, k, seed):
     np.testing.assert_allclose(stack, expect, rtol=1e-12, atol=1e-12)
     assert len(labels) == expect.shape[1] == len(set(labels))
     assert labels[0] == "W^1.X[0]" and labels[-1] == f"M.X[{k - 1}]"
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), order=st.integers(1, 4), k=st.integers(1, 3),
+       rho_zero=st.booleans(), seed=st.integers(0, 1000))
+def test_stack_rank_check_matches_dense_svd_or_is_wide(net, order, k, rho_zero, seed):
+    # dense lags, so that the stack the check builds is the oracle's, bit for bit
+    X = np.random.default_rng(seed).standard_normal((net.n, k))
+    iota = net.group_ones()
+    got = _stack_rank_check(net.W.__matmul__, net.M.__matmul__, X, order + 1,
+                            rho_zero, iota)
+    oracle = instrument_stack(net.W, X, order, M=None if rho_zero else net.M,
+                              bonacich=not rho_zero, iota=iota)
+    if oracle.shape[1] > net.n:
+        assert got == (False, np.inf)
+    else:
+        assert got == _rank_and_condition(oracle)[1:]
 
 
 def dense_rho_objective(net, data, delta, rhos):
