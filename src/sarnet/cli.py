@@ -42,8 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce_config(key: str, value: str, where: str) -> object:
-    """One config value as its flag's type; a malformed number is a data error."""
+    """One config value as its flag's type; a malformed value is a data error."""
     try:
         if key in {"groups", "size", "max_links", "reps", "seed", "order", "workers"}:
             return int(value)
@@ -52,7 +56,10 @@ def _coerce_config(key: str, value: str, where: str) -> object:
     except ValueError as exc:
         raise DataError(f"{where}: {key}: {exc}") from exc
     if key in {"transform_rho", "no_bonacich", "no_m_lags", "correlated"}:
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _BOOLEANS:
+            raise DataError(f"{where}: {key}: {value!r} is not a boolean; use one of "
+                            f"{', '.join(_BOOLEANS)} (any case)")
+        return _BOOLEANS[value.lower()]
     return value
 
 
@@ -193,6 +200,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _prepare_estimation(args):
+    if args.order is not None and args.order < 1:     # a config value skips argparse
+        raise UsageError(f"--order must be a positive integer, got {args.order}")
     net, data = _load(args, need_data=True)
     X = data.regressors(net)
     q1 = q1_roster(net, X)

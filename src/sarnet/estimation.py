@@ -125,17 +125,22 @@ def _build_moment_ops(network: GroupedNetwork):
     moment at the true rho.  Returned as closures acting block by block.
     """
     J = network.J
+    W, M = network.stacks_W().stacks(), network.stacks_M().stacks()
     ops = []
     specs = [
-        (network.lag_W, network.blocks_W()),
-        (network.lag_M, network.blocks_M()),
-        (lambda V: network.lag_M(network.lag_W(V)),
-         [M_r @ W_r for M_r, W_r in zip(network.blocks_M(), network.blocks_W())]),
+        (network.lag_W, W),
+        (network.lag_M, M),
+        (lambda V: network.lag_M(network.lag_W(V)), [M_s @ W_s for M_s, W_s in zip(M, W)]),
     ]
-    for lag, blocks in specs:
-        # tr(J A J) = sum_r tr(A_r J_r) over the small dense blocks
-        total = sum(float(np.trace(A_r @ J.block(r))) for r, A_r in enumerate(blocks))
-        c = total / J.trace
+    for lag, stacks in specs:
+        # tr(J A J) = sum_r tr(A_r J_r) over the small dense blocks, one
+        # batched product per group size; the running sum goes in network
+        # order, so c (and rho) round as a per-group loop does
+        traces = np.empty(network.group_count)
+        for groups, A_s, J_s in zip(network.stacks_W().groups, stacks,
+                                    J.block_stacks.stacks()):
+            traces[groups] = np.trace(A_s @ J_s, axis1=1, axis2=2)
+        c = sum(traces.tolist()) / J.trace
 
         def apply_op(v, lag=lag, c=c):
             return J.apply(lag(J.apply(v))) - c * v

@@ -3,23 +3,25 @@
 A sample is a collection of disjoint groups.  Interactions only happen within
 a group, so the full-sample interaction matrices W (outcome spillovers) and M
 (disturbance spillovers) are block diagonal with one block per group, and a
-``GroupedNetwork`` stores only those blocks.  Dense n x n forms are assembled
-on request, for tests and small problems.
+``GroupedNetwork`` stores only those blocks, as one stack per group size.
+Dense n x n forms are assembled on request, for tests and small problems.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "BlockStacks",
     "GroupedNetwork",
     "PanelData",
     "build_block_diagonal",
@@ -47,16 +49,117 @@ def _as_rows(A: np.ndarray, n: int) -> np.ndarray:
     return A.T if A.shape[0] != n else A
 
 
+def _size_groups(group_sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Indices of the groups of each distinct size, sizes ascending."""
+    sizes = np.asarray(group_sizes, dtype=int)
+    return tuple(np.flatnonzero(sizes == m) for m in np.unique(sizes))
+
+
+def _group_rows(group_sizes: Sequence[int], groups: np.ndarray) -> slice | np.ndarray:
+    """The rows of these equal-size groups (ascending indices), group after group.
+
+    A plain slice when the groups are consecutive, so that a stacked kernel
+    reshapes its input instead of gathering it; an index array otherwise.
+    """
+    sizes = np.asarray(group_sizes, dtype=int)
+    m, start = int(sizes[groups[0]]), int(sizes[:groups[0]].sum())
+    if groups[-1] - groups[0] + 1 == groups.size:
+        return slice(start, start + groups.size * m)
+    starts = np.cumsum(sizes) - sizes
+    return (starts[groups][:, None] + np.arange(m)).ravel()
+
+
+def _map_stacked(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 parts: Iterable[tuple[slice | np.ndarray, np.ndarray]],
+                 V: np.ndarray) -> np.ndarray:
+    """Apply a block-diagonal operator with one batched call per part.
+
+    Each part pairs the rows it covers with a (g, m, ...) stack of per-group
+    operands.  V's rows of those g groups go to ``fn(stack, V_g)`` as a
+    (g, m, k) stack, and the (g, m, k) result fills the same rows of the
+    output.  A vector V is treated as one column.
+    """
+    V = np.asarray(V, dtype=float)
+    out = np.empty_like(V)
+    k = math.prod(V.shape[1:])
+    for rows, stack in parts:
+        part = V[rows]
+        out[rows] = fn(stack, part.reshape(stack.shape[0], stack.shape[1], k)
+                       ).reshape(part.shape)
+    return out
+
+
+class BlockStacks:
+    """A block-diagonal matrix stored as one read-only (g, m, m) stack per block size.
+
+    ``parts`` holds one ``(rows, stack)`` pair per distinct block size,
+    sizes ascending.  The stack's g blocks are those of the groups
+    ``groups[p]`` (network indices, ascending), and ``rows`` are their rows,
+    group after group, as given by ``_group_rows``: a slice whenever one size
+    covers the whole matrix.  ``blocks()`` lists the blocks in network order
+    as read-only views into the stacks.  Instances with the same group sizes
+    share one layout, so their parts line up.
+    """
+
+    def __init__(self, group_sizes: Sequence[int], stacks: Sequence[np.ndarray]):
+        self.group_sizes = tuple(int(m) for m in group_sizes)
+        self.groups = _size_groups(self.group_sizes)
+        shapes = [(g.size,) + (self.group_sizes[g[0]],) * 2 for g in self.groups]
+        if [S.shape for S in stacks] != shapes:
+            raise ValueError("need one (g, m, m) stack per distinct block size")
+        for S in stacks:
+            S.setflags(write=False)
+        self.parts = tuple((_group_rows(self.group_sizes, g), S)
+                           for g, S in zip(self.groups, stacks))
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[np.ndarray] | np.ndarray,
+                    name: str = "matrix") -> "BlockStacks":
+        """Float copies of nonempty square blocks: a sequence, or one (G, m, m) array."""
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.shape[0] \
+                and blocks.shape[1] == blocks.shape[2] > 0:
+            return cls((blocks.shape[1],) * blocks.shape[0], [np.array(blocks, dtype=float)])
+        blocks = [np.asarray(B, dtype=float) for B in blocks]
+        for r, B in enumerate(blocks):
+            if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
+                raise ValueError(f"{name} block {r} is not a nonempty square "
+                                 f"(shape {B.shape})")
+        sizes = [B.shape[0] for B in blocks]
+        return cls(sizes, [np.array([blocks[r] for r in g]) for g in _size_groups(sizes)])
+
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        return tuple(S for _, S in self.parts)
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks in network order, as read-only views into the stacks."""
+        out: list = [None] * len(self.group_sizes)
+        for g, S in zip(self.groups, self.stacks()):
+            for r, B in zip(g.tolist(), S):
+                out[r] = B
+        return tuple(out)
+
+    def matmul(self, V: np.ndarray) -> np.ndarray:
+        """This matrix times V, one batched product per block size."""
+        return _map_stacked(np.matmul, self.parts, V)
+
+
 class GroupedNetwork:
-    """Block-diagonal pair of sociomatrices, stored as one block per group.
+    """Block-diagonal pair of sociomatrices, stored as per-size stacks of group blocks.
 
     W (outcome spillovers) and M (disturbance spillovers, possibly W itself
     or its row-normalization) share the group partition and have zero
     diagonals.  ``GroupedNetwork(group_sizes, W, M, m_row_normalized)``
     validates dense n x n input (zero outside the diagonal blocks) and splits
     it; ``from_blocks(W_blocks, M_blocks, m_row_normalized)`` takes the
-    blocks directly.  ``m_row_normalized`` declares, and is checked, that
-    every nonzero row of M sums to one.  Stored blocks are read-only copies.
+    blocks directly, as sequences or as (G, m, m) arrays.
+    ``m_row_normalized`` declares, and is checked, that every nonzero row of
+    M sums to one.
+
+    W and M are stored as ``BlockStacks`` (``stacks_W()``, ``stacks_M()``):
+    one read-only (g, m, m) stack per distinct group size, copied from the
+    input.  The block-wise kernels (lags, solves, J) make one batched call
+    per size.  ``blocks_W()`` and ``blocks_M()`` are read-only views into
+    the stacks, one per group.
     """
 
     def __init__(self, group_sizes: Sequence[int], W: np.ndarray, M: np.ndarray,
@@ -73,32 +176,34 @@ class GroupedNetwork:
             blocks = [A[sl, sl] for sl in _group_slices(sizes)]
             if np.count_nonzero(A) != sum(np.count_nonzero(B) for B in blocks):
                 raise ValueError(f"{name} has nonzero entries outside the diagonal blocks")
-            split.append(blocks)
-        self._set_blocks(*split, m_row_normalized)
+            split.append(BlockStacks.from_blocks(blocks, name))
+        self._set_stacks(*split, m_row_normalized)
 
     @classmethod
-    def from_blocks(cls, W_blocks: Iterable[np.ndarray], M_blocks: Iterable[np.ndarray],
+    def from_blocks(cls, W_blocks: Iterable[np.ndarray] | np.ndarray,
+                    M_blocks: Iterable[np.ndarray] | np.ndarray,
                     m_row_normalized: bool = False) -> "GroupedNetwork":
         """The network whose W and M have the given square diagonal blocks."""
         net = cls.__new__(cls)
-        net._set_blocks(W_blocks, M_blocks, m_row_normalized)
+        net._set_stacks(BlockStacks.from_blocks(W_blocks, "W"),
+                        BlockStacks.from_blocks(M_blocks, "M"), m_row_normalized)
         return net
 
-    def _set_blocks(self, W_blocks, M_blocks, m_row_normalized: bool) -> None:
-        W_blocks, M_blocks = _frozen_blocks(W_blocks, "W"), _frozen_blocks(M_blocks, "M")
-        sizes = tuple(B.shape[0] for B in W_blocks)
-        if not sizes or sizes != tuple(B.shape[0] for B in M_blocks):
+    def _set_stacks(self, W: BlockStacks, M: BlockStacks, m_row_normalized: bool) -> None:
+        if not W.group_sizes or W.group_sizes != M.group_sizes:
             raise ValueError("W and M need the same nonempty list of group sizes")
+        for name, A in (("W", W), ("M", M)):
+            if any(np.diagonal(S, axis1=1, axis2=2).any() for S in A.stacks()):
+                raise ValueError(f"{name} has nonzero diagonal entries (self-links)")
         if m_row_normalized:
-            for B in M_blocks:
-                bad = np.abs(B.sum(axis=1) - 1.0) > 1e-10
-                if np.any(bad & (np.abs(B).sum(axis=1) > 0)):
+            for S in M.stacks():
+                bad = np.abs(S.sum(axis=2) - 1.0) > 1e-10
+                if np.any(bad & (np.abs(S).sum(axis=2) > 0)):
                     raise ValueError("M declared row-normalized but some nonzero row "
                                      "does not sum to 1")
-        self.group_sizes = sizes
+        self.group_sizes = W.group_sizes
         self.m_row_normalized = bool(m_row_normalized)
-        self._W, self._M = W_blocks, M_blocks
-        self.slices = _group_slices(sizes)
+        self._W, self._M = W, M
 
     # -- basic geometry -----------------------------------------------------
 
@@ -110,23 +215,36 @@ class GroupedNetwork:
     def group_count(self) -> int:
         return len(self.group_sizes)
 
-    def blocks_W(self) -> tuple[np.ndarray, ...]:
-        """The read-only diagonal blocks of W, one per group."""
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Each group's rows, in network order."""
+        return _group_slices(self.group_sizes)
+
+    def stacks_W(self) -> BlockStacks:
+        """W's blocks, one read-only (g, m, m) stack per group size."""
         return self._W
 
-    def blocks_M(self) -> tuple[np.ndarray, ...]:
-        """The read-only diagonal blocks of M, one per group."""
+    def stacks_M(self) -> BlockStacks:
+        """M's blocks, one read-only (g, m, m) stack per group size."""
         return self._M
+
+    def blocks_W(self) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks of W, one per group: read-only views into the stacks."""
+        return self._W.blocks()
+
+    def blocks_M(self) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks of M, one per group: read-only views into the stacks."""
+        return self._M.blocks()
 
     @property
     def W(self) -> np.ndarray:
         """Dense n x n W, assembled on every access (tests, small problems)."""
-        return build_block_diagonal(self._W)
+        return build_block_diagonal(self.blocks_W())
 
     @property
     def M(self) -> np.ndarray:
         """Dense n x n M, assembled on every access (tests, small problems)."""
-        return build_block_diagonal(self._M)
+        return build_block_diagonal(self.blocks_M())
 
     @functools.cached_property
     def J(self):
@@ -137,25 +255,17 @@ class GroupedNetwork:
     # -- block-wise products ------------------------------------------------
 
     def lag_W(self, V: np.ndarray) -> np.ndarray:
-        """W @ V computed block by block."""
-        return self._lag(self._W, V)
+        """W @ V, one batched product per group size."""
+        return self._W.matmul(V)
 
     def lag_M(self, V: np.ndarray) -> np.ndarray:
-        """M @ V computed block by block."""
-        return self._lag(self._M, V)
-
-    def _lag(self, blocks: tuple[np.ndarray, ...], V: np.ndarray) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        out = np.empty_like(V)
-        for B, sl in zip(blocks, self.slices):
-            out[sl] = B @ V[sl]
-        return out
+        """M @ V, one batched product per group size."""
+        return self._M.matmul(V)
 
     def group_ones(self) -> np.ndarray:
         """The n x r indicator matrix whose columns are the group ι vectors."""
         out = np.zeros((self.n, self.group_count))
-        for r, sl in enumerate(self.slices):
-            out[sl, r] = 1.0
+        out[np.arange(self.n), np.repeat(np.arange(self.group_count), self.group_sizes)] = 1.0
         return out
 
     def expand_group_values(self, per_group: np.ndarray) -> np.ndarray:
@@ -164,20 +274,6 @@ class GroupedNetwork:
         if per_group.shape != (self.group_count,):
             raise ValueError("need one value per group")
         return np.repeat(per_group, self.group_sizes)
-
-
-def _frozen_blocks(blocks: Iterable[np.ndarray], name: str) -> tuple[np.ndarray, ...]:
-    """Read-only float copies of square blocks with a zero diagonal."""
-    out = []
-    for r, B in enumerate(blocks):
-        B = np.array(B, dtype=float, order="C")     # always a copy
-        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
-            raise ValueError(f"{name} block {r} is not a nonempty square (shape {B.shape})")
-        if np.any(np.diag(B) != 0.0):
-            raise ValueError(f"{name} has nonzero diagonal entries (self-links)")
-        B.setflags(write=False)
-        out.append(B)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +299,12 @@ def row_normalize(W: np.ndarray) -> np.ndarray:
     """Scale each row with positive sum to sum one; zero rows stay zero.
 
     Entries must be nonnegative (weights), otherwise a row sum of zero would
-    not mean an isolated node.
+    not mean an isolated node.  A (g, m, m) stack is normalized block by block.
     """
     W = np.asarray(W, dtype=float)
     if np.any(W < 0):
         raise ValueError("row_normalize requires nonnegative entries")
-    sums = W.sum(axis=1, keepdims=True)
+    sums = W.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(sums > 0, W / np.where(sums > 0, sums, 1.0), 0.0)
     return out
@@ -233,15 +329,6 @@ def lee_group_network(group_sizes: Sequence[int]) -> GroupedNetwork:
     return GroupedNetwork.from_blocks(blocks, blocks, m_row_normalized=True)
 
 
-def _ring_row(i: int, k: int, m: int) -> np.ndarray:
-    """Row i of a size-m group: ones at positions i+1 .. i+k, wrapping mod m."""
-    row = np.zeros(m)
-    if k > 0:
-        cols = (i + 1 + np.arange(k)) % m
-        row[cols] = 1.0
-    return row
-
-
 def generate_mc_network(group_count: int, group_size: int, max_links: int,
                         seed: int | np.random.SeedSequence | np.random.Generator = 0,
                         ) -> GroupedNetwork:
@@ -255,7 +342,8 @@ def generate_mc_network(group_count: int, group_size: int, max_links: int,
     Draw order is fixed for reproducibility: groups in index order, one
     uniform-integer vector per group covering its rows top to bottom.  The
     generator is numpy's default (PCG64) when an integer or SeedSequence is
-    given, so identical seeds give bit-identical networks.
+    given, so identical seeds give bit-identical networks.  All groups are
+    then built at once as one (G, m, m) array.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
@@ -264,15 +352,15 @@ def generate_mc_network(group_count: int, group_size: int, max_links: int,
             f"max_links must lie in [0, group_size), got {max_links} with group_size {group_size}"
         )
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    blocks = []
-    for _ in range(group_count):
-        degrees = rng.integers(0, max_links + 1, size=group_size)
-        B = np.zeros((group_size, group_size))
-        for i, k in enumerate(degrees):
-            B[i] = _ring_row(i, int(k), group_size)
-        blocks.append(B)
-    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
-                                      m_row_normalized=True)
+    degrees = np.array([rng.integers(0, max_links + 1, size=group_size)
+                        for _ in range(group_count)]).reshape(group_count, group_size, 1)
+    # row i links to i+1 .. i+k (mod m): step t of the ring is on while t <= k
+    steps = np.arange(1, max_links + 1)
+    cols = (np.arange(group_size)[:, None] + steps) % group_size
+    W = np.zeros((group_count, group_size, group_size))
+    np.put_along_axis(W, np.broadcast_to(cols, (group_count, *cols.shape)),
+                      steps <= degrees, axis=2)
+    return GroupedNetwork.from_blocks(W, row_normalize(W), m_row_normalized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,12 @@ class AsymmetricMatrixError(ValueError):
 
 
 def _require_symmetric(*blocks: np.ndarray) -> list[np.ndarray]:
-    """The blocks as float arrays; refused unless every one is symmetric."""
+    """The matrices (or stacks of them) as float arrays; refused unless all symmetric."""
     blocks = [np.asarray(B, dtype=float) for B in blocks]
-    if any(B.ndim != 2 or B.shape[0] != B.shape[1] for B in blocks):
+    if any(B.ndim not in (2, 3) or B.shape[-1] != B.shape[-2] for B in blocks):
         raise ValueError("W must be square")
-    asym = max(float(np.abs(B - B.T).max()) if B.size else 0.0 for B in blocks)
+    asym = max(float(np.abs(B - np.swapaxes(B, -1, -2)).max()) if B.size else 0.0
+               for B in blocks)
     if asym > SYMMETRY_TOL:
         raise AsymmetricMatrixError(asym)
     return blocks
@@ -84,14 +85,15 @@ def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TO
     """Count distinct eigenvalues of a symmetric W by greedy gap clustering.
 
     For a ``GroupedNetwork`` the spectrum of its block-diagonal W is the
-    union of the spectra of the blocks, each of which must be symmetric.
+    union of the spectra of the blocks, each of which must be symmetric; they
+    are decomposed with one batched ``eigvalsh`` per group size.
     Eigenvalues are sorted descending; a new cluster opens whenever the gap
     to the previous eigenvalue exceeds ``tol * max(1, |nu_max|)``.  Returns
     the cluster count and a list of (cluster mean, multiplicity) pairs.
     "Distinct" is exact only in exact arithmetic, hence the tolerance knob.
     """
-    blocks = W.blocks_W() if isinstance(W, GroupedNetwork) else (W,)
-    vals = np.concatenate([np.linalg.eigvalsh(B) for B in _require_symmetric(*blocks)])
+    blocks = W.stacks_W().stacks() if isinstance(W, GroupedNetwork) else (W,)
+    vals = np.concatenate([np.linalg.eigvalsh(B).ravel() for B in _require_symmetric(*blocks)])
     vals = np.sort(vals)[::-1]
     scale = max(1.0, abs(vals[0]))
     clusters: list[list[float]] = [[vals[0]]]

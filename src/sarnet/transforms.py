@@ -16,12 +16,14 @@ Everything here is computed block by block; no n x n inverse is ever formed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import GroupedNetwork, PanelData, _group_slices
+from .graphs import (BlockStacks, GroupedNetwork, PanelData, _group_rows, _map_stacked,
+                     _size_groups, build_block_diagonal)
 
 __all__ = [
     "ModelParams",
@@ -40,13 +42,13 @@ __all__ = [
 
 
 def row_sum_norm(A: np.ndarray) -> float:
-    """Maximum absolute row sum (the operator infinity-norm)."""
-    return float(np.abs(A).sum(axis=1).max())
+    """Maximum absolute row sum (the operator infinity-norm), over a whole stack."""
+    return float(np.abs(A).sum(axis=-1).max())
 
 
 def _require_stable(lam: float, network: GroupedNetwork, what: str) -> None:
     """Refuse ||lambda W|| >= 1 in the row-sum norm, the largest over the blocks."""
-    norm = abs(lam) * max(row_sum_norm(B) for B in network.blocks_W())
+    norm = abs(lam) * max(row_sum_norm(S) for S in network.stacks_W().stacks())
     if norm >= 1.0:
         raise ValueError(f"||lambda W|| = {norm:.3f} >= 1: {what}")
 
@@ -93,24 +95,29 @@ def r_matrix(rho: float, M: np.ndarray) -> np.ndarray:
     return np.eye(M.shape[0]) - rho * M
 
 
-def solve_blockwise(coef: float, blocks: Sequence[np.ndarray], B: np.ndarray,
-                    label: str) -> np.ndarray:
+def solve_blockwise(coef: float, blocks: BlockStacks | Sequence[np.ndarray],
+                    B: np.ndarray, label: str) -> np.ndarray:
     """Solve (I - coef * A) X = B for the block-diagonal A with these blocks.
 
-    ``label`` names the factor ("S(lambda)" or "R(rho)") in error messages.
+    ``blocks`` is a ``BlockStacks`` (a network's ``stacks_W()`` or
+    ``stacks_M()``) or a sequence of square blocks.  The solve is one batched
+    LAPACK call per block size.  ``label`` names the factor ("S(lambda)" or
+    "R(rho)") in error messages, with the network index of the first
+    singular block.
     """
-    B = np.asarray(B, dtype=float)
-    out = np.empty_like(B)
-    slices = _group_slices([A.shape[0] for A in blocks])
-    for r, (A, sl) in enumerate(zip(blocks, slices)):
-        block = np.eye(A.shape[0]) - coef * A
-        try:
-            out[sl] = np.linalg.solve(block, B[sl])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"{label} is singular on group block {r}"
-            ) from None
-    return out
+    A = blocks if isinstance(blocks, BlockStacks) else BlockStacks.from_blocks(blocks)
+    try:
+        return _map_stacked(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V),
+                            A.parts, B)
+    except np.linalg.LinAlgError:
+        for r, A_r in enumerate(A.blocks()):
+            m = A_r.shape[0]
+            try:
+                np.linalg.solve(np.eye(m) - coef * A_r, np.zeros(m))
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"{label} is singular on group block {r}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +135,14 @@ class JProjector:
     The generalized inverse in the textbook formula
     I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
     relative singular-value cutoff of 1e-10.  Built from the diagonal blocks
-    M_r of M; a network holds its own as ``network.J``.
+    M_r of M (a ``BlockStacks`` or a sequence of blocks); a network holds its
+    own as ``network.J``.
+
+    The orthonormal bases B_r are stored as one (g, m, w) stack per pair of
+    group size m and basis width w (1 or 2), with the rows of those groups,
+    so ``apply`` is one batched V - B (B' V) per pair.  ``block_stacks``
+    holds the dense blocks I - B_r B_r' as one stack per group size, aligned
+    with M's; ``block(r)`` is a read-only view into it.
     """
 
     #: relative residual of M iota on iota below which the two are treated
@@ -137,23 +151,37 @@ class JProjector:
     #: relative singular-value cutoff for the generalized inverse
     sv_cutoff = 1e-10
 
-    def __init__(self, M_blocks: Sequence[np.ndarray]):
-        self.group_sizes = tuple(B.shape[0] for B in M_blocks)
-        self.slices = _group_slices(self.group_sizes)
-        self._bases: list[np.ndarray] = []
-        for M_r in M_blocks:
-            m = M_r.shape[0]
+    def __init__(self, M_blocks: BlockStacks | Sequence[np.ndarray]):
+        M = M_blocks if isinstance(M_blocks, BlockStacks) \
+            else BlockStacks.from_blocks(M_blocks, "M")
+        self.group_sizes = M.group_sizes
+        self._groups: list[np.ndarray] = []
+        self._parts: list[tuple[slice | np.ndarray, np.ndarray]] = []
+        for groups, M_s in zip(M.groups, M.stacks()):
+            m = M_s.shape[1]
             iota = np.ones(m)
-            mi = M_r @ iota
-            resid = mi - (mi.sum() / m) * iota
-            scale = max(np.linalg.norm(mi), 1e-300)
-            if np.linalg.norm(resid) / scale < self.collinearity_tol:
-                A = iota[:, None]
-            else:
-                A = np.column_stack([iota, mi])
-            U, s, _ = np.linalg.svd(A, full_matrices=False)
-            keep = s > self.sv_cutoff * s[0]
-            self._bases.append(U[:, keep])
+            mi = M_s @ iota
+            resid = mi - (mi.sum(axis=1, keepdims=True) / m) * iota
+            scale = np.maximum(np.linalg.norm(mi, axis=1), 1e-300)
+            wide = ~(np.linalg.norm(resid, axis=1) / scale < self.collinearity_tol)
+            A = np.stack([np.broadcast_to(iota, mi.shape), mi], axis=2)
+            for cols in (1, 2):
+                sel = wide == (cols == 2)
+                if not sel.any():
+                    continue
+                U, s, _ = np.linalg.svd(A[sel, :, :cols], full_matrices=False)
+                width = (s > self.sv_cutoff * s[:, :1]).sum(axis=1)
+                for w in np.unique(width):
+                    keep = width == w
+                    self._add_part(groups[sel][keep], U[keep][:, :, :w])
+
+    def _add_part(self, groups: np.ndarray, bases: np.ndarray) -> None:
+        # each m x w basis is kept column-major, the layout of U[:, keep]
+        # from one group's own SVD: BLAS picks its kernels by the operands'
+        # layout, so J V then rounds exactly as a per-group loop does
+        self._groups.append(groups)
+        self._parts.append((_group_rows(self.group_sizes, groups),
+                            np.ascontiguousarray(bases.transpose(0, 2, 1)).transpose(0, 2, 1)))
 
     @property
     def n(self) -> int:
@@ -162,31 +190,40 @@ class JProjector:
     @property
     def trace(self) -> float:
         """tr J = n - sum of annihilated dimensions (J is a projector)."""
-        return float(self.n - sum(b.shape[1] for b in self._bases))
+        return float(self.n - sum(B.shape[0] * B.shape[2] for _, B in self._parts))
 
     @property
     def rank(self) -> int:
         return int(round(self.trace))
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """J V for a vector or matrix V, block by block."""
-        V = np.asarray(V, dtype=float)
-        out = V.copy()
-        for sl, B in zip(self.slices, self._bases):
-            out[sl] = out[sl] - B @ (B.T @ out[sl])
-        return out
+        """J V for a vector or matrix V, one batched product per (size, width).
+
+        V is made C-contiguous first: BLAS picks its kernels, and with them
+        the rounding, by the operands' strides.
+        """
+        return _map_stacked(lambda B, V: V - B @ (B.transpose(0, 2, 1) @ V), self._parts,
+                            np.ascontiguousarray(V, dtype=float))
+
+    @functools.cached_property
+    def block_stacks(self) -> BlockStacks:
+        """The dense blocks I - B_r B_r', one stack per group size."""
+        by_size = _size_groups(self.group_sizes)
+        sizes = [self.group_sizes[g[0]] for g in by_size]
+        stacks = [np.empty((g.size, m, m)) for g, m in zip(by_size, sizes)]
+        for groups, (_, B) in zip(self._groups, self._parts):
+            i = sizes.index(B.shape[1])
+            stacks[i][np.searchsorted(by_size[i], groups)] = \
+                np.eye(B.shape[1]) - B @ B.transpose(0, 2, 1)
+        return BlockStacks(self.group_sizes, stacks)
 
     def block(self, r: int) -> np.ndarray:
-        m = self.group_sizes[r]
-        B = self._bases[r]
-        return np.eye(m) - B @ B.T
+        """The m_r x m_r block of group r (a read-only view)."""
+        return self.block_stacks.blocks()[r]
 
     def as_matrix(self) -> np.ndarray:
         """Dense n x n form; intended for small problems and tests."""
-        out = np.zeros((self.n, self.n))
-        for r, sl in enumerate(self.slices):
-            out[sl, sl] = self.block(r)
-        return out
+        return build_block_diagonal(self.block_stacks.blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +242,23 @@ def whiten(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
 
 def apply_D(network: GroupedNetwork, lam: float, rho: float,
             V: np.ndarray) -> np.ndarray:
-    """D V = R(rho) W S(lambda)^{-1} R(rho)^{-1} V through per-group solves.
+    """D V for D = R(rho) W S(lambda)^{-1} R(rho)^{-1}, through D's own blocks.
 
     D is the bias operator of the many-instruments correction (Liu and Lee
-    2010): the endogenous regressor R W Y has the component D eps.
+    2010): the endogenous regressor R W Y has the component D eps.  D is
+    block diagonal; its blocks D_r = R_r W_r S_r^{-1} R_r^{-1} are formed
+    once per call, by per-group solves with m_r right-hand sides (the
+    columns of I_{m_r}), and applied with one batched product per group size.
     """
-    t = solve_blockwise(rho, network.blocks_M(), V, "R(rho)")
-    t = solve_blockwise(lam, network.blocks_W(), t, "S(lambda)")
-    return whiten(network, rho, network.lag_W(t))
+    sizes, i = np.asarray(network.group_sizes), np.arange(network.n)
+    E = np.zeros((network.n, sizes.max()))     # group r's rows hold I_{m_r}
+    E[i, i - np.repeat(np.cumsum(sizes) - sizes, sizes)] = 1.0
+    t = solve_blockwise(rho, network.stacks_M(), E, "R(rho)")
+    t = solve_blockwise(lam, network.stacks_W(), t, "S(lambda)")
+    D = whiten(network, rho, network.lag_W(t))
+    parts = [(rows, D[rows, :S.shape[1]].reshape(S.shape))
+             for rows, S in network.stacks_W().parts]
+    return _map_stacked(np.matmul, parts, V)
 
 
 def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,
@@ -243,5 +289,5 @@ def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,
     _require_stable(params.lam, network, "reduced form not defined")
     gamma = params.gamma if gamma is None else np.asarray(gamma, dtype=float)
     mean_part = X @ params.beta + network.expand_group_values(gamma)
-    u = solve_blockwise(params.rho, network.blocks_M(), eps, "R(rho)")
-    return solve_blockwise(params.lam, network.blocks_W(), mean_part + u, "S(lambda)")
+    u = solve_blockwise(params.rho, network.stacks_M(), eps, "R(rho)")
+    return solve_blockwise(params.lam, network.stacks_W(), mean_part + u, "S(lambda)")

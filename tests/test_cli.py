@@ -256,6 +256,43 @@ class TestConfigAndErrors:
         assert code == 2
         assert "config key scheme: 'X' is not one of 'T', 'LF', 'PC'" in err
 
+    def test_config_boolean_typo_is_data_error(self, k5_edges, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-8\ncorrelated = ture\n")
+        code, out, err = run_cli(["--config", str(cfg), "diagnose", "--edges",
+                                  str(k5_edges)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"data error: {cfg}:2: correlated: 'ture' is not a boolean" in err
+        assert "1, true, yes, on, 0, false, no, off" in err
+
+    @pytest.mark.parametrize("value, expect", [("TRUE", True), ("On", True),
+                                               ("no", False), ("0", False)])
+    def test_config_boolean_spellings(self, tmp_path, value, expect):
+        from sarnet.cli import _read_config_file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"correlated = {value}\n")
+        assert _read_config_file(str(cfg)) == {"correlated": expect}
+
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_nonpositive_order_flag_is_usage_error(self, csv_pair, order, capsys):
+        edges, nodes = csv_pair
+        code, out, err = run_cli(["estimate", "--data", str(nodes), "--edges", str(edges),
+                                  "--order", order], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: --order must be a positive integer, got {order}" in err
+
+    def test_nonpositive_order_config_is_usage_error(self, csv_pair, tmp_path, capsys):
+        edges, nodes = csv_pair
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order = 0\n")
+        code, out, err = run_cli(["--config", str(cfg), "select", "--data", str(nodes),
+                                  "--edges", str(edges)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage error: --order must be a positive integer, got 0" in err
+
     def test_config_value_inside_choices_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("reps = 2\ngroups = 4\nsize = 8\ncriterion = gcv\n"

@@ -5,7 +5,6 @@ from sarnet.graphs import (GroupedNetwork, PanelData, build_block_diagonal,
                            generate_mc_network, lee_group_network,
                            load_edge_csv, load_network, load_node_csv,
                            row_normalize)
-from sarnet.graphs import _ring_row
 from conftest import write_network_csvs
 
 
@@ -74,19 +73,34 @@ class TestRowNormalize:
 
 
 class TestGenerateMcNetwork:
+    @staticmethod
+    def drawn_degrees(group_count, group_size, max_links, seed):
+        """The out-degrees the generator draws: one vector per group, in order."""
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, max_links + 1, size=group_size) for _ in range(group_count)]
+
     def test_wrap_around_rule(self):
+        # row i with out-degree k links to i+1 .. i+k, wrapping inside the group:
         # row 9 of a 10-node group with out-degree 3 links to 0, 1, 2
-        row = _ring_row(9, 3, 10)
-        assert row[0] == row[1] == row[2] == 1.0
-        assert row.sum() == 3
-        assert row[9] == 0.0
+        net = generate_mc_network(30, 10, 3, seed=11)
+        wrapped = 0
+        for B, degrees in zip(net.blocks_W(), self.drawn_degrees(30, 10, 3, 11)):
+            for i, k in enumerate(degrees):
+                expect = np.zeros(10)
+                expect[(i + 1 + np.arange(k)) % 10] = 1.0
+                np.testing.assert_array_equal(B[i], expect)
+                wrapped += i + k >= 10
+                if i == 9 and k == 3:
+                    assert B[9, 0] == B[9, 1] == B[9, 2] == 1.0 and B[9].sum() == 3
+        assert wrapped > 0
 
     def test_zero_degree_gives_zero_row(self):
-        assert np.all(_ring_row(4, 0, 10) == 0.0)
-        # zero rows of W stay zero rows of M
         net = generate_mc_network(30, 10, 3, seed=11)
-        degrees = net.W.sum(axis=1)
+        degrees = np.concatenate(self.drawn_degrees(30, 10, 3, 11))
         assert np.any(degrees == 0)
+        np.testing.assert_array_equal(net.W[degrees == 0], 0.0)
+        # zero rows of W stay zero rows of M
+        np.testing.assert_array_equal(net.W.sum(axis=1) == 0, degrees == 0)
         np.testing.assert_array_equal(net.M[degrees == 0], 0.0)
 
     def test_bit_reproducible(self):

@@ -14,8 +14,8 @@ from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_n
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, instrument_stack,
                                    labelled_stack)
-from sarnet.transforms import (ModelParams, assemble_z, r_matrix, reduced_form,
-                               row_sum_norm, s_matrix)
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, r_matrix, reduced_form,
+                               row_sum_norm, s_matrix, solve_blockwise)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -176,3 +176,69 @@ def test_spectrum_union_matches_dense_spectrum(blocks):
     assert [m for _, m in clusters] == [m for _, m in dense_clusters]
     np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in dense_clusters],
                                rtol=0, atol=1e-10)
+
+
+# Per-group loops, the reference for the batched per-size kernels: the same
+# products on the same blocks, so the results must agree bit for bit.
+
+def loop_lag(net, blocks, V):
+    out = np.empty_like(V)
+    for B, sl in zip(blocks, net.slices):
+        out[sl] = B @ V[sl]
+    return out
+
+
+def loop_solve(net, coef, blocks, V):
+    out = np.empty_like(V)
+    for B, sl in zip(blocks, net.slices):
+        out[sl] = np.linalg.solve(np.eye(len(B)) - coef * B, V[sl])
+    return out
+
+
+def loop_j_apply(net, V):
+    """J V from each group's own basis of span{iota, M_r iota}, as in the docstring."""
+    out = np.array(V)
+    for M_r, sl in zip(net.blocks_M(), net.slices):
+        m = len(M_r)
+        iota = np.ones(m)
+        mi = M_r @ iota
+        resid = mi - (mi.sum() / m) * iota
+        collinear = np.linalg.norm(resid) / max(np.linalg.norm(mi), 1e-300) < 1e-8
+        A = iota[:, None] if collinear else np.column_stack([iota, mi])
+        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        B = U[:, s > 1e-10 * s[0]]
+        out[sl] = out[sl] - B @ (B.T @ out[sl])
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), coef=st.floats(-0.9, 0.9), seed=st.integers(0, 1000))
+def test_batched_kernels_equal_per_group_loops(net, coef, seed):
+    # odd_networks mixes sizes (several stacks, mostly gathered rows),
+    # singletons, and zero rows of M (J bases of width 1 and 2)
+    coef /= max(1.0, row_sum_norm(net.W))       # keeps every I - coef A invertible
+    V = np.random.default_rng(seed).standard_normal((net.n, 3))
+    for X in (V, V[:, 0].copy(), V[:, 1]):       # matrix, vector, strided column
+        for blocks, lag in ((net.blocks_W(), net.lag_W), (net.blocks_M(), net.lag_M)):
+            assert np.array_equal(lag(X), loop_lag(net, blocks, X))
+        assert np.array_equal(net.J.apply(X), loop_j_apply(net, X))
+        for blocks, stacks in ((net.blocks_W(), net.stacks_W()),
+                               (net.blocks_M(), net.stacks_M())):
+            want = loop_solve(net, coef, blocks, X)
+            assert np.array_equal(solve_blockwise(coef, stacks, X, "A"), want)
+            assert np.array_equal(solve_blockwise(coef, blocks, X, "A"), want)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
+       seed=st.integers(0, 1000))
+def test_apply_D_matches_dense_oracle(net, lam, rho, seed):
+    lam /= max(1.0, row_sum_norm(net.W))
+    V = np.random.default_rng(seed).standard_normal((net.n, 3))
+    R = r_matrix(rho, net.M)
+    D = R @ net.W @ np.linalg.inv(s_matrix(lam, net.W)) @ np.linalg.inv(R)
+    for X in (V, V[:, 0]):
+        want = D @ X
+        got = apply_D(net, lam, rho, X)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

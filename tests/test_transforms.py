@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sarnet.graphs import GroupedNetwork, PanelData, generate_mc_network, row_normalize
-from sarnet.transforms import (JProjector, ModelParams, r_matrix, reduced_form,
+from sarnet.transforms import (JProjector, ModelParams, apply_D, r_matrix, reduced_form,
                                row_sum_norm, s_matrix, solve_blockwise,
                                structural_residual)
 from conftest import draw_dataset
@@ -176,6 +176,21 @@ class TestReducedForm:
         with pytest.raises(np.linalg.LinAlgError, match="R\\(rho\\)"):
             reduced_form(params, np.zeros((3, 2)), np.zeros(1),
                          np.zeros(3), ring3_network)
+
+    def test_singular_block_named_by_network_index(self):
+        # sizes (2, 2, 3): the last group is alone in its size stack, at
+        # position 0 there; the error must name it as group block 2
+        pair = 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        triangle = np.ones((3, 3)) - np.eye(3)          # I - W/2 is singular
+        net = GroupedNetwork.from_blocks([pair, pair, triangle],
+                                         [pair, pair, triangle / 2])
+        for blocks in (net.stacks_W(), net.blocks_W()):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"S\(lambda\) is singular on group block 2"):
+                solve_blockwise(0.5, blocks, np.ones(net.n), "S(lambda)")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"S\(lambda\) is singular on group block 2"):
+            apply_D(net, 0.5, 0.0, np.ones((net.n, 2)))
 
     def test_singular_s_named_in_error(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
