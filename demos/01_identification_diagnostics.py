@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from sarnet import (build_report, distinct_eigenvalues, instrument_stack,
+from sarnet import (build_report, distinct_eigenvalues, labelled_stack,
                     lee_group_network, lee_reduced_coefficient,
                     proposition1_check)
 
@@ -79,6 +79,6 @@ for i in range(n):
 X = rng.standard_normal((n, 2))
 print("condition number of the stack's Gram matrix by lag order:")
 for order in (1, 2, 3, 4):
-    stack = instrument_stack(ring, X, order)
+    stack, _ = labelled_stack(ring.__matmul__, X, order)
     sv = np.linalg.svd(stack, compute_uv=False)
     print(f"  order {order}: {(sv[0] / sv[-1]) ** 2:12.1f}")

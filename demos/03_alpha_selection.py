@@ -7,6 +7,8 @@
 # of interest, with Mallows Cp, GCV, or leave-one-out CV as the
 # goodness-of-fit ingredient.
 
+from pathlib import Path
+
 import numpy as np
 
 from sarnet import (Scheme, criterion_value, curve_to_csv, generate_mc_network,
@@ -14,7 +16,7 @@ from sarnet import (Scheme, criterion_value, curve_to_csv, generate_mc_network,
                     prepare_selection, q1_roster, q2_roster,
                     regularized_2sls, s_hat, select_from_context)
 from sarnet.graphs import PanelData
-from sarnet.selection import SelectionConfig, default_grid
+from sarnet.selection import default_grid
 from sarnet.transforms import ModelParams, reduced_form
 
 rng = np.random.default_rng(11)
@@ -65,11 +67,10 @@ print()
 
 # the three goodness-of-fit plug-ins usually land close to each other
 for crit in ("cp", "gcv", "loo"):
-    ctx_c = prepare_selection(data, net, inst, rho_tilde, delta_tilde,
-                              config=SelectionConfig(criterion=crit))
+    ctx_c = prepare_selection(data, net, inst, rho_tilde, delta_tilde, criterion=crit)
     result = select_from_context(ctx_c, "T")
     print(f"criterion {crit:>3}: alpha = {result.alpha_star:.4g}")
 
-# the full audit curve can go to CSV for plotting
-curve_to_csv(select_from_context(ctx, "T"), "/tmp/tikhonov_curve.csv")
-print("\ncurve written to /tmp/tikhonov_curve.csv")
+# the full audit curve can go to CSV for plotting, here in the working directory
+Path("tikhonov_curve.csv").write_text(curve_to_csv(select_from_context(ctx, "T")))
+print("\ncurve written to tikhonov_curve.csv")

@@ -15,7 +15,7 @@ from .graphs import (GroupedNetwork, PanelData, build_block_diagonal,
 from .transforms import (JProjector, ModelParams, r_matrix, reduced_form,
                          row_sum_norm, s_matrix, structural_residual)
 from .identification import (IdentificationReport, Verdict, build_report,
-                             distinct_eigenvalues, instrument_stack,
+                             distinct_eigenvalues, labelled_stack,
                              lee_reduced_coefficient, proposition1_check,
                              proposition2_rank_check)
 from .instruments import (InstrumentSet, build_instruments, normalize_columns,
@@ -26,9 +26,9 @@ from .regularization import (Scheme, Spectrum, apply_projector,
 from .estimation import (EstimationResult, SingularSystemError, assemble_z,
                          bias_corrected_2sls, classical_2sls,
                          preliminary_delta, preliminary_rho, regularized_2sls)
-from .selection import (SelectionConfig, SelectionResult, criterion_value,
-                        curve_to_csv, default_grid, prepare_selection,
-                        s_hat, select_alpha, select_from_context)
+from .selection import (SelectionResult, criterion_value, curve_to_csv,
+                        default_grid, prepare_selection, s_hat, select_alpha,
+                        select_from_context)
 from .montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                          ReplicationResult, StudySummary, run_replication,
                          run_study, summarize)

@@ -10,7 +10,6 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import build_instruments, normalize_columns, q1_roster
 from .montecarlo import McConfig, run_study, summarize
-from .selection import SelectionConfig, curve_to_csv, select_alpha
+from .selection import curve_to_csv, select_alpha
 
 __all__ = ["main"]
 
@@ -120,7 +119,8 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
         p.add_argument("--scheme", choices=("T", "LF", "PC"), default="T")
         p.add_argument("--criterion", choices=("cp", "gcv", "loo"), default="cp")
         p.add_argument("--order", type=int, default=None,
-                       help="highest network-lag power (default: distinct eigenvalues - 1)")
+                       help="highest network-lag power (default: distinct eigenvalues "
+                            "of a symmetric W - 1, else 10)")
         p.add_argument("--no-bonacich", action="store_true",
                        help="drop the centrality instrument columns")
         p.add_argument("--no-m-lags", action="store_true",
@@ -199,31 +199,39 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _prepare_estimation(args):
+def _prepare_estimation(args, need_count: bool):
+    """Fit up to the selected alpha; also the distinct eigenvalue count d of W.
+
+    d is computed once, if ``need_count`` or without ``--order``, and is None
+    for a directed W.  The default order is d - 1 (higher powers add no span,
+    by Cayley-Hamilton), or 10 for a directed W.
+    """
     if args.order is not None and args.order < 1:     # a config value skips argparse
         raise UsageError(f"--order must be a positive integer, got {args.order}")
     net, data = _load(args, need_data=True)
+    count = None
+    if need_count or args.order is None:
+        try:
+            count, _ = distinct_eigenvalues(net)
+        except AsymmetricMatrixError:
+            pass
+    order = args.order or (10 if count is None else max(count - 1, 1))
     X = data.regressors(net)
     q1 = q1_roster(net, X)
     delta_tilde = preliminary_delta(data, net, q1)
     rho_tilde = preliminary_rho(data, net, delta_tilde)
-    inst = build_instruments(net, X, order=args.order,
+    inst = build_instruments(net, X, order,
                              include_bonacich=not args.no_bonacich,
                              include_M_lags=not args.no_m_lags)
     inst = normalize_columns(inst, args.normalize)
-    sel_config = SelectionConfig(criterion=args.criterion)
-    sel = select_alpha(data, net, inst, args.scheme, sel_config,
+    sel = select_alpha(data, net, inst, args.scheme, args.criterion,
                        rho_tilde=rho_tilde, delta_tilde=delta_tilde)
-    return net, data, inst, rho_tilde, sel
+    return net, data, inst, rho_tilde, sel, count
 
 
 def _cmd_estimate(args) -> int:
-    net, data, inst, rho_tilde, sel = _prepare_estimation(args)
+    net, data, inst, rho_tilde, sel, count = _prepare_estimation(args, need_count=True)
     result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde)
-    try:
-        count, _ = distinct_eigenvalues(net)
-    except AsymmetricMatrixError:
-        count = None
     lines = [
         f"n = {net.n}",
         f"groups = {net.group_count}",
@@ -255,10 +263,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    *_, sel = _prepare_estimation(args)
-    curve = io.StringIO()
-    curve_to_csv(sel, curve)
-    _emit(curve.getvalue(), args.out)
+    *_, sel, _ = _prepare_estimation(args, need_count=False)
+    _emit(curve_to_csv(sel), args.out)
     print(f"alpha_star = {sel.alpha_star:.6g}", file=sys.stderr)
     return 0
 

@@ -197,11 +197,8 @@ def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
     spectrum, and serve the normal equations, tr P and the bias trace.
     """
     spectrum = instruments.spectrum
-    scheme = scheme.resolved(spectrum)
     q = q_weights(scheme, spectrum)
     tr_P = float(q.sum())
-    if lambda_tilde is not None and tr_P < 1e-8:
-        raise ValueError("projector trace is ~0: bias correction undefined")
     V = spectrum.vectors
     Z = assemble_z(data, network)
     U = V.T @ whiten(network, rho_tilde, Z)
@@ -248,18 +245,16 @@ def classical_2sls(data: PanelData, network: GroupedNetwork,
 
 def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
                         instruments: InstrumentSet, rho_tilde: float,
-                        lambda_tilde: float,
-                        scheme: Scheme | None = None) -> EstimationResult:
-    """Many-instrument 2SLS minus the plug-in estimate of its leading bias.
+                        lambda_tilde: float) -> EstimationResult:
+    """Classical (many-instrument) 2SLS minus the plug-in estimate of its leading bias.
 
     The correction targets the endogenous-effect coordinate:
 
         b_hat = sigma2_hat * tr(P R W S^{-1} R^{-1}) * (Z'R'P R Z)^{-1} e_1,
 
     evaluated at the preliminary (rho_tilde, lambda_tilde) and the fitted
-    sigma2 of the uncorrected estimator.  The default scheme keeps every
-    principal component (classical 2SLS).
+    sigma2 of the uncorrected estimator.  P keeps every principal component,
+    so tr P is the instrument rank, at least 1.
     """
-    if scheme is None:
-        scheme = Scheme.principal_components(instruments.spectrum.rank)
+    scheme = Scheme.principal_components(instruments.spectrum.rank)
     return _fit(data, network, instruments, scheme, rho_tilde, lambda_tilde)

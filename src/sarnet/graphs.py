@@ -114,7 +114,7 @@ class BlockStacks:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray] | np.ndarray,
-                    name: str = "matrix") -> "BlockStacks":
+                    name: str) -> "BlockStacks":
         """Float copies of nonempty square blocks: a sequence, or one (G, m, m) array."""
         if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.shape[0] \
                 and blocks.shape[1] == blocks.shape[2] > 0:
@@ -330,7 +330,7 @@ def lee_group_network(group_sizes: Sequence[int]) -> GroupedNetwork:
 
 
 def generate_mc_network(group_count: int, group_size: int, max_links: int,
-                        seed: int | np.random.SeedSequence | np.random.Generator = 0,
+                        seed: int | np.random.SeedSequence | np.random.Generator,
                         ) -> GroupedNetwork:
     """Draw a random grouped network of the wrap-around out-link design.
 
@@ -431,7 +431,11 @@ class PanelData:
 # (group_id, node_id) so repeated loads give identical stacking.
 
 def _read_csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and the nonblank rows, each with its 1-based line number."""
+    """Header and the nonblank rows, each with its 1-based line number.
+
+    A file without data rows is refused: it would give a network with no
+    group, or one whose nodes the other file does not know.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -446,6 +450,8 @@ def _read_csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[st
                 raise ValueError(f"{path}, line {reader.line_num}: expected "
                                  f"{len(header)} columns, got {len(row)}")
             rows.append((reader.line_num, row))
+    if not rows:
+        raise ValueError(f"{path}: no data rows below the header")
     return header, rows
 
 

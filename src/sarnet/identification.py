@@ -31,7 +31,6 @@ __all__ = [
     "proposition1_check",
     "proposition2_rank_check",
     "labelled_stack",
-    "instrument_stack",
     "lee_reduced_coefficient",
     "build_report",
 ]
@@ -156,25 +155,6 @@ def labelled_stack(lag_W: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
         stack = np.column_stack([stack, lag_M(stack)])
         labels += [f"M.{lab}" for lab in labels]
     return stack, labels
-
-
-def instrument_stack(W: np.ndarray, X: np.ndarray, order: int,
-                     M: np.ndarray | None = None,
-                     bonacich: bool = False,
-                     iota: np.ndarray | None = None) -> np.ndarray:
-    """``labelled_stack`` of dense W (and M) without the labels.
-
-    With ``bonacich`` the centrality columns W^j iota are appended; ``iota``
-    may be the plain ones vector (default) or the block-diagonal per-group
-    ones matrix, in which case each power contributes one column per group.
-    """
-    W = np.asarray(W, dtype=float)
-    n = W.shape[0]
-    if bonacich:
-        iota = np.ones((n, 1)) if iota is None else _as_rows(iota, n)
-    lag_M = None if M is None else np.asarray(M, dtype=float).__matmul__
-    return labelled_stack(W.__matmul__, _as_rows(X, n), order,
-                          iota if bonacich else None, lag_M)[0]
 
 
 def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:

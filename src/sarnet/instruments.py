@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GroupedNetwork, _as_rows
-from .identification import (AsymmetricMatrixError, distinct_eigenvalues,
-                             labelled_stack)
+from .identification import labelled_stack
 
 __all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
            "q1_roster", "q2_roster"]
@@ -41,14 +40,11 @@ class InstrumentSet:
 
     Q: np.ndarray
     labels: tuple[str, ...]
-    normalization: str = "none"
 
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         if Q.shape[1] != len(self.labels):
             raise ValueError("one label per column required")
-        if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -79,8 +75,7 @@ def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
     return InstrumentSet(Q[:, keep], tuple(lab for lab, k in zip(labels, keep) if k))
 
 
-def build_instruments(network: GroupedNetwork, X: np.ndarray,
-                      order: int | None = None,
+def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
                       include_bonacich: bool = True,
                       include_M_lags: bool = True) -> InstrumentSet:
     """Truncated instrument family J [lags of X, centrality columns, X, M copy].
@@ -90,21 +85,13 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray,
     of everything so far, as built by ``identification.labelled_stack``
     with the network's block-wise lags.  iota is the block-diagonal matrix
     of per-group ones vectors, so every power contributes one centrality
-    column per group.  ``order=None`` picks d-1 where d is the number of
-    distinct eigenvalues of a symmetric W (powers beyond that add no span, by
-    Cayley-Hamilton) and falls back to 10 for asymmetric W.  Numerically zero
-    columns (underflowed high powers, covariates constant within groups) are
-    dropped with a warning carrying their label.
+    column per group.  Numerically zero columns (underflowed high powers,
+    covariates constant within groups) are dropped with a warning carrying
+    their label.
     """
     X = _as_rows(X, network.n)
     if X.shape[0] != network.n:
         raise ValueError("X rows must match the network order")
-    if order is None:
-        try:
-            count, _ = distinct_eigenvalues(network)
-            order = max(count - 1, 1)
-        except AsymmetricMatrixError:
-            order = 10
     stack, labels = labelled_stack(
         network.lag_W, X, order,
         iota=network.group_ones() if include_bonacich else None,
@@ -139,7 +126,7 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         labels.append(lab)
     if not cols:
         raise ValueError("all instrument columns had zero variance")
-    return InstrumentSet(np.column_stack(cols), tuple(labels), mode)
+    return InstrumentSet(np.column_stack(cols), tuple(labels))
 
 
 def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:

@@ -26,7 +26,7 @@ from .estimation import (EstimationResult, bias_corrected_2sls, classical_2sls,
                          preliminary_delta, preliminary_rho, regularized_2sls)
 from .graphs import GroupedNetwork, PanelData, generate_mc_network
 from .instruments import normalize_columns, q1_roster, q2_roster
-from .selection import SelectionConfig, prepare_selection, select_from_context
+from .selection import _check_criterion, prepare_selection, select_from_context
 from .transforms import ModelParams, reduced_form
 
 __all__ = ["McConfig", "ReplicationResult", "StudySummary", "ESTIMATORS",
@@ -85,6 +85,7 @@ class McConfig:
             raise ValueError("replications must be >= 1")
         if not 0 <= self.max_links < self.group_size:
             raise ValueError("max_links must lie in [0, group_size)")
+        _check_criterion(self.criterion)
 
     @property
     def n(self) -> int:
@@ -161,7 +162,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
 
     try:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
-                                config=SelectionConfig(criterion=config.criterion))
+                                config.criterion)
     except NUMERICAL_FAILURES as exc:
         msg = f"selection context failed: {exc}"
         for name in ("t_2sls", "lf_2sls", "pc_2sls"):

@@ -12,6 +12,10 @@ with scheme-specific weights in [0, 1]:
     Landweber-Fridman     q = 1 - (1 - c nu^2)^(1/alpha),  1/alpha iterations
     Principal components  q = 1{j <= 1/alpha}
 
+The Landweber-Fridman step is fixed at c = LF_STEP / nu_1^2 with
+LF_STEP = 0.9, inside the convergence bound c < 1/nu_1^2 (Carrasco 2012),
+so every factor 1 - c nu_j^2 lies in [0.1, 1).
+
 Small alpha means light damping; the PC scheme with all components (and the
 LF scheme in its many-iteration limit) recovers the ordinary projection, so
 classical 2SLS is the undamped special case.
@@ -20,19 +24,19 @@ classical 2SLS is the undamped special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .instruments import InstrumentSet
 
 __all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector",
-           "projector_traces", "projector_matrix", "projector_diagonal",
-           "projector_trace_with"]
+           "projector_traces", "projector_matrix", "projector_diagonal"]
 
 #: eigenvalues below this times the largest are treated as zero and excluded
 EIGENVALUE_CUTOFF = 1e-12
+#: Landweber-Fridman step as a fraction of the bound 1/nu_1^2
+LF_STEP = 0.9
 
 _KINDS = ("T", "LF", "PC")
 
@@ -103,14 +107,11 @@ class Scheme:
     """Damping scheme: kind in {T, LF, PC} plus its tuning parameter.
 
     ``alpha`` is the Tikhonov penalty for T and the reciprocal of the
-    iteration / component count for LF / PC.  ``c`` is the LF step size,
-    required to satisfy 0 < c nu_1^2 < 1; when left unset it defaults to
-    0.9 / nu_1^2 at the point of use.
+    iteration / component count for LF / PC.
     """
 
     kind: str
     alpha: float
-    c: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -121,8 +122,6 @@ class Scheme:
             inv = 1.0 / self.alpha
             if abs(inv - round(inv)) > 1e-9 or round(inv) < 1:
                 raise ValueError(f"1/alpha must be a positive integer for {self.kind}")
-        if self.kind == "LF" and self.c is not None and not self.c > 0:
-            raise ValueError("LF step size c must be positive")
 
     @property
     def steps(self) -> int:
@@ -136,36 +135,26 @@ class Scheme:
         return cls("T", float(alpha))
 
     @classmethod
-    def landweber(cls, iterations: int, c: float | None = None) -> "Scheme":
-        return cls("LF", 1.0 / int(iterations), c)
+    def landweber(cls, iterations: int) -> "Scheme":
+        return cls("LF", 1.0 / int(iterations))
 
     @classmethod
     def principal_components(cls, count: int) -> "Scheme":
         return cls("PC", 1.0 / int(count))
-
-    def resolved(self, spectrum: Spectrum) -> "Scheme":
-        """Fill in the default LF step size c = 0.9 / nu_1^2 for this fixture."""
-        if self.kind == "LF" and self.c is None:
-            return replace(self, c=0.9 / spectrum.nu_max ** 2)
-        return self
 
 
 def q_weights(scheme: Scheme, spectrum: Spectrum) -> np.ndarray:
     """Damping weights q(alpha, nu_j^2) in [0, 1] over the retained spectrum.
 
     PC weights depend on the rank position j (descending eigenvalue order)
-    rather than on nu_j itself.  The LF step size defaults through
-    ``Scheme.resolved``; c nu_j^2 >= 1 for any j is rejected.
+    rather than on nu_j itself.  LF steps with c = LF_STEP / nu_1^2.
     """
-    scheme = scheme.resolved(spectrum)
     nu2 = spectrum.eigenvalues ** 2
     if scheme.kind == "T":
         return nu2 / (nu2 + scheme.alpha)
     if scheme.kind == "LF":
-        cn = scheme.c * nu2
-        if np.any(cn >= 1.0):
-            raise ValueError(f"LF requires c nu^2 < 1, got max {cn.max():.6g}")
-        return 1.0 - (1.0 - cn) ** scheme.steps
+        c = LF_STEP / spectrum.nu_max ** 2
+        return 1.0 - (1.0 - c * nu2) ** scheme.steps
     j = np.arange(1, spectrum.rank + 1)
     return (j <= scheme.steps).astype(float)
 
@@ -198,14 +187,3 @@ def projector_matrix(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
     """Dense n x n P^alpha; for small fixtures and tests only."""
     q = q_weights(scheme, spectrum)
     return (spectrum.vectors * q) @ spectrum.vectors.T
-
-
-def projector_trace_with(spectrum: Spectrum, scheme: Scheme,
-                         apply_A: Callable[[np.ndarray], np.ndarray]) -> float:
-    """tr(P^alpha A) = sum_j q_j psi_j' A psi_j without materializing either.
-
-    ``apply_A`` maps an n x r matrix to A times it, column by column.
-    """
-    q = q_weights(scheme, spectrum)
-    Apsi = apply_A(spectrum.vectors)
-    return float(np.einsum("ij,ij,j->", spectrum.vectors, Apsi, q))

@@ -4,22 +4,23 @@ The tuning parameter trades off two failure modes of the first stage: too
 little damping keeps the many-instrument bias (it grows with tr P^alpha),
 too much damping throws away the identifying variation (the fit of the
 optimal-instrument direction deteriorates).  The selected alpha minimizes a
-plug-in estimate of the dominant mean-squared-error term along a direction
-gamma_bar of the coefficient vector,
+plug-in estimate of the dominant mean-squared-error term along the
+endogenous effect, gamma_bar = e1,
 
     S_hat(alpha) = s2_eps * [ w_hat(alpha) - s2_v tr(P^2)/n
-                              + s2_eps (tr P)^2 (e1'gamma_bar)^2 ||D iota||^2 / n ],
+                              + s2_eps (tr P)^2 ||D iota||^2 / n ],
 
 where w_hat is a goodness-of-fit criterion for the first-stage regression of
-R Z H^{-1} gamma_bar on the instruments: Mallows Cp, generalized
-cross-validation, or leave-one-out cross-validation.  D = J R W S^{-1} R^{-1}
-is evaluated at preliminary estimates.
+R Z H^{-1} e1 on the instruments: Mallows Cp, generalized cross-validation,
+or leave-one-out cross-validation (``criterion`` "cp", "gcv" or "loo").
+D = J R W S^{-1} R^{-1} is evaluated at preliminary estimates.  The search
+runs over ``default_grid`` for each scheme kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .regularization import (Scheme, Spectrum, projector_diagonal, q_weights)
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
-    "SelectionConfig",
     "SelectionContext",
     "SelectionResult",
     "prepare_selection",
@@ -44,35 +44,11 @@ __all__ = [
 _CRITERIA = ("cp", "gcv", "loo")
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Knobs of the alpha search.
-
-    ``alpha_grid`` is interpreted per scheme kind: Tikhonov penalties for T,
-    iteration counts for LF, component counts for PC.  ``gamma_bar`` defaults
-    to the first unit vector (the endogenous effect is the coefficient of
-    interest).
-    """
-
-    criterion: str = "cp"
-    gamma_bar: np.ndarray | None = None
-    alpha_grid: Sequence[float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.criterion not in _CRITERIA:
-            raise ValueError(f"criterion must be one of {_CRITERIA}")
-        if self.gamma_bar is not None:
-            g = np.asarray(self.gamma_bar, dtype=float)
-            if not np.any(g != 0):
-                raise ValueError("gamma_bar must be nonzero")
-            object.__setattr__(self, "gamma_bar", g)
-        if self.alpha_grid is not None:
-            grid = tuple(float(a) for a in self.alpha_grid)
-            if not grid:
-                raise ValueError("alpha_grid must be nonempty")
-            if any(np.diff(grid) < 0):
-                raise ValueError("alpha_grid must be sorted ascending")
-            object.__setattr__(self, "alpha_grid", grid)
+def _check_criterion(criterion: str) -> None:
+    """Refuse a goodness-of-fit criterion outside ``_CRITERIA``."""
+    if criterion not in _CRITERIA:
+        raise ValueError(f"criterion must be one of {', '.join(_CRITERIA)}, "
+                         f"got {criterion!r}")
 
 
 def default_grid(kind: str, spectrum: Spectrum, min_components: int = 1) -> np.ndarray:
@@ -101,7 +77,7 @@ class SelectionContext:
     """Preliminary quantities shared by every grid point.
 
     Built once per dataset: the instrument spectrum, the target direction
-    w = R Z H^{-1} gamma_bar with H estimated at the undamped projection,
+    w = R Z H^{-1} e1 with H estimated at the undamped projection,
     the residual variance of that direction, the structural noise variance,
     and the squared norm of D iota entering the bias proxy.
     """
@@ -111,9 +87,9 @@ class SelectionContext:
     coef: np.ndarray            # psi' w, cached
     sigma2_eps: float
     sigma2_v: float
-    bias_factor: float          # (e1' gamma_bar)^2 * ||D iota||^2 / n
-    criterion: str = "cp"
-    min_components: int = 1     # second stage needs this many kept components
+    bias_factor: float          # ||D iota||^2 / n
+    criterion: str
+    min_components: int         # second stage needs this many kept components
 
     @property
     def n(self) -> int:
@@ -123,21 +99,17 @@ class SelectionContext:
 def prepare_selection(data: PanelData, network: GroupedNetwork,
                       instruments: InstrumentSet, rho_tilde: float,
                       delta_tilde: np.ndarray,
-                      config: SelectionConfig | None = None) -> SelectionContext:
+                      criterion: str = "cp") -> SelectionContext:
     """Assemble the per-dataset selection context from preliminary estimates."""
-    config = config if config is not None else SelectionConfig()
+    _check_criterion(criterion)
     spectrum = instruments.spectrum
     delta_tilde = np.asarray(delta_tilde, dtype=float)
     J = network.J
 
     Z = assemble_z(data, network)
     rz = whiten(network, rho_tilde, Z)
-    gamma_bar = config.gamma_bar
-    if gamma_bar is None:
-        gamma_bar = np.zeros(Z.shape[1])
-        gamma_bar[0] = 1.0
-    if gamma_bar.size != Z.shape[1]:
-        raise ValueError(f"gamma_bar must have length {Z.shape[1]}")
+    e1 = np.zeros(Z.shape[1])
+    e1[0] = 1.0
 
     # H estimated with the undamped projection (all components kept); the
     # target direction is J-projected because the instruments live in the
@@ -145,7 +117,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     # would otherwise inflate the first-stage residual variance
     U = spectrum.vectors.T @ rz
     H = U.T @ U / network.n
-    h_dir = np.linalg.solve(H, gamma_bar)
+    h_dir = np.linalg.solve(H, e1)
     w = J.apply(rz @ h_dir)
     coef = spectrum.vectors.T @ w
     resid_full = w - spectrum.vectors @ coef
@@ -159,12 +131,12 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     # alpha, contradicting the 1/(n alpha^2) order of the term it estimates
     t = J.apply(apply_D(network, float(delta_tilde[0]), rho_tilde,
                         np.ones(network.n)))
-    bias_factor = float(gamma_bar[0]) ** 2 * float(t @ t) / network.n
+    bias_factor = float(t @ t) / network.n
 
     return SelectionContext(
         spectrum=spectrum, w=w, coef=coef, sigma2_eps=sigma2_eps,
         sigma2_v=sigma2_v, bias_factor=bias_factor,
-        criterion=config.criterion, min_components=Z.shape[1],
+        criterion=criterion, min_components=Z.shape[1],
     )
 
 
@@ -179,7 +151,7 @@ def _first_stage_residual_norm2(ctx: SelectionContext, q: np.ndarray) -> float:
 
 
 def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
-    """Goodness-of-fit value of the configured criterion at one scheme.
+    """Goodness-of-fit value of the context's criterion at one scheme.
 
     Mallows Cp:  v'v/n + 2 s2_v tr(P)/n
     GCV:         (v'v/n) / (1 - tr(P)/n)^2, rejected when tr(P) >= n
@@ -187,7 +159,6 @@ def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
                  the linear-smoother identity r_i / (1 - P_ii) (``_loo_refit``
                  is the literal delete-one reference it is tested against).
     """
-    scheme = scheme.resolved(ctx.spectrum)
     q = q_weights(scheme, ctx.spectrum)
     n = ctx.n
     tr_P = float(q.sum())
@@ -236,13 +207,13 @@ def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
 
 
 def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:
-    """Plug-in estimate of the dominant MSE term along gamma_bar."""
+    """Plug-in estimate of the dominant MSE term of the endogenous effect."""
     return _s_hat_from_fit(ctx, scheme, criterion_value(ctx, scheme))
 
 
 def _s_hat_from_fit(ctx: SelectionContext, scheme: Scheme, fit: float) -> float:
     """S_hat given the criterion value ``fit`` already computed at ``scheme``."""
-    q = q_weights(scheme.resolved(ctx.spectrum), ctx.spectrum)
+    q = q_weights(scheme, ctx.spectrum)
     n = ctx.n
     tr_P = float(q.sum())
     tr_P2 = float((q ** 2).sum())
@@ -271,14 +242,13 @@ class SelectionResult:
         return np.asarray(self.curve, dtype=float)
 
 
-def _schemes_for_grid(kind: str, grid: Iterable[float],
-                      spectrum: Spectrum) -> list[Scheme]:
+def _schemes_for_grid(kind: str, grid: Iterable[float]) -> list[Scheme]:
     schemes = []
     for g in grid:
         if kind == "T":
             schemes.append(Scheme.tikhonov(float(g)))
         elif kind == "LF":
-            schemes.append(Scheme.landweber(int(round(g))).resolved(spectrum))
+            schemes.append(Scheme.landweber(int(round(g))))
         elif kind == "PC":
             schemes.append(Scheme.principal_components(int(round(g))))
         else:
@@ -286,14 +256,10 @@ def _schemes_for_grid(kind: str, grid: Iterable[float],
     return schemes
 
 
-def select_from_context(ctx: SelectionContext, kind: str,
-                        config: SelectionConfig | None = None) -> SelectionResult:
-    """Minimize S_hat over the grid; ties go to the more regularized point."""
-    config = config if config is not None else SelectionConfig(criterion=ctx.criterion)
-    grid = config.alpha_grid
-    grid = (np.asarray(grid, dtype=float) if grid is not None
-            else default_grid(kind, ctx.spectrum, ctx.min_components))
-    schemes = _schemes_for_grid(kind, grid, ctx.spectrum)
+def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
+    """Minimize S_hat over ``default_grid``; ties go to the more regularized point."""
+    grid = default_grid(kind, ctx.spectrum, ctx.min_components)
+    schemes = _schemes_for_grid(kind, grid)
     crits = np.array([criterion_value(ctx, sc) for sc in schemes])
     values = np.array([_s_hat_from_fit(ctx, sc, c) for sc, c in zip(schemes, crits)])
     finite = np.isfinite(values)
@@ -314,26 +280,20 @@ def select_from_context(ctx: SelectionContext, kind: str,
 
 
 def select_alpha(data: PanelData, network: GroupedNetwork,
-                 instruments: InstrumentSet, kind: str,
-                 config: SelectionConfig | None = None, *,
+                 instruments: InstrumentSet, kind: str, criterion: str = "cp", *,
                  rho_tilde: float, delta_tilde: np.ndarray) -> SelectionResult:
     """End-to-end alpha selection for one scheme kind.
 
-    Deterministic given the data and grid: no randomness enters the search,
-    and the returned curve follows the grid order for audit and export.
+    Deterministic given the data: no randomness enters the search, and the
+    returned curve follows the grid order for audit and export.
     """
     ctx = prepare_selection(data, network, instruments, rho_tilde, delta_tilde,
-                            config=config)
-    return select_from_context(ctx, kind, config)
+                            criterion)
+    return select_from_context(ctx, kind)
 
 
-def curve_to_csv(result: SelectionResult, path) -> None:
-    """Write the audit curve as CSV columns (alpha, criterion, S_hat)."""
+def curve_to_csv(result: SelectionResult) -> str:
+    """The audit curve as CSV text with columns (alpha, criterion, S_hat)."""
     rows = ["alpha,criterion,S_hat"]
     rows += [f"{a:.6g},{c:.6g},{s:.6g}" for a, c, s in result.curve]
-    text = "\n".join(rows) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    return "\n".join(rows) + "\n"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -95,17 +94,14 @@ def r_matrix(rho: float, M: np.ndarray) -> np.ndarray:
     return np.eye(M.shape[0]) - rho * M
 
 
-def solve_blockwise(coef: float, blocks: BlockStacks | Sequence[np.ndarray],
-                    B: np.ndarray, label: str) -> np.ndarray:
-    """Solve (I - coef * A) X = B for the block-diagonal A with these blocks.
+def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
+                    label: str) -> np.ndarray:
+    """Solve (I - coef * A) X = B for a network's ``stacks_W()`` or ``stacks_M()``.
 
-    ``blocks`` is a ``BlockStacks`` (a network's ``stacks_W()`` or
-    ``stacks_M()``) or a sequence of square blocks.  The solve is one batched
-    LAPACK call per block size.  ``label`` names the factor ("S(lambda)" or
-    "R(rho)") in error messages, with the network index of the first
-    singular block.
+    The solve is one batched LAPACK call per block size.  ``label`` names
+    the factor ("S(lambda)" or "R(rho)") in error messages, with the network
+    index of the first singular block.
     """
-    A = blocks if isinstance(blocks, BlockStacks) else BlockStacks.from_blocks(blocks)
     try:
         return _map_stacked(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V),
                             A.parts, B)
@@ -135,8 +131,7 @@ class JProjector:
     The generalized inverse in the textbook formula
     I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
     relative singular-value cutoff of 1e-10.  Built from the diagonal blocks
-    M_r of M (a ``BlockStacks`` or a sequence of blocks); a network holds its
-    own as ``network.J``.
+    M_r of M (a ``BlockStacks``); a network holds its own as ``network.J``.
 
     The orthonormal bases B_r are stored as one (g, m, w) stack per pair of
     group size m and basis width w (1 or 2), with the rows of those groups,
@@ -151,9 +146,7 @@ class JProjector:
     #: relative singular-value cutoff for the generalized inverse
     sv_cutoff = 1e-10
 
-    def __init__(self, M_blocks: BlockStacks | Sequence[np.ndarray]):
-        M = M_blocks if isinstance(M_blocks, BlockStacks) \
-            else BlockStacks.from_blocks(M_blocks, "M")
+    def __init__(self, M: BlockStacks):
         self.group_sizes = M.group_sizes
         self._groups: list[np.ndarray] = []
         self._parts: list[tuple[slice | np.ndarray, np.ndarray]] = []

@@ -15,12 +15,12 @@ from sarnet.cli import main as cli_main
 from sarnet.estimation import assemble_z, preliminary_delta, preliminary_rho, regularized_2sls
 from sarnet.graphs import lee_group_network, load_network
 from sarnet.identification import (Verdict, distinct_eigenvalues,
-                                   instrument_stack, proposition1_check)
+                                   labelled_stack, proposition1_check)
 from sarnet.instruments import InstrumentSet, build_instruments, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, run_study, summarize
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
                                    projector_matrix, projector_traces, q_weights)
-from sarnet.selection import (SelectionConfig, SelectionContext, _loo_refit,
+from sarnet.selection import (SelectionContext, _loo_refit,
                               criterion_value, default_grid,
                               prepare_selection, select_from_context)
 from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
@@ -226,8 +226,7 @@ def test_criterion_7_selector_suite(capsys):
     delta_t = preliminary_delta(data, net, q1_roster(net, X))
     rho_t = preliminary_rho(data, net, delta_t)
     inst = normalize_columns(q2_roster(net, X), "unit-variance")
-    ctx = prepare_selection(data, net, inst, rho_t, delta_t,
-                            config=SelectionConfig(criterion="loo"))
+    ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion="loo")
     for scheme in (Scheme.tikhonov(0.2 * ctx.spectrum.nu_max ** 2),
                    Scheme.landweber(16),
                    Scheme.principal_components(min(4, ctx.spectrum.rank))):
@@ -257,7 +256,7 @@ def test_criterion_7_selector_suite(capsys):
     noisy = SelectionContext(spectrum=spec, w=w, coef=coef,
                              sigma2_eps=1.0,
                              sigma2_v=float(w @ w) / 40,
-                             bias_factor=2.0)
+                             bias_factor=2.0, criterion="cp", min_components=1)
     t_choice = select_from_context(noisy, "T").scheme.alpha
     largest = default_grid("T", spec)[-1]
     if t_choice != pytest.approx(largest):
@@ -306,7 +305,7 @@ def test_criterion_8_csv_pipeline_and_conditioning(tmp_path, capsys):
     X = rng.standard_normal((n, 2))
     conds = []
     for order in (2, 3, 4):
-        stack = instrument_stack(ring_net.W, X, order)
+        stack, _ = labelled_stack(ring_net.W.__matmul__, X, order)
         sv = np.linalg.svd(stack, compute_uv=False)
         conds.append(float((sv[0] / sv[-1]) ** 2))
     if not (conds[0] < conds[1] < conds[2]):

@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
+from sarnet import cli, identification
 from sarnet.cli import main
+from sarnet.graphs import PanelData, lee_group_network
 from sarnet.regularization import Spectrum
+from sarnet.transforms import ModelParams, reduced_form
 from conftest import draw_dataset, write_network_csvs
 
 
@@ -28,6 +33,20 @@ def k5_edges(tmp_path):
 def csv_pair(tmp_path):
     net, data, _, _, _ = draw_dataset(seed=202, group_count=8, group_size=12,
                                       shared_x=False)
+    return write_network_csvs(tmp_path, net, data)
+
+
+@pytest.fixture
+def symmetric_pair(tmp_path):
+    """Equal-weight groups of sizes 4, 5 and 6: a symmetric W, 4 distinct eigenvalues."""
+    net = lee_group_network([4, 5, 6] * 4)
+    rng = np.random.default_rng(7)
+    x1, x2, eps = rng.standard_normal((3, net.n))
+    gamma = 0.1 * rng.standard_normal(net.group_count)
+    params = ModelParams.checked(net, lam=0.1, beta1=[0.2], beta2=[0.2], rho=0.1,
+                                 gamma=gamma, sigma2=1.0)
+    y = reduced_form(params, np.column_stack([x1, net.lag_W(x2)]), gamma, eps, net)
+    data = PanelData(y=y, x1=x1[:, None], x2=x2[:, None], group_sizes=net.group_sizes)
     return write_network_csvs(tmp_path, net, data)
 
 
@@ -123,6 +142,48 @@ class TestEstimate:
         assert code == 0
         assert len(calls) == 1
 
+    def test_symmetric_w_counts_distinct_eigenvalues_once(self, symmetric_pair,
+                                                          capsys, monkeypatch):
+        # the count both sets the default order and is printed
+        edges, nodes = symmetric_pair
+        calls = []
+        original = identification.distinct_eigenvalues
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):     # every import site
+            if name.startswith("sarnet") and \
+                    getattr(module, "distinct_eigenvalues", None) is original:
+                monkeypatch.setattr(module, "distinct_eigenvalues", counting)
+        code, out, _ = run_cli(["estimate", "--data", str(nodes), "--edges",
+                                str(edges)], capsys)
+        assert code == 0
+        assert "distinct_eigenvalues = 4" in out.splitlines()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("pair,flags,order", [
+        ("symmetric_pair", [], 3),             # 4 distinct eigenvalues - 1
+        ("symmetric_pair", ["--order", "2"], 2),
+        ("csv_pair", [], 10),                  # directed W
+    ])
+    def test_default_order_uses_spectral_count_when_symmetric(
+            self, request, capsys, monkeypatch, pair, flags, order):
+        edges, nodes = request.getfixturevalue(pair)
+        orders = []
+
+        def recording(net, X, order, **kwargs):
+            orders.append(order)
+            return cli_build(net, X, order, **kwargs)
+
+        cli_build = cli.build_instruments
+        monkeypatch.setattr(cli, "build_instruments", recording)
+        code, _, _ = run_cli(["estimate", "--data", str(nodes), "--edges",
+                              str(edges), *flags], capsys)
+        assert code == 0
+        assert orders == [order]
+
 
 class TestSelect:
     def test_curve_csv(self, csv_pair, tmp_path, capsys):
@@ -199,6 +260,21 @@ class TestBadInput:
                                 "--data", str(nodes)], capsys)
         assert code == 2
         assert f"{edges}, line 2, column 4 (weight): negative weight -1" in err
+
+    def test_empty_edge_file_is_data_error(self, files, capsys):
+        edges, _ = files
+        edges.write_text("group_id,src,dst,weight\n")
+        code, _, err = run_cli(["diagnose", "--edges", str(edges)], capsys)
+        assert code == 2
+        assert f"data error: {edges}: no data rows" in err
+
+    def test_empty_node_file_is_data_error(self, files, capsys):
+        edges, nodes = files
+        nodes.write_text(nodes.read_text().splitlines()[0] + "\n")
+        code, _, err = run_cli(["estimate", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"data error: {nodes}: no data rows" in err
 
     def test_short_row_is_data_error(self, files, capsys):
         edges, _ = files

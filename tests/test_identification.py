@@ -5,7 +5,7 @@ from sarnet import identification
 from sarnet.graphs import (GroupedNetwork, build_block_diagonal, lee_group_network,
                            row_normalize)
 from sarnet.identification import (AsymmetricMatrixError, Verdict, build_report,
-                                   distinct_eigenvalues, instrument_stack,
+                                   distinct_eigenvalues, labelled_stack,
                                    lee_reduced_coefficient, proposition1_check,
                                    proposition2_rank_check)
 
@@ -130,7 +130,7 @@ class TestProposition2:
         assert full
         # rank oracle on the explicit stack
         count, _ = distinct_eigenvalues(net.W)
-        stack = instrument_stack(net.W, X, count - 1)
+        stack, _ = labelled_stack(net.W.__matmul__, X, count - 1)
         assert np.linalg.matrix_rank(stack) == stack.shape[1]
 
     def test_scale_covariant_rank_flag(self):
@@ -153,7 +153,7 @@ class TestProposition2:
         X = rng.standard_normal((n, 2))
         conds = []
         for order in (2, 3, 4):
-            stack = instrument_stack(W, X, order)
+            stack, _ = labelled_stack(W.__matmul__, X, order)
             sv = np.linalg.svd(stack, compute_uv=False)
             conds.append((sv[0] / sv[-1]) ** 2)
         assert conds[0] < conds[1] < conds[2]

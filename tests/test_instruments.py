@@ -45,16 +45,6 @@ class TestBuildInstruments:
         assert doubled.n_columns == 2 * plain.n_columns
         assert sum(lab.startswith("J.M.") for lab in doubled.labels) == plain.n_columns
 
-    def test_default_order_uses_spectral_count_when_symmetric(self):
-        from sarnet.graphs import lee_group_network
-        net = lee_group_network([4, 5, 6])  # 4 distinct eigenvalues
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((net.n, 1))
-        inst = build_instruments(net, X, include_bonacich=False,
-                                 include_M_lags=False)
-        # powers 1..3 of X plus X itself
-        assert inst.n_columns == 4
-
     def test_projected_instruments_are_j_invariant(self, net_and_x):
         net, X = net_and_x
         inst = build_instruments(net, X, order=2)
@@ -77,7 +67,6 @@ class TestNormalize:
         out = normalize_columns(inst, "unit-variance")
         np.testing.assert_allclose(np.var(out.Q, axis=0, ddof=1), 1.0,
                                    atol=1e-10)
-        assert out.normalization == "unit-variance"
 
     def test_simple_column_scaled_to_unit_sd(self):
         inst = InstrumentSet(np.array([[1.0], [2.0], [3.0]]), ("c",))
@@ -152,8 +141,8 @@ class TestRosters:
 def test_instrument_set_validation():
     with pytest.raises(ValueError, match="label"):
         InstrumentSet(np.ones((3, 2)), ("only-one",))
-    with pytest.raises(ValueError, match="normalization"):
-        InstrumentSet(np.ones((3, 1)), ("a",), "weird")
+    with pytest.raises(ValueError, match="unknown normalization 'weird'"):
+        normalize_columns(InstrumentSet(np.ones((3, 1)), ("a",)), "weird")
 
 
 def test_spectrum_is_decomposed_once_and_cached(net_and_x):

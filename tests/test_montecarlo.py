@@ -182,6 +182,12 @@ class TestSummarize:
         assert "LF/PC agreement" in summ.to_text()
 
 
+def test_unknown_criterion_rejected_at_construction():
+    # the check prepare_selection makes, before any replication runs
+    with pytest.raises(ValueError, match="one of cp, gcv, loo, got 'bogus'"):
+        McConfig(criterion="bogus")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(replications=0)

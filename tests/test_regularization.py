@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from sarnet.instruments import InstrumentSet
-from sarnet.regularization import (Scheme, Spectrum, apply_projector,
+from sarnet.regularization import (LF_STEP, Scheme, Spectrum, apply_projector,
                                    projector_diagonal, projector_matrix,
-                                   projector_traces, projector_trace_with,
-                                   q_weights)
+                                   projector_traces, q_weights)
 
 
 def random_instruments(seed, n=40, m=6):
@@ -65,9 +64,10 @@ class TestScheme:
         assert Scheme.principal_components(3).steps == 3
 
     def test_lf_default_step_size(self, spectrum):
-        scheme = Scheme.landweber(8).resolved(spectrum)
-        assert scheme.c == pytest.approx(0.9 / spectrum.nu_max ** 2)
-        assert scheme.c * spectrum.nu_max ** 2 < 1.0
+        # LF steps with c = LF_STEP / nu_1^2 on every spectrum
+        c = LF_STEP / spectrum.nu_max ** 2
+        expect = 1.0 - (1.0 - c * spectrum.eigenvalues ** 2) ** 8
+        np.testing.assert_array_equal(q_weights(Scheme.landweber(8), spectrum), expect)
 
 
 def spectrum_of(*nus):
@@ -81,8 +81,9 @@ class TestQWeight:
         assert q[0] == pytest.approx(0.5)
 
     def test_landweber_formula(self):
-        q = q_weights(Scheme.landweber(2, c=0.5), spectrum_of(1.0))
-        assert q[0] == pytest.approx(0.75)
+        # c = 0.9 / 2^2: q = 1 - (1 - c nu^2)^2 at nu = 2 and nu = 1
+        q = q_weights(Scheme.landweber(2), spectrum_of(2.0, 1.0))
+        np.testing.assert_allclose(q, [1.0 - 0.1 ** 2, 1.0 - 0.775 ** 2], rtol=1e-12)
 
     def test_pc_indicator(self):
         # weights follow the rank position, not the eigenvalue itself
@@ -90,8 +91,13 @@ class TestQWeight:
         np.testing.assert_array_equal(q, [1.0, 1.0, 0.0])
 
     def test_lf_step_size_bound_enforced(self):
-        with pytest.raises(ValueError, match="c nu\\^2 < 1"):
-            q_weights(Scheme.landweber(2, c=1.5), spectrum_of(1.0))
+        # one step gives q = c nu^2, so c nu_j^2 <= LF_STEP < 1 at any scale
+        assert 0.0 < LF_STEP < 1.0
+        spec = spectrum_of(1e3, 3.0, 1e-3)
+        q = q_weights(Scheme.landweber(1), spec)
+        np.testing.assert_allclose(q, LF_STEP * (spec.eigenvalues / 1e3) ** 2,
+                                   rtol=1e-9, atol=1e-15)
+        assert q.max() == pytest.approx(LF_STEP, rel=1e-12) and q.max() < 1.0
 
     def test_weights_lie_in_unit_interval(self, spectrum):
         for scheme in (Scheme.tikhonov(0.3), Scheme.landweber(5),
@@ -169,14 +175,6 @@ class TestTraces:
         P = projector_matrix(spectrum, scheme)
         np.testing.assert_allclose(projector_diagonal(spectrum, scheme),
                                    np.diag(P), atol=1e-10)
-
-    def test_trace_with_operator(self, spectrum):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((spectrum.n, spectrum.n))
-        scheme = Scheme.landweber(3)
-        P = projector_matrix(spectrum, scheme)
-        got = projector_trace_with(spectrum, scheme, lambda V: A @ V)
-        assert got == pytest.approx(np.trace(P @ A), abs=1e-8)
 
 
 class TestStructure:

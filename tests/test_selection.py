@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -7,11 +6,11 @@ import pytest
 from sarnet import selection
 from sarnet.estimation import preliminary_delta, preliminary_rho
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
-from sarnet.regularization import Scheme, Spectrum, projector_traces, q_weights
-from sarnet.selection import (SelectionConfig, SelectionContext, _loo_refit,
-                              criterion_value, curve_to_csv, default_grid,
-                              prepare_selection, s_hat, select_alpha,
-                              select_from_context)
+from sarnet.regularization import Scheme, Spectrum, projector_traces
+from sarnet.selection import (SelectionContext, _loo_refit, criterion_value,
+                              curve_to_csv, default_grid, prepare_selection,
+                              s_hat, select_alpha, select_from_context)
+from sarnet.transforms import r_matrix, s_matrix
 from conftest import draw_dataset
 
 
@@ -47,8 +46,7 @@ def pipeline_context(seed=50, criterion="cp", **kwargs):
     delta_t = preliminary_delta(data, net, q1)
     rho_t = preliminary_rho(data, net, delta_t)
     inst = normalize_columns(q2_roster(net, X), "unit-variance")
-    ctx = prepare_selection(data, net, inst, rho_t, delta_t,
-                            config=SelectionConfig(criterion=criterion))
+    ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion=criterion)
     return net, data, inst, delta_t, rho_t, ctx
 
 
@@ -101,19 +99,14 @@ class TestCriterionValues:
 
 
 class TestSHat:
-    def test_off_target_direction_drops_bias_term(self):
-        # gamma_bar on an exogenous coordinate zeroes the bias factor
-        net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=52)
-        gamma2 = np.array([0.0, 1.0, 0.0])
-        ctx2 = prepare_selection(data, net, inst, rho_t, delta_t,
-                                 config=SelectionConfig(gamma_bar=gamma2))
-        assert ctx2.bias_factor == 0.0
-        scheme = Scheme.tikhonov(0.1)
-        q = q_weights(scheme, ctx2.spectrum)
-        tr_P, tr_P2 = projector_traces(ctx2.spectrum, scheme)
-        expect = ctx2.sigma2_eps * (criterion_value(ctx2, scheme)
-                                    - ctx2.sigma2_v * tr_P2 / ctx2.n)
-        assert s_hat(ctx2, scheme) == pytest.approx(expect, rel=1e-12)
+    def test_bias_factor_is_mean_square_of_j_d_iota(self):
+        # the target direction is the endogenous effect: the bias factor is
+        # ||J D iota||^2 / n, D = R W S^{-1} R^{-1} at the preliminary estimates
+        net, _, _, delta_t, rho_t, ctx = pipeline_context(seed=52)
+        R = r_matrix(rho_t, net.M)
+        D = R @ net.W @ np.linalg.inv(s_matrix(delta_t[0], net.W)) @ np.linalg.inv(R)
+        t = net.J.as_matrix() @ D @ np.ones(net.n)
+        assert ctx.bias_factor == pytest.approx(t @ t / net.n, rel=1e-10)
 
     def test_vanishing_weights_leave_pure_fit_term(self):
         ctx = make_context(seed=5)
@@ -255,27 +248,24 @@ class TestSelect:
 
 class TestConfigAndExport:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SelectionConfig(criterion="aic")
-        with pytest.raises(ValueError):
-            SelectionConfig(gamma_bar=np.zeros(3))
-        with pytest.raises(ValueError):
-            SelectionConfig(alpha_grid=[0.5, 0.1])
+        net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=58)
+        with pytest.raises(ValueError, match="one of cp, gcv, loo, got 'aic'"):
+            prepare_selection(data, net, inst, rho_t, delta_t, criterion="aic")
 
     def test_curve_csv_export(self):
         _, _, _, _, _, ctx = pipeline_context(seed=58)
         result = select_from_context(ctx, "PC")
-        buf = io.StringIO()
-        curve_to_csv(result, buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = curve_to_csv(result).strip().splitlines()
         assert lines[0] == "alpha,criterion,S_hat"
         assert len(lines) == len(result.curve) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == pytest.approx(result.curve[0][0], rel=1e-5)
 
-    def test_explicit_grid_respected(self):
-        _, _, _, _, _, ctx = pipeline_context(seed=59)
-        grid = (1, 2, 3)
-        result = select_from_context(ctx, "PC", SelectionConfig(alpha_grid=grid))
+    @pytest.mark.parametrize("kind", ["LF", "PC"])
+    def test_search_runs_over_default_grid(self, kind):
+        # PC starts at the second stage's width: fewer components cannot fit it
+        ctx = make_context(seed=11, n=40, m=8, min_components=3)
+        result = select_from_context(ctx, kind)
+        grid = default_grid(kind, ctx.spectrum, 3)
+        np.testing.assert_array_equal(result.curve_array()[:, 0], 1.0 / grid)
         assert result.scheme.steps in grid
-        assert len(result.curve) == 3

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sarnet.graphs import GroupedNetwork, PanelData, generate_mc_network, row_normalize
+from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, generate_mc_network,
+                           row_normalize)
 from sarnet.transforms import (JProjector, ModelParams, apply_D, r_matrix, reduced_form,
                                row_sum_norm, s_matrix, solve_blockwise,
                                structural_residual)
@@ -45,7 +46,7 @@ class TestJProjector:
     def test_row_normalized_full_rows_give_group_mean_block(self):
         net = generate_mc_network(1, 4, 3, seed=4)
         M = row_normalize(np.ones((4, 4)) - np.eye(4))
-        J = JProjector([M])
+        J = JProjector(BlockStacks.from_blocks([M], "M"))
         np.testing.assert_allclose(J.block(0), np.eye(4) - np.ones((4, 4)) / 4,
                                    atol=1e-12)
 
@@ -65,7 +66,7 @@ class TestJProjector:
         M = rng.random((6, 6))
         np.fill_diagonal(M, 0.0)
         M[2] = 0.0  # isolated node
-        J = JProjector([M])
+        J = JProjector(BlockStacks.from_blocks([M], "M"))
         Jm = J.block(0)
         # spectral rank oracle on the annihilated span
         A = np.column_stack([np.ones(6), M @ np.ones(6)])
@@ -184,10 +185,9 @@ class TestReducedForm:
         triangle = np.ones((3, 3)) - np.eye(3)          # I - W/2 is singular
         net = GroupedNetwork.from_blocks([pair, pair, triangle],
                                          [pair, pair, triangle / 2])
-        for blocks in (net.stacks_W(), net.blocks_W()):
-            with pytest.raises(np.linalg.LinAlgError,
-                               match=r"S\(lambda\) is singular on group block 2"):
-                solve_blockwise(0.5, blocks, np.ones(net.n), "S(lambda)")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"S\(lambda\) is singular on group block 2"):
+            solve_blockwise(0.5, net.stacks_W(), np.ones(net.n), "S(lambda)")
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"S\(lambda\) is singular on group block 2"):
             apply_D(net, 0.5, 0.0, np.ones((net.n, 2)))
@@ -195,7 +195,8 @@ class TestReducedForm:
     def test_singular_s_named_in_error(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError, match="S\\(lambda\\)"):
-            solve_blockwise(1.0, [W], np.ones(2), "S(lambda)")
+            solve_blockwise(1.0, BlockStacks.from_blocks([W], "W"), np.ones(2),
+                            "S(lambda)")
 
 
 def test_model_params_stability_check():
