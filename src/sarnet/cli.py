@@ -20,7 +20,7 @@ from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import build_instruments, normalize_columns, q1_roster
 from .montecarlo import McConfig, run_study, summarize
-from .selection import curve_to_csv, select_alpha
+from .selection import _CRITERIA, curve_to_csv, select_alpha
 
 __all__ = ["main"]
 
@@ -91,7 +91,7 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
     sim.add_argument("--max-links", type=int, default=3)
     sim.add_argument("--reps", type=int, default=500)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--criterion", choices=("cp", "gcv", "loo"), default="cp")
+    sim.add_argument("--criterion", choices=_CRITERIA, default="cp")
     sim.add_argument("--transform-rho", action="store_true",
                      help="whiten every estimator with the estimated rho")
     sim.add_argument("--format", choices=("text", "csv"), default="text")
@@ -117,7 +117,7 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
     def add_estimation_flags(p):
         add_data_flags(p, need_data=True)
         p.add_argument("--scheme", choices=("T", "LF", "PC"), default="T")
-        p.add_argument("--criterion", choices=("cp", "gcv", "loo"), default="cp")
+        p.add_argument("--criterion", choices=_CRITERIA, default="cp")
         p.add_argument("--order", type=int, default=None,
                        help="highest network-lag power (default: distinct eigenvalues "
                             "of a symmetric W - 1, else 10)")

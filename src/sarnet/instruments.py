@@ -113,20 +113,21 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         raise ValueError(f"unknown normalization {mode!r}")
     if inst.n_columns == 0:
         raise ValueError("empty instrument set")
-    cols, labels = [], []
-    for j, lab in enumerate(inst.labels):
-        c = inst.Q[:, j]
-        sd = float(np.std(c, ddof=1))
-        if sd <= 0.0 or not np.isfinite(sd):
+    # each column reduced as one contiguous row, in the order a per-column
+    # np.std sums it, so the normalized roster is bit for bit the loop's
+    rows = np.ascontiguousarray(inst.Q.T)
+    sd = np.std(rows, axis=1, ddof=1)
+    keep = (sd > 0.0) & np.isfinite(sd)
+    for lab, kept in zip(inst.labels, keep):
+        if not kept:
             warnings.warn(f"dropping zero-variance instrument column {lab!r}")
-            continue
-        if mode == "standardized":
-            c = c - c.mean()
-        cols.append(c / sd)
-        labels.append(lab)
-    if not cols:
+    if not np.any(keep):
         raise ValueError("all instrument columns had zero variance")
-    return InstrumentSet(np.column_stack(cols), tuple(labels))
+    Q = inst.Q.compress(keep, axis=1)      # C order, as the Gram's bits need
+    if mode == "standardized":
+        Q = Q - rows[keep].mean(axis=1)
+    return InstrumentSet(Q / sd[keep],
+                         tuple(lab for lab, k in zip(inst.labels, keep) if k))
 
 
 def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:

@@ -4,9 +4,13 @@ Each replication draws a wrap-around random network, covariates, group
 effects and disturbances, builds the outcome from the reduced form, and runs
 six estimators on the same draw: 2SLS with the small instrument roster, 2SLS
 with the centrality-augmented roster, its bias-corrected version, and the
-three regularized estimators (T / LF / PC) on the unit-variance-normalized
-roster with a per-replication data-driven alpha.  Summaries report
-Mean (SD) [RMSE] per estimator and parameter.
+three regularized estimators (T / LF / PC) with a per-replication
+data-driven alpha.  All four large-roster estimators read the spectrum of
+the unit-variance-normalized roster: damping is not scale invariant, but
+the undamped projector and the bias trace tr(P D) are, so normalizing the
+large-iv and bias-corrected rows gives the same estimator while one
+decomposition serves all four.  Summaries report Mean (SD) [RMSE] per
+estimator and parameter.
 
 Seeding: the master seed spawns one child seed per replication through
 numpy's SeedSequence, so results are reproducible bit for bit and invariant
@@ -124,7 +128,13 @@ def _draw_sample(config: McConfig, seed) -> tuple[GroupedNetwork, PanelData]:
 
 
 def run_replication(config: McConfig, seed) -> ReplicationResult:
-    """One draw, all six estimators on it; numerical failures become missing cells."""
+    """One draw, all six estimators on it; numerical failures become missing cells.
+
+    Two spectra per draw, the small roster's and the normalized large
+    roster's.  The large-iv and bias-corrected fits use the full projector
+    P = Q (Q'Q)^+ Q' and the trace tr(P D); both are invariant under
+    Q -> Q diag(s), so they read the normalized roster's spectrum.
+    """
     nan3 = np.full(3, np.nan)
     estimates = {name: nan3.copy() for name in ESTIMATORS}
     alphas: dict[str, float] = {}
@@ -143,8 +153,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
                                  {name: msg for name in ESTIMATORS})
 
     rho_plug = rho_tilde if config.transform_with_rho else 0.0
-    q2 = q2_roster(net, base)
-    q2_norm = normalize_columns(q2, "unit-variance")
+    q2_norm = normalize_columns(q2_roster(net, base), "unit-variance")
 
     def attempt(name: str, fit) -> None:
         try:
@@ -156,9 +165,9 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
             failures[name] = str(exc)
 
     attempt("2sls_finite", lambda: classical_2sls(data, net, q1, rho_plug))
-    attempt("2sls_large", lambda: classical_2sls(data, net, q2, rho_plug))
+    attempt("2sls_large", lambda: classical_2sls(data, net, q2_norm, rho_plug))
     attempt("bias_corrected", lambda: bias_corrected_2sls(
-        data, net, q2, rho_plug, lambda_tilde=float(delta_tilde[0])))
+        data, net, q2_norm, rho_plug, lambda_tilde=float(delta_tilde[0])))
 
     try:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,

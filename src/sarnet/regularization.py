@@ -130,6 +130,11 @@ class Scheme:
             raise ValueError("Tikhonov has no integer step count")
         return int(round(1.0 / self.alpha))
 
+    @property
+    def grid_value(self) -> float:
+        """What a search grid holds: the penalty for T, the step count otherwise."""
+        return self.alpha if self.kind == "T" else float(self.steps)
+
     @classmethod
     def tikhonov(cls, alpha: float) -> "Scheme":
         return cls("T", float(alpha))
@@ -147,16 +152,28 @@ def q_weights(scheme: Scheme, spectrum: Spectrum) -> np.ndarray:
     """Damping weights q(alpha, nu_j^2) in [0, 1] over the retained spectrum.
 
     PC weights depend on the rank position j (descending eigenvalue order)
-    rather than on nu_j itself.  LF steps with c = LF_STEP / nu_1^2.
+    rather than on nu_j itself.  LF steps with c = LF_STEP / nu_1^2.  The
+    one-point case of ``_grid_weights``.
     """
+    return _grid_weights(scheme.kind, [scheme.grid_value], spectrum)[0]
+
+
+def _grid_weights(kind: str, grid, spectrum: Spectrum) -> np.ndarray:
+    """The (grid x rank) weights of one kind, row i at grid value ``grid[i]``.
+
+    Grid values are Tikhonov penalties for T and iteration / component
+    counts for LF / PC (``Scheme.grid_value``).  Each entry is the same
+    closed form a single scheme evaluates, so a row equals that scheme's
+    ``q_weights`` bit for bit.
+    """
+    g = np.asarray(grid, dtype=float)[:, None]
     nu2 = spectrum.eigenvalues ** 2
-    if scheme.kind == "T":
-        return nu2 / (nu2 + scheme.alpha)
-    if scheme.kind == "LF":
+    if kind == "T":
+        return nu2 / (nu2 + g)
+    if kind == "LF":
         c = LF_STEP / spectrum.nu_max ** 2
-        return 1.0 - (1.0 - c * nu2) ** scheme.steps
-    j = np.arange(1, spectrum.rank + 1)
-    return (j <= scheme.steps).astype(float)
+        return 1.0 - (1.0 - c * nu2) ** g
+    return (np.arange(1, spectrum.rank + 1) <= g).astype(float)
 
 
 def apply_projector(spectrum: Spectrum, scheme: Scheme, e: np.ndarray) -> np.ndarray:

@@ -14,19 +14,20 @@ where w_hat is a goodness-of-fit criterion for the first-stage regression of
 R Z H^{-1} e1 on the instruments: Mallows Cp, generalized cross-validation,
 or leave-one-out cross-validation (``criterion`` "cp", "gcv" or "loo").
 D = J R W S^{-1} R^{-1} is evaluated at preliminary estimates.  The search
-runs over ``default_grid`` for each scheme kind.
+runs over ``default_grid`` for each scheme kind and scores the whole grid in
+one array pass, from one (grid x rank) matrix of damping weights;
+``criterion_value`` and ``s_hat`` are its one-point case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
-from .regularization import (Scheme, Spectrum, projector_diagonal, q_weights)
+from .regularization import Scheme, Spectrum, _grid_weights, q_weights
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
@@ -144,10 +145,40 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
 # Criteria
 # ---------------------------------------------------------------------------
 
-def _first_stage_residual_norm2(ctx: SelectionContext, q: np.ndarray) -> float:
-    """||(I - P^alpha) w||^2 using the cached spectral coefficients."""
-    w_norm2 = float(ctx.w @ ctx.w)
-    return w_norm2 - float(((2.0 - q) * q) @ (ctx.coef ** 2))
+def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(criterion, S_hat) at every grid point of one scheme kind, in one array pass.
+
+    Row i of the (grid x rank) weight matrix q holds the damping weights at
+    ``grid[i]``, so tr P and tr P^2 are row sums and the first-stage
+    residual ||(I - P) w||^2 = w'w - ((2 - q) q) coef^2 is one product.
+    LOO builds its two n-vectors per row, residual and leverage, from the
+    squared eigenvectors formed once per call.
+    """
+    q = _grid_weights(kind, grid, ctx.spectrum)
+    n = ctx.n
+    tr_P = q.sum(axis=1)
+    if ctx.criterion == "loo":
+        V = ctx.spectrum.vectors
+        V2 = V ** 2
+        fit = np.empty(len(q))
+        for i, qi in enumerate(q):
+            resid = ctx.w - V @ (qi * ctx.coef)
+            denom = 1.0 - V2 @ qi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(np.abs(denom) > 1e-12, resid / denom, np.inf)
+            fit[i] = np.mean(r ** 2)
+    else:
+        rss = float(ctx.w @ ctx.w) - ((2.0 - q) * q) @ (ctx.coef ** 2)
+        if ctx.criterion == "cp":
+            fit = rss / n + 2.0 * ctx.sigma2_v * tr_P / n
+        else:
+            if np.any(tr_P >= n):
+                bad = float(tr_P[tr_P >= n][0])
+                raise ValueError(f"GCV undefined: tr(P) = {bad:.3g} >= n = {n}")
+            fit = (rss / n) / (1.0 - tr_P / n) ** 2
+    values = ctx.sigma2_eps * (fit - ctx.sigma2_v * (q ** 2).sum(axis=1) / n
+                               + ctx.sigma2_eps * tr_P ** 2 * ctx.bias_factor / n)
+    return fit, values
 
 
 def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
@@ -159,20 +190,7 @@ def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
                  the linear-smoother identity r_i / (1 - P_ii) (``_loo_refit``
                  is the literal delete-one reference it is tested against).
     """
-    q = q_weights(scheme, ctx.spectrum)
-    n = ctx.n
-    tr_P = float(q.sum())
-    if ctx.criterion == "cp":
-        return _first_stage_residual_norm2(ctx, q) / n + 2.0 * ctx.sigma2_v * tr_P / n
-    if ctx.criterion == "gcv":
-        if tr_P >= n:
-            raise ValueError(f"GCV undefined: tr(P) = {tr_P:.3g} >= n = {n}")
-        return (_first_stage_residual_norm2(ctx, q) / n) / (1.0 - tr_P / n) ** 2
-    resid = ctx.w - ctx.spectrum.vectors @ (q * ctx.coef)
-    denom = 1.0 - projector_diagonal(ctx.spectrum, scheme)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(denom) > 1e-12, resid / denom, np.inf)
-    return float(np.mean(r ** 2))
+    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[0][0])
 
 
 def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
@@ -208,20 +226,7 @@ def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
 
 def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:
     """Plug-in estimate of the dominant MSE term of the endogenous effect."""
-    return _s_hat_from_fit(ctx, scheme, criterion_value(ctx, scheme))
-
-
-def _s_hat_from_fit(ctx: SelectionContext, scheme: Scheme, fit: float) -> float:
-    """S_hat given the criterion value ``fit`` already computed at ``scheme``."""
-    q = q_weights(scheme, ctx.spectrum)
-    n = ctx.n
-    tr_P = float(q.sum())
-    tr_P2 = float((q ** 2).sum())
-    return ctx.sigma2_eps * (
-        fit
-        - ctx.sigma2_v * tr_P2 / n
-        + ctx.sigma2_eps * tr_P ** 2 * ctx.bias_factor / n
-    )
+    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,39 +247,23 @@ class SelectionResult:
         return np.asarray(self.curve, dtype=float)
 
 
-def _schemes_for_grid(kind: str, grid: Iterable[float]) -> list[Scheme]:
-    schemes = []
-    for g in grid:
-        if kind == "T":
-            schemes.append(Scheme.tikhonov(float(g)))
-        elif kind == "LF":
-            schemes.append(Scheme.landweber(int(round(g))))
-        elif kind == "PC":
-            schemes.append(Scheme.principal_components(int(round(g))))
-        else:
-            raise ValueError(f"unknown scheme kind {kind!r}")
-    return schemes
-
-
 def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
-    """Minimize S_hat over ``default_grid``; ties go to the more regularized point."""
+    """Minimize S_hat over ``default_grid``; ties go to the more regularized point.
+
+    The grid ascends, so more regularization (a larger Tikhonov penalty,
+    fewer iterations or components) lies at its end for T and at its start
+    otherwise.
+    """
     grid = default_grid(kind, ctx.spectrum, ctx.min_components)
-    schemes = _schemes_for_grid(kind, grid)
-    crits = np.array([criterion_value(ctx, sc) for sc in schemes])
-    values = np.array([_s_hat_from_fit(ctx, sc, c) for sc, c in zip(schemes, crits)])
+    crits, values = _score_grid(ctx, kind, grid)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise ValueError("selection curve has no finite values")
-    # more regularization = larger Tikhonov penalty, fewer iterations/components
-    order = np.argsort(grid)[::-1] if kind == "T" else np.argsort(grid)
-    best = None
-    for idx in order:
-        if finite[idx] and (best is None or values[idx] < values[best]):
-            best = idx
-    scheme = schemes[best]
+    ties = np.flatnonzero(values == values[finite].min())
+    g = float(grid[ties[-1] if kind == "T" else ties[0]])
+    scheme = Scheme.tikhonov(g) if kind == "T" else Scheme(kind, 1.0 / round(g))
     alphas = grid if kind == "T" else 1.0 / grid
-    curve = tuple((float(a), float(c), float(v))
-                  for a, c, v in zip(alphas, crits, values))
+    curve = tuple(zip(alphas.tolist(), crits.tolist(), values.tolist()))
     return SelectionResult(alpha_star=float(scheme.alpha), scheme=scheme,
                            kind=kind, criterion=ctx.criterion, curve=curve)
 

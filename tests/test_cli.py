@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from sarnet import cli, identification
+from sarnet import cli, identification, selection
 from sarnet.cli import main
 from sarnet.graphs import PanelData, lee_group_network
 from sarnet.regularization import Spectrum
@@ -312,6 +312,14 @@ class TestConfigAndErrors:
         assert code == 2
         assert f"data error: {cfg}:2: groups: " in err
         assert "'ten'" in err
+
+    def test_criterion_choices_are_the_selection_criteria(self):
+        parser = cli._build_parser({})
+        sub = next(a for a in parser._actions if a.choices and "simulate" in a.choices)
+        choices = [a.choices for p in sub.choices.values() for a in p._actions
+                   if a.dest == "criterion"]
+        assert len(choices) == 3            # simulate, estimate and select
+        assert all(tuple(c) == selection._CRITERIA for c in choices)
 
     def test_config_criterion_outside_choices_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -38,8 +38,9 @@ class TestRunReplication:
             assert np.isfinite(lam) and -1.0 <= lam <= 1.0
         assert {"t_2sls", "lf_2sls", "pc_2sls"} <= set(rep.alphas)
 
-    def test_three_spectra_per_replication(self, monkeypatch):
-        # q1, q2 and the normalized q2 are each decomposed exactly once
+    def test_two_spectra_per_replication(self, monkeypatch):
+        # q1 and the normalized q2 are each decomposed exactly once; the
+        # large-iv and bias-corrected fits share the normalized spectrum
         calls = []
         original = Spectrum.from_instruments.__func__
 
@@ -53,7 +54,7 @@ class TestRunReplication:
             calls.clear()
             result = run_replication(config, np.random.SeedSequence(rep))
             assert not result.failures
-            assert len(calls) == 3
+            assert len(calls) == 2
 
     def test_shared_rho_is_recorded(self):
         config = McConfig(**SMALL)

@@ -7,12 +7,13 @@ Networks have random unequal group sizes, singleton groups and all-zero rows
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sarnet.estimation import preliminary_rho
+from sarnet.estimation import bias_corrected_2sls, classical_2sls, preliminary_rho
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, labelled_stack)
+from sarnet.instruments import InstrumentSet, normalize_columns, q2_roster
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, r_matrix, reduced_form,
                                row_sum_norm, s_matrix, solve_blockwise)
 
@@ -241,3 +242,69 @@ def test_apply_D_matches_dense_oracle(net, lam, rho, seed):
         got = apply_D(net, lam, rho, X)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(min_last=4), seed=st.integers(0, 1000))
+def test_full_projector_fits_are_invariant_to_column_scale(net, seed):
+    # classical and bias-corrected 2SLS keep every component, and the full
+    # projector P = Q (Q'Q)^+ Q' and the bias trace tr(P D) do not change
+    # under Q -> Q diag(s): fitting the normalized roster is the same
+    # estimator.  A damped P (any Tikhonov, LF or partial PC scheme) is not
+    # scale invariant and would fail this.  In floating point the psi_j of
+    # the smallest eigenvalues carry an error of about eps * kappa, so past
+    # kappa = 1e3 the tolerance grows as 1e-13 kappa (the observed error
+    # stays below 2e-15 kappa on these networks)
+    rng = np.random.default_rng(seed)
+    data = PanelData(y=rng.standard_normal(net.n), x1=rng.standard_normal(net.n),
+                     x2=rng.standard_normal(net.n), group_sizes=net.group_sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # dropped columns warn
+        raw = q2_roster(net, data.regressors(net))
+        scaled = normalize_columns(raw, "unit-variance")
+    for fit in (lambda inst: classical_2sls(data, net, inst, 0.3),
+                lambda inst: bias_corrected_2sls(data, net, inst, 0.3, lambda_tilde=0.2)):
+        try:
+            want = fit(raw).delta
+        except np.linalg.LinAlgError:          # too few instruments for the sandwich
+            assume(False)
+        rtol = max(1e-10, 1e-13 * raw.spectrum.condition_number)
+        assert np.linalg.norm(fit(scaled).delta - want) <= rtol * np.linalg.norm(want)
+
+
+def normalize_by_column(inst, mode):
+    """The per-column loop ``normalize_columns`` must reproduce bit for bit."""
+    cols, labels = [], []
+    for j, lab in enumerate(inst.labels):
+        c = inst.Q[:, j]
+        sd = float(np.std(c, ddof=1))
+        if sd <= 0.0 or not np.isfinite(sd):
+            continue
+        if mode == "standardized":
+            c = c - c.mean()
+        cols.append(c / sd)
+        labels.append(lab)
+    return np.column_stack(cols), tuple(labels)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 60), k=st.integers(2, 8), const=st.data(),
+       value=st.integers(-4, 4), seed=st.integers(0, 1000),
+       mode=st.sampled_from(("unit-variance", "standardized")))
+def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed, mode):
+    rng = np.random.default_rng(seed)
+    # scales from 1e-6 to 1e6 with offsets; one column constant at an
+    # integer, whose mean is exact, so its variance is exactly zero
+    Q = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, k) + rng.uniform(-3, 3, k)
+    j = const.draw(st.integers(0, k - 1))
+    Q[:, j] = value
+    labels = tuple(f"c{i}" for i in range(k))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = normalize_columns(InstrumentSet(Q, labels), mode)
+    assert [str(w.message) for w in caught] == [
+        f"dropping zero-variance instrument column 'c{j}'"]
+    want_Q, want_labels = normalize_by_column(InstrumentSet(Q, labels), mode)
+    assert np.array_equal(got.Q, want_Q)
+    assert got.labels == want_labels
+    assert got.Q.flags.c_contiguous

@@ -168,17 +168,28 @@ class TestSelect:
         np.testing.assert_allclose(curve[:, 0],
                                    default_grid("T", ctx.spectrum), rtol=1e-12)
 
+    @pytest.mark.parametrize("criterion", ["cp", "gcv", "loo"])
     @pytest.mark.parametrize("kind", ["T", "LF", "PC"])
-    def test_one_criterion_call_per_grid_point(self, monkeypatch, kind):
+    def test_curve_is_per_point_values_scored_in_one_pass(self, monkeypatch,
+                                                           kind, criterion):
         calls = []
+        original = selection._score_grid
 
-        def counted(ctx, scheme):
-            calls.append(scheme)
-            return criterion_value(ctx, scheme)
+        def counted(ctx, kind, grid):
+            calls.append(len(grid))
+            return original(ctx, kind, grid)
 
-        monkeypatch.setattr(selection, "criterion_value", counted)
-        result = select_from_context(make_context(seed=7), kind)
-        assert len(calls) == len(result.curve) > 1
+        monkeypatch.setattr(selection, "_score_grid", counted)
+        ctx = make_context(seed=7, criterion=criterion)
+        result = select_from_context(ctx, kind)
+        # the whole grid in one call: no grid point is scored twice
+        assert calls == [len(result.curve)] and len(result.curve) > 1
+        grid = default_grid(kind, ctx.spectrum, ctx.min_components)
+        for (_, crit, value), g in zip(result.curve, grid):
+            scheme = (Scheme.tikhonov(g) if kind == "T"
+                      else Scheme(kind, 1.0 / round(g)))
+            assert crit == pytest.approx(criterion_value(ctx, scheme), rel=1e-12)
+            assert value == pytest.approx(s_hat(ctx, scheme), rel=1e-12)
 
     def test_deterministic(self):
         net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=55)
