@@ -39,7 +39,7 @@ rho_tilde = preliminary_rho(data, net, delta_tilde)
 print("preliminary delta:", np.round(delta_tilde, 3), " rho:", round(rho_tilde, 3))
 
 inst = normalize_columns(q2_roster(net, Xb), "unit-variance")
-ctx = prepare_selection(data, net, inst, rho_tilde, delta_tilde)
+ctx = prepare_selection(data, net, inst, rho_tilde, delta_tilde, "cp")
 print(f"noise variance {ctx.sigma2_eps:.3f}, first-stage residual variance "
       f"{ctx.sigma2_v:.3f}, bias proxy {ctx.bias_factor:.3f}")
 print()
@@ -48,7 +48,7 @@ print()
 # The Tikhonov curve: fit criterion and the MSE estimate across the grid.
 # The argmin balances the two failure modes.
 # ----------------------------------------------------------------------
-grid = default_grid("T", ctx.spectrum)
+grid = default_grid("T", ctx.spectrum, ctx.min_components)
 print("alpha        Cp          S_hat")
 for a in grid[::6]:
     scheme = Scheme.tikhonov(a)

@@ -21,7 +21,6 @@ from .identification import (IdentificationReport, Verdict, build_report,
 from .instruments import (InstrumentSet, build_instruments, normalize_columns,
                           q1_roster, q2_roster)
 from .regularization import (Scheme, Spectrum, apply_projector,
-                             projector_diagonal, projector_matrix,
                              projector_traces, q_weights)
 from .estimation import (EstimationResult, SingularSystemError, assemble_z,
                          bias_corrected_2sls, classical_2sls,

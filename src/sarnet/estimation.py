@@ -23,8 +23,8 @@ from numpy.polynomial import Polynomial
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
-from .regularization import Scheme, q_weights
-from .transforms import apply_D, assemble_z, whiten, whitened_residual
+from .regularization import Scheme, Spectrum, q_weights
+from .transforms import apply_D, assemble_z, gram_D, whiten, whitened_residual
 
 __all__ = [
     "EstimationResult",
@@ -188,6 +188,22 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
 # Regularized and classical 2SLS
 # ---------------------------------------------------------------------------
 
+def _bias_trace(network: GroupedNetwork, spectrum: Spectrum, q: np.ndarray,
+                lam: float, rho: float) -> float:
+    """tr(P D) = sum_j q_j psi_j' D psi_j for psi = F C, D never materialized.
+
+    With psi held as Q Phi diag(n nu)^(-1/2) this is the k x k contraction
+    tr(C diag(q) C' F'DF), F'DF summed over each group's support
+    (``gram_D``).  With an explicit psi only the diagonal of psi'D psi
+    enters.
+    """
+    F = spectrum.factor
+    if spectrum.basis is None:
+        return float(np.einsum("ij,ij,j->", F, apply_D(network, lam, rho, F), q))
+    B = (spectrum.basis * (q / spectrum.scale ** 2)) @ spectrum.basis.T
+    return float(np.vdot(B, gram_D(network, lam, rho, F)))     # B is symmetric
+
+
 def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
          scheme: Scheme, rho_tilde: float,
          lambda_tilde: float | None = None) -> EstimationResult:
@@ -195,23 +211,21 @@ def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
 
     The damping weights q are computed once, from the instruments' cached
     spectrum, and serve the normal equations, tr P and the bias trace.
+    The normal equations are formed in the instrument coordinates psi'R[Z y].
     """
     spectrum = instruments.spectrum
     q = q_weights(scheme, spectrum)
     tr_P = float(q.sum())
-    V = spectrum.vectors
     Z = assemble_z(data, network)
-    U = V.T @ whiten(network, rho_tilde, Z)
-    uy = V.T @ whiten(network, rho_tilde, data.y)
+    Uy = spectrum.coords(whiten(network, rho_tilde, np.column_stack([Z, data.y])))
+    U, uy = Uy[:, :-1], Uy[:, -1]
     A = U.T @ (q[:, None] * U)
     delta = _checked_solve(A, U.T @ (q * uy), "regularized 2SLS normal equations")
     eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
     se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
     if lambda_tilde is not None:
-        # tr(P D) = sum_j q_j psi_j' D psi_j, D never materialized
-        tr_PD = float(np.einsum("ij,ij,j->", V,
-                                apply_D(network, lambda_tilde, rho_tilde, V), q))
+        tr_PD = _bias_trace(network, spectrum, q, lambda_tilde, rho_tilde)
         e1 = np.zeros(delta.size)
         e1[0] = 1.0
         delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")

@@ -72,7 +72,9 @@ def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
     for lab, kept in zip(labels, keep):
         if not kept:
             warnings.warn(f"dropping numerically zero instrument column {lab!r}")
-    return InstrumentSet(Q[:, keep], tuple(lab for lab, k in zip(labels, keep) if k))
+    # a boolean index copies even when it keeps every column
+    return InstrumentSet(Q if keep.all() else Q[:, keep],
+                         tuple(lab for lab, k in zip(labels, keep) if k))
 
 
 def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
@@ -123,7 +125,8 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
             warnings.warn(f"dropping zero-variance instrument column {lab!r}")
     if not np.any(keep):
         raise ValueError("all instrument columns had zero variance")
-    Q = inst.Q.compress(keep, axis=1)      # C order, as the Gram's bits need
+    # C order, as the Gram's bits need; no copy when every column is kept
+    Q = np.ascontiguousarray(inst.Q) if keep.all() else inst.Q.compress(keep, axis=1)
     if mode == "standardized":
         Q = Q - rows[keep].mean(axis=1)
     return InstrumentSet(Q / sd[keep],

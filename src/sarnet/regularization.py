@@ -19,10 +19,18 @@ so every factor 1 - c nu_j^2 lies in [0.1, 1).
 Small alpha means light damping; the PC scheme with all components (and the
 LF scheme in its many-iteration limit) recovers the ordinary projection, so
 classical 2SLS is the undamped special case.
+
+Everything downstream of the eigendecomposition works in the rank-dimensional
+coordinates <e, psi_j>, the dual form of Carrasco (2012): with few
+instruments the psi_j are Q phi_j / sqrt(n nu_j) for the eigenpairs
+(nu_j, phi_j) of K = Q'Q/n, and ``Spectrum`` keeps them as that product, so
+the n x rank matrix psi is formed only where an n-vector per component is
+needed (the leave-one-out leverages).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +38,7 @@ import numpy as np
 
 from .instruments import InstrumentSet
 
-__all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector",
-           "projector_traces", "projector_matrix", "projector_diagonal"]
+__all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector", "projector_traces"]
 
 #: eigenvalues below this times the largest are treated as zero and excluded
 EIGENVALUE_CUTOFF = 1e-12
@@ -41,27 +48,32 @@ LF_STEP = 0.9
 _KINDS = ("T", "LF", "PC")
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Nonzero eigenpairs of Q Q'/n.
+    """Nonzero eigenpairs (nu_j, psi_j) of Q Q'/n, psi held as a product F C.
 
     ``eigenvalues`` are descending and strictly positive after the relative
-    cutoff; ``vectors`` holds the matching orthonormal psi_j as columns.
+    cutoff.  The orthonormal eigenvectors are psi = F C: on the Gram route
+    F = Q and C = Phi diag(n nu)^(-1/2), with Phi (``basis``) the matching
+    eigenvectors of K = Q'Q/n; on the dense route, and for an explicit
+    ``Spectrum(eigenvalues, vectors, n)``, F = psi and C = I (``basis`` is
+    None).  Consumers go through ``coords(x)`` = psi'x = C'(F'x) and
+    ``expand(c)`` = psi c = F(C c); ``vectors`` forms psi itself on first
+    access and caches it.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.vectors, dtype=float)
-        if vecs.shape != (self.n, vals.size):
+    def __init__(self, eigenvalues, vectors, n: int) -> None:
+        vecs = np.asarray(vectors, dtype=float)
+        self._set(eigenvalues, vecs, None, n)
+        if vecs.shape != (self.n, self.rank):
             raise ValueError("vectors must be n x (number of eigenvalues)")
+
+    def _set(self, eigenvalues, factor: np.ndarray, basis: np.ndarray | None,
+             n: int) -> None:
+        vals = np.asarray(eigenvalues, dtype=float)
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "vectors", vecs)
+        self.eigenvalues, self.factor, self.basis, self.n = vals, factor, basis, int(n)
+        self.scale = None if basis is None else np.sqrt(self.n * vals)
 
     @property
     def rank(self) -> int:
@@ -78,15 +90,35 @@ class Spectrum:
             return math.inf
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
+    def _scaled(self, c: np.ndarray) -> np.ndarray:
+        """diag(n nu)^(-1/2) c for a rank-length vector or matrix c."""
+        return c / (self.scale if c.ndim == 1 else self.scale[:, None])
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """psi'x = C'(F'x) for an n-vector or an n-row matrix x."""
+        c = self.factor.T @ x
+        return c if self.basis is None else self._scaled(self.basis.T @ c)
+
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """psi c = F(C c) for a rank-length vector or a rank-row matrix c."""
+        return self.factor @ (c if self.basis is None else self.basis @ self._scaled(c))
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """psi as an n x rank matrix, (Q Phi) / sqrt(n nu) on the Gram route."""
+        if self.basis is None:
+            return self.factor
+        return (self.factor @ self.basis) / self.scale
+
     @classmethod
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
         """Eigendecompose Q Q'/n, working in whichever dimension is smaller.
 
         For m < n/4 instruments the m x m Gram K = Q'Q/n is decomposed and
-        the n-dimensional eigenvectors recovered through psi = Q phi /
-        sqrt(n nu); otherwise Q Q'/n is decomposed directly.  Both routes
-        share their nonzero spectrum.  Callers with an ``InstrumentSet`` read
-        its cached ``inst.spectrum``, which is built here.
+        psi is kept as Q Phi diag(n nu)^(-1/2); otherwise Q Q'/n is
+        decomposed directly and psi is its eigenvectors.  Both routes share
+        their nonzero spectrum.  Callers with an ``InstrumentSet`` read its
+        cached ``inst.spectrum``, which is built here.
         """
         Q = inst.Q if isinstance(inst, InstrumentSet) else np.asarray(inst, dtype=float)
         Q = np.atleast_2d(Q)
@@ -96,10 +128,13 @@ class Spectrum:
         vals, vecs = vals[::-1], vecs[:, ::-1]
         keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
         vals, vecs = vals[keep], vecs[:, keep]
-        psi = (Q @ vecs) / np.sqrt(n * vals) if gram_route else vecs
         if vals.size == 0:
             raise ValueError("instrument matrix has no nonzero spectrum")
-        return cls(eigenvalues=vals, vectors=psi, n=n)
+        if not gram_route:
+            return cls(vals, vecs, n)
+        spectrum = cls.__new__(cls)
+        spectrum._set(vals, Q, vecs, n)
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -182,25 +217,11 @@ def apply_projector(spectrum: Spectrum, scheme: Scheme, e: np.ndarray) -> np.nda
     if e.shape[0] != spectrum.n:
         raise ValueError(f"e must have length {spectrum.n}")
     q = q_weights(scheme, spectrum)
-    coef = spectrum.vectors.T @ e
-    if coef.ndim == 1:
-        return spectrum.vectors @ (q * coef)
-    return spectrum.vectors @ (q[:, None] * coef)
+    coef = spectrum.coords(e)
+    return spectrum.expand(q * coef if coef.ndim == 1 else q[:, None] * coef)
 
 
 def projector_traces(spectrum: Spectrum, scheme: Scheme) -> tuple[float, float]:
     """(tr P^alpha, tr (P^alpha)^2) = (sum q_j, sum q_j^2)."""
     q = q_weights(scheme, spectrum)
     return float(q.sum()), float((q ** 2).sum())
-
-
-def projector_diagonal(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
-    """Diagonal entries P^alpha_ii = sum_j q_j psi_ji^2 (smoother leverages)."""
-    q = q_weights(scheme, spectrum)
-    return (spectrum.vectors ** 2) @ q
-
-
-def projector_matrix(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
-    """Dense n x n P^alpha; for small fixtures and tests only."""
-    q = q_weights(scheme, spectrum)
-    return (spectrum.vectors * q) @ spectrum.vectors.T

@@ -52,7 +52,7 @@ def _check_criterion(criterion: str) -> None:
                          f"got {criterion!r}")
 
 
-def default_grid(kind: str, spectrum: Spectrum, min_components: int = 1) -> np.ndarray:
+def default_grid(kind: str, spectrum: Spectrum, min_components: int) -> np.ndarray:
     """Default search grids per scheme kind.
 
     T: 40 log-spaced penalties from 1e-8 up to 10 nu_1^2 (the damping weight
@@ -85,7 +85,7 @@ class SelectionContext:
 
     spectrum: Spectrum
     w: np.ndarray
-    coef: np.ndarray            # psi' w, cached
+    coef: np.ndarray            # psi' w, in the spectrum's coordinates
     sigma2_eps: float
     sigma2_v: float
     bias_factor: float          # ||D iota||^2 / n
@@ -99,8 +99,7 @@ class SelectionContext:
 
 def prepare_selection(data: PanelData, network: GroupedNetwork,
                       instruments: InstrumentSet, rho_tilde: float,
-                      delta_tilde: np.ndarray,
-                      criterion: str = "cp") -> SelectionContext:
+                      delta_tilde: np.ndarray, criterion: str) -> SelectionContext:
     """Assemble the per-dataset selection context from preliminary estimates."""
     _check_criterion(criterion)
     spectrum = instruments.spectrum
@@ -116,12 +115,12 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     # target direction is J-projected because the instruments live in the
     # J space: group-level content of R Z is unfittable by construction and
     # would otherwise inflate the first-stage residual variance
-    U = spectrum.vectors.T @ rz
+    U = spectrum.coords(rz)
     H = U.T @ U / network.n
     h_dir = np.linalg.solve(H, e1)
     w = J.apply(rz @ h_dir)
-    coef = spectrum.vectors.T @ w
-    resid_full = w - spectrum.vectors @ coef
+    coef = spectrum.coords(w)
+    resid_full = w - spectrum.expand(coef)
     sigma2_v = float(resid_full @ resid_full) / network.n
 
     eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta_tilde)
@@ -269,7 +268,7 @@ def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
 
 
 def select_alpha(data: PanelData, network: GroupedNetwork,
-                 instruments: InstrumentSet, kind: str, criterion: str = "cp", *,
+                 instruments: InstrumentSet, kind: str, criterion: str, *,
                  rho_tilde: float, delta_tilde: np.ndarray) -> SelectionResult:
     """End-to-end alpha selection for one scheme kind.
 

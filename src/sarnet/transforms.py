@@ -32,6 +32,7 @@ __all__ = [
     "assemble_z",
     "whiten",
     "apply_D",
+    "gram_D",
     "whitened_residual",
     "structural_residual",
     "reduced_form",
@@ -235,23 +236,45 @@ def whiten(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
 
 def apply_D(network: GroupedNetwork, lam: float, rho: float,
             V: np.ndarray) -> np.ndarray:
-    """D V for D = R(rho) W S(lambda)^{-1} R(rho)^{-1}, through D's own blocks.
+    """D V = R(rho) W S(lambda)^{-1} R(rho)^{-1} V through per-group solves.
 
     D is the bias operator of the many-instruments correction (Liu and Lee
-    2010): the endogenous regressor R W Y has the component D eps.  D is
-    block diagonal; its blocks D_r = R_r W_r S_r^{-1} R_r^{-1} are formed
-    once per call, by per-group solves with m_r right-hand sides (the
-    columns of I_{m_r}), and applied with one batched product per group size.
+    2010): the endogenous regressor R W Y has the component D eps.  Its
+    blocks are never formed: V's columns are the right-hand sides of one
+    batched R(rho) solve and one batched S(lambda) solve per group size.
     """
-    sizes, i = np.asarray(network.group_sizes), np.arange(network.n)
-    E = np.zeros((network.n, sizes.max()))     # group r's rows hold I_{m_r}
-    E[i, i - np.repeat(np.cumsum(sizes) - sizes, sizes)] = 1.0
-    t = solve_blockwise(rho, network.stacks_M(), E, "R(rho)")
+    t = solve_blockwise(rho, network.stacks_M(), V, "R(rho)")
     t = solve_blockwise(lam, network.stacks_W(), t, "S(lambda)")
-    D = whiten(network, rho, network.lag_W(t))
-    parts = [(rows, D[rows, :S.shape[1]].reshape(S.shape))
-             for rows, S in network.stacks_W().parts]
-    return _map_stacked(np.matmul, parts, V)
+    return whiten(network, rho, network.lag_W(t))
+
+
+def gram_D(network: GroupedNetwork, lam: float, rho: float,
+           F: np.ndarray) -> np.ndarray:
+    """F'DF for an n x k matrix F, summed group by group over each group's support.
+
+    D is block diagonal, so F'DF = sum_r F_r' D_r F_r over the rows F_r of
+    group r, and only the columns of F that are nonzero on those rows (the
+    group's support, read from F's nonzero pattern) contribute.  Each row's
+    support entries are gathered into an n x s matrix X, s the largest
+    support; a group with a smaller support fills its other slots with
+    columns that are zero on its rows, so they add exact zeros.  D is
+    applied to X's s columns, and K_r = X_r'(D X)_r is one batched product
+    per group size, added into F'DF at the gathered columns.  The cost is
+    O(n m s + G s^2) instead of the O(n m k) of D F.
+    """
+    k = F.shape[1]
+    sizes = np.asarray(network.group_sizes)
+    support = np.logical_or.reduceat(F != 0.0, np.cumsum(sizes) - sizes, axis=0)
+    s = int(support.sum(axis=1).max())
+    cols = np.argsort(~support, axis=1)[:, :s]       # each group's support first
+    X = np.take_along_axis(F, np.repeat(cols, sizes, axis=0), axis=1)
+    DX = apply_D(network, lam, rho, X)
+    K = np.empty((network.group_count, s, s))
+    for groups, (rows, S) in zip(network.stacks_W().groups, network.stacks_W().parts):
+        g, m = S.shape[:2]
+        K[groups] = X[rows].reshape(g, m, s).transpose(0, 2, 1) @ DX[rows].reshape(g, m, s)
+    at = cols[:, :, None] * k + cols[:, None, :]
+    return np.bincount(at.ravel(), weights=K.ravel(), minlength=k * k).reshape(k, k)
 
 
 def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,

@@ -19,11 +19,12 @@ from sarnet.identification import (Verdict, distinct_eigenvalues,
 from sarnet.instruments import InstrumentSet, build_instruments, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, run_study, summarize
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
-                                   projector_matrix, projector_traces, q_weights)
+                                   projector_traces, q_weights)
 from sarnet.selection import (SelectionContext, _loo_refit,
                               criterion_value, default_grid,
                               prepare_selection, select_from_context)
 from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
+from oracles import projector_matrix
 
 GROUPS = (30, 60)
 SIZES = (10, 15)
@@ -241,9 +242,9 @@ def test_criterion_7_selector_suite(capsys):
     ndelta = preliminary_delta(ndata, nnet, q1_roster(nnet, nX))
     nrho = preliminary_rho(ndata, nnet, ndelta)
     ninst = normalize_columns(build_instruments(nnet, nX, order=3), "unit-variance")
-    nctx = prepare_selection(ndata, nnet, ninst, nrho, ndelta)
+    nctx = prepare_selection(ndata, nnet, ninst, nrho, ndelta, "cp")
     chosen = select_from_context(nctx, "T").scheme.alpha
-    smallest = default_grid("T", nctx.spectrum)[0]
+    smallest = default_grid("T", nctx.spectrum, nctx.min_components)[0]
     if chosen != pytest.approx(smallest):
         problems.append(f"noiseless fixture chose alpha {chosen:.3g}")
     # pure-noise limit: heaviest damping wins
@@ -258,7 +259,7 @@ def test_criterion_7_selector_suite(capsys):
                              sigma2_v=float(w @ w) / 40,
                              bias_factor=2.0, criterion="cp", min_components=1)
     t_choice = select_from_context(noisy, "T").scheme.alpha
-    largest = default_grid("T", spec)[-1]
+    largest = default_grid("T", spec, noisy.min_components)[-1]
     if t_choice != pytest.approx(largest):
         problems.append(f"pure-noise fixture chose alpha {t_choice:.3g}")
     pc_choice = select_from_context(noisy, "PC").scheme.steps

@@ -27,3 +27,12 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"sarnet.{node.module}")
         unexported = [a.name for a in node.names if a.name not in module.__all__]
         assert unexported == [], f"sarnet.{node.module}"
+
+
+def test_dense_projector_forms_are_test_oracles():
+    # n x n forms of P^alpha live in tests/oracles.py; the package has only
+    # the spectral route
+    for name in ("projector_matrix", "projector_diagonal"):
+        assert not hasattr(sarnet, name)
+        assert [m for m in MODULES
+                if name in importlib.import_module(f"sarnet.{m}").__all__] == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sarnet.graphs import generate_mc_network
+from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
 from sarnet.regularization import Spectrum
@@ -152,3 +153,24 @@ def test_spectrum_is_decomposed_once_and_cached(net_and_x):
     direct = Spectrum.from_instruments(inst.Q)
     np.testing.assert_array_equal(inst.spectrum.eigenvalues, direct.eigenvalues)
     np.testing.assert_array_equal(inst.spectrum.vectors, direct.vectors)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_roster_kept_whole_equals_the_copying_construction(seed):
+    # when no column is dropped the roster is not copied on its way to the
+    # normalized set; the values and the C layout, and so the Gram's bits,
+    # must be those of copying it through a boolean index and compress
+    config = McConfig(group_count=60, group_size=15, max_links=6, replications=1,
+                      seed=seed)
+    net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
+    raw = q2_roster(net, data.regressors(net))
+    assert raw.n_columns == q1_roster(net, data.regressors(net)).n_columns + 60
+    got = normalize_columns(raw, "unit-variance")
+
+    keep = np.ones(raw.n_columns, dtype=bool)
+    copied = raw.Q[:, keep]
+    sd = np.std(np.ascontiguousarray(copied.T), axis=1, ddof=1)
+    want = copied.compress(keep, axis=1) / sd[keep]
+    assert got.Q.flags.c_contiguous and want.flags.c_contiguous
+    assert np.array_equal(got.Q, want)
+    assert np.array_equal(got.Q.T @ got.Q / got.n, want.T @ want / got.n)

@@ -5,6 +5,7 @@ from sarnet import montecarlo
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
+from sarnet.instruments import normalize_columns
 from sarnet.regularization import Spectrum
 
 
@@ -55,6 +56,26 @@ class TestRunReplication:
             result = run_replication(config, np.random.SeedSequence(rep))
             assert not result.failures
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("criterion,formed", [("cp", False), ("loo", True)])
+    def test_psi_is_formed_only_for_loo(self, monkeypatch, criterion, formed):
+        # at the G = 240 design every consumer but the LOO leverages works in
+        # the instrument coordinates, so psi = Q Phi / sqrt(n nu) is never built
+        rosters = []
+
+        def recording(inst, mode):
+            rosters.append(normalize_columns(inst, mode))
+            return rosters[-1]
+
+        monkeypatch.setattr(montecarlo, "normalize_columns", recording)
+        config = McConfig(group_count=240, group_size=15, max_links=6,
+                          replications=1, seed=0, criterion=criterion)
+        result = run_replication(config, np.random.SeedSequence(0).spawn(1)[0])
+        assert not result.failures
+        [q2_norm] = rosters
+        spectrum = q2_norm.spectrum
+        assert spectrum.basis is not None           # the Gram route
+        assert ("vectors" in spectrum.__dict__) == formed
 
     def test_shared_rho_is_recorded(self):
         config = McConfig(**SMALL)

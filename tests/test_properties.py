@@ -7,15 +7,19 @@ Networks have random unequal group sizes, singleton groups and all-zero rows
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sarnet.estimation import bias_corrected_2sls, classical_2sls, preliminary_rho
+from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
+                               preliminary_rho)
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q2_roster
-from sarnet.transforms import (ModelParams, apply_D, assemble_z, r_matrix, reduced_form,
-                               row_sum_norm, s_matrix, solve_blockwise)
+from sarnet.regularization import Scheme, Spectrum, q_weights
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, r_matrix,
+                               reduced_form, row_sum_norm, s_matrix, solve_blockwise)
+from oracles import d_matrix, projector_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -308,3 +312,78 @@ def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed, mod
     assert np.array_equal(got.Q, want_Q)
     assert got.labels == want_labels
     assert got.Q.flags.c_contiguous
+
+
+# The spectrum's consumers work in the instrument coordinates psi'x.  The
+# rosters below mix a global column, one column on a random subset of the
+# groups and one column per group, so most supports are strict subsets.
+
+def support_roster(net, rng):
+    """J [x, x on some groups, W iota_r per group]: global, partial and per-group columns."""
+    x = rng.standard_normal(net.n)
+    some = net.expand_group_values((rng.random(net.group_count) < 0.5).astype(float))
+    return net.J.apply(np.column_stack([x, x * some, net.lag_W(net.group_ones())]))
+
+
+def route_spectrum(Q, gram):
+    """The spectrum of Q, trimmed or widened to take the asked route.
+
+    The Gram route needs fewer than n/4 columns, so it keeps Q's leading
+    columns; the dense route needs at least n/4, so it appends random dense
+    columns.
+    """
+    n = Q.shape[0]
+    quarter = -(-n // 4)                      # the first width on the dense route
+    if gram:
+        Q = Q[:, :quarter - 1]
+    else:
+        extra = max(0, quarter - Q.shape[1])
+        Q = np.column_stack([Q, np.random.default_rng(n).standard_normal((n, extra))])
+    assume(Q.shape[1] > 0 and np.abs(Q).max() > 0.0)
+    spectrum = Spectrum.from_instruments(Q)
+    assert (spectrum.basis is not None) == gram
+    return spectrum
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), gram=st.booleans(), seed=st.integers(0, 1000))
+def test_coords_and_expand_match_materialized_psi(net, gram, seed):
+    rng = np.random.default_rng(seed)
+    spectrum = route_spectrum(support_roster(net, rng), gram)
+    x = rng.standard_normal((net.n, 3))
+    c = rng.standard_normal((spectrum.rank, 3))
+    psi = spectrum.vectors
+    for got, want in ((spectrum.coords(x), psi.T @ x),
+                      (spectrum.coords(x[:, 0]), psi.T @ x[:, 0]),
+                      (spectrum.expand(c), psi @ c),
+                      (spectrum.expand(c[:, 0]), psi @ c[:, 0])):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
+       dense=st.booleans(), seed=st.integers(0, 1000))
+def test_gram_D_matches_dense_oracle(net, lam, rho, dense, seed):
+    # a dense F gives every group the full support, s = k
+    lam /= max(1.0, row_sum_norm(net.W))
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((net.n, 4)) if dense else support_roster(net, rng)
+    want = F.T @ d_matrix(net, lam, rho) @ F
+    got = gram_D(net, lam, rho, F)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
+       gram=st.booleans(), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 1000))
+def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
+    lam /= max(1.0, row_sum_norm(net.W))
+    spectrum = route_spectrum(support_roster(net, np.random.default_rng(seed)), gram)
+    D = d_matrix(net, lam, rho)
+    for scheme in (Scheme.principal_components(spectrum.rank), Scheme.tikhonov(alpha)):
+        want = np.trace(projector_matrix(spectrum, scheme) @ D)
+        got = _bias_trace(net, spectrum, q_weights(scheme, spectrum), lam, rho)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)

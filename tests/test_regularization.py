@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from sarnet.instruments import InstrumentSet
-from sarnet.regularization import (LF_STEP, Scheme, Spectrum, apply_projector,
-                                   projector_diagonal, projector_matrix,
+from sarnet.instruments import InstrumentSet, normalize_columns, q2_roster
+from sarnet.montecarlo import McConfig, _draw_sample
+from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
+                                   apply_projector,
                                    projector_traces, q_weights)
+from oracles import projector_diagonal, projector_matrix
 
 
 def random_instruments(seed, n=40, m=6):
@@ -50,6 +52,36 @@ class TestSpectrum:
     def test_condition_number(self, spectrum):
         assert spectrum.condition_number == pytest.approx(
             spectrum.eigenvalues[0] / spectrum.eigenvalues[-1])
+
+
+@pytest.mark.parametrize("groups,clustered", [(240, 233), (60, 53)])
+def test_gram_route_keeps_the_dense_gram_and_its_eigh(groups, clustered):
+    """The normalized large roster's Q, Gram and eigenpairs keep their bits.
+
+    The Gram Q'Q/n stays dense and C-ordered, decomposed by one ``eigh``,
+    and psi, when it is formed, is (Q Phi) / sqrt(n nu) on those exact
+    eigenpairs.  The reason is the spectrum's degenerate cluster: on the
+    first draw of seed 0 at G = 240, 233 of the 245 adjacent eigenvalue gaps
+    are below 1e-10 relative, so the PC component count cuts an arbitrary
+    basis inside it, and any last-bit change in Q or Q'Q rotates that basis
+    and can move PC-2SLS.
+    """
+    config = McConfig(group_count=groups, group_size=15, max_links=6,
+                      replications=1, seed=0)
+    net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+    inst = normalize_columns(q2_roster(net, data.regressors(net)), "unit-variance")
+    spec = inst.spectrum
+    n = inst.n
+    vals, vecs = np.linalg.eigh(inst.Q.T @ inst.Q / n)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > EIGENVALUE_CUTOFF * vals[0]
+    vals, vecs = vals[keep], vecs[:, keep]
+    assert spec.factor is inst.Q
+    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.basis, vecs)
+    assert np.sum(-np.diff(vals) / vals[:-1] < 1e-10) == clustered
+    assert "vectors" not in spec.__dict__
+    assert np.array_equal(spec.vectors, (inst.Q @ vecs) / np.sqrt(n * vals))
 
 
 class TestScheme:

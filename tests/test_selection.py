@@ -139,10 +139,10 @@ class TestSelect:
         rho_t = preliminary_rho(data, net, delta_t)
         inst = normalize_columns(build_instruments(net, X, order=3),
                                  "unit-variance")
-        ctx = prepare_selection(data, net, inst, rho_t, delta_t)
+        ctx = prepare_selection(data, net, inst, rho_t, delta_t, "cp")
         assert ctx.sigma2_eps < 1e-12
         result = select_from_context(ctx, "T")
-        grid = default_grid("T", ctx.spectrum)
+        grid = default_grid("T", ctx.spectrum, ctx.min_components)
         assert result.scheme.alpha == pytest.approx(grid[0])
         pc = select_from_context(ctx, "PC")
         assert pc.scheme.steps == ctx.spectrum.rank
@@ -165,8 +165,8 @@ class TestSelect:
         curve = result.curve_array()
         assert curve.shape[1] == 3
         assert np.all(np.isfinite(curve))
-        np.testing.assert_allclose(curve[:, 0],
-                                   default_grid("T", ctx.spectrum), rtol=1e-12)
+        np.testing.assert_allclose(
+            curve[:, 0], default_grid("T", ctx.spectrum, ctx.min_components), rtol=1e-12)
 
     @pytest.mark.parametrize("criterion", ["cp", "gcv", "loo"])
     @pytest.mark.parametrize("kind", ["T", "LF", "PC"])
@@ -193,9 +193,9 @@ class TestSelect:
 
     def test_deterministic(self):
         net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=55)
-        r1 = select_alpha(data, net, inst, "PC", rho_tilde=rho_t,
+        r1 = select_alpha(data, net, inst, "PC", "cp", rho_tilde=rho_t,
                           delta_tilde=delta_t)
-        r2 = select_alpha(data, net, inst, "PC", rho_tilde=rho_t,
+        r2 = select_alpha(data, net, inst, "PC", "cp", rho_tilde=rho_t,
                           delta_tilde=delta_t)
         assert r1.alpha_star == r2.alpha_star
         assert r1.curve == r2.curve
@@ -207,7 +207,8 @@ class TestSelect:
                                    sigma2_v=0.0, sigma2_eps=0.0)
         # S_hat is identically zero: the most regularized grid point wins
         t = select_from_context(flat, "T")
-        assert t.scheme.alpha == pytest.approx(default_grid("T", ctx.spectrum)[-1])
+        heaviest = default_grid("T", ctx.spectrum, ctx.min_components)[-1]
+        assert t.scheme.alpha == pytest.approx(heaviest)
         pc = select_from_context(flat, "PC")
         assert pc.scheme.steps == 1
 
@@ -219,7 +220,7 @@ class TestSelect:
             _, _, _, _, _, ctx = pipeline_context(seed=56, criterion=crit,
                                                   group_count=8, group_size=10)
             result = select_from_context(ctx, "T")
-            grid = list(default_grid("T", ctx.spectrum))
+            grid = list(default_grid("T", ctx.spectrum, ctx.min_components))
             argmins[crit] = min(range(len(grid)),
                                 key=lambda i: abs(grid[i] - result.scheme.alpha))
         values = sorted(argmins.values())
@@ -229,7 +230,7 @@ class TestSelect:
         _, _, _, _, _, ctx = pipeline_context(seed=57, group_count=12,
                                               group_size=10)
         gcv_ctx = dataclasses.replace(ctx, criterion="gcv")
-        for alpha in default_grid("T", ctx.spectrum):
+        for alpha in default_grid("T", ctx.spectrum, ctx.min_components):
             scheme = Scheme.tikhonov(alpha)
             tr_P, _ = projector_traces(ctx.spectrum, scheme)
             if tr_P / ctx.n < 0.05:
@@ -240,7 +241,7 @@ class TestSelect:
     def test_variance_proxy_monotone_in_regularization(self):
         ctx = make_context(seed=9)
         tr_t = [projector_traces(ctx.spectrum, Scheme.tikhonov(a))[0]
-                for a in default_grid("T", ctx.spectrum)]
+                for a in default_grid("T", ctx.spectrum, ctx.min_components)]
         assert np.all(np.diff(tr_t) <= 1e-12)  # alpha up, trace down
         tr_pc = [projector_traces(ctx.spectrum, Scheme.principal_components(k))[0]
                  for k in range(1, ctx.spectrum.rank + 1)]
