@@ -14,7 +14,8 @@
 import numpy as np
 
 from sarnet import (Scheme, Spectrum, apply_projector, generate_mc_network,
-                    normalize_columns, projector_traces, q2_roster, q_weights)
+                    normalize_columns, projector_traces, q1_roster, q2_roster,
+                    q_weights)
 from sarnet.graphs import PanelData
 from sarnet.transforms import ModelParams, reduced_form
 
@@ -31,9 +32,11 @@ X = np.column_stack([x, net.lag_W(x)])
 y = reduced_form(params, X, gamma, eps, net)
 data = PanelData(y=y, x1=x[:, None], x2=x[:, None], group_sizes=net.group_sizes)
 
-# the large roster: covariate lags plus one centrality column per group,
-# normalized to unit variance so the damping treats columns comparably
-inst = normalize_columns(q2_roster(net, data.regressors(net)), "unit-variance")
+# the large roster: the small roster of covariate lags plus one centrality
+# column per group, normalized to unit variance so the damping treats
+# columns comparably
+q1 = q1_roster(net, data.regressors(net))
+inst = normalize_columns(q2_roster(net, q1), "unit-variance")
 spectrum = Spectrum.from_instruments(inst)
 print(f"{inst.n_columns} instrument columns, retained rank {spectrum.rank}")
 print("eigenvalue range: %.3f .. %.3f  (condition %.1f)" % (

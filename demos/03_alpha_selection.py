@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sarnet import (Scheme, criterion_value, curve_to_csv, generate_mc_network,
-                    normalize_columns, preliminary_delta, preliminary_rho,
-                    prepare_selection, q1_roster, q2_roster,
+from sarnet import (Scheme, criterion_value, curve_to_csv, first_stage,
+                    generate_mc_network, normalize_columns, preliminary_delta,
+                    preliminary_rho, prepare_selection, q1_roster, q2_roster,
                     regularized_2sls, s_hat, select_from_context)
 from sarnet.graphs import PanelData
 from sarnet.selection import default_grid
@@ -38,7 +38,7 @@ delta_tilde = preliminary_delta(data, net, q1)
 rho_tilde = preliminary_rho(data, net, delta_tilde)
 print("preliminary delta:", np.round(delta_tilde, 3), " rho:", round(rho_tilde, 3))
 
-inst = normalize_columns(q2_roster(net, Xb), "unit-variance")
+inst = normalize_columns(q2_roster(net, q1), "unit-variance")
 ctx = prepare_selection(data, net, inst, rho_tilde, delta_tilde, "cp")
 print(f"noise variance {ctx.sigma2_eps:.3f}, first-stage residual variance "
       f"{ctx.sigma2_v:.3f}, bias proxy {ctx.bias_factor:.3f}")
@@ -55,10 +55,12 @@ for a in grid[::6]:
     print(f"{a:10.3g}  {criterion_value(ctx, scheme):10.4f}  {s_hat(ctx, scheme):10.4f}")
 print()
 
+# one first stage (the whitened data's instrument coordinates) serves every fit
+stage = first_stage(data, net, inst, rho_tilde)
 for kind in ("T", "LF", "PC"):
     result = select_from_context(ctx, kind)
     scheme = result.scheme
-    fitted = regularized_2sls(data, net, inst, scheme, rho_tilde)
+    fitted = regularized_2sls(stage, scheme)
     what = (f"alpha = {scheme.alpha:.4g}" if kind == "T"
             else f"{scheme.steps} {'iterations' if kind == 'LF' else 'components'}")
     print(f"{kind:>2}: chose {what:<22} lambda_hat = {fitted.lambda_hat:+.4f}  "

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import (preliminary_delta, preliminary_rho, regularized_2sls)
+from .estimation import first_stage, preliminary_delta, preliminary_rho, regularized_2sls
 from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import build_instruments, normalize_columns, q1_roster
@@ -95,8 +95,8 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
     sim.add_argument("--transform-rho", action="store_true",
                      help="whiten every estimator with the estimated rho")
     sim.add_argument("--format", choices=("text", "csv"), default="text")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="process count (default 1)")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="process count (default 1; at most --reps start)")
     sim.add_argument("--out")
 
     def add_data_flags(p, need_data: bool):
@@ -167,6 +167,8 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     config = McConfig(group_count=args.groups, group_size=args.size,
                       max_links=args.max_links, replications=args.reps,
                       seed=args.seed, criterion=args.criterion,
@@ -231,7 +233,7 @@ def _prepare_estimation(args, need_count: bool):
 
 def _cmd_estimate(args) -> int:
     net, data, inst, rho_tilde, sel, count = _prepare_estimation(args, need_count=True)
-    result = regularized_2sls(data, net, inst, sel.scheme, rho_tilde)
+    result = regularized_2sls(first_stage(data, net, inst, rho_tilde), sel.scheme)
     lines = [
         f"n = {net.n}",
         f"groups = {net.group_count}",

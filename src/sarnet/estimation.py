@@ -11,6 +11,12 @@ where P^alpha is the damped projection on the instrument space; with the
 undamped projection this is classical 2SLS.  The bias-corrected variant is
 the many-instrument estimator minus a plug-in estimate of its leading
 instrument-count bias, in the spirit of Liu and Lee (2010).
+
+Every fit on one instrument roster shares its first stage: ``first_stage``
+whitens [Z y] at rho_tilde and projects it on the roster's spectrum once,
+and ``regularized_2sls``, ``classical_2sls`` and ``bias_corrected_2sls``
+take that ``FirstStage`` and differ only in their damping weights.  At
+rho_tilde = 0, R is the identity and the whitening does no work.
 """
 
 from __future__ import annotations
@@ -28,10 +34,12 @@ from .transforms import apply_D, assemble_z, gram_D, whiten, whitened_residual
 
 __all__ = [
     "EstimationResult",
+    "FirstStage",
     "SingularSystemError",
     "assemble_z",
     "preliminary_delta",
     "preliminary_rho",
+    "first_stage",
     "regularized_2sls",
     "classical_2sls",
     "bias_corrected_2sls",
@@ -204,24 +212,56 @@ def _bias_trace(network: GroupedNetwork, spectrum: Spectrum, q: np.ndarray,
     return float(np.vdot(B, gram_D(network, lam, rho, F)))     # B is symmetric
 
 
-def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
-         scheme: Scheme, rho_tilde: float,
+@dataclass(frozen=True)
+class FirstStage:
+    """One instrument roster's first stage, shared by every fit on it.
+
+    Holds Z = (W Y, X1, W X2) and the spectrum coordinates U = psi'R Z and
+    uy = psi'R y of the whitened data at ``rho_tilde``; ``first_stage``
+    builds it.  The fits differ only in their damping weights, so any
+    number of them read one stage.
+    """
+
+    data: PanelData
+    network: GroupedNetwork
+    instruments: InstrumentSet
+    rho_tilde: float
+    Z: np.ndarray
+    U: np.ndarray
+    uy: np.ndarray
+
+    @property
+    def spectrum(self) -> Spectrum:
+        return self.instruments.spectrum
+
+
+def first_stage(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
+                rho_tilde: float) -> FirstStage:
+    """Project R(rho_tilde)[Z y] on the instruments' spectrum, once per roster.
+
+    Decomposes the instruments' spectrum if nothing has read it yet.
+    """
+    Z = assemble_z(data, network)
+    Uy = instruments.spectrum.coords(whiten(network, rho_tilde, np.column_stack([Z, data.y])))
+    return FirstStage(data, network, instruments, rho_tilde, Z, Uy[:, :-1], Uy[:, -1])
+
+
+def _fit(stage: FirstStage, scheme: Scheme,
          lambda_tilde: float | None = None) -> EstimationResult:
     """The one (regularized) 2SLS fit; bias-corrected when ``lambda_tilde`` is set.
 
     The damping weights q are computed once, from the instruments' cached
     spectrum, and serve the normal equations, tr P and the bias trace.
-    The normal equations are formed in the instrument coordinates psi'R[Z y].
+    The normal equations are formed from the stage's coordinates psi'R[Z y].
     """
-    spectrum = instruments.spectrum
+    data, network, rho_tilde = stage.data, stage.network, stage.rho_tilde
+    spectrum = stage.spectrum
     q = q_weights(scheme, spectrum)
     tr_P = float(q.sum())
-    Z = assemble_z(data, network)
-    Uy = spectrum.coords(whiten(network, rho_tilde, np.column_stack([Z, data.y])))
-    U, uy = Uy[:, :-1], Uy[:, -1]
+    U = stage.U
     A = U.T @ (q[:, None] * U)
-    delta = _checked_solve(A, U.T @ (q * uy), "regularized 2SLS normal equations")
-    eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta)
+    delta = _checked_solve(A, U.T @ (q * stage.uy), "regularized 2SLS normal equations")
+    eps_hat = whitened_residual(network, rho_tilde, data.y, stage.Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
     se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
     if lambda_tilde is not None:
@@ -237,9 +277,7 @@ def _fit(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
     )
 
 
-def regularized_2sls(data: PanelData, network: GroupedNetwork,
-                     instruments: InstrumentSet, scheme: Scheme,
-                     rho_tilde: float) -> EstimationResult:
+def regularized_2sls(stage: FirstStage, scheme: Scheme) -> EstimationResult:
     """Damped-projection 2SLS of the transformed structural equation.
 
     The instrument projection is applied through the spectrum of Q Q'/n, so
@@ -247,19 +285,15 @@ def regularized_2sls(data: PanelData, network: GroupedNetwork,
     (1 + k1 + k2) square solve.  sigma2 comes from the structural residuals
     at (delta_hat, rho_tilde) divided by n.
     """
-    return _fit(data, network, instruments, scheme, rho_tilde)
+    return _fit(stage, scheme)
 
 
-def classical_2sls(data: PanelData, network: GroupedNetwork,
-                   instruments: InstrumentSet, rho_tilde: float) -> EstimationResult:
+def classical_2sls(stage: FirstStage) -> EstimationResult:
     """Ordinary-projection 2SLS: the principal-components scheme kept in full."""
-    scheme = Scheme.principal_components(instruments.spectrum.rank)
-    return regularized_2sls(data, network, instruments, scheme, rho_tilde)
+    return regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
 
 
-def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
-                        instruments: InstrumentSet, rho_tilde: float,
-                        lambda_tilde: float) -> EstimationResult:
+def bias_corrected_2sls(stage: FirstStage, lambda_tilde: float) -> EstimationResult:
     """Classical (many-instrument) 2SLS minus the plug-in estimate of its leading bias.
 
     The correction targets the endogenous-effect coordinate:
@@ -270,5 +304,4 @@ def bias_corrected_2sls(data: PanelData, network: GroupedNetwork,
     sigma2 of the uncorrected estimator.  P keeps every principal component,
     so tr P is the instrument rank, at least 1.
     """
-    scheme = Scheme.principal_components(instruments.spectrum.rank)
-    return _fit(data, network, instruments, scheme, rho_tilde, lambda_tilde)
+    return _fit(stage, Scheme.principal_components(stage.spectrum.rank), lambda_tilde)

@@ -168,14 +168,14 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
                               labels)
 
 
-def q2_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
-    """The q1 roster augmented with the centrality block J W iota.
+def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
+    """The small roster ``q1`` extended by the centrality block J W iota.
 
-    iota is the block-diagonal matrix of per-group ones vectors, so this adds
-    one out-degree column per group; the instrument count grows with the
-    number of groups (the many-instruments regime).
+    ``q1`` is the network's ``q1_roster``, whose columns come first.  iota is
+    the block-diagonal matrix of per-group ones vectors, so this adds one
+    out-degree column per group; the instrument count grows with the number
+    of groups (the many-instruments regime).
     """
-    q1 = q1_roster(network, base)
     V = network.J.apply(network.lag_W(network.group_ones()))
     labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
     return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)

@@ -5,12 +5,16 @@ effects and disturbances, builds the outcome from the reduced form, and runs
 six estimators on the same draw: 2SLS with the small instrument roster, 2SLS
 with the centrality-augmented roster, its bias-corrected version, and the
 three regularized estimators (T / LF / PC) with a per-replication
-data-driven alpha.  All four large-roster estimators read the spectrum of
-the unit-variance-normalized roster: damping is not scale invariant, but
-the undamped projector and the bias trace tr(P D) are, so normalizing the
+data-driven alpha.  The large roster extends the small one, which is built
+once.  All five large-roster estimators read the spectrum of the
+unit-variance-normalized roster: damping is not scale invariant, but the
+undamped projector and the bias trace tr(P D) are, so normalizing the
 large-iv and bias-corrected rows gives the same estimator while one
-decomposition serves all four.  Summaries report Mean (SD) [RMSE] per
-estimator and parameter.
+decomposition serves all five.  They also share one ``first_stage``, the
+coordinates of R[Z y] on that spectrum, so [Z y] is whitened and projected
+once per roster, not once per fit.  Without ``transform_with_rho`` the
+whitening is at rho = 0, where R = I and nothing is computed.  Summaries
+report Mean (SD) [RMSE] per estimator and parameter.
 
 Seeding: the master seed spawns one child seed per replication through
 numpy's SeedSequence, so results are reproducible bit for bit and invariant
@@ -20,14 +24,15 @@ draw order is fixed: network, covariate, group effects, disturbances.
 
 from __future__ import annotations
 
-import concurrent.futures
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .estimation import (EstimationResult, bias_corrected_2sls, classical_2sls,
-                         preliminary_delta, preliminary_rho, regularized_2sls)
+                         first_stage, preliminary_delta, preliminary_rho,
+                         regularized_2sls)
 from .graphs import GroupedNetwork, PanelData, generate_mc_network
 from .instruments import normalize_columns, q1_roster, q2_roster
 from .selection import _check_criterion, prepare_selection, select_from_context
@@ -130,8 +135,10 @@ def _draw_sample(config: McConfig, seed) -> tuple[GroupedNetwork, PanelData]:
 def run_replication(config: McConfig, seed) -> ReplicationResult:
     """One draw, all six estimators on it; numerical failures become missing cells.
 
-    Two spectra per draw, the small roster's and the normalized large
-    roster's.  The large-iv and bias-corrected fits use the full projector
+    q1 is built once and extended into the large roster.  Each roster has
+    one spectrum and one first stage: the five large-roster fits read the
+    normalized q2's stage, and a failure to build it fails all five.  The
+    large-iv and bias-corrected fits use the full projector
     P = Q (Q'Q)^+ Q' and the trace tr(P D); both are invariant under
     Q -> Q diag(s), so they read the normalized roster's spectrum.
     """
@@ -153,7 +160,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
                                  {name: msg for name in ESTIMATORS})
 
     rho_plug = rho_tilde if config.transform_with_rho else 0.0
-    q2_norm = normalize_columns(q2_roster(net, base), "unit-variance")
+    q2_norm = normalize_columns(q2_roster(net, q1), "unit-variance")
 
     def attempt(name: str, fit) -> None:
         try:
@@ -164,25 +171,29 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         except NUMERICAL_FAILURES as exc:
             failures[name] = str(exc)
 
-    attempt("2sls_finite", lambda: classical_2sls(data, net, q1, rho_plug))
-    attempt("2sls_large", lambda: classical_2sls(data, net, q2_norm, rho_plug))
-    attempt("bias_corrected", lambda: bias_corrected_2sls(
-        data, net, q2_norm, rho_plug, lambda_tilde=float(delta_tilde[0])))
+    def fail(names, msg: str) -> ReplicationResult:
+        failures.update((name, msg) for name in names)
+        return ReplicationResult(estimates, float(rho_tilde), alphas, failures)
 
+    attempt("2sls_finite", lambda: classical_2sls(first_stage(data, net, q1, rho_plug)))
+    try:
+        stage = first_stage(data, net, q2_norm, rho_plug)
+    except NUMERICAL_FAILURES as exc:
+        return fail(ESTIMATORS[1:], f"large-roster first stage failed: {exc}")
+    attempt("2sls_large", lambda: classical_2sls(stage))
+    attempt("bias_corrected", lambda: bias_corrected_2sls(
+        stage, lambda_tilde=float(delta_tilde[0])))
+
+    regularized = (("t_2sls", "T"), ("lf_2sls", "LF"), ("pc_2sls", "PC"))
     try:
         ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
                                 config.criterion)
     except NUMERICAL_FAILURES as exc:
-        msg = f"selection context failed: {exc}"
-        for name in ("t_2sls", "lf_2sls", "pc_2sls"):
-            failures[name] = msg
-        return ReplicationResult(estimates, float(rho_tilde), alphas, failures)
+        return fail([name for name, _ in regularized], f"selection context failed: {exc}")
 
-    for name, kind in (("t_2sls", "T"), ("lf_2sls", "LF"), ("pc_2sls", "PC")):
-        def fit(kind=kind):
-            sel = select_from_context(ctx, kind)
-            return regularized_2sls(data, net, q2_norm, sel.scheme, rho_plug)
-        attempt(name, fit)
+    for name, kind in regularized:
+        attempt(name, lambda kind=kind: regularized_2sls(
+            stage, select_from_context(ctx, kind).scheme))
 
     return ReplicationResult(estimates, float(rho_tilde), alphas, failures)
 
@@ -192,14 +203,19 @@ def _replicate_task(args) -> ReplicationResult:
     return run_replication(config, seed)
 
 
-def run_study(config: McConfig, workers: int | None = None) -> list[ReplicationResult]:
-    """All replications of one cell on ``workers`` processes (default 1)."""
+def run_study(config: McConfig, workers: int = 1) -> list[ReplicationResult]:
+    """All replications of one cell on ``workers`` processes.
+
+    No more processes start than there are replications.
+    """
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
-    workers = 1 if workers is None else max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, config.replications)
     if workers == 1:
         return [run_replication(config, s) for s in seeds]
     tasks = [(config, s) for s in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate_task, tasks, chunksize=8))
 
 

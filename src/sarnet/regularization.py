@@ -12,6 +12,10 @@ with scheme-specific weights in [0, 1]:
     Landweber-Fridman     q = 1 - (1 - c nu^2)^(1/alpha),  1/alpha iterations
     Principal components  q = 1{j <= 1/alpha}
 
+The convention is that the weights damp nu_j^2, the squared eigenvalues of
+Q Q'/n (Tikhonov at nu = 2, alpha = 1 gives 4/5, not 2/3); Carrasco (2012)
+may damp the eigenvalues of K_n itself, which would put nu_j in their place.
+
 The Landweber-Fridman step is fixed at c = LF_STEP / nu_1^2 with
 LF_STEP = 0.9, inside the convergence bound c < 1/nu_1^2 (Carrasco 2012),
 so every factor 1 - c nu_j^2 lies in [0.1, 1).

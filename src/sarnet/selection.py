@@ -27,7 +27,7 @@ import numpy as np
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet
-from .regularization import Scheme, Spectrum, _grid_weights, q_weights
+from .regularization import Scheme, Spectrum, _grid_weights
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
@@ -186,41 +186,10 @@ def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
     Mallows Cp:  v'v/n + 2 s2_v tr(P)/n
     GCV:         (v'v/n) / (1 - tr(P)/n)^2, rejected when tr(P) >= n
     LOO:         mean of squared leave-one-out residuals, computed through
-                 the linear-smoother identity r_i / (1 - P_ii) (``_loo_refit``
-                 is the literal delete-one reference it is tested against).
+                 the linear-smoother identity r_i / (1 - P_ii); the tests
+                 hold the literal delete-one refit it is checked against.
     """
     return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[0][0])
-
-
-def _loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
-    """Literal delete-one cross-validation.
-
-    The full-sample damping is a penalized least-squares fit on the spectral
-    features U = Psi diag(sqrt(n nu)) with per-component penalty
-    nu (1 - q)/q (zero-weight components dropped).  For each i the fit is
-    re-solved without row i, holding that penalty fixed, and the held-out
-    point is predicted.  Quadratic per observation: the slow reference
-    that the linear-smoother identity of ``criterion_value`` is tested against.
-    """
-    q = q_weights(scheme, ctx.spectrum)
-    keep = q > 0.0
-    if not np.any(keep):
-        resid = ctx.w
-        return float(np.mean(resid ** 2))
-    nu = ctx.spectrum.eigenvalues[keep]
-    qk = q[keep]
-    n = ctx.n
-    U = ctx.spectrum.vectors[:, keep] * np.sqrt(n * nu)
-    penalty = np.diag(nu * (1.0 - qk) / qk)
-    B = U.T @ U / n + penalty
-    Uw = U.T @ ctx.w / n
-    total = 0.0
-    for i in range(n):
-        Bi = B - np.outer(U[i], U[i]) / n
-        ci = np.linalg.solve(Bi, Uw - U[i] * ctx.w[i] / n)
-        pred = float(U[i] @ ci)
-        total += (ctx.w[i] - pred) ** 2
-    return total / n
 
 
 def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:

@@ -101,8 +101,11 @@ def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
 
     The solve is one batched LAPACK call per block size.  ``label`` names
     the factor ("S(lambda)" or "R(rho)") in error messages, with the network
-    index of the first singular block.
+    index of the first singular block.  At coef = 0 the factor is I and B
+    itself is returned, without a LAPACK call: solving I X = B gives B exactly.
     """
+    if coef == 0.0:
+        return B
     try:
         return _map_stacked(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V),
                             A.parts, B)
@@ -230,7 +233,13 @@ def assemble_z(data: PanelData, network: GroupedNetwork) -> np.ndarray:
 
 
 def whiten(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
-    """R(rho) V = V - rho M V, the Cochrane-Orcutt whitening."""
+    """R(rho) V = V - rho M V, the Cochrane-Orcutt whitening.
+
+    R(0) = I, so at rho = 0 V itself is returned without the M lag:
+    V - 0 * M V equals V exactly.
+    """
+    if rho == 0.0:
+        return V
     return V - rho * network.lag_M(V)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from sarnet.cli import main as cli_main
-from sarnet.estimation import assemble_z, preliminary_delta, preliminary_rho, regularized_2sls
+from sarnet.estimation import (assemble_z, first_stage, preliminary_delta, preliminary_rho,
+                               regularized_2sls)
 from sarnet.graphs import lee_group_network, load_network
 from sarnet.identification import (Verdict, distinct_eigenvalues,
                                    labelled_stack, proposition1_check)
@@ -20,11 +21,10 @@ from sarnet.instruments import InstrumentSet, build_instruments, normalize_colum
 from sarnet.montecarlo import McConfig, run_study, summarize
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
                                    projector_traces, q_weights)
-from sarnet.selection import (SelectionContext, _loo_refit,
-                              criterion_value, default_grid,
+from sarnet.selection import (SelectionContext, criterion_value, default_grid,
                               prepare_selection, select_from_context)
 from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
-from oracles import projector_matrix
+from oracles import loo_refit, projector_matrix
 
 GROUPS = (30, 60)
 SIZES = (10, 15)
@@ -137,10 +137,9 @@ def test_criterion_4_oracle_equivalences(capsys):
     for rep in range(50):
         net, data, _, _, _ = draw_dataset(seed=(400, rep), group_count=4,
                                           group_size=6)
-        q2 = q2_roster(net, data.regressors(net))
-        result = regularized_2sls(data, net, q2,
-                                  Scheme.principal_components(q2.spectrum.rank),
-                                  0.0)
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+        result = regularized_2sls(first_stage(data, net, q2, 0.0),
+                                  Scheme.principal_components(q2.spectrum.rank))
         Z = assemble_z(data, net)
         P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
         oracle = np.linalg.pinv(Z.T @ P @ Z) @ (Z.T @ P @ data.y)
@@ -197,7 +196,8 @@ def test_criterion_6_projector_properties(capsys):
         problems.append("J not exactly symmetric")
     if np.linalg.norm(Jm @ np.ones(net.n)) >= 1e-10:
         problems.append("J does not annihilate the ones vector")
-    inst = normalize_columns(q2_roster(net, data.regressors(net)), "unit-variance")
+    inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
+                             "unit-variance")
     spec = Spectrum.from_instruments(inst)
     schemes = [Scheme.tikhonov(0.3), Scheme.landweber(7),
                Scheme.principal_components(3)]
@@ -224,15 +224,16 @@ def test_criterion_7_selector_suite(capsys):
     # LOO smoother identity vs literal delete-one refit at n = 30
     net, data, _, _, _ = draw_dataset(seed=600, group_count=3, group_size=10)
     X = data.regressors(net)
-    delta_t = preliminary_delta(data, net, q1_roster(net, X))
+    q1 = q1_roster(net, X)
+    delta_t = preliminary_delta(data, net, q1)
     rho_t = preliminary_rho(data, net, delta_t)
-    inst = normalize_columns(q2_roster(net, X), "unit-variance")
+    inst = normalize_columns(q2_roster(net, q1), "unit-variance")
     ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion="loo")
     for scheme in (Scheme.tikhonov(0.2 * ctx.spectrum.nu_max ** 2),
                    Scheme.landweber(16),
                    Scheme.principal_components(min(4, ctx.spectrum.rank))):
         ident = criterion_value(ctx, scheme)
-        refit = _loo_refit(ctx, scheme)
+        refit = loo_refit(ctx, scheme)
         if abs(ident - refit) > 1e-6:
             problems.append(f"LOO routes disagree for {scheme.kind}: "
                             f"{abs(ident - refit):.2e}")

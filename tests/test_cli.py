@@ -367,6 +367,19 @@ class TestConfigAndErrors:
         assert out == ""
         assert f"usage error: --order must be a positive integer, got {order}" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_is_usage_error(self, workers, tmp_path, monkeypatch, capsys):
+        from sarnet import montecarlo
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)   # starts nothing
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        for argv in (["simulate", "--reps", "2", "--workers", workers],
+                     ["--config", str(cfg), "simulate", "--reps", "2"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert f"usage error: --workers must be a positive integer, got {workers}" in err
+
     def test_nonpositive_order_config_is_usage_error(self, csv_pair, tmp_path, capsys):
         edges, nodes = csv_pair
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,7 @@ import pytest
 
 from sarnet.estimation import (SingularSystemError, assemble_z,
                                bias_corrected_2sls, classical_2sls,
-                               preliminary_delta, preliminary_rho,
+                               first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.instruments import InstrumentSet, q1_roster, q2_roster
@@ -123,58 +123,57 @@ class TestRegularized2sls:
         for rep in range(50):
             net, data, _, _, _ = draw_dataset(seed=(40, rep), group_count=4,
                                               group_size=6)
-            q2 = q2_roster(net, data.regressors(net))
-            result = regularized_2sls(data, net, q2,
-                                      Scheme.principal_components(q2.spectrum.rank),
-                                      rho_tilde=0.0)
+            q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+            result = regularized_2sls(first_stage(data, net, q2, rho_tilde=0.0),
+                                      Scheme.principal_components(q2.spectrum.rank))
             oracle = textbook_iv_oracle(assemble_z(data, net), data.y, q2.Q)
             np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_classical_wrapper_matches_pc_full(self):
         net, data, _, _, _ = draw_dataset(seed=41)
-        q2 = q2_roster(net, data.regressors(net))
-        a = classical_2sls(data, net, q2, rho_tilde=0.1)
-        b = regularized_2sls(data, net, q2,
-                             Scheme.principal_components(q2.spectrum.rank), 0.1)
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+        a = classical_2sls(first_stage(data, net, q2, rho_tilde=0.1))
+        b = regularized_2sls(first_stage(data, net, q2, 0.1),
+                             Scheme.principal_components(q2.spectrum.rank))
         np.testing.assert_allclose(a.delta, b.delta, atol=1e-12)
 
     def test_noiseless_light_tikhonov_recovers_truth(self):
         net, data, _, _, _ = draw_dataset(seed=42, sigma_eps=0.0,
                                           sigma_gamma=0.0)
-        q2 = q2_roster(net, data.regressors(net))
-        result = regularized_2sls(data, net, q2, Scheme.tikhonov(1e-8),
-                                  rho_tilde=0.0)
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+        result = regularized_2sls(first_stage(data, net, q2, rho_tilde=0.0),
+                                  Scheme.tikhonov(1e-8))
         np.testing.assert_allclose(result.delta, [0.1, 0.2, 0.2], atol=1e-6)
 
     def test_transform_matches_dense_oracle(self):
         net, data, _, _, _ = draw_dataset(seed=43)
-        q2 = q2_roster(net, data.regressors(net))
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
         rho = 0.23
         Rm = np.eye(net.n) - rho * net.M
         Z = assemble_z(data, net)
         P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
         oracle = np.linalg.solve((Rm @ Z).T @ P @ (Rm @ Z),
                                  (Rm @ Z).T @ P @ (Rm @ data.y))
-        result = regularized_2sls(data, net, q2,
-                                  Scheme.principal_components(q2.spectrum.rank), rho)
+        result = regularized_2sls(first_stage(data, net, q2, rho),
+                                  Scheme.principal_components(q2.spectrum.rank))
         np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_scale_equivariance(self):
         net, data, _, _, _ = draw_dataset(seed=44)
-        q2 = q2_roster(net, data.regressors(net))
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
         scheme = Scheme.tikhonov(0.05)
-        base = regularized_2sls(data, net, q2, scheme, 0.0)
+        base = regularized_2sls(first_stage(data, net, q2, 0.0), scheme)
         scaled_data = PanelData(y=3.0 * data.y, x1=data.x1, x2=data.x2,
                                 group_sizes=data.group_sizes)
-        scaled = regularized_2sls(scaled_data, net, q2, scheme, 0.0)
+        scaled = regularized_2sls(first_stage(scaled_data, net, q2, 0.0), scheme)
         assert scaled.lambda_hat == pytest.approx(base.lambda_hat, abs=1e-9)
         np.testing.assert_allclose(scaled.delta[1:], 3.0 * base.delta[1:],
                                    atol=1e-8)
 
     def test_sigma2_and_standard_errors(self):
         net, data, _, _, _ = draw_dataset(seed=45)
-        q2 = q2_roster(net, data.regressors(net))
-        result = regularized_2sls(data, net, q2, Scheme.tikhonov(0.1), 0.0)
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+        result = regularized_2sls(first_stage(data, net, q2, 0.0), Scheme.tikhonov(0.1))
         assert result.sigma2_hat >= 0.0
         assert np.all(np.isfinite(result.std_errors))
         # sigma2 equals the squared structural residual norm over n
@@ -220,13 +219,11 @@ class TestBiasCorrected:
                                               group_size=10)
             X = data.regressors(net)
             q1 = q1_roster(net, X)
-            q2 = q2_roster(net, X)
+            q2 = q2_roster(net, q1)
             delta_t = preliminary_delta(data, net, q1)
-            plain = regularized_2sls(data, net, q2,
-                                     Scheme.principal_components(q2.spectrum.rank),
-                                     0.0)
-            corrected = bias_corrected_2sls(data, net, q2, 0.0,
-                                            lambda_tilde=float(delta_t[0]))
+            stage = first_stage(data, net, q2, 0.0)
+            plain = regularized_2sls(stage, Scheme.principal_components(q2.spectrum.rank))
+            corrected = bias_corrected_2sls(stage, lambda_tilde=float(delta_t[0]))
             lam_plain.append(plain.lambda_hat)
             lam_corrected.append(corrected.lambda_hat)
         assert abs(np.mean(lam_corrected) - 0.1) < abs(np.mean(lam_plain) - 0.1)

@@ -126,7 +126,7 @@ class TestRosters:
         net, data, _, _, _ = draw_dataset(seed=5, group_count=4, group_size=7)
         X = data.regressors(net)
         q1 = q1_roster(net, X)
-        q2 = q2_roster(net, X)
+        q2 = q2_roster(net, q1)
         added = q2.n_columns - q1.n_columns
         assert 0 < added <= net.group_count
         assert sum(lab.startswith("J.W.iota") for lab in q2.labels) == added
@@ -135,7 +135,7 @@ class TestRosters:
         net, data, _, _, _ = draw_dataset(seed=6)
         X = data.regressors(net)
         J = net.J
-        q2 = q2_roster(net, X)
+        q2 = q2_roster(net, q1_roster(net, X))
         np.testing.assert_allclose(J.apply(q2.Q), q2.Q, atol=1e-10)
 
 
@@ -148,7 +148,7 @@ def test_instrument_set_validation():
 
 def test_spectrum_is_decomposed_once_and_cached(net_and_x):
     net, X = net_and_x
-    inst = q2_roster(net, X)
+    inst = q2_roster(net, q1_roster(net, X))
     assert inst.spectrum is inst.spectrum
     direct = Spectrum.from_instruments(inst.Q)
     np.testing.assert_array_equal(inst.spectrum.eigenvalues, direct.eigenvalues)
@@ -163,8 +163,9 @@ def test_roster_kept_whole_equals_the_copying_construction(seed):
     config = McConfig(group_count=60, group_size=15, max_links=6, replications=1,
                       seed=seed)
     net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
-    raw = q2_roster(net, data.regressors(net))
-    assert raw.n_columns == q1_roster(net, data.regressors(net)).n_columns + 60
+    q1 = q1_roster(net, data.regressors(net))
+    raw = q2_roster(net, q1)
+    assert raw.n_columns == q1.n_columns + 60
     got = normalize_columns(raw, "unit-variance")
 
     keep = np.ones(raw.n_columns, dtype=bool)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarnet import montecarlo
+from sarnet import instruments, montecarlo
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
@@ -57,6 +57,53 @@ class TestRunReplication:
             assert not result.failures
             assert len(calls) == 2
 
+    def test_one_first_stage_per_roster(self, monkeypatch):
+        # q1 and the normalized q2 each get one stage; the q2 spectrum's
+        # coordinates are taken once for that stage and twice by the
+        # selection context, whatever the number of large-roster fits
+        stages, rosters, coords = [], [], []
+        first_stage, coords_of = montecarlo.first_stage, Spectrum.coords
+
+        def counting_stage(data, net, inst, rho):
+            stages.append(inst)
+            return first_stage(data, net, inst, rho)
+
+        def recording(inst, mode):
+            rosters.append(normalize_columns(inst, mode))
+            return rosters[-1]
+
+        def counting_coords(spectrum, x):
+            coords.append(spectrum)
+            return coords_of(spectrum, x)
+
+        monkeypatch.setattr(montecarlo, "first_stage", counting_stage)
+        monkeypatch.setattr(montecarlo, "normalize_columns", recording)
+        monkeypatch.setattr(Spectrum, "coords", counting_coords)
+        config = McConfig(**{**SMALL, "criterion": "cp"})
+        for rep in range(3):
+            for calls in (stages, rosters, coords):
+                calls.clear()
+            result = run_replication(config, np.random.SeedSequence(rep))
+            assert not result.failures
+            [q2_norm] = rosters
+            assert len(stages) == 2 and stages[1] is q2_norm
+            assert sum(s is q2_norm.spectrum for s in coords) == 3
+
+    def test_small_roster_is_built_once(self, monkeypatch):
+        # q2_roster extends the q1 it is given instead of building its own
+        calls = []
+        original = instruments.q1_roster
+
+        def counting(net, base):
+            calls.append(1)
+            return original(net, base)
+
+        for module in (montecarlo, instruments):
+            monkeypatch.setattr(module, "q1_roster", counting)
+        result = run_replication(McConfig(**SMALL), np.random.SeedSequence(2))
+        assert not result.failures
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("criterion,formed", [("cp", False), ("loo", True)])
     def test_psi_is_formed_only_for_loo(self, monkeypatch, criterion, formed):
         # at the G = 240 design every consumer but the LOO leverages works in
@@ -103,6 +150,23 @@ class TestFailureHandling:
         assert np.all(np.isnan(rep.estimates["bias_corrected"]))
         assert np.all(np.isfinite(rep.estimates["2sls_large"]))
 
+    def test_failed_large_roster_stage_fails_its_five_fits(self, monkeypatch):
+        calls = []
+        original = montecarlo.first_stage
+
+        def second_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:                   # q1's stage comes first
+                raise np.linalg.LinAlgError("no spectrum")
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "first_stage", second_fails)
+        rep = run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+        assert rep.failures == {name: "large-roster first stage failed: no spectrum"
+                                for name in ESTIMATORS[1:]}
+        assert np.all(np.isfinite(rep.estimates["2sls_finite"]))
+        assert len(calls) == 2
+
 
 class TestRunStudy:
     def test_study_matches_manual_loop(self):
@@ -121,6 +185,41 @@ class TestRunStudy:
         for a, b in zip(seq, par):
             for name in ESTIMATORS:
                 np.testing.assert_array_equal(a.estimates[name], b.estimates[name])
+
+
+class FakeExecutor:
+    """Runs the tasks in this process and records the asked process count."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers,reps,started", [(8, 3, [3]), (2, 3, [2]), (4, 1, [])])
+    def test_no_more_processes_than_replications(self, monkeypatch, workers, reps, started):
+        monkeypatch.setattr(FakeExecutor, "started", [])
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakeExecutor)
+        config = McConfig(**{**SMALL, "replications": reps})
+        results = run_study(config, workers=workers)
+        assert FakeExecutor.started == started
+        assert len(results) == reps
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_worker_count_is_refused(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_study(McConfig(**SMALL), workers=workers)
 
 
 def fake_results(values, rho=0.1):

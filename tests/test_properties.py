@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
-                               preliminary_rho)
+                               first_stage, preliminary_rho, regularized_2sls)
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, labelled_stack)
-from sarnet.instruments import InstrumentSet, normalize_columns, q2_roster
+from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, r_matrix,
                                reduced_form, row_sum_norm, s_matrix, solve_blockwise)
@@ -264,16 +264,52 @@ def test_full_projector_fits_are_invariant_to_column_scale(net, seed):
                      x2=rng.standard_normal(net.n), group_sizes=net.group_sizes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")        # dropped columns warn
-        raw = q2_roster(net, data.regressors(net))
+        raw = q2_roster(net, q1_roster(net, data.regressors(net)))
         scaled = normalize_columns(raw, "unit-variance")
-    for fit in (lambda inst: classical_2sls(data, net, inst, 0.3),
-                lambda inst: bias_corrected_2sls(data, net, inst, 0.3, lambda_tilde=0.2)):
+    for fit in (lambda inst: classical_2sls(first_stage(data, net, inst, 0.3)),
+                lambda inst: bias_corrected_2sls(first_stage(data, net, inst, 0.3),
+                                                 lambda_tilde=0.2)):
         try:
             want = fit(raw).delta
         except np.linalg.LinAlgError:          # too few instruments for the sandwich
             assume(False)
         rtol = max(1e-10, 1e-13 * raw.spectrum.condition_number)
         assert np.linalg.norm(fit(scaled).delta - want) <= rtol * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(min_last=4), rho=st.sampled_from([0.0, -0.4, 0.3]),
+       seed=st.integers(0, 1000))
+def test_fits_sharing_one_first_stage_equal_fits_on_their_own(net, rho, seed):
+    # the five large-roster fits of a Monte Carlo replication read one stage;
+    # each must equal, bit for bit, the fit that builds a stage of its own
+    rng = np.random.default_rng(seed)
+    data = PanelData(y=rng.standard_normal(net.n), x1=rng.standard_normal(net.n),
+                     x2=rng.standard_normal(net.n), group_sizes=net.group_sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # dropped columns warn
+        inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
+                                 "unit-variance")
+    rank = inst.spectrum.rank
+    fits = (classical_2sls,
+            lambda stage: bias_corrected_2sls(stage, lambda_tilde=0.2),
+            lambda stage: regularized_2sls(stage, Scheme.tikhonov(0.05)),
+            lambda stage: regularized_2sls(stage, Scheme.landweber(8)),
+            lambda stage: regularized_2sls(stage, Scheme.principal_components(max(1, rank - 1))))
+
+    def outcome(fit, stage):
+        try:
+            result = fit(stage)
+        except np.linalg.LinAlgError as exc:   # too few instruments for the sandwich
+            return str(exc)
+        return np.concatenate([result.delta, result.std_errors, [result.sigma2_hat]])
+
+    shared = first_stage(data, net, inst, rho)
+    for fit in fits:
+        got = outcome(fit, shared)
+        want = outcome(fit, first_stage(data, net, inst, rho))
+        assert type(got) is type(want)
+        assert (got == want) if isinstance(got, str) else np.array_equal(got, want)
 
 
 def normalize_by_column(inst, mode):

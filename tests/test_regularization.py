@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarnet.instruments import InstrumentSet, normalize_columns, q2_roster
+from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
                                    apply_projector,
@@ -69,7 +69,8 @@ def test_gram_route_keeps_the_dense_gram_and_its_eigh(groups, clustered):
     config = McConfig(group_count=groups, group_size=15, max_links=6,
                       replications=1, seed=0)
     net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
-    inst = normalize_columns(q2_roster(net, data.regressors(net)), "unit-variance")
+    inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
+                             "unit-variance")
     spec = inst.spectrum
     n = inst.n
     vals, vecs = np.linalg.eigh(inst.Q.T @ inst.Q / n)
@@ -111,6 +112,12 @@ class TestQWeight:
     def test_tikhonov_formula(self):
         q = q_weights(Scheme.tikhonov(1.0), spectrum_of(1.0))
         assert q[0] == pytest.approx(0.5)
+
+    def test_tikhonov_damps_the_squared_eigenvalue(self):
+        # nu^2 / (nu^2 + alpha) = 4/5 at nu = 2, alpha = 1; damping nu itself
+        # would give nu / (nu + alpha) = 2/3, which nu = 1 cannot tell apart
+        q = q_weights(Scheme.tikhonov(1.0), spectrum_of(2.0))
+        assert q[0] == pytest.approx(0.8, rel=1e-15)
 
     def test_landweber_formula(self):
         # c = 0.9 / 2^2: q = 1 - (1 - c nu^2)^2 at nu = 2 and nu = 1

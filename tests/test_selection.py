@@ -7,11 +7,12 @@ from sarnet import selection
 from sarnet.estimation import preliminary_delta, preliminary_rho
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces
-from sarnet.selection import (SelectionContext, _loo_refit, criterion_value,
+from sarnet.selection import (SelectionContext, criterion_value,
                               curve_to_csv, default_grid, prepare_selection,
                               s_hat, select_alpha, select_from_context)
 from sarnet.transforms import r_matrix, s_matrix
 from conftest import draw_dataset
+from oracles import loo_refit
 
 
 def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
@@ -45,7 +46,7 @@ def pipeline_context(seed=50, criterion="cp", **kwargs):
     q1 = q1_roster(net, X)
     delta_t = preliminary_delta(data, net, q1)
     rho_t = preliminary_rho(data, net, delta_t)
-    inst = normalize_columns(q2_roster(net, X), "unit-variance")
+    inst = normalize_columns(q2_roster(net, q1), "unit-variance")
     ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion=criterion)
     return net, data, inst, delta_t, rho_t, ctx
 
@@ -86,7 +87,7 @@ class TestCriterionValues:
         else:
             scheme = Scheme.principal_components(param)
         identity = criterion_value(ctx, scheme)
-        refit = _loo_refit(ctx, scheme)
+        refit = loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
     def test_loo_identity_matches_refit_on_pipeline_data(self):
@@ -94,7 +95,7 @@ class TestCriterionValues:
                                               group_count=3, group_size=10)
         scheme = Scheme.tikhonov(0.3 * ctx.spectrum.nu_max ** 2)
         identity = criterion_value(ctx, scheme)
-        refit = _loo_refit(ctx, scheme)
+        refit = loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
 

@@ -5,7 +5,7 @@ from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, generate_mc_n
                            row_normalize)
 from sarnet.transforms import (JProjector, ModelParams, apply_D, r_matrix, reduced_form,
                                row_sum_norm, s_matrix, solve_blockwise,
-                               structural_residual)
+                               structural_residual, whiten)
 from conftest import draw_dataset
 
 
@@ -197,6 +197,22 @@ class TestReducedForm:
         with pytest.raises(np.linalg.LinAlgError, match="S\\(lambda\\)"):
             solve_blockwise(1.0, BlockStacks.from_blocks([W], "W"), np.ones(2),
                             "S(lambda)")
+
+
+def test_r_at_zero_is_the_identity_without_any_work(monkeypatch):
+    # R(0) = I: whitening returns V and the solve returns B, bit for bit,
+    # without the M lag or a LAPACK call
+    net, _, _, _, _ = draw_dataset(seed=9)
+    V = np.random.default_rng(9).standard_normal((net.n, 3))
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("R(0) did work")
+
+    monkeypatch.setattr(net, "lag_M", no_call)
+    monkeypatch.setattr(np.linalg, "solve", no_call)
+    for X in (V, V[:, 0], V[:, 1]):
+        assert np.array_equal(whiten(net, 0.0, X), X)
+        assert np.array_equal(solve_blockwise(0.0, net.stacks_M(), X, "R(rho)"), X)
 
 
 def test_model_params_stability_check():
