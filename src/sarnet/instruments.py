@@ -63,8 +63,13 @@ class InstrumentSet:
         return Spectrum.from_instruments(self)
 
 
-def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
-    peaks = np.abs(Q).max(axis=0)
+def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
+    """Which columns to keep, given each column's largest absolute entry.
+
+    A column is numerically zero when its peak falls below
+    ``ZERO_COLUMN_RTOL`` times the largest peak; each one is dropped with a
+    warning carrying its label.
+    """
     scale = float(peaks.max()) if peaks.size else 0.0
     if scale <= 0.0:
         raise ValueError("all instrument columns are numerically zero")
@@ -72,6 +77,11 @@ def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
     for lab, kept in zip(labels, keep):
         if not kept:
             warnings.warn(f"dropping numerically zero instrument column {lab!r}")
+    return keep
+
+
+def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
+    keep = _keep_nonzero(np.abs(Q).max(axis=0), labels)
     # a boolean index copies even when it keeps every column
     return InstrumentSet(Q if keep.all() else Q[:, keep],
                          tuple(lab for lab, k in zip(labels, keep) if k))
@@ -175,7 +185,24 @@ def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
     the block-diagonal matrix of per-group ones vectors, so this adds one
     out-degree column per group; the instrument count grows with the number
     of groups (the many-instruments regime).
+
+    Group r's column J_r W_r iota_r is nonzero only on that group's rows, and
+    there it equals the n-vector v = J W 1.  So v is computed once and its
+    entries are scattered into the roster, one per row; no n x G block is
+    formed.  Numerically zero columns (groups without links, or whose W_r
+    iota_r J annihilates) are dropped by the same rule as everywhere else.
     """
-    V = network.J.apply(network.lag_W(network.group_ones()))
-    labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
-    return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)
+    n, c = q1.n, q1.n_columns
+    sizes = np.asarray(network.group_sizes)
+    v = network.J.apply(network.lag_W(np.ones(n)))
+    peaks = np.concatenate([np.abs(q1.Q).max(axis=0),
+                            np.maximum.reduceat(np.abs(v), np.cumsum(sizes) - sizes)])
+    labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(sizes.size)]
+    keep = _keep_nonzero(peaks, labels)
+    column = np.cumsum(keep) - 1                    # each kept column's place
+    owner = c + np.repeat(np.arange(sizes.size), sizes)     # each row's own column
+    rows = np.flatnonzero(keep[owner])
+    Q = np.zeros((n, column[-1] + 1))
+    Q[:, column[:c][keep[:c]]] = q1.Q[:, keep[:c]]
+    Q[rows, column[owner[rows]]] = v[rows]
+    return InstrumentSet(Q, tuple(lab for lab, k in zip(labels, keep) if k))

@@ -24,6 +24,7 @@ draw order is fixed: network, covariate, group effects, disturbances.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -206,17 +207,19 @@ def _replicate_task(args) -> ReplicationResult:
 def run_study(config: McConfig, workers: int = 1) -> list[ReplicationResult]:
     """All replications of one cell on ``workers`` processes.
 
-    No more processes start than there are replications.
+    The replications go out in chunks of ceil(replications / workers), and
+    only as many processes start as there are chunks, so none sits idle.
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, config.replications)
+    chunksize = math.ceil(config.replications / workers)
+    workers = math.ceil(config.replications / chunksize)
     if workers == 1:
         return [run_replication(config, s) for s in seeds]
     tasks = [(config, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_task, tasks, chunksize=8))
+        return list(pool.map(_replicate_task, tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

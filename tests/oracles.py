@@ -1,11 +1,12 @@
-"""Dense n x n forms and literal refits that the fast code is tested against.
+"""Dense forms and literal refits that the fast code is tested against.
 
-Each one materializes an n x n matrix or refits once per observation, so
-they serve small fixtures only.
+Each one materializes an n x n matrix or the n x G centrality block, or
+refits once per observation, so they serve small fixtures only.
 """
 
 import numpy as np
 
+from sarnet.instruments import InstrumentSet, _drop_zero_columns
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.selection import SelectionContext
 from sarnet.transforms import r_matrix, s_matrix
@@ -21,6 +22,13 @@ def projector_diagonal(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
     """Diagonal entries P^alpha_ii = sum_j q_j psi_ji^2 (smoother leverages)."""
     q = q_weights(scheme, spectrum)
     return (spectrum.vectors ** 2) @ q
+
+
+def q2_roster_dense(network, q1: InstrumentSet) -> InstrumentSet:
+    """q1 extended by the n x G centrality block J W iota, formed whole."""
+    V = network.J.apply(network.lag_W(network.group_ones()))
+    labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
+    return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)
 
 
 def d_matrix(network, lam: float, rho: float) -> np.ndarray:

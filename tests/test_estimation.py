@@ -6,8 +6,10 @@ from sarnet.estimation import (SingularSystemError, assemble_z,
                                first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
-from sarnet.instruments import InstrumentSet, q1_roster, q2_roster
+from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
+from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import Scheme, Spectrum
+from sarnet.selection import prepare_selection, select_from_context
 from conftest import draw_dataset
 
 
@@ -236,3 +238,54 @@ def test_assemble_z_layout(small_dataset):
     np.testing.assert_allclose(Z[:, 0], net.W @ data.y, atol=1e-12)
     np.testing.assert_allclose(Z[:, 1], data.x1[:, 0], atol=1e-12)
     np.testing.assert_allclose(Z[:, 2], net.W @ data.x2[:, 0], atol=1e-12)
+
+
+def rotated_in_cluster(inst, value, rng):
+    """``inst`` with its Gram eigenbasis turned by a random rotation inside
+    the eigenvalue cluster at ``value``; the cluster's size is returned too."""
+    spectrum = inst.spectrum
+    cluster = np.flatnonzero(np.isclose(spectrum.eigenvalues, value, rtol=1e-10, atol=0.0))
+    rotation, _ = np.linalg.qr(rng.standard_normal((cluster.size, cluster.size)))
+    basis = spectrum.basis.copy()
+    basis[:, cluster] = basis[:, cluster] @ rotation
+    turned = Spectrum.__new__(Spectrum)
+    turned._set(spectrum.eigenvalues, spectrum.factor, basis, spectrum.n)
+    out = InstrumentSet(inst.Q, inst.labels)
+    out.__dict__["spectrum"] = turned          # what the cached property would hold
+    return out, cluster.size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fits_ignore_the_basis_inside_the_unit_variance_cluster(seed):
+    # each unit-variance per-group column of q2 has sum of squares n - 1 and
+    # a support disjoint from the others, so K = Q'Q/n has an eigenvalue
+    # cluster at (n - 1)/n whose basis LAPACK picks arbitrarily.  T and LF
+    # weights are constant on a cluster and the full projector does not see
+    # its basis, so these fits and their selected alpha must not move.  A PC
+    # count can split the cluster, so PC is left out
+    config = McConfig(group_count=30, group_size=10, max_links=3, replications=1,
+                      seed=seed, criterion="cp")
+    net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
+    q1 = q1_roster(net, data.regressors(net))
+    delta_tilde = preliminary_delta(data, net, q1)
+    rho = preliminary_rho(data, net, delta_tilde)
+    inst = normalize_columns(q2_roster(net, q1), "unit-variance")
+    turned, size = rotated_in_cluster(inst, (net.n - 1) / net.n,
+                                      np.random.default_rng(seed))
+    assert size >= 2 and inst.spectrum.basis is not None
+
+    def fits(roster):
+        stage = first_stage(data, net, roster, rho)
+        ctx = prepare_selection(data, net, roster, rho, delta_tilde, config.criterion)
+        chosen = [select_from_context(ctx, kind).scheme for kind in ("T", "LF")]
+        schemes = [Scheme.tikhonov(0.05), Scheme.tikhonov(2.0), Scheme.landweber(8)]
+        results = [classical_2sls(stage),
+                   bias_corrected_2sls(stage, lambda_tilde=float(delta_tilde[0]))]
+        return chosen, results + [regularized_2sls(stage, s) for s in chosen + schemes]
+
+    chosen, want = fits(inst)
+    got_chosen, got = fits(turned)
+    assert got_chosen == chosen
+    for a, b in zip(got, want, strict=True):
+        assert np.linalg.norm(a.delta - b.delta) <= 1e-10 * np.linalg.norm(b.delta)
+        assert a.sigma2_hat == pytest.approx(b.sigma2_hat, rel=1e-10)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sarnet.graphs import generate_mc_network
+from sarnet.graphs import generate_mc_network, lee_group_network
 from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
@@ -137,6 +139,37 @@ class TestRosters:
         J = net.J
         q2 = q2_roster(net, q1_roster(net, X))
         np.testing.assert_allclose(J.apply(q2.Q), q2.Q, atol=1e-10)
+
+    def test_q2_of_a_lee_network_adds_no_column(self):
+        # W_r iota_r = iota_r (or 0 in a singleton), which J annihilates, so
+        # every centrality column is numerically zero and dropped
+        net = lee_group_network([4, 1, 6, 5])
+        X = np.random.default_rng(0).standard_normal((net.n, 2))
+        q1 = q1_roster(net, X)
+        with pytest.warns(UserWarning) as caught:
+            q2 = q2_roster(net, q1)
+        assert q2.labels == q1.labels
+        assert np.array_equal(q2.Q, q1.Q)
+        assert [str(w.message) for w in caught] == [
+            f"dropping numerically zero instrument column 'J.W.iota[{r}]'"
+            for r in range(net.group_count)]
+
+    def test_q2_allocates_little_beyond_the_roster(self):
+        # the per-group columns are scattered from one n-vector; an n x G
+        # temporary (indicator, its lag, its projection, a stacked copy)
+        # would each be as large as the roster's centrality block
+        config = McConfig(group_count=240, group_size=15, max_links=6,
+                          replications=1, seed=0)
+        net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+        q1 = q1_roster(net, data.regressors(net))
+        tracemalloc.start()
+        try:
+            q2 = q2_roster(net, q1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q2.n_columns > 240
+        assert peak <= 1.25 * q2.Q.nbytes
 
 
 def test_instrument_set_validation():

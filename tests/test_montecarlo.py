@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sarnet import instruments, montecarlo
+from sarnet.graphs import GroupedNetwork
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
@@ -104,6 +107,16 @@ class TestRunReplication:
         assert not result.failures
         assert len(calls) == 1
 
+    def test_no_group_indicator_block_is_formed(self, monkeypatch):
+        # the large roster scatters one J W 1 vector into its per-group
+        # columns; the n x G indicator matrix is never built
+        def refuse(net):
+            raise AssertionError("group_ones called")
+
+        monkeypatch.setattr(GroupedNetwork, "group_ones", refuse)
+        result = run_replication(McConfig(**SMALL), np.random.SeedSequence(2))
+        assert not result.failures
+
     @pytest.mark.parametrize("criterion,formed", [("cp", False), ("loo", True)])
     def test_psi_is_formed_only_for_loo(self, monkeypatch, criterion, formed):
         # at the G = 240 design every consumer but the LOO leverages works in
@@ -188,9 +201,10 @@ class TestRunStudy:
 
 
 class FakeExecutor:
-    """Runs the tasks in this process and records the asked process count."""
+    """Runs the tasks in this process; records the asked process count and chunk sizes."""
 
     started: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -202,18 +216,24 @@ class FakeExecutor:
         return False
 
     def map(self, fn, iterable, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, iterable)
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("workers,reps,started", [(8, 3, [3]), (2, 3, [2]), (4, 1, [])])
+    @pytest.mark.parametrize("workers,reps,started",
+                             [(8, 3, [3]), (2, 3, [2]), (4, 1, []), (4, 5, [3])])
     def test_no_more_processes_than_replications(self, monkeypatch, workers, reps, started):
         monkeypatch.setattr(FakeExecutor, "started", [])
+        monkeypatch.setattr(FakeExecutor, "chunksizes", [])
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakeExecutor)
         config = McConfig(**{**SMALL, "replications": reps})
         results = run_study(config, workers=workers)
         assert FakeExecutor.started == started
         assert len(results) == reps
+        for processes, chunksize in zip(FakeExecutor.started, FakeExecutor.chunksizes,
+                                        strict=True):
+            assert math.ceil(reps / chunksize) >= processes
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_worker_count_is_refused(self, monkeypatch, workers):

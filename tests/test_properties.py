@@ -19,7 +19,7 @@ from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_r
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, r_matrix,
                                reduced_form, row_sum_norm, s_matrix, solve_blockwise)
-from oracles import d_matrix, projector_matrix
+from oracles import d_matrix, projector_matrix, q2_roster_dense
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -310,6 +310,41 @@ def test_fits_sharing_one_first_stage_equal_fits_on_their_own(net, rho, seed):
         want = outcome(fit, first_stage(data, net, inst, rho))
         assert type(got) is type(want)
         assert (got == want) if isinstance(got, str) else np.array_equal(got, want)
+
+
+def roster_and_warnings(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = build()
+    return inst, [str(w.message) for w in caught]
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), k=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_q2_roster_matches_dense_oracle(net, k, seed):
+    # the scattered J W 1 vector against the n x G block J W iota.  J W 1
+    # rounds as a matrix-vector product, so a group's values agree to a few
+    # ulps of W_r iota_r, the column before J; where J cancels most of it
+    # (isolated members widen J's basis) that exceeds ulps of the column
+    base = np.random.default_rng(seed).standard_normal((net.n, k))
+    try:
+        q1, _ = roster_and_warnings(lambda: q1_roster(net, base))
+    except ValueError:                         # every group a singleton: J = 0
+        assume(False)
+    got, got_warned = roster_and_warnings(lambda: q2_roster(net, q1))
+    want, want_warned = roster_and_warnings(lambda: q2_roster_dense(net, q1))
+    assert got.labels == want.labels and got_warned == want_warned
+    assert got.Q.shape == want.Q.shape
+    scale = np.abs(want.Q).max(axis=0)
+    degree = np.abs(net.lag_W(np.ones(net.n)))
+    for j, lab in enumerate(got.labels):
+        if lab.startswith("J.W.iota["):
+            rows = net.slices[int(lab[9:-1])]
+            off = np.ones(net.n, dtype=bool)
+            off[rows] = False
+            assert not got.Q[off, j].any()
+            scale[j] = max(scale[j], degree[rows].max())
+    assert np.all(np.abs(got.Q - want.Q) <= 1e-14 * scale)
 
 
 def normalize_by_column(inst, mode):
