@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -115,7 +116,12 @@ class BlockStacks:
     @classmethod
     def from_blocks(cls, blocks: Iterable[np.ndarray] | np.ndarray,
                     name: str) -> "BlockStacks":
-        """Float copies of nonempty square blocks: a sequence, or one (G, m, m) array."""
+        """Float copies of nonempty square blocks: a sequence, or one (G, m, m) array.
+
+        A ``BlockStacks`` is read-only and is returned as it is.
+        """
+        if isinstance(blocks, BlockStacks):
+            return blocks
         if isinstance(blocks, np.ndarray) and blocks.ndim == 3 and blocks.shape[0] \
                 and blocks.shape[1] == blocks.shape[2] > 0:
             return cls((blocks.shape[1],) * blocks.shape[0], [np.array(blocks, dtype=float)])
@@ -151,7 +157,7 @@ class GroupedNetwork:
     diagonals.  ``GroupedNetwork(group_sizes, W, M, m_row_normalized)``
     validates dense n x n input (zero outside the diagonal blocks) and splits
     it; ``from_blocks(W_blocks, M_blocks, m_row_normalized)`` takes the
-    blocks directly, as sequences or as (G, m, m) arrays.
+    blocks directly, as sequences, as (G, m, m) arrays or as ``BlockStacks``.
     ``m_row_normalized`` declares, and is checked, that every nonzero row of
     M sums to one.
 
@@ -428,97 +434,9 @@ class PanelData:
 #
 # Edge lists: columns (group_id, src, dst, weight).  Node files: columns
 # (group_id, node_id, x1..., x2..., y).  Node ordering is always sorted by
-# (group_id, node_id) so repeated loads give identical stacking.
-
-def _read_csv_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and the nonblank rows, each with its 1-based line number.
-
-    A file without data rows is refused: it would give a network with no
-    group, or one whose nodes the other file does not know.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = []
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"{path}, line {reader.line_num}: expected "
-                                 f"{len(header)} columns, got {len(row)}")
-            rows.append((reader.line_num, row))
-    if not rows:
-        raise ValueError(f"{path}: no data rows below the header")
-    return header, rows
-
-
-def _number(path: str | Path, line: int, header: list[str], row: list[str],
-            j: int) -> float:
-    """Cell j of a CSV row as a finite float; errors name file, line and column."""
-    where = f"{path}, line {line}, column {j + 1} ({header[j]})"
-    try:
-        value = float(row[j])
-    except ValueError:
-        raise ValueError(f"{where}: not a number: {row[j]!r}") from None
-    if not np.isfinite(value):
-        raise ValueError(f"{where}: non-finite value {row[j]!r}")
-    return value
-
-
-def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
-    """Read a node file and return (ordered node keys, PanelData).
-
-    Column names starting with ``x1`` form the own-characteristics block,
-    those starting with ``x2`` the contextual block, and ``y`` the outcome.
-    """
-    header, rows = _read_csv_rows(path)
-    lower = [h.lower() for h in header]
-    try:
-        gi = lower.index("group_id")
-        ni = lower.index("node_id")
-        yi = lower.index("y")
-    except ValueError as exc:
-        raise ValueError(f"{path}: node CSV needs group_id, node_id and y columns") from exc
-    x1_idx = [j for j, h in enumerate(lower) if h.startswith("x1")]
-    x2_idx = [j for j, h in enumerate(lower) if h.startswith("x2")]
-    if not x1_idx or not x2_idx:
-        raise ValueError(f"{path}: node CSV needs at least one x1* and one x2* column")
-
-    numeric = [yi] + x1_idx + x2_idx
-
-    def parse(line: int, row: list[str]) -> tuple:
-        values = [_number(path, line, header, row, j) for j in numeric]
-        return (_as_id(row[gi]), _as_id(row[ni])), values
-
-    parsed = sorted((parse(line, row) for line, row in rows), key=lambda p: p[0])
-    keys = [k for k, _ in parsed]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"{path}: duplicate (group_id, node_id) pairs")
-    sizes, _ = _group_layout(keys)
-    values = np.array([v for _, v in parsed]).reshape(len(parsed), len(numeric))
-    y, x1, x2 = np.split(values, [1, 1 + len(x1_idx)], axis=1)
-    data = PanelData(y=y, x1=x1, x2=x2, group_sizes=tuple(sizes), node_ids=tuple(keys))
-    return keys, data
-
-
-def _group_layout(keys: Sequence[tuple]) -> tuple[list[int], dict]:
-    """Group sizes of grouped (group_id, node_id) keys; key -> (group, position)."""
-    sizes: list[int] = []
-    groups: list = []
-    index = {}
-    for key in keys:
-        if not groups or groups[-1] != key[0]:
-            groups.append(key[0])
-            sizes.append(0)
-        index[key] = (len(sizes) - 1, sizes[-1])
-        sizes[-1] += 1
-    if len(set(groups)) != len(groups):
-        raise ValueError("node keys must list each group's nodes together")
-    return sizes, index
-
+# (group_id, node_id) so repeated loads give identical stacking.  A file is
+# read once and converted a column at a time; line numbers are found only
+# for an error message.
 
 def _as_id(cell: str):
     cell = cell.strip()
@@ -528,6 +446,134 @@ def _as_id(cell: str):
         return cell
 
 
+class _CsvTable:
+    """A CSV file's header (``names`` lower-cased) and nonblank rows, as columns.
+
+    Refused: a short row, a missing column of ``needs``, and a file without
+    data rows, which would give no group or nodes the other file lacks.
+    """
+
+    def __init__(self, path: str | Path, kind: str, needs: tuple[str, ...]):
+        self.path = path
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        if not records:
+            raise ValueError(f"{path}: empty CSV")
+        self.header = [h.strip() for h in records[0]]
+        self.names, width = [h.lower() for h in self.header], len(self.header)
+        rows, self.records = records[1:], range(1, len(records))
+        self.columns = list(zip(*rows))
+        # only a row that is short or starts with a blank cell can be blank
+        if min(map(len, rows), default=0) < max(width, 1) or not all(
+                map(str.strip, self.columns[0])):
+            self.records = [k for k in self.records if any(map(str.strip, records[k]))]
+            rows = [records[k] for k in self.records]
+            for i, row in enumerate(rows):
+                if len(row) < width:
+                    raise ValueError(f"{path}, line {self.line(i)}: expected "
+                                     f"{width} columns, got {len(row)}")
+            self.columns = list(zip(*rows))
+        if not rows:
+            raise ValueError(f"{path}: no data rows below the header")
+        if not set(needs) <= set(self.names):
+            raise ValueError(f"{path}: {kind} CSV needs {', '.join(needs)} columns")
+
+    def line(self, i: int) -> int:
+        """The 1-based line on which data row i ends."""
+        with open(self.path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(itertools.islice(reader, self.records[i], None))
+            return reader.line_num
+
+    def where(self, i: int, j: int) -> str:
+        return f"{self.path}, line {self.line(i)}, column {j + 1} ({self.header[j]})"
+
+    def floats(self, cols: Sequence[int], weights: bool = False) -> np.ndarray:
+        """Columns ``cols`` as a C-order float array, one row per data row.
+
+        The first cell (in row order) that is not a finite number, or for
+        ``weights`` is negative, is named.
+        """
+        out = np.empty((len(self.records), len(cols)))
+        try:
+            for c, j in enumerate(cols):
+                out[:, c] = list(map(float, self.columns[j]))
+            if np.isfinite(out).all() and not (weights and (out < 0).any()):
+                return out
+        except ValueError:
+            pass
+        for i, j in itertools.product(range(len(self.records)), cols):
+            cell = self.columns[j][i]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{self.where(i, j)}: not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{self.where(i, j)}: non-finite value {cell!r}")
+            if weights and value < 0:
+                raise ValueError(f"{self.where(i, j)}: negative weight {value:g}")
+
+    def ids(self, cols: Sequence[int], one_kind: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the ids in ``cols``, one row per data row, and the sorted ids they index.
+
+        Integers sort numerically, before text, which sorts lexicographically.  With
+        ``one_kind`` the first id (in row order) of another kind than the first is refused.
+        """
+        cells = tuple(itertools.chain(*(self.columns[j] for j in cols)))
+        parsed = {s: _as_id(s) for s in dict.fromkeys(cells)}
+        ids = sorted(set(parsed.values()), key=lambda v: (isinstance(v, str), v))
+        rank = {v: r for r, v in enumerate(ids)}
+        code = {s: rank[v] for s, v in parsed.items()}
+        codes = np.fromiter(map(code.__getitem__, cells), int, len(cells)).reshape(len(cols), -1).T
+        text = np.array([isinstance(v, str) for v in ids])[codes]
+        if one_kind and (text != text[0, 0]).any():
+            i, c = divmod(int(np.argmax(text != text[0, 0])), len(cols))
+            kinds = ("text", "integer") if text[i, c] else ("integer", "text")
+            raise ValueError(f"{self.where(i, cols[c])}: {kinds[0]} id "
+                             f"{ids[codes[i, c]]!r} among {kinds[1]} ids")
+        return codes, np.array(ids, dtype=object)
+
+    def refuse_repeats(self, keys: np.ndarray, what: str) -> None:
+        """Refuse a repeated key, naming the first repeat's line and its first one's."""
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        later = np.flatnonzero(first[which] != np.arange(keys.size))
+        if later.size:
+            raise ValueError(f"{self.path}, lines {self.line(first[which[later[0]]])} and "
+                             f"{self.line(later[0])}: repeated {what}")
+
+
+def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
+    """Read a node file and return (ordered node keys, PanelData).
+
+    Column names starting with ``x1`` form the own-characteristics block,
+    those starting with ``x2`` the contextual block, and ``y`` the outcome.
+    """
+    table = _CsvTable(path, "node", ("group_id", "node_id", "y"))
+    x1 = [j for j, h in enumerate(table.names) if h.startswith("x1")]
+    x2 = [j for j, h in enumerate(table.names) if h.startswith("x2")]
+    if not x1 or not x2:
+        raise ValueError(f"{path}: node CSV needs at least one x1* and one x2* column")
+    gi, ni, yi = map(table.names.index, ("group_id", "node_id", "y"))
+    values = table.floats([yi] + x1 + x2)
+    (g, gids), (v, nids) = table.ids([gi], True), table.ids([ni], True)
+    keys = (g * len(nids) + v)[:, 0]
+    table.refuse_repeats(keys, "(group_id, node_id)")
+    order = np.argsort(keys)
+    node_keys = list(zip(gids[g[order, 0]].tolist(), nids[v[order, 0]].tolist()))
+    y, x1, x2 = np.split(values[order], [1, 1 + len(x1)], axis=1)
+    sizes = tuple(np.unique(g, return_counts=True)[1].tolist())
+    return node_keys, PanelData(y=y, x1=x1, x2=x2, group_sizes=sizes,
+                                node_ids=tuple(node_keys))
+
+
+def _group_layout(keys: Sequence[tuple]) -> tuple[tuple[int, ...], dict]:
+    """Group sizes of (group_id, node_id) keys listed group by group; key -> row."""
+    firsts = [k for k in range(len(keys)) if not k or keys[k][0] != keys[k - 1][0]]
+    if len({keys[k][0] for k in firsts}) != len(firsts):
+        raise ValueError("node keys must list each group's nodes together")
+    return tuple(np.diff(firsts + [len(keys)]).tolist()), {key: k for k, key in enumerate(keys)}
+
+
 def load_edge_csv(path: str | Path,
                   node_keys: Sequence[tuple] | None = None,
                   ) -> GroupedNetwork:
@@ -535,44 +581,43 @@ def load_edge_csv(path: str | Path,
 
     When ``node_keys`` is given (from a node file) it fixes the node set and
     ordering, so isolated nodes survive; otherwise the nodes are those that
-    appear in the edge list, ordered by (group_id, node_id).
+    appear in the edge list, ordered by (group_id, node_id).  A repeated
+    (group_id, src, dst) is refused; self-links are dropped with a warning.
     """
-    header, rows = _read_csv_rows(path)
-    lower = [h.lower() for h in header]
-    try:
-        gi = lower.index("group_id")
-        si = lower.index("src")
-        di = lower.index("dst")
-    except ValueError as exc:
-        raise ValueError(f"{path}: edge CSV needs group_id, src, dst columns") from exc
-    wi = lower.index("weight") if "weight" in lower else None
+    table = _CsvTable(path, "edge", ("group_id", "src", "dst"))
+    gi, si, di = map(table.names.index, ("group_id", "src", "dst"))
+    w = (table.floats([table.names.index("weight")], weights=True)[:, 0]
+         if "weight" in table.names else np.ones(len(table.records)))
+    # each endpoint's (group, node) code; one key lookup per distinct endpoint
+    one_kind = node_keys is None          # the ids are sorted into the node order
+    (g, gids), (v, nids) = table.ids([gi], one_kind), table.ids([si, di], one_kind)
+    distinct, which = np.unique(g * len(nids) + v, return_inverse=True)
+    which = which.reshape(v.shape)
+    found = list(zip(gids[distinct // len(nids)].tolist(), nids[distinct % len(nids)].tolist()))
+    sizes, index = _group_layout(found if one_kind else node_keys)
+    pos = np.array([index.get(key, -1) for key in found])[which]
+    if (pos < 0).any():
+        i, c = divmod(int(np.argmax(pos.ravel() < 0)), 2)
+        group, node = found[which[i, c]]
+        raise ValueError(f"{table.where(i, (si, di)[c])}: unknown node {node!r} "
+                         f"in group {group!r}")
+    table.refuse_repeats(pos[:, 0] * sum(sizes) + pos[:, 1], "edge (group_id, src, dst)")
+    for i in np.flatnonzero(pos[:, 0] == pos[:, 1]):
+        warnings.warn(f"{path}: dropping self-link on node {found[which[i, 0]]}")
 
-    edges = []
-    for line, r in rows:
-        g = _as_id(r[gi])
-        s, d = _as_id(r[si]), _as_id(r[di])
-        w = _number(path, line, header, r, wi) if wi is not None else 1.0
-        if w < 0:
-            raise ValueError(f"{path}, line {line}, column {wi + 1} ({header[wi]}): "
-                             f"negative weight {w:g}")
-        edges.append((g, s, d, w))
-
-    if node_keys is None:
-        seen = {(g, s) for g, s, _, _ in edges} | {(g, d) for g, _, d, _ in edges}
-        node_keys = sorted(seen)
-    sizes, index = _group_layout(node_keys)
-    blocks = [np.zeros((m, m)) for m in sizes]
-    for g, s, d, w in edges:
-        try:
-            (r, i), (_, j) = index[(g, s)], index[(g, d)]
-        except KeyError as exc:
-            raise ValueError(f"{path}: edge refers to unknown node {exc} in group {g}") from None
-        if i == j:
-            warnings.warn(f"{path}: dropping self-link on node {(g, s)}")
-            continue
-        blocks[r][i, j] = w
-    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
-                                      m_row_normalized=True)
+    # each link's group and places within it, written into its size's stack
+    link = pos[:, 0] != pos[:, 1]
+    pos, w = pos[link], w[link]
+    group = np.repeat(np.arange(len(sizes)), sizes)[pos[:, 0]]
+    i, j = (pos - (np.cumsum(sizes) - sizes)[group][:, None]).T
+    stacks = []
+    for groups in _size_groups(sizes):
+        e = np.isin(group, groups)
+        stacks.append(np.zeros((groups.size,) + (sizes[groups[0]],) * 2))
+        stacks[-1][np.searchsorted(groups, group[e]), i[e], j[e]] = w[e]
+    return GroupedNetwork.from_blocks(
+        BlockStacks(sizes, stacks), BlockStacks(sizes, [row_normalize(S) for S in stacks]),
+        m_row_normalized=True)
 
 
 def load_network(edges_path: str | Path,
@@ -580,14 +625,11 @@ def load_network(edges_path: str | Path,
                  m_edges_path: str | Path | None = None,
                  ) -> tuple[GroupedNetwork, PanelData | None]:
     """Load a network plus optional node data, with optional separate M edges."""
-    data = None
-    node_keys = None
-    if nodes_path is not None:
-        node_keys, data = load_node_csv(nodes_path)
+    node_keys, data = load_node_csv(nodes_path) if nodes_path is not None else (None, None)
     net = load_edge_csv(edges_path, node_keys)
     if m_edges_path is not None:
-        m_net = load_edge_csv(m_edges_path, node_keys if node_keys is not None else None)
-        if m_net.n != net.n or m_net.group_sizes != net.group_sizes:
+        m_net = load_edge_csv(m_edges_path, node_keys)
+        if m_net.group_sizes != net.group_sizes:
             raise ValueError("M edge list does not match the W edge list's node set")
-        net = GroupedNetwork.from_blocks(net.blocks_W(), m_net.blocks_W())
+        net = GroupedNetwork.from_blocks(net.stacks_W(), m_net.stacks_W())
     return net, data

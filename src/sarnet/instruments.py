@@ -28,6 +28,7 @@ __all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
 ZERO_COLUMN_RTOL = 1e-13
 
 _NORMALIZATIONS = ("none", "unit-variance", "standardized")
+_SD_BLOCK = 16      # columns that normalize_columns transposes and reduces at a time
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,25 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     if inst.n_columns == 0:
         raise ValueError("empty instrument set")
     # each column reduced as one contiguous row, in the order a per-column
-    # np.std sums it, so the normalized roster is bit for bit the loop's
-    rows = np.ascontiguousarray(inst.Q.T)
-    sd = np.std(rows, axis=1, ddof=1)
+    # np.std sums it, so the normalized roster is bit for bit the loop's; a
+    # block of columns at a time, so that the transposed copy stays small
+    sd, mean = np.empty((2, inst.n_columns))
+    for j in range(0, inst.n_columns, _SD_BLOCK):
+        cols = slice(j, j + _SD_BLOCK)
+        rows = np.ascontiguousarray(inst.Q[:, cols].T)
+        sd[cols], mean[cols] = np.std(rows, axis=1, ddof=1), rows.mean(axis=1)
     keep = (sd > 0.0) & np.isfinite(sd)
     for lab, kept in zip(inst.labels, keep):
         if not kept:
             warnings.warn(f"dropping zero-variance instrument column {lab!r}")
     if not np.any(keep):
         raise ValueError("all instrument columns had zero variance")
-    # C order, as the Gram's bits need; no copy when every column is kept
-    Q = np.ascontiguousarray(inst.Q) if keep.all() else inst.Q.compress(keep, axis=1)
+    # one n x k result, in C order as the Gram's bits need
+    Q = inst.Q if keep.all() else inst.Q.compress(keep, axis=1)
+    out = np.empty(Q.shape)
     if mode == "standardized":
-        Q = Q - rows[keep].mean(axis=1)
-    return InstrumentSet(Q / sd[keep],
+        Q = np.subtract(Q, mean[keep], out=out)
+    return InstrumentSet(np.divide(Q, sd[keep], out=out),
                          tuple(lab for lab, k in zip(inst.labels, keep) if k))
 
 

@@ -276,6 +276,31 @@ class TestBadInput:
         assert code == 2
         assert f"data error: {nodes}: no data rows" in err
 
+    def test_mixed_id_kinds_is_data_error(self, files, capsys):
+        edges, nodes = files
+        self.corrupt(nodes, 3, 1, "a")        # group ids are integers elsewhere
+        code, _, err = run_cli(["diagnose", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"{nodes}, line 3, column 1 (group_id): text id 'a' among integer ids" in err
+
+    def test_unknown_node_names_line_and_column(self, files, capsys):
+        edges, nodes = files
+        self.corrupt(edges, 3, 3, "99")
+        code, _, err = run_cli(["diagnose", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 2
+        assert f"{edges}, line 3, column 3 (dst): unknown node 99 in group 0" in err
+
+    def test_repeated_edge_is_data_error(self, files, capsys):
+        edges, nodes = files
+        lines = edges.read_text().splitlines()
+        edges.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code, _, err = run_cli(["diagnose", "--edges", str(edges)], capsys)
+        assert code == 2
+        assert (f"{edges}, lines 2 and {len(lines) + 1}: repeated edge "
+                "(group_id, src, dst)") in err
+
     def test_short_row_is_data_error(self, files, capsys):
         edges, _ = files
         edges.write_text(edges.read_text() + "0,1\n")

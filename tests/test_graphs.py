@@ -242,6 +242,42 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match="unknown node"):
             load_network(tmp_path / "edges.csv", tmp_path / "nodes.csv")
 
+    def test_unknown_node_named_by_line_and_column(self, tmp_path):
+        (tmp_path / "edges.csv").write_text(
+            "group_id,src,dst,weight\n1,0,1,1\n\n1,7,0,1\n")
+        (tmp_path / "nodes.csv").write_text(
+            "group_id,node_id,x1,x2,y\n1,0,0,0,0\n1,1,0,0,0\n")
+        with pytest.raises(ValueError, match=r"edges.csv, line 4, column 2 \(src\): "
+                                             r"unknown node 7 in group 1$"):
+            load_network(tmp_path / "edges.csv", tmp_path / "nodes.csv")
+
+    def test_line_numbers_count_blank_and_multiline_records(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text(
+            'group_id,node_id,x1,x2,y\n1,0,0,0,0\n\n1,"a\nb",0,0,0\n  \n1,2,0,0,x\n')
+        with pytest.raises(ValueError, match=r"line 7, column 5 \(y\): not a number: 'x'"):
+            load_node_csv(tmp_path / "nodes.csv")
+
+    def test_repeated_node_rows_rejected_with_both_lines(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text(
+            "group_id,node_id,x1,x2,y\n1,0,0,0,0\n1,1,0,0,0\n1, 01,0,0,0\n")
+        with pytest.raises(ValueError, match=r"lines 3 and 4: repeated \(group_id, node_id\)"):
+            load_node_csv(tmp_path / "nodes.csv")
+
+    def test_mixed_node_id_kinds_rejected_in_an_edge_list(self, tmp_path):
+        (tmp_path / "edges.csv").write_text("group_id,src,dst\n1,0,1\n1,1,b\n")
+        with pytest.raises(ValueError, match=r"line 3, column 3 \(dst\): text id 'b' "
+                                             r"among integer ids"):
+            load_edge_csv(tmp_path / "edges.csv")
+
+    def test_ids_sort_numerically_or_lexicographically(self, tmp_path):
+        (tmp_path / "edges.csv").write_text(
+            "group_id,src,dst\n10,b,a\n9,a,b\n9,b10,b\n9,b9,a\n")
+        assert load_network(tmp_path / "edges.csv")[0].group_sizes == (4, 2)
+        (tmp_path / "nodes.csv").write_text(
+            "group_id,node_id,x1,x2,y\ng10,2,0,0,0\ng9,-3,0,0,0\ng9,10,0,0,0\n")
+        keys, _ = load_node_csv(tmp_path / "nodes.csv")
+        assert keys == [("g10", 2), ("g9", -3), ("g9", 10)]
+
     def test_node_keys_split_across_a_group_rejected(self, tmp_path):
         (tmp_path / "edges.csv").write_text("group_id,src,dst,weight\n1,0,1,1\n")
         with pytest.raises(ValueError, match="together"):

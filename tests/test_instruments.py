@@ -171,6 +171,24 @@ class TestRosters:
         assert q2.n_columns > 240
         assert peak <= 1.25 * q2.Q.nbytes
 
+    def test_normalize_allocates_little_beyond_the_result(self):
+        # the column sums run over small transposed blocks and the quotient
+        # goes into one output array; a whole transposed copy, np.std's
+        # deviation temporary and a separate quotient would each be as
+        # large as the roster
+        config = McConfig(group_count=240, group_size=15, max_links=6,
+                          replications=1, seed=0)
+        net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+        q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
+        tracemalloc.start()
+        try:
+            out = normalize_columns(q2, "unit-variance")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_columns == q2.n_columns > 240
+        assert peak <= 1.3 * q2.Q.nbytes
+
 
 def test_instrument_set_validation():
     with pytest.raises(ValueError, match="label"):

@@ -4,7 +4,9 @@ Networks have random unequal group sizes, singleton groups and all-zero rows
 (isolated individuals), which the fixed simulation designs never produce.
 """
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +14,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
                                first_stage, preliminary_rho, regularized_2sls)
-from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
+from sarnet.graphs import (GroupedNetwork, PanelData, build_block_diagonal, load_network,
+                           row_normalize)
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, r_matrix,
                                reduced_form, row_sum_norm, s_matrix, solve_blockwise)
-from oracles import d_matrix, projector_matrix, q2_roster_dense
+from oracles import d_matrix, load_network_by_cell, projector_matrix, q2_roster_dense
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -363,7 +366,7 @@ def normalize_by_column(inst, mode):
 
 
 @PROPERTY_SETTINGS
-@given(n=st.integers(2, 60), k=st.integers(2, 8), const=st.data(),
+@given(n=st.integers(2, 60), k=st.integers(2, 40), const=st.data(),
        value=st.integers(-4, 4), seed=st.integers(0, 1000),
        mode=st.sampled_from(("unit-variance", "standardized")))
 def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed, mode):
@@ -458,3 +461,81 @@ def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
         want = np.trace(projector_matrix(spectrum, scheme) @ D)
         got = _bias_trace(net, spectrum, q_weights(scheme, spectrum), lam, rho)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+# The CSV loaders convert whole columns; the oracle parses cell by cell.
+
+
+@st.composite
+def csv_texts(draw):
+    """A node file and two edge files (W and M) for random groups, as CSV text.
+
+    Group and node ids are integers (some negative) or text, whose
+    lexicographic order differs from the numeric one (g10 < g3).  Groups
+    have unequal sizes, some nodes have no links, some links are self-links
+    and some weights are zero.  Rows are shuffled, blank lines are mixed in
+    and cells are padded with spaces.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    text_groups, text_nodes, weighted = (draw(st.booleans()) for _ in range(3))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    groups = [f"g{7 * r % 11}" if text_groups else str(7 * r % 11 - 5)
+              for r in range(len(sizes))]
+    nodes = [[f"n{v}" if text_nodes else str(v) for v in rng.choice(12, m, replace=False)]
+             for m in sizes]
+
+    def text(header, rows):
+        lines = [",".join(" " * rng.integers(2) + str(c) + " " * rng.integers(2) for c in row)
+                 for row in rows]
+        lines = [lines[k] for k in rng.permutation(len(lines))]
+        for k in rng.integers(0, len(lines) + 1, rng.integers(3)):
+            lines.insert(k, str(rng.choice(["", "  ", ",,,", " , "])))
+        return "\n".join([header] + lines) + "\n"
+
+    def edges():
+        rows = [[g, ids[i], ids[j]] + ([rng.choice([0.0, 1.0, rng.random()])] if weighted else [])
+                for g, ids in zip(groups, nodes) for i in range(len(ids)) for j in range(len(ids))
+                if rng.random() < (0.1 if i == j else 0.4)]
+        rows = rows or [[groups[0], nodes[0][0], nodes[0][-1]] + [1.0] * weighted]
+        return text("group_id,src,dst" + ",weight" * weighted, rows)
+
+    node_rows = [[g, v] + list(rng.standard_normal(3)) for g, ids in zip(groups, nodes)
+                 for v in ids]
+    return text("group_id,node_id,x1_0,x2_0,y", node_rows), edges(), edges()
+
+
+def load_outcome(load, *paths):
+    """(network, data, warning texts), or the error text of a refused input."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net, data = load(*paths)
+        except ValueError as exc:
+            return str(exc)
+    return net, data, [str(w.message) for w in caught]
+
+
+@PROPERTY_SETTINGS
+@given(texts=csv_texts(), with_nodes=st.booleans(), with_m=st.booleans())
+def test_csv_loaders_match_cell_by_cell_oracle(texts, with_nodes, with_m):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("nodes.csv", "edges.csv", "m_edges.csv")]
+        for path, body in zip(paths, texts):
+            path.write_text(body)
+        args = (paths[1], paths[0] if with_nodes else None, paths[2] if with_m else None)
+        got, want = load_outcome(load_network, *args), load_outcome(load_network_by_cell, *args)
+    if isinstance(want, str):          # edges-only W and M files on other node sets
+        assert got == want
+        return
+    (net, data, caught), (want_net, want_data, want_caught) = got, want
+    assert caught == want_caught
+    assert net.group_sizes == want_net.group_sizes
+    assert net.m_row_normalized == want_net.m_row_normalized
+    for a, b in ((net.stacks_W(), want_net.stacks_W()), (net.stacks_M(), want_net.stacks_M())):
+        assert all(np.array_equal(S, T) for S, T in zip(a.stacks(), b.stacks(), strict=True))
+    assert (data is None) == (want_data is None) == (not with_nodes)
+    if with_nodes:
+        assert data.node_ids == want_data.node_ids
+        assert data.group_sizes == want_data.group_sizes
+        for field in ("y", "x1", "x2"):
+            assert np.array_equal(getattr(data, field), getattr(want_data, field))
