@@ -167,8 +167,15 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be a positive integer, got {args.workers}")
+    for flag, value, low in (("--groups", args.groups, 1), ("--size", args.size, 1),
+                             ("--max-links", args.max_links, 0), ("--reps", args.reps, 1),
+                             ("--seed", args.seed, 0), ("--workers", args.workers, 1)):
+        if value < low:
+            kind = "positive" if low else "nonnegative"
+            raise UsageError(f"{flag} must be a {kind} integer, got {value}")
+    if args.max_links >= args.size:
+        raise UsageError(f"--max-links must be below --size ({args.size}), "
+                         f"got {args.max_links}")
     config = McConfig(group_count=args.groups, group_size=args.size,
                       max_links=args.max_links, replications=args.reps,
                       seed=args.seed, criterion=args.criterion,
@@ -191,6 +198,9 @@ def _load(args, need_data: bool):
 
 
 def _cmd_diagnose(args) -> int:
+    for flag, value in (("--tol", args.tol), ("--weak-threshold", args.weak_threshold)):
+        if not value >= 0.0:          # NaN compares false
+            raise UsageError(f"{flag} must be a nonnegative number, got {value}")
     net, data = _load(args, need_data=False)
     X = data.regressors(net) if data is not None else None
     report = build_report(net, X, rho_zero=not args.correlated,

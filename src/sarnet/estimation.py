@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .graphs import GroupedNetwork, PanelData
+from .graphs import BlockStacks, GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import Scheme, Spectrum, q_weights
 from .transforms import apply_D, assemble_z, gram_D, whiten, whitened_residual
@@ -133,22 +133,17 @@ def _build_moment_ops(network: GroupedNetwork):
     moment at the true rho.  Returned as closures acting block by block.
     """
     J = network.J
-    W, M = network.stacks_W().stacks(), network.stacks_M().stacks()
+    W, M = network.stacks_W(), network.stacks_M()
+    MW = BlockStacks(network.group_sizes,
+                     [M_s @ W_s for M_s, W_s in zip(M.stacks(), W.stacks())])
     ops = []
     specs = [
         (network.lag_W, W),
         (network.lag_M, M),
-        (lambda V: network.lag_M(network.lag_W(V)), [M_s @ W_s for M_s, W_s in zip(M, W)]),
+        (lambda V: network.lag_M(network.lag_W(V)), MW),
     ]
-    for lag, stacks in specs:
-        # tr(J A J) = sum_r tr(A_r J_r) over the small dense blocks, one
-        # batched product per group size; the running sum goes in network
-        # order, so c (and rho) round as a per-group loop does
-        traces = np.empty(network.group_count)
-        for groups, A_s, J_s in zip(network.stacks_W().groups, stacks,
-                                    J.block_stacks.stacks()):
-            traces[groups] = np.trace(A_s @ J_s, axis1=1, axis2=2)
-        c = sum(traces.tolist()) / J.trace
+    for lag, A in specs:
+        c = J.trace_product(A) / J.trace       # tr(J A J) = tr(J A), J idempotent
 
         def apply_op(v, lag=lag, c=c):
             return J.apply(lag(J.apply(v))) - c * v
@@ -187,6 +182,10 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
                                    float(b @ Mb)]))
     lo, hi = RHO_BOUNDS
     slopes = sum(g * g for g in moments).deriv()
+    # a moment with no rho^2 term leaves rounding noise (~1e-16 of the other
+    # coefficients) on top; the companion matrix of such a cubic loses the
+    # genuine roots, so negligible top coefficients are dropped first
+    slopes = slopes.trim(1e-12 * np.abs(slopes.coef).max())
     candidates = np.concatenate([np.clip(slopes.roots().real, lo, hi), [lo, hi]])
     values = sum(g(candidates) ** 2 for g in moments)
     return float(candidates[np.argmin(values)])

@@ -4,7 +4,6 @@ A sample is a collection of disjoint groups.  Interactions only happen within
 a group, so the full-sample interaction matrices W (outcome spillovers) and M
 (disturbance spillovers) are block diagonal with one block per group, and a
 ``GroupedNetwork`` stores only those blocks, as one stack per group size.
-Dense n x n forms are assembled on request, for tests and small problems.
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ __all__ = [
     "load_node_csv",
     "load_network",
 ]
-
-
-def _group_slices(group_sizes: Sequence[int]) -> tuple[slice, ...]:
-    out = []
-    start = 0
-    for m in group_sizes:
-        out.append(slice(start, start + m))
-        start += m
-    return tuple(out)
 
 
 def _as_rows(A: np.ndarray, n: int) -> np.ndarray:
@@ -173,13 +163,13 @@ class GroupedNetwork:
         sizes = tuple(int(m) for m in group_sizes)
         if not sizes or any(m < 1 for m in sizes):
             raise ValueError("group_sizes must be positive integers")
-        n = sum(sizes)
+        n, ends = sum(sizes), np.cumsum(sizes).tolist()
         split = []
         for name, A in (("W", W), ("M", M)):
             A = np.asarray(A, dtype=float)
             if A.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {A.shape}")
-            blocks = [A[sl, sl] for sl in _group_slices(sizes)]
+            blocks = [A[e - m:e, e - m:e] for m, e in zip(sizes, ends)]
             if np.count_nonzero(A) != sum(np.count_nonzero(B) for B in blocks):
                 raise ValueError(f"{name} has nonzero entries outside the diagonal blocks")
             split.append(BlockStacks.from_blocks(blocks, name))
@@ -221,11 +211,6 @@ class GroupedNetwork:
     def group_count(self) -> int:
         return len(self.group_sizes)
 
-    @functools.cached_property
-    def slices(self) -> tuple[slice, ...]:
-        """Each group's rows, in network order."""
-        return _group_slices(self.group_sizes)
-
     def stacks_W(self) -> BlockStacks:
         """W's blocks, one read-only (g, m, m) stack per group size."""
         return self._W
@@ -241,16 +226,6 @@ class GroupedNetwork:
     def blocks_M(self) -> tuple[np.ndarray, ...]:
         """The diagonal blocks of M, one per group: read-only views into the stacks."""
         return self._M.blocks()
-
-    @property
-    def W(self) -> np.ndarray:
-        """Dense n x n W, assembled on every access (tests, small problems)."""
-        return build_block_diagonal(self.blocks_W())
-
-    @property
-    def M(self) -> np.ndarray:
-        """Dense n x n M, assembled on every access (tests, small problems)."""
-        return build_block_diagonal(self.blocks_M())
 
     @functools.cached_property
     def J(self):
@@ -414,19 +389,6 @@ class PanelData:
         """Exogenous regressor block [X1, W X2] (own plus contextual)."""
         return np.column_stack([self.x1, network.lag_W(self.x2)])
 
-    def covariate_base(self) -> np.ndarray:
-        """Distinct raw covariate columns of (x1, x2), duplicates dropped.
-
-        Used to seed instrument rosters; when x1 and x2 are the same draw
-        (as in the simulation design) the base is that single column.
-        """
-        cols = [self.x1[:, j] for j in range(self.k1)]
-        for j in range(self.k2):
-            c = self.x2[:, j]
-            if not any(np.array_equal(c, kept) for kept in cols):
-                cols.append(c)
-        return np.column_stack(cols)
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -449,14 +411,20 @@ def _as_id(cell: str):
 class _CsvTable:
     """A CSV file's header (``names`` lower-cased) and nonblank rows, as columns.
 
-    Refused: a short row, a missing column of ``needs``, and a file without
-    data rows, which would give no group or nodes the other file lacks.
+    Refused: a short row, a missing column of ``needs``, a file without
+    data rows, which would give no group or nodes the other file lacks, and
+    a file the csv module cannot parse (a cell over its field limit), named
+    with the line it stopped on.
     """
 
     def __init__(self, path: str | Path, kind: str, needs: tuple[str, ...]):
         self.path = path
         with open(path, newline="") as fh:
-            records = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                records = list(reader)
+            except csv.Error as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
         if not records:
             raise ValueError(f"{path}: empty CSV")
         self.header = [h.strip() for h in records[0]]

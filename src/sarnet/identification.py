@@ -273,7 +273,7 @@ class IdentificationReport:
         return out
 
 
-def build_report(network: GroupedNetwork | np.ndarray,
+def build_report(network: GroupedNetwork,
                  X: np.ndarray | None = None,
                  rho_zero: bool = True,
                  tol: float = CLUSTER_TOL,
@@ -285,18 +285,13 @@ def build_report(network: GroupedNetwork | np.ndarray,
     NotIdentified (two distinct eigenvalues) or PossiblyIdentified, and the
     rank/condition fields stay empty.
     """
-    if isinstance(network, GroupedNetwork):
-        n, lag_W, lag_M = network.n, network.lag_W, network.lag_M
-        iota = network.group_ones()
-    else:
-        W = np.asarray(network, dtype=float)
-        n, lag_W, lag_M, iota = W.shape[0], W.__matmul__, None, np.ones((W.shape[0], 1))
     count, clusters = distinct_eigenvalues(network, tol)
     rank_flag: bool | None = None
     cond: float | None = None
     if X is not None:
-        rank_flag, cond = _stack_rank_check(lag_W, lag_M, _as_rows(X, n),
-                                            count, rho_zero, iota)
+        rank_flag, cond = _stack_rank_check(network.lag_W, network.lag_M,
+                                            _as_rows(X, network.n), count, rho_zero,
+                                            network.group_ones())
     if count == 2:
         verdict = Verdict.NOT_IDENTIFIED
     elif rank_flag is None:

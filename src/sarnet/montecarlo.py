@@ -91,6 +91,8 @@ class McConfig:
     transform_with_rho: bool = False
 
     def __post_init__(self) -> None:
+        if self.group_count < 1 or self.group_size < 1:
+            raise ValueError("group_count and group_size must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 0 <= self.max_links < self.group_size:

@@ -211,9 +211,6 @@ class SelectionResult:
     criterion: str
     curve: tuple[tuple[float, float, float], ...]  # (alpha, criterion, S_hat)
 
-    def curve_array(self) -> np.ndarray:
-        return np.asarray(self.curve, dtype=float)
-
 
 def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
     """Minimize S_hat over ``default_grid``; ties go to the more regularized point.

@@ -16,19 +16,15 @@ Everything here is computed block by block; no n x n inverse is ever formed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (BlockStacks, GroupedNetwork, PanelData, _group_rows, _map_stacked,
-                     _size_groups, build_block_diagonal)
+from .graphs import BlockStacks, GroupedNetwork, PanelData, _group_rows, _map_stacked
 
 __all__ = [
     "ModelParams",
     "JProjector",
-    "s_matrix",
-    "r_matrix",
     "assemble_z",
     "whiten",
     "apply_D",
@@ -83,18 +79,6 @@ class ModelParams:
         return params
 
 
-def s_matrix(lam: float, W: np.ndarray) -> np.ndarray:
-    """S(lambda) = I - lambda W."""
-    W = np.asarray(W, dtype=float)
-    return np.eye(W.shape[0]) - lam * W
-
-
-def r_matrix(rho: float, M: np.ndarray) -> np.ndarray:
-    """R(rho) = I - rho M."""
-    M = np.asarray(M, dtype=float)
-    return np.eye(M.shape[0]) - rho * M
-
-
 def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
                     label: str) -> np.ndarray:
     """Solve (I - coef * A) X = B for a network's ``stacks_W()`` or ``stacks_M()``.
@@ -137,11 +121,10 @@ class JProjector:
     relative singular-value cutoff of 1e-10.  Built from the diagonal blocks
     M_r of M (a ``BlockStacks``); a network holds its own as ``network.J``.
 
-    The orthonormal bases B_r are stored as one (g, m, w) stack per pair of
-    group size m and basis width w (1 or 2), with the rows of those groups,
-    so ``apply`` is one batched V - B (B' V) per pair.  ``block_stacks``
-    holds the dense blocks I - B_r B_r' as one stack per group size, aligned
-    with M's; ``block(r)`` is a read-only view into it.
+    J is stored only as its orthonormal bases B_r, J_r = I - B_r B_r': one
+    (g, m, w) stack per pair of group size m and basis width w (1 or 2),
+    with the rows of those groups, so ``apply`` is one batched
+    V - B (B' V) per pair.
     """
 
     #: relative residual of M iota on iota below which the two are treated
@@ -189,10 +172,6 @@ class JProjector:
         """tr J = n - sum of annihilated dimensions (J is a projector)."""
         return float(self.n - sum(B.shape[0] * B.shape[2] for _, B in self._parts))
 
-    @property
-    def rank(self) -> int:
-        return int(round(self.trace))
-
     def apply(self, V: np.ndarray) -> np.ndarray:
         """J V for a vector or matrix V, one batched product per (size, width).
 
@@ -202,25 +181,21 @@ class JProjector:
         return _map_stacked(lambda B, V: V - B @ (B.transpose(0, 2, 1) @ V), self._parts,
                             np.ascontiguousarray(V, dtype=float))
 
-    @functools.cached_property
-    def block_stacks(self) -> BlockStacks:
-        """The dense blocks I - B_r B_r', one stack per group size."""
-        by_size = _size_groups(self.group_sizes)
-        sizes = [self.group_sizes[g[0]] for g in by_size]
-        stacks = [np.empty((g.size, m, m)) for g, m in zip(by_size, sizes)]
+    def trace_product(self, A: BlockStacks) -> float:
+        """tr(J A) for a block-diagonal A with this projector's group sizes.
+
+        Per group, tr(J_r A_r) = tr(A_r) - tr(B_r' A_r B_r): O(m^2 w) from
+        the basis, one batched product per (size, width).  The per-group
+        traces are summed in network order.
+        """
+        stacks = {S.shape[1]: (groups, S) for groups, S in zip(A.groups, A.stacks())}
+        traces = np.empty(len(self.group_sizes))
         for groups, (_, B) in zip(self._groups, self._parts):
-            i = sizes.index(B.shape[1])
-            stacks[i][np.searchsorted(by_size[i], groups)] = \
-                np.eye(B.shape[1]) - B @ B.transpose(0, 2, 1)
-        return BlockStacks(self.group_sizes, stacks)
-
-    def block(self, r: int) -> np.ndarray:
-        """The m_r x m_r block of group r (a read-only view)."""
-        return self.block_stacks.blocks()[r]
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense n x n form; intended for small problems and tests."""
-        return build_block_diagonal(self.block_stacks.blocks())
+            by_size, S = stacks[B.shape[1]]
+            A_g = S[np.searchsorted(by_size, groups)]
+            traces[groups] = (np.trace(A_g, axis1=1, axis2=2)
+                              - ((A_g @ B) * B).sum(axis=(1, 2)))
+        return sum(traces.tolist())
 
 
 # ---------------------------------------------------------------------------

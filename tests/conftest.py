@@ -76,8 +76,7 @@ def nilpotent_dataset(seed, group_count=4, group_size=5, sigma_eps=1e-8):
 def write_network_csvs(tmp_path, net, data=None, prefix=""):
     """Write a GroupedNetwork (and optional PanelData) in the CSV schema."""
     erows = ["group_id,src,dst,weight"]
-    for g, sl in enumerate(net.slices):
-        B = net.W[sl, sl]
+    for g, B in enumerate(net.blocks_W()):
         for i in range(B.shape[0]):
             for j in range(B.shape[1]):
                 if B[i, j] != 0.0:
@@ -90,8 +89,8 @@ def write_network_csvs(tmp_path, net, data=None, prefix=""):
              ",".join(f"x1_{c}" for c in range(data.k1)) + "," +
              ",".join(f"x2_{c}" for c in range(data.k2)) + ",y"]
     idx = 0
-    for g, sl in enumerate(net.slices):
-        for i in range(sl.stop - sl.start):
+    for g, m in enumerate(net.group_sizes):
+        for i in range(m):
             vals = ([f"{v:.12g}" for v in data.x1[idx]] +
                     [f"{v:.12g}" for v in data.x2[idx]] +
                     [f"{data.y[idx]:.12g}"])

@@ -2,7 +2,8 @@
 
 Each one materializes an n x n matrix or the n x G centrality block,
 refits once per observation, or parses a CSV file cell by cell, so they
-serve small fixtures only.
+serve small fixtures only.  The package holds the network only as
+per-group blocks; the dense W, M, S(lambda), R(rho) and J are built here.
 """
 
 import csv
@@ -12,11 +13,51 @@ from typing import Sequence
 
 import numpy as np
 
-from sarnet.graphs import GroupedNetwork, PanelData, row_normalize
+from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.instruments import InstrumentSet, _drop_zero_columns
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.selection import SelectionContext
-from sarnet.transforms import r_matrix, s_matrix
+
+
+def group_slices(net: GroupedNetwork) -> list[slice]:
+    """Each group's rows, in network order."""
+    ends = np.cumsum(net.group_sizes).tolist()
+    return [slice(end - m, end) for m, end in zip(net.group_sizes, ends)]
+
+
+def dense_W(net: GroupedNetwork) -> np.ndarray:
+    """The n x n block-diagonal W."""
+    return build_block_diagonal(net.blocks_W())
+
+
+def dense_M(net: GroupedNetwork) -> np.ndarray:
+    """The n x n block-diagonal M."""
+    return build_block_diagonal(net.blocks_M())
+
+
+def s_matrix(lam: float, W: np.ndarray) -> np.ndarray:
+    """S(lambda) = I - lambda W."""
+    W = np.asarray(W, dtype=float)
+    return np.eye(W.shape[0]) - lam * W
+
+
+def r_matrix(rho: float, M: np.ndarray) -> np.ndarray:
+    """R(rho) = I - rho M."""
+    M = np.asarray(M, dtype=float)
+    return np.eye(M.shape[0]) - rho * M
+
+
+def dense_J(net: GroupedNetwork) -> np.ndarray:
+    """The n x n fixed-effect annihilator from the textbook formula, group by group.
+
+    J_r = I - A A^+ with A = (iota, M_r iota): the projector off the column
+    space of A, the pseudo-inverse cut at 1e-10 of the largest singular value.
+    """
+    blocks = []
+    for M_r in net.blocks_M():
+        A = np.column_stack([np.ones(len(M_r)), M_r.sum(axis=1)])
+        blocks.append(np.eye(len(M_r)) - A @ np.linalg.pinv(A, rcond=1e-10))
+    return build_block_diagonal(blocks)
 
 
 def projector_matrix(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
@@ -40,8 +81,8 @@ def q2_roster_dense(network, q1: InstrumentSet) -> InstrumentSet:
 
 def d_matrix(network, lam: float, rho: float) -> np.ndarray:
     """Dense D = R(rho) W S(lambda)^{-1} R(rho)^{-1} from explicit inverses."""
-    R = r_matrix(rho, network.M)
-    return R @ network.W @ np.linalg.inv(s_matrix(lam, network.W)) @ np.linalg.inv(R)
+    R, W = r_matrix(rho, dense_M(network)), dense_W(network)
+    return R @ W @ np.linalg.inv(s_matrix(lam, W)) @ np.linalg.inv(R)
 
 
 def loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:

@@ -415,6 +415,35 @@ class TestConfigAndErrors:
         assert out == ""
         assert "usage error: --order must be a positive integer, got 0" in err
 
+    @pytest.mark.parametrize("flag", ["--tol", "--weak-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_diagnose_tolerance_is_usage_error(self, k5_edges, tmp_path, flag, value,
+                                                   capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        for argv in (["diagnose", "--edges", str(k5_edges), flag, value],
+                     ["--config", str(cfg), "diagnose", "--edges", str(k5_edges)]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert f"usage error: {flag} must be a nonnegative number, got {float(value)}" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--reps", "0"], "--reps must be a positive integer, got 0"),
+        (["--groups", "0"], "--groups must be a positive integer, got 0"),
+        (["--groups", "-3"], "--groups must be a positive integer, got -3"),
+        (["--size", "0"], "--size must be a positive integer, got 0"),
+        (["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        (["--max-links", "-1"], "--max-links must be a nonnegative integer, got -1"),
+        (["--max-links", "20"], "--max-links must be below --size (10), got 20"),
+    ])
+    def test_out_of_range_design_is_usage_error(self, monkeypatch, flags, named, capsys):
+        monkeypatch.setattr(cli, "run_study", None)     # runs nothing
+        code, out, err = run_cli(["simulate", *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {named}" in err
+
     def test_config_value_inside_choices_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("reps = 2\ngroups = 4\nsize = 8\ncriterion = gcv\n"
@@ -443,6 +472,15 @@ class TestConfigAndErrors:
         bad.write_text("a,b\n1,2\n")
         code, _, err = run_cli(["diagnose", "--edges", str(bad)], capsys)
         assert code == 2
+
+    def test_cell_over_csv_field_limit_is_data_error(self, tmp_path, capsys):
+        # the csv module refuses a field over 131072 characters
+        bad = tmp_path / "long.csv"
+        bad.write_text("group_id,src,dst,weight\n0,0,1,1\n0," + "7" * 200_000 + ",0,1\n")
+        code, out, err = run_cli(["diagnose", "--edges", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"data error: {bad}, line 3: field larger than field limit" in err
 
     def test_degenerate_numeric_input_is_numerical_failure(self, tmp_path, capsys):
         # constant covariates: every instrument column is annihilated by J

@@ -11,6 +11,7 @@ from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import Scheme, Spectrum
 from sarnet.selection import prepare_selection, select_from_context
 from conftest import draw_dataset
+from oracles import dense_M, dense_W
 
 
 def textbook_iv_oracle(Z, y, Q):
@@ -72,7 +73,7 @@ class TestPreliminaryDelta:
         for i in range(m):
             W[i, (i + 1) % m] = W[(i + 1) % m, i] = 1.0
         net = GroupedNetwork((m,), W, row_normalize(W), m_row_normalized=True)
-        np.testing.assert_allclose(net.M, W / 2.0)
+        np.testing.assert_allclose(dense_M(net), W / 2.0)
         x1, x2, y = rng.standard_normal((3, m))
         data = PanelData(y=y, x1=x1[:, None], x2=x2[:, None], group_sizes=(m,))
         q1 = q1_roster(net, data.regressors(net))
@@ -151,7 +152,7 @@ class TestRegularized2sls:
         net, data, _, _, _ = draw_dataset(seed=43)
         q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
         rho = 0.23
-        Rm = np.eye(net.n) - rho * net.M
+        Rm = np.eye(net.n) - rho * dense_M(net)
         Z = assemble_z(data, net)
         P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
         oracle = np.linalg.solve((Rm @ Z).T @ P @ (Rm @ Z),
@@ -201,7 +202,7 @@ class TestBiasCorrected:
             InstrumentSet(np.random.default_rng(1).standard_normal((12, 4)),
                           tuple("abcd")))
         P = (q.vectors @ q.vectors.T)
-        Rm = np.eye(12) - rho * net.M
+        Rm = np.eye(12) - rho * dense_M(net)
         # dense-inverse oracle
         D_dense = Rm @ W @ np.linalg.inv(np.eye(12) - lam * W) @ np.linalg.inv(Rm)
         # truncated Neumann series: S^{-1} = I + lam W + (lam W)^2 + (lam W)^3
@@ -235,9 +236,9 @@ def test_assemble_z_layout(small_dataset):
     net, data, params, _, _ = small_dataset
     Z = assemble_z(data, net)
     assert Z.shape == (net.n, 3)
-    np.testing.assert_allclose(Z[:, 0], net.W @ data.y, atol=1e-12)
+    np.testing.assert_allclose(Z[:, 0], dense_W(net) @ data.y, atol=1e-12)
     np.testing.assert_allclose(Z[:, 1], data.x1[:, 0], atol=1e-12)
-    np.testing.assert_allclose(Z[:, 2], net.W @ data.x2[:, 0], atol=1e-12)
+    np.testing.assert_allclose(Z[:, 2], dense_W(net) @ data.x2[:, 0], atol=1e-12)
 
 
 def rotated_in_cluster(inst, value, rng):

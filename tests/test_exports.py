@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import sarnet
+from sarnet.graphs import GroupedNetwork
+from sarnet.transforms import JProjector
 
 PACKAGE = Path(sarnet.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -36,3 +38,15 @@ def test_dense_projector_forms_are_test_oracles():
         assert not hasattr(sarnet, name)
         assert [m for m in MODULES
                 if name in importlib.import_module(f"sarnet.{m}").__all__] == []
+
+
+def test_dense_network_forms_are_test_oracles():
+    # the network is held only as per-group blocks and J only as its bases;
+    # dense W, M, S(lambda), R(rho) and J live in tests/oracles.py
+    for name in ("s_matrix", "r_matrix"):
+        assert not hasattr(sarnet, name)
+        assert [m for m in MODULES
+                if hasattr(importlib.import_module(f"sarnet.{m}"), name)] == []
+    assert [a for a in ("W", "M", "slices") if hasattr(GroupedNetwork, a)] == []
+    assert [a for a in ("as_matrix", "block", "block_stacks")
+            if hasattr(JProjector, a)] == []

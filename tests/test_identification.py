@@ -8,6 +8,7 @@ from sarnet.identification import (AsymmetricMatrixError, Verdict, build_report,
                                    distinct_eigenvalues, labelled_stack,
                                    lee_reduced_coefficient, proposition1_check,
                                    proposition2_rank_check)
+from oracles import dense_W
 
 
 def complete_graph(n):
@@ -40,7 +41,7 @@ class TestDistinctEigenvalues:
 
     def test_lee_groups_5_and_7(self):
         net = lee_group_network([5, 7])
-        count, clusters = distinct_eigenvalues(net.W)
+        count, clusters = distinct_eigenvalues(dense_W(net))
         assert count == 3
         values = sorted(v for v, _ in clusters)
         np.testing.assert_allclose(values, [-0.25, -1.0 / 6.0, 1.0], atol=1e-10)
@@ -92,7 +93,7 @@ class TestDistinctEigenvalues:
 
     def test_multiplicities_sum_to_n(self):
         net = lee_group_network([3, 4, 5])
-        count, clusters = distinct_eigenvalues(net.W)
+        count, clusters = distinct_eigenvalues(dense_W(net))
         assert sum(m for _, m in clusters) == 12
 
 
@@ -103,7 +104,7 @@ class TestProposition1:
 
     def test_equal_lee_groups_not_identified(self):
         net = lee_group_network([10, 10])
-        assert proposition1_check(net.W) is Verdict.NOT_IDENTIFIED
+        assert proposition1_check(dense_W(net)) is Verdict.NOT_IDENTIFIED
 
     def test_path_graph_possibly_identified(self):
         W = path_graph(4)
@@ -126,19 +127,19 @@ class TestProposition2:
         net = lee_group_network([4, 5, 6])
         rng = np.random.default_rng(1)
         X = rng.standard_normal((net.n, 1))
-        full, cond = proposition2_rank_check(net.W, X)
+        full, cond = proposition2_rank_check(dense_W(net), X)
         assert full
         # rank oracle on the explicit stack
-        count, _ = distinct_eigenvalues(net.W)
-        stack, _ = labelled_stack(net.W.__matmul__, X, count - 1)
+        count, _ = distinct_eigenvalues(dense_W(net))
+        stack, _ = labelled_stack(dense_W(net).__matmul__, X, count - 1)
         assert np.linalg.matrix_rank(stack) == stack.shape[1]
 
     def test_scale_covariant_rank_flag(self):
         net = lee_group_network([4, 5, 6])
         rng = np.random.default_rng(2)
         X = rng.standard_normal((net.n, 2))
-        full1, _ = proposition2_rank_check(net.W, X)
-        full2, _ = proposition2_rank_check(net.W, 3.7 * X)
+        full1, _ = proposition2_rank_check(dense_W(net), X)
+        full2, _ = proposition2_rank_check(dense_W(net), 3.7 * X)
         assert full1 == full2
 
     def test_larger_stacks_raise_condition_numbers(self):
@@ -161,7 +162,7 @@ class TestProposition2:
     def test_correlated_case_needs_m(self):
         net = lee_group_network([4, 5])
         with pytest.raises(ValueError, match="needs M"):
-            proposition2_rank_check(net.W, np.ones((9, 1)), rho_zero=False)
+            proposition2_rank_check(dense_W(net), np.ones((9, 1)), rho_zero=False)
 
     def test_wide_stack_has_infinite_condition(self):
         # order 3, 2 covariates, 1 centrality column, M copy: 7 x 22 stack,

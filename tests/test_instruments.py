@@ -9,6 +9,7 @@ from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
 from sarnet.regularization import Spectrum
 from conftest import draw_dataset
+from oracles import dense_M, dense_W
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ class TestBuildInstruments:
         inst = build_instruments(net, X, order=1, include_bonacich=False,
                                  include_M_lags=False)
         J = net.J
-        expect = np.column_stack([J.apply(net.W @ X), J.apply(X)])
+        expect = np.column_stack([J.apply(dense_W(net) @ X), J.apply(X)])
         np.testing.assert_allclose(inst.Q, expect, atol=1e-10)
         assert inst.labels == ("J.W^1.X[0]", "J.W^1.X[1]", "J.X[0]", "J.X[1]")
 
@@ -113,7 +114,7 @@ class TestRosters:
         X = data.regressors(net)
         J = net.J
         q1 = q1_roster(net, X)
-        expect = np.column_stack([X, net.W @ X, net.M @ X, net.M @ net.W @ X])
+        expect = np.column_stack([X, dense_W(net) @ X, dense_M(net) @ X, dense_M(net) @ dense_W(net) @ X])
         np.testing.assert_allclose(q1.Q, J.apply(expect), atol=1e-10)
 
     def test_q1_dedupes_shared_covariate(self):

@@ -334,5 +334,8 @@ def test_config_validation():
         McConfig(replications=0)
     with pytest.raises(ValueError):
         McConfig(group_size=5, max_links=5)
+    for empty in ({"group_count": 0}, {"group_count": -3}, {"group_size": 0, "max_links": 0}):
+        with pytest.raises(ValueError, match="group_count and group_size must be >= 1"):
+            McConfig(**empty)
     assert McConfig().truth("lambda") == 0.1
     assert McConfig().n == 300

@@ -14,15 +14,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
                                first_stage, preliminary_rho, regularized_2sls)
-from sarnet.graphs import (GroupedNetwork, PanelData, build_block_diagonal, load_network,
-                           row_normalize)
+from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, build_block_diagonal,
+                           load_network, row_normalize)
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, q_weights
-from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, r_matrix,
-                               reduced_form, row_sum_norm, s_matrix, solve_blockwise)
-from oracles import d_matrix, load_network_by_cell, projector_matrix, q2_roster_dense
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, reduced_form,
+                               row_sum_norm, solve_blockwise)
+from oracles import (d_matrix, dense_J, dense_M, dense_W, group_slices,
+                     load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
+                     s_matrix)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -59,10 +61,10 @@ def test_labelled_stack_matches_dense_oracle(net, order, k, seed):
     iota = net.group_ones()
     stack, labels = labelled_stack(net.lag_W, X, order, iota, net.lag_M)
 
-    cols = [np.linalg.matrix_power(net.W, j) @ X for j in range(1, order + 1)]
-    cols += [np.linalg.matrix_power(net.W, j) @ iota for j in range(1, order + 1)]
+    cols = [np.linalg.matrix_power(dense_W(net), j) @ X for j in range(1, order + 1)]
+    cols += [np.linalg.matrix_power(dense_W(net), j) @ iota for j in range(1, order + 1)]
     base = np.column_stack(cols + [X])
-    expect = np.column_stack([base, net.M @ base])
+    expect = np.column_stack([base, dense_M(net) @ base])
     np.testing.assert_allclose(stack, expect, rtol=1e-12, atol=1e-12)
     assert len(labels) == expect.shape[1] == len(set(labels))
     assert labels[0] == "W^1.X[0]" and labels[-1] == f"M.X[{k - 1}]"
@@ -75,11 +77,11 @@ def test_stack_rank_check_matches_dense_svd_or_is_wide(net, order, k, rho_zero, 
     # dense lags, so that the stack the check builds is the oracle's, bit for bit
     X = np.random.default_rng(seed).standard_normal((net.n, k))
     iota = net.group_ones()
-    got = _stack_rank_check(net.W.__matmul__, net.M.__matmul__, X, order + 1,
-                            rho_zero, iota)
-    oracle, _ = labelled_stack(net.W.__matmul__, X, order,
+    got = _stack_rank_check(dense_W(net).__matmul__, dense_M(net).__matmul__, X,
+                            order + 1, rho_zero, iota)
+    oracle, _ = labelled_stack(dense_W(net).__matmul__, X, order,
                                None if rho_zero else iota,
-                               None if rho_zero else net.M.__matmul__)
+                               None if rho_zero else dense_M(net).__matmul__)
     if oracle.shape[1] > net.n:
         assert got == (False, np.inf)
     else:
@@ -88,16 +90,16 @@ def test_stack_rank_check_matches_dense_svd_or_is_wide(net, order, k, rho_zero, 
 
 def dense_rho_objective(net, data, delta, rhos):
     """||g(rho)||^2 from explicit n x n matrices, independent of the library."""
-    J = net.J.as_matrix()
+    J = dense_J(net)
     e = data.y - assemble_z(data, net) @ delta
     trJ = np.trace(J)
     moments = []
-    for A in (net.W, net.M, net.M @ net.W):
+    for A in (dense_W(net), dense_M(net), dense_M(net) @ dense_W(net)):
         JAJ = J @ A @ J
         moments.append(JAJ - np.trace(JAJ) / trJ * np.eye(net.n))
     values = []
     for rho in rhos:
-        eps = J @ (e - rho * net.M @ e)
+        eps = J @ (e - rho * dense_M(net) @ e)
         values.append(sum((eps @ Mi @ eps) ** 2 for Mi in moments))
     return np.array(values)
 
@@ -118,6 +120,23 @@ def test_exact_rho_no_worse_than_fine_grid(net, seed):
     assert exact <= grid.min() + 1e-9 * max(1.0, grid.max())
 
 
+def test_exact_rho_when_the_quartic_is_only_quadratic():
+    # chains 2 <- 1 and 5 <- 3, 6 <- 4: the rho^2 coefficients of the moments
+    # are rounding noise, and the minimum sits inside the interval
+    A, B = np.zeros((3, 3)), np.zeros((4, 4))
+    A[2, 1] = B[2, 0] = B[3, 1] = 1.0
+    W = build_block_diagonal([A, B])
+    net = GroupedNetwork((3, 4), W, row_normalize(W), m_row_normalized=True)
+    rng = np.random.default_rng(0)
+    data = PanelData(y=rng.standard_normal(7), x1=rng.standard_normal(7),
+                     x2=rng.standard_normal(7), group_sizes=net.group_sizes)
+    delta = rng.normal(0.2, 0.1, size=3)
+    rho = preliminary_rho(data, net, delta)
+    grid = dense_rho_objective(net, data, delta, np.linspace(-0.99, 0.99, 3961))
+    assert -0.99 < rho < 0.99
+    assert dense_rho_objective(net, data, delta, [rho])[0] <= grid.min()
+
+
 @PROPERTY_SETTINGS
 @given(blocks=odd_blocks(), seed=st.integers(0, 1000))
 def test_block_and_dense_constructors_agree(blocks, seed):
@@ -127,9 +146,9 @@ def test_block_and_dense_constructors_agree(blocks, seed):
     block = GroupedNetwork.from_blocks(blocks, M_blocks, m_row_normalized=True)
     V = np.random.default_rng(seed).standard_normal((dense.n, 3))
     assert block.group_sizes == dense.group_sizes
-    for got, want in ((block.W, dense.W), (block.M, dense.M),
+    for got, want in ((dense_W(block), dense_W(dense)), (dense_M(block), dense_M(dense)),
                       (block.lag_W(V), dense.lag_W(V)), (block.lag_M(V), dense.lag_M(V)),
-                      (block.J.as_matrix(), dense.J.as_matrix())):
+                      (block.J.apply(np.eye(block.n)), dense.J.apply(np.eye(dense.n)))):
         np.testing.assert_array_equal(got, want)
 
 
@@ -137,15 +156,15 @@ def test_block_and_dense_constructors_agree(blocks, seed):
 @given(net=odd_networks(), seed=st.integers(0, 1000))
 def test_lags_match_dense_products(net, seed):
     V = np.random.default_rng(seed).standard_normal((net.n, 3))
-    np.testing.assert_allclose(net.lag_W(V), net.W @ V, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(net.lag_M(V), net.M @ V, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(net.lag_W(V[:, 0]), net.W @ V[:, 0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.lag_W(V), dense_W(net) @ V, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.lag_M(V), dense_M(net) @ V, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(net.lag_W(V[:, 0]), dense_W(net) @ V[:, 0], rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
 @given(net=odd_networks())
 def test_j_is_a_symmetric_projector_annihilating_iota_and_m_iota(net):
-    J = net.J.as_matrix()
+    J = net.J.apply(np.eye(net.n))
     assert np.abs(J - J.T).max() <= 1e-12
     assert np.abs(J @ J - J).max() <= 1e-10
     iota = net.group_ones()
@@ -155,19 +174,31 @@ def test_j_is_a_symmetric_projector_annihilating_iota_and_m_iota(net):
 
 
 @PROPERTY_SETTINGS
+@given(net=odd_networks())
+def test_j_trace_product_matches_dense_j(net):
+    # odd_networks has singletons, zero rows of M and bases of width 1 and 2
+    W, M = net.stacks_W(), net.stacks_M()
+    MW = BlockStacks(net.group_sizes, [M_s @ W_s for M_s, W_s in zip(M.stacks(), W.stacks())])
+    J = dense_J(net)
+    for A in (W, M, MW):
+        want = np.trace(J @ build_block_diagonal(A.blocks()))
+        assert net.J.trace_product(A) == pytest.approx(want, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
 @given(net=odd_networks(), seed=st.integers(0, 1000))
 def test_reduced_form_satisfies_structural_equation(net, seed):
     rng = np.random.default_rng(seed)
-    lam = 0.9 * rng.uniform(-1, 1) / max(1.0, row_sum_norm(net.W))
+    lam = 0.9 * rng.uniform(-1, 1) / max(1.0, row_sum_norm(dense_W(net)))
     params = ModelParams.checked(net, lam=lam, beta1=[0.3], beta2=[-0.2],
                                  rho=0.9 * rng.uniform(-1, 1),
                                  gamma=rng.standard_normal(net.group_count), sigma2=1.0)
     X = rng.standard_normal((net.n, 2))
     eps = rng.standard_normal(net.n)
     y = reduced_form(params, X, None, eps, net)
-    inner = (s_matrix(params.lam, net.W) @ y - X @ params.beta
+    inner = (s_matrix(params.lam, dense_W(net)) @ y - X @ params.beta
              - net.expand_group_values(params.gamma))
-    np.testing.assert_allclose(r_matrix(params.rho, net.M) @ inner, eps,
+    np.testing.assert_allclose(r_matrix(params.rho, dense_M(net)) @ inner, eps,
                                rtol=1e-9, atol=1e-9)
 
 
@@ -179,7 +210,7 @@ def test_spectrum_union_matches_dense_spectrum(blocks):
     W = build_block_diagonal(sym)
     net = GroupedNetwork(tuple(len(B) for B in sym), W, row_normalize(W))
     count, clusters = distinct_eigenvalues(net)
-    dense_count, dense_clusters = distinct_eigenvalues(net.W)
+    dense_count, dense_clusters = distinct_eigenvalues(dense_W(net))
     assert count == dense_count
     assert [m for _, m in clusters] == [m for _, m in dense_clusters]
     np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in dense_clusters],
@@ -191,14 +222,14 @@ def test_spectrum_union_matches_dense_spectrum(blocks):
 
 def loop_lag(net, blocks, V):
     out = np.empty_like(V)
-    for B, sl in zip(blocks, net.slices):
+    for B, sl in zip(blocks, group_slices(net)):
         out[sl] = B @ V[sl]
     return out
 
 
 def loop_solve(net, coef, blocks, V):
     out = np.empty_like(V)
-    for B, sl in zip(blocks, net.slices):
+    for B, sl in zip(blocks, group_slices(net)):
         out[sl] = np.linalg.solve(np.eye(len(B)) - coef * B, V[sl])
     return out
 
@@ -206,7 +237,7 @@ def loop_solve(net, coef, blocks, V):
 def loop_j_apply(net, V):
     """J V from each group's own basis of span{iota, M_r iota}, as in the docstring."""
     out = np.array(V)
-    for M_r, sl in zip(net.blocks_M(), net.slices):
+    for M_r, sl in zip(net.blocks_M(), group_slices(net)):
         m = len(M_r)
         iota = np.ones(m)
         mi = M_r @ iota
@@ -224,7 +255,7 @@ def loop_j_apply(net, V):
 def test_batched_kernels_equal_per_group_loops(net, coef, seed):
     # odd_networks mixes sizes (several stacks, mostly gathered rows),
     # singletons, and zero rows of M (J bases of width 1 and 2)
-    coef /= max(1.0, row_sum_norm(net.W))       # keeps every I - coef A invertible
+    coef /= max(1.0, row_sum_norm(dense_W(net)))   # keeps every I - coef A invertible
     V = np.random.default_rng(seed).standard_normal((net.n, 3))
     for X in (V, V[:, 0].copy(), V[:, 1]):       # matrix, vector, strided column
         for blocks, lag in ((net.blocks_W(), net.lag_W), (net.blocks_M(), net.lag_M)):
@@ -240,10 +271,10 @@ def test_batched_kernels_equal_per_group_loops(net, coef, seed):
 @given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
        seed=st.integers(0, 1000))
 def test_apply_D_matches_dense_oracle(net, lam, rho, seed):
-    lam /= max(1.0, row_sum_norm(net.W))
+    lam /= max(1.0, row_sum_norm(dense_W(net)))
     V = np.random.default_rng(seed).standard_normal((net.n, 3))
-    R = r_matrix(rho, net.M)
-    D = R @ net.W @ np.linalg.inv(s_matrix(lam, net.W)) @ np.linalg.inv(R)
+    R = r_matrix(rho, dense_M(net))
+    D = R @ dense_W(net) @ np.linalg.inv(s_matrix(lam, dense_W(net))) @ np.linalg.inv(R)
     for X in (V, V[:, 0]):
         want = D @ X
         got = apply_D(net, lam, rho, X)
@@ -342,7 +373,7 @@ def test_q2_roster_matches_dense_oracle(net, k, seed):
     degree = np.abs(net.lag_W(np.ones(net.n)))
     for j, lab in enumerate(got.labels):
         if lab.startswith("J.W.iota["):
-            rows = net.slices[int(lab[9:-1])]
+            rows = group_slices(net)[int(lab[9:-1])]
             off = np.ones(net.n, dtype=bool)
             off[rows] = False
             assert not got.Q[off, j].any()
@@ -441,7 +472,7 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
        dense=st.booleans(), seed=st.integers(0, 1000))
 def test_gram_D_matches_dense_oracle(net, lam, rho, dense, seed):
     # a dense F gives every group the full support, s = k
-    lam /= max(1.0, row_sum_norm(net.W))
+    lam /= max(1.0, row_sum_norm(dense_W(net)))
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((net.n, 4)) if dense else support_roster(net, rng)
     want = F.T @ d_matrix(net, lam, rho) @ F
@@ -454,7 +485,7 @@ def test_gram_D_matches_dense_oracle(net, lam, rho, dense, seed):
 @given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
        gram=st.booleans(), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 1000))
 def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
-    lam /= max(1.0, row_sum_norm(net.W))
+    lam /= max(1.0, row_sum_norm(dense_W(net)))
     spectrum = route_spectrum(support_roster(net, np.random.default_rng(seed)), gram)
     D = d_matrix(net, lam, rho)
     for scheme in (Scheme.principal_components(spectrum.rank), Scheme.tikhonov(alpha)):

@@ -10,9 +10,8 @@ from sarnet.regularization import Scheme, Spectrum, projector_traces
 from sarnet.selection import (SelectionContext, criterion_value,
                               curve_to_csv, default_grid, prepare_selection,
                               s_hat, select_alpha, select_from_context)
-from sarnet.transforms import r_matrix, s_matrix
 from conftest import draw_dataset
-from oracles import loo_refit
+from oracles import dense_J, dense_M, dense_W, loo_refit, r_matrix, s_matrix
 
 
 def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
@@ -104,9 +103,10 @@ class TestSHat:
         # the target direction is the endogenous effect: the bias factor is
         # ||J D iota||^2 / n, D = R W S^{-1} R^{-1} at the preliminary estimates
         net, _, _, delta_t, rho_t, ctx = pipeline_context(seed=52)
-        R = r_matrix(rho_t, net.M)
-        D = R @ net.W @ np.linalg.inv(s_matrix(delta_t[0], net.W)) @ np.linalg.inv(R)
-        t = net.J.as_matrix() @ D @ np.ones(net.n)
+        R = r_matrix(rho_t, dense_M(net))
+        W = dense_W(net)
+        D = R @ W @ np.linalg.inv(s_matrix(delta_t[0], W)) @ np.linalg.inv(R)
+        t = dense_J(net) @ D @ np.ones(net.n)
         assert ctx.bias_factor == pytest.approx(t @ t / net.n, rel=1e-10)
 
     def test_vanishing_weights_leave_pure_fit_term(self):
@@ -163,7 +163,7 @@ class TestSelect:
     def test_curve_is_finite_and_in_grid_order(self):
         _, _, _, _, _, ctx = pipeline_context(seed=54)
         result = select_from_context(ctx, "T")
-        curve = result.curve_array()
+        curve = np.asarray(result.curve)
         assert curve.shape[1] == 3
         assert np.all(np.isfinite(curve))
         np.testing.assert_allclose(
@@ -280,5 +280,5 @@ class TestConfigAndExport:
         ctx = make_context(seed=11, n=40, m=8, min_components=3)
         result = select_from_context(ctx, kind)
         grid = default_grid(kind, ctx.spectrum, 3)
-        np.testing.assert_array_equal(result.curve_array()[:, 0], 1.0 / grid)
+        np.testing.assert_array_equal(np.asarray(result.curve)[:, 0], 1.0 / grid)
         assert result.scheme.steps in grid
