@@ -31,15 +31,19 @@ X = np.column_stack([x, net.lag_W(x)])
 y = reduced_form(params, X, gamma, eps, net)
 data = PanelData(y=y, x1=x[:, None], x2=x[:, None], group_sizes=net.group_sizes)
 
-# preliminary estimates seed the selection plug-ins
+# preliminary estimates seed the selection plug-ins: delta_tilde is classical
+# 2SLS on the small roster q1, without the rho transform
 Xb = data.regressors(net)
 q1 = q1_roster(net, Xb)
 delta_tilde = preliminary_delta(data, net, q1)
 rho_tilde = preliminary_rho(data, net, delta_tilde)
 print("preliminary delta:", np.round(delta_tilde, 3), " rho:", round(rho_tilde, 3))
 
+# one first stage (the whitened data's instrument coordinates) serves the
+# selection context and every fit on the large roster
 inst = normalize_columns(q2_roster(net, q1), "unit-variance")
-ctx = prepare_selection(data, net, inst, rho_tilde, delta_tilde, "cp")
+stage = first_stage(data, net, inst, rho_tilde)
+ctx = prepare_selection(stage, delta_tilde, "cp")
 print(f"noise variance {ctx.sigma2_eps:.3f}, first-stage residual variance "
       f"{ctx.sigma2_v:.3f}, bias proxy {ctx.bias_factor:.3f}")
 print()
@@ -55,8 +59,6 @@ for a in grid[::6]:
     print(f"{a:10.3g}  {criterion_value(ctx, scheme):10.4f}  {s_hat(ctx, scheme):10.4f}")
 print()
 
-# one first stage (the whitened data's instrument coordinates) serves every fit
-stage = first_stage(data, net, inst, rho_tilde)
 for kind in ("T", "LF", "PC"):
     result = select_from_context(ctx, kind)
     scheme = result.scheme
@@ -69,7 +71,7 @@ print()
 
 # the three goodness-of-fit plug-ins usually land close to each other
 for crit in ("cp", "gcv", "loo"):
-    ctx_c = prepare_selection(data, net, inst, rho_tilde, delta_tilde, criterion=crit)
+    ctx_c = prepare_selection(stage, delta_tilde, criterion=crit)
     result = select_from_context(ctx_c, "T")
     print(f"criterion {crit:>3}: alpha = {result.alpha_star:.4g}")
 

@@ -214,9 +214,11 @@ def _cmd_diagnose(args) -> int:
 def _prepare_estimation(args, need_count: bool):
     """Fit up to the selected alpha; also the distinct eigenvalue count d of W.
 
-    d is computed once, if ``need_count`` or without ``--order``, and is None
-    for a directed W.  The default order is d - 1 (higher powers add no span,
-    by Cayley-Hamilton), or 10 for a directed W.
+    Returns the normalized roster's one first stage, which both the
+    selection and the final fit read, the selection result, and d.  d is
+    computed once, if ``need_count`` or without ``--order``, and is None for
+    a directed W.  The default order is d - 1 (higher powers add no span, by
+    Cayley-Hamilton), or 10 for a directed W.
     """
     if args.order is not None and args.order < 1:     # a config value skips argparse
         raise UsageError(f"--order must be a positive integer, got {args.order}")
@@ -236,14 +238,15 @@ def _prepare_estimation(args, need_count: bool):
                              include_bonacich=not args.no_bonacich,
                              include_M_lags=not args.no_m_lags)
     inst = normalize_columns(inst, args.normalize)
-    sel = select_alpha(data, net, inst, args.scheme, args.criterion,
-                       rho_tilde=rho_tilde, delta_tilde=delta_tilde)
-    return net, data, inst, rho_tilde, sel, count
+    stage = first_stage(data, net, inst, rho_tilde)
+    sel = select_alpha(stage, args.scheme, args.criterion, delta_tilde)
+    return stage, sel, count
 
 
 def _cmd_estimate(args) -> int:
-    net, data, inst, rho_tilde, sel, count = _prepare_estimation(args, need_count=True)
-    result = regularized_2sls(first_stage(data, net, inst, rho_tilde), sel.scheme)
+    stage, sel, count = _prepare_estimation(args, need_count=True)
+    net, inst = stage.network, stage.instruments
+    result = regularized_2sls(stage, sel.scheme)
     lines = [
         f"n = {net.n}",
         f"groups = {net.group_count}",
@@ -275,7 +278,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    *_, sel, _ = _prepare_estimation(args, need_count=False)
+    _, sel, _ = _prepare_estimation(args, need_count=False)
     _emit(curve_to_csv(sel), args.out)
     print(f"alpha_star = {sel.alpha_star:.6g}", file=sys.stderr)
     return 0

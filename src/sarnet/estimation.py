@@ -17,6 +17,7 @@ whitens [Z y] at rho_tilde and projects it on the roster's spectrum once,
 and ``regularized_2sls``, ``classical_2sls`` and ``bias_corrected_2sls``
 take that ``FirstStage`` and differ only in their damping weights.  At
 rho_tilde = 0, R is the identity and the whitening does no work.
+``preliminary_delta`` is one more such fit, on the small roster at rho = 0.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class EstimationResult:
     std_errors: np.ndarray
     rho_tilde: float
     sigma2_hat: float
-    scheme: Scheme | None
-    alpha_star: float | None
+    scheme: Scheme
+    alpha_star: float
     tr_P: float
     condition_number: float
     k1: int
@@ -108,22 +109,13 @@ def _checked_solve(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 def preliminary_delta(data: PanelData, network: GroupedNetwork,
                       q1: InstrumentSet) -> np.ndarray:
-    """Classical IV with a small fixed instrument set (no rho transform).
+    """Classical 2SLS of q1's first stage at rho = 0: delta_tilde = [Z'P Z]^{-1} Z'P Y.
 
-    delta_tilde = [Z'Q(Q'Q)^- Q'Z]^{-1} Z'Q(Q'Q)^- Q'Y, used to seed the
-    method-of-moments rho estimate and the regularization plug-ins.  The
-    instrument Gram is inverted in the generalized sense (regular graphs
-    make M proportional to W and hence some roster columns exactly
-    collinear, which is harmless for the projection); the second-stage
-    sandwich must still be invertible.
+    Seeds the method-of-moments rho and the selection plug-ins.  Collinear
+    roster columns (M proportional to W on a regular graph) drop out of the
+    spectrum; the second-stage normal equations must still be invertible.
     """
-    Z = assemble_z(data, network)
-    Q = q1.Q
-    coeffs, *_ = np.linalg.lstsq(Q, np.column_stack([Z, data.y]), rcond=None)
-    proj = Q @ coeffs
-    A = Z.T @ proj[:, :-1]
-    b = Z.T @ proj[:, -1]
-    return _checked_solve(A, b, "2SLS sandwich")
+    return classical_2sls(first_stage(data, network, q1, 0.0)).delta
 
 
 def _build_moment_ops(network: GroupedNetwork):

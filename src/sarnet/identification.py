@@ -89,8 +89,11 @@ def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TO
     Eigenvalues are sorted descending; a new cluster opens whenever the gap
     to the previous eigenvalue exceeds ``tol * max(1, |nu_max|)``.  Returns
     the cluster count and a list of (cluster mean, multiplicity) pairs.
-    "Distinct" is exact only in exact arithmetic, hence the tolerance knob.
+    "Distinct" is exact only in exact arithmetic, hence the tolerance knob;
+    a NaN or negative ``tol`` is refused.
     """
+    if not tol >= 0.0:          # NaN compares false
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
     blocks = W.stacks_W().stacks() if isinstance(W, GroupedNetwork) else (W,)
     vals = np.concatenate([np.linalg.eigvalsh(B).ravel() for B in _require_symmetric(*blocks)])
     vals = np.sort(vals)[::-1]
@@ -283,8 +286,12 @@ def build_report(network: GroupedNetwork,
 
     Without covariates the rank check cannot run: the verdict is then
     NotIdentified (two distinct eigenvalues) or PossiblyIdentified, and the
-    rank/condition fields stay empty.
+    rank/condition fields stay empty.  A NaN or negative ``weak_threshold``
+    is refused, as is such a ``tol``.
     """
+    if not weak_threshold >= 0.0:
+        raise ValueError("weak_threshold must be a nonnegative number, "
+                         f"got {weak_threshold}")
     count, clusters = distinct_eigenvalues(network, tol)
     rank_flag: bool | None = None
     cond: float | None = None

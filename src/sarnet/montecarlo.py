@@ -10,11 +10,11 @@ once.  All five large-roster estimators read the spectrum of the
 unit-variance-normalized roster: damping is not scale invariant, but the
 undamped projector and the bias trace tr(P D) are, so normalizing the
 large-iv and bias-corrected rows gives the same estimator while one
-decomposition serves all five.  They also share one ``first_stage``, the
-coordinates of R[Z y] on that spectrum, so [Z y] is whitened and projected
-once per roster, not once per fit.  Without ``transform_with_rho`` the
-whitening is at rho = 0, where R = I and nothing is computed.  Summaries
-report Mean (SD) [RMSE] per estimator and parameter.
+decomposition serves all five.  They and the damping selection also share
+one ``first_stage``, the coordinates of R[Z y] on that spectrum, so [Z y]
+is whitened and projected once, not once per fit.  Without
+``transform_with_rho`` the whitening is at rho = 0, where R = I and nothing
+is computed.  Summaries report Mean (SD) [RMSE] per estimator and parameter.
 
 Seeding: the master seed spawns one child seed per replication through
 numpy's SeedSequence, so results are reproducible bit for bit and invariant
@@ -139,8 +139,9 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     """One draw, all six estimators on it; numerical failures become missing cells.
 
     q1 is built once and extended into the large roster.  Each roster has
-    one spectrum and one first stage: the five large-roster fits read the
-    normalized q2's stage, and a failure to build it fails all five.  The
+    one spectrum.  The five large-roster fits and the selection context
+    read the normalized q2's one first stage, and a failure to build it
+    fails all five; only the T/LF/PC rows record an alpha.  The
     large-iv and bias-corrected fits use the full projector
     P = Q (Q'Q)^+ Q' and the trace tr(P D); both are invariant under
     Q -> Q diag(s), so they read the normalized roster's spectrum.
@@ -149,6 +150,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     estimates = {name: nan3.copy() for name in ESTIMATORS}
     alphas: dict[str, float] = {}
     failures: dict[str, str] = {}
+    regularized = {"t_2sls": "T", "lf_2sls": "LF", "pc_2sls": "PC"}
 
     net, data = _draw_sample(config, seed)
     base = data.regressors(net)
@@ -169,8 +171,8 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         try:
             result: EstimationResult = fit()
             estimates[name] = result.delta[:3].copy()
-            if result.alpha_star is not None:
-                alphas[name] = float(result.alpha_star)
+            if name in regularized:
+                alphas[name] = result.alpha_star
         except NUMERICAL_FAILURES as exc:
             failures[name] = str(exc)
 
@@ -187,14 +189,12 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     attempt("bias_corrected", lambda: bias_corrected_2sls(
         stage, lambda_tilde=float(delta_tilde[0])))
 
-    regularized = (("t_2sls", "T"), ("lf_2sls", "LF"), ("pc_2sls", "PC"))
     try:
-        ctx = prepare_selection(data, net, q2_norm, rho_plug, delta_tilde,
-                                config.criterion)
+        ctx = prepare_selection(stage, delta_tilde, config.criterion)
     except NUMERICAL_FAILURES as exc:
-        return fail([name for name, _ in regularized], f"selection context failed: {exc}")
+        return fail(regularized, f"selection context failed: {exc}")
 
-    for name, kind in regularized:
+    for name, kind in regularized.items():
         attempt(name, lambda kind=kind: regularized_2sls(
             stage, select_from_context(ctx, kind).scheme))
 

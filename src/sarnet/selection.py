@@ -13,9 +13,11 @@ endogenous effect, gamma_bar = e1,
 where w_hat is a goodness-of-fit criterion for the first-stage regression of
 R Z H^{-1} e1 on the instruments: Mallows Cp, generalized cross-validation,
 or leave-one-out cross-validation (``criterion`` "cp", "gcv" or "loo").
-D = J R W S^{-1} R^{-1} is evaluated at preliminary estimates.  The search
-runs over ``default_grid`` for each scheme kind and scores the whole grid in
-one array pass, from one (grid x rank) matrix of damping weights;
+D = J R W S^{-1} R^{-1} is evaluated at preliminary estimates.  Z and the
+coordinates psi'R Z that give H are read from the roster's ``FirstStage``,
+the same one the regularized fit then reads.  The search runs over
+``default_grid`` for each scheme kind and scores the whole grid in one
+array pass, from one (grid x rank) matrix of damping weights;
 ``criterion_value`` and ``s_hat`` are its one-point case.
 """
 
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GroupedNetwork, PanelData
-from .instruments import InstrumentSet
+from .estimation import FirstStage
 from .regularization import Scheme, Spectrum, _grid_weights
-from .transforms import apply_D, assemble_z, whiten, whitened_residual
+from .transforms import apply_D, whiten, whitened_residual
 
 __all__ = [
     "SelectionContext",
@@ -78,7 +79,7 @@ class SelectionContext:
     """Preliminary quantities shared by every grid point.
 
     Built once per dataset: the instrument spectrum, the target direction
-    w = R Z H^{-1} e1 with H estimated at the undamped projection,
+    w = J R Z H^{-1} e1 with H estimated at the undamped projection,
     the residual variance of that direction, the structural noise variance,
     and the squared norm of D iota entering the bias proxy.
     """
@@ -97,33 +98,32 @@ class SelectionContext:
         return self.spectrum.n
 
 
-def prepare_selection(data: PanelData, network: GroupedNetwork,
-                      instruments: InstrumentSet, rho_tilde: float,
-                      delta_tilde: np.ndarray, criterion: str) -> SelectionContext:
-    """Assemble the per-dataset selection context from preliminary estimates."""
+def prepare_selection(stage: FirstStage, delta_tilde: np.ndarray,
+                      criterion: str) -> SelectionContext:
+    """Assemble the per-dataset selection context from the roster's first stage.
+
+    The stage already holds Z and the coordinates U = psi'R Z at its
+    rho_tilde, so H and the target direction cost one whitened n-vector.
+    """
     _check_criterion(criterion)
-    spectrum = instruments.spectrum
+    network, rho_tilde, spectrum = stage.network, stage.rho_tilde, stage.spectrum
     delta_tilde = np.asarray(delta_tilde, dtype=float)
     J = network.J
-
-    Z = assemble_z(data, network)
-    rz = whiten(network, rho_tilde, Z)
-    e1 = np.zeros(Z.shape[1])
+    e1 = np.zeros(stage.Z.shape[1])
     e1[0] = 1.0
 
     # H estimated with the undamped projection (all components kept); the
     # target direction is J-projected because the instruments live in the
     # J space: group-level content of R Z is unfittable by construction and
     # would otherwise inflate the first-stage residual variance
-    U = spectrum.coords(rz)
-    H = U.T @ U / network.n
+    H = stage.U.T @ stage.U / network.n
     h_dir = np.linalg.solve(H, e1)
-    w = J.apply(rz @ h_dir)
+    w = J.apply(whiten(network, rho_tilde, stage.Z @ h_dir))
     coef = spectrum.coords(w)
     resid_full = w - spectrum.expand(coef)
     sigma2_v = float(resid_full @ resid_full) / network.n
 
-    eps_hat = whitened_residual(network, rho_tilde, data.y, Z, delta_tilde)
+    eps_hat = whitened_residual(network, rho_tilde, stage.data.y, stage.Z, delta_tilde)
     sigma2_eps = float(eps_hat @ eps_hat) / network.n
 
     # squared norm of D iota, averaged over observations: the raw sum grows
@@ -136,7 +136,7 @@ def prepare_selection(data: PanelData, network: GroupedNetwork,
     return SelectionContext(
         spectrum=spectrum, w=w, coef=coef, sigma2_eps=sigma2_eps,
         sigma2_v=sigma2_v, bias_factor=bias_factor,
-        criterion=criterion, min_components=Z.shape[1],
+        criterion=criterion, min_components=stage.Z.shape[1],
     )
 
 
@@ -233,17 +233,14 @@ def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
                            kind=kind, criterion=ctx.criterion, curve=curve)
 
 
-def select_alpha(data: PanelData, network: GroupedNetwork,
-                 instruments: InstrumentSet, kind: str, criterion: str, *,
-                 rho_tilde: float, delta_tilde: np.ndarray) -> SelectionResult:
-    """End-to-end alpha selection for one scheme kind.
+def select_alpha(stage: FirstStage, kind: str, criterion: str,
+                 delta_tilde: np.ndarray) -> SelectionResult:
+    """End-to-end alpha selection for one scheme kind on a roster's first stage.
 
     Deterministic given the data: no randomness enters the search, and the
     returned curve follows the grid order for audit and export.
     """
-    ctx = prepare_selection(data, network, instruments, rho_tilde, delta_tilde,
-                            criterion)
-    return select_from_context(ctx, kind)
+    return select_from_context(prepare_selection(stage, delta_tilde, criterion), kind)
 
 
 def curve_to_csv(result: SelectionResult) -> str:

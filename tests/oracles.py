@@ -72,6 +72,16 @@ def projector_diagonal(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
     return (spectrum.vectors ** 2) @ q
 
 
+def textbook_iv_oracle(Z: np.ndarray, y: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Classical 2SLS as the explicit pseudo-inverse chain [Z'P Z]^+ Z'P y.
+
+    P = Q (Q'Q)^+ Q' is formed whole; the library fits through the
+    instrument spectrum instead.
+    """
+    P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
+    return np.linalg.pinv(Z.T @ P @ Z) @ (Z.T @ P @ y)
+
+
 def q2_roster_dense(network, q1: InstrumentSet) -> InstrumentSet:
     """q1 extended by the n x G centrality block J W iota, formed whole."""
     V = network.J.apply(network.lag_W(network.group_ones()))

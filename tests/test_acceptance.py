@@ -228,7 +228,7 @@ def test_criterion_7_selector_suite(capsys):
     delta_t = preliminary_delta(data, net, q1)
     rho_t = preliminary_rho(data, net, delta_t)
     inst = normalize_columns(q2_roster(net, q1), "unit-variance")
-    ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion="loo")
+    ctx = prepare_selection(first_stage(data, net, inst, rho_t), delta_t, criterion="loo")
     for scheme in (Scheme.tikhonov(0.2 * ctx.spectrum.nu_max ** 2),
                    Scheme.landweber(16),
                    Scheme.principal_components(min(4, ctx.spectrum.rank))):
@@ -243,7 +243,7 @@ def test_criterion_7_selector_suite(capsys):
     ndelta = preliminary_delta(ndata, nnet, q1_roster(nnet, nX))
     nrho = preliminary_rho(ndata, nnet, ndelta)
     ninst = normalize_columns(build_instruments(nnet, nX, order=3), "unit-variance")
-    nctx = prepare_selection(ndata, nnet, ninst, nrho, ndelta, "cp")
+    nctx = prepare_selection(first_stage(ndata, nnet, ninst, nrho), ndelta, "cp")
     chosen = select_from_context(nctx, "T").scheme.alpha
     smallest = default_grid("T", nctx.spectrum, nctx.min_components)[0]
     if chosen != pytest.approx(smallest):

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from sarnet import cli, identification, selection
+from sarnet import cli, estimation, identification, selection
 from sarnet.cli import main
 from sarnet.graphs import PanelData, lee_group_network
 from sarnet.regularization import Spectrum
@@ -128,19 +128,41 @@ class TestEstimate:
 
     def test_instrument_spectrum_decomposed_once(self, csv_pair, capsys,
                                                  monkeypatch):
+        # q1 (the preliminary fit) and the normalized large roster each
+        # have their spectrum decomposed, and no roster twice
         edges, nodes = csv_pair
-        calls = []
+        rosters = []
         original = Spectrum.from_instruments.__func__
 
-        def counting(cls, *args, **kwargs):
-            calls.append(1)
-            return original(cls, *args, **kwargs)
+        def recording(cls, inst):
+            rosters.append(inst)
+            return original(cls, inst)
 
-        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(counting))
+        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(recording))
         code, _, _ = run_cli(["estimate", "--data", str(nodes), "--edges",
                               str(edges), "--scheme", "T"], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert len(rosters) == 2 and rosters[0] is not rosters[1]
+
+    def test_one_first_stage_per_roster(self, csv_pair, capsys, monkeypatch):
+        # q1's stage gives the preliminary fit; the normalized large roster's
+        # one stage feeds both the selection and the final fit
+        edges, nodes = csv_pair
+        rosters = []
+        original = estimation.first_stage
+
+        def recording(data, net, inst, rho_tilde):
+            rosters.append(inst)
+            return original(data, net, inst, rho_tilde)
+
+        for name, module in list(sys.modules.items()):     # every import site
+            if name.startswith("sarnet") and \
+                    getattr(module, "first_stage", None) is original:
+                monkeypatch.setattr(module, "first_stage", recording)
+        code, _, _ = run_cli(["estimate", "--data", str(nodes), "--edges",
+                              str(edges), "--scheme", "T"], capsys)
+        assert code == 0
+        assert len(rosters) == 2 and rosters[0] is not rosters[1]
 
     def test_symmetric_w_counts_distinct_eigenvalues_once(self, symmetric_pair,
                                                           capsys, monkeypatch):

@@ -11,13 +11,7 @@ from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import Scheme, Spectrum
 from sarnet.selection import prepare_selection, select_from_context
 from conftest import draw_dataset
-from oracles import dense_M, dense_W
-
-
-def textbook_iv_oracle(Z, y, Q):
-    """Explicit pseudo-inverse chain, kept independent of the library path."""
-    P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
-    return np.linalg.pinv(Z.T @ P @ Z) @ (Z.T @ P @ y)
+from oracles import dense_M, dense_W, textbook_iv_oracle
 
 
 class TestPreliminaryDelta:
@@ -277,7 +271,7 @@ def test_fits_ignore_the_basis_inside_the_unit_variance_cluster(seed):
 
     def fits(roster):
         stage = first_stage(data, net, roster, rho)
-        ctx = prepare_selection(data, net, roster, rho, delta_tilde, config.criterion)
+        ctx = prepare_selection(stage, delta_tilde, config.criterion)
         chosen = [select_from_context(ctx, kind).scheme for kind in ("T", "LF")]
         schemes = [Scheme.tikhonov(0.05), Scheme.tikhonov(2.0), Scheme.landweber(8)]
         results = [classical_2sls(stage),

@@ -50,3 +50,18 @@ def test_dense_network_forms_are_test_oracles():
     assert [a for a in ("W", "M", "slices") if hasattr(GroupedNetwork, a)] == []
     assert [a for a in ("as_matrix", "block", "block_stacks")
             if hasattr(JProjector, a)] == []
+
+
+def test_generalized_inverses_are_test_oracles():
+    # the package fits through the instrument spectrum; least-squares and
+    # pseudo-inverse forms, like the dense ones, live in tests/oracles.py
+    banned = {"lstsq", "pinv"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in banned:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert found == []

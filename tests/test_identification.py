@@ -22,6 +22,12 @@ def path_graph(n):
     return W
 
 
+def cycle_network(n):
+    W = path_graph(n)
+    W[0, n - 1] = W[n - 1, 0] = 1.0
+    return GroupedNetwork((n,), W, row_normalize(W), m_row_normalized=True)
+
+
 def chorded_ring(n=7):
     """Symmetric ring with weight-2 chords at distance 3 (four eigenvalues)."""
     W = np.zeros((n, n))
@@ -95,6 +101,17 @@ class TestDistinctEigenvalues:
         net = lee_group_network([3, 4, 5])
         count, clusters = distinct_eigenvalues(dense_W(net))
         assert sum(m for _, m in clusters) == 12
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_nan_or_negative_tol_refused(self, tol):
+        # the 7-cycle has 4 distinct eigenvalues; NaN would merge them all
+        # into 1 cluster and -1 split them into 7
+        net = cycle_network(7)
+        assert distinct_eigenvalues(net)[0] == 4
+        with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+            distinct_eigenvalues(net, tol)
+        with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+            build_report(net, tol=tol)
 
 
 class TestProposition1:
@@ -233,6 +250,14 @@ class TestReport:
         X = rng.standard_normal((net.n, 1))
         strict = build_report(net, X, weak_threshold=1.0)
         assert strict.verdict is Verdict.WEAKLY_IDENTIFIED
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0])
+    def test_nan_or_negative_weak_threshold_refused(self, threshold):
+        # NaN would report Identified and -1 WeaklyIdentified
+        net = cycle_network(7)
+        X = np.random.default_rng(5).standard_normal((net.n, 1))
+        with pytest.raises(ValueError, match="weak_threshold must be a nonnegative number"):
+            build_report(net, X, weak_threshold=threshold)
 
     def test_two_clusters_force_not_identified_invariant(self):
         from sarnet.identification import IdentificationReport

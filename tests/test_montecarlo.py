@@ -40,7 +40,7 @@ class TestRunReplication:
         for name in ESTIMATORS:
             lam = rep.estimates[name][0]
             assert np.isfinite(lam) and -1.0 <= lam <= 1.0
-        assert {"t_2sls", "lf_2sls", "pc_2sls"} <= set(rep.alphas)
+        assert {"t_2sls", "lf_2sls", "pc_2sls"} == set(rep.alphas)
 
     def test_two_spectra_per_replication(self, monkeypatch):
         # q1 and the normalized q2 are each decomposed exactly once; the
@@ -61,9 +61,10 @@ class TestRunReplication:
             assert len(calls) == 2
 
     def test_one_first_stage_per_roster(self, monkeypatch):
-        # q1 and the normalized q2 each get one stage; the q2 spectrum's
-        # coordinates are taken once for that stage and twice by the
-        # selection context, whatever the number of large-roster fits
+        # the finite-roster fit and the normalized q2 each get one stage; the
+        # q2 spectrum's coordinates are taken once for that stage and once
+        # by the selection context for its target direction, whatever the
+        # number of large-roster fits
         stages, rosters, coords = [], [], []
         first_stage, coords_of = montecarlo.first_stage, Spectrum.coords
 
@@ -90,7 +91,7 @@ class TestRunReplication:
             assert not result.failures
             [q2_norm] = rosters
             assert len(stages) == 2 and stages[1] is q2_norm
-            assert sum(s is q2_norm.spectrum for s in coords) == 3
+            assert sum(s is q2_norm.spectrum for s in coords) == 2
 
     def test_small_roster_is_built_once(self, monkeypatch):
         # q2_roster extends the q1 it is given instead of building its own

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
-                               first_stage, preliminary_rho, regularized_2sls)
+                               first_stage, preliminary_delta, preliminary_rho,
+                               regularized_2sls)
 from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, build_block_diagonal,
                            load_network, row_normalize)
 from sarnet.identification import (_rank_and_condition, _stack_rank_check,
@@ -24,7 +25,7 @@ from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, reduced
                                row_sum_norm, solve_blockwise)
 from oracles import (d_matrix, dense_J, dense_M, dense_W, group_slices,
                      load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
-                     s_matrix)
+                     s_matrix, textbook_iv_oracle)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -309,6 +310,33 @@ def test_full_projector_fits_are_invariant_to_column_scale(net, seed):
             assume(False)
         rtol = max(1e-10, 1e-13 * raw.spectrum.condition_number)
         assert np.linalg.norm(fit(scaled).delta - want) <= rtol * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(min_last=4), seed=st.integers(0, 1000))
+def test_preliminary_delta_matches_textbook_oracle(net, seed):
+    # delta_tilde is classical 2SLS of q1's first stage at rho = 0, fitted
+    # through the spectrum of Q Q'/n; the pseudo-inverse chain is the
+    # reference wherever its sandwich Z'P Z is well conditioned.  Both
+    # routes lose about eps * (cond(Z'P Z) + kappa) to rounding, kappa the
+    # spectrum's condition number (observed below 50 eps times that sum)
+    rng = np.random.default_rng(seed)
+    data = PanelData(y=rng.standard_normal(net.n), x1=rng.standard_normal(net.n),
+                     x2=rng.standard_normal(net.n), group_sizes=net.group_sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # dropped columns warn
+        try:
+            q1 = q1_roster(net, data.regressors(net))
+        except ValueError:                     # every instrument column is zero
+            assume(False)
+    Z, Q = assemble_z(data, net), q1.Q
+    P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
+    sandwich = np.linalg.cond(Z.T @ P @ Z)
+    assume(sandwich < 1e6)
+    want = textbook_iv_oracle(Z, data.y, Q)
+    got = preliminary_delta(data, net, q1)
+    rtol = max(1e-12, 1e-13 * (sandwich + q1.spectrum.condition_number))
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
 @PROPERTY_SETTINGS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sarnet import selection
-from sarnet.estimation import preliminary_delta, preliminary_rho
+from sarnet.estimation import first_stage, preliminary_delta, preliminary_rho
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces
 from sarnet.selection import (SelectionContext, criterion_value,
@@ -46,8 +46,9 @@ def pipeline_context(seed=50, criterion="cp", **kwargs):
     delta_t = preliminary_delta(data, net, q1)
     rho_t = preliminary_rho(data, net, delta_t)
     inst = normalize_columns(q2_roster(net, q1), "unit-variance")
-    ctx = prepare_selection(data, net, inst, rho_t, delta_t, criterion=criterion)
-    return net, data, inst, delta_t, rho_t, ctx
+    stage = first_stage(data, net, inst, rho_t)
+    ctx = prepare_selection(stage, delta_t, criterion=criterion)
+    return net, data, stage, delta_t, rho_t, ctx
 
 
 class TestCriterionValues:
@@ -140,7 +141,7 @@ class TestSelect:
         rho_t = preliminary_rho(data, net, delta_t)
         inst = normalize_columns(build_instruments(net, X, order=3),
                                  "unit-variance")
-        ctx = prepare_selection(data, net, inst, rho_t, delta_t, "cp")
+        ctx = prepare_selection(first_stage(data, net, inst, rho_t), delta_t, "cp")
         assert ctx.sigma2_eps < 1e-12
         result = select_from_context(ctx, "T")
         grid = default_grid("T", ctx.spectrum, ctx.min_components)
@@ -193,11 +194,9 @@ class TestSelect:
             assert value == pytest.approx(s_hat(ctx, scheme), rel=1e-12)
 
     def test_deterministic(self):
-        net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=55)
-        r1 = select_alpha(data, net, inst, "PC", "cp", rho_tilde=rho_t,
-                          delta_tilde=delta_t)
-        r2 = select_alpha(data, net, inst, "PC", "cp", rho_tilde=rho_t,
-                          delta_tilde=delta_t)
+        _, _, stage, delta_t, _, _ = pipeline_context(seed=55)
+        r1 = select_alpha(stage, "PC", "cp", delta_tilde=delta_t)
+        r2 = select_alpha(stage, "PC", "cp", delta_tilde=delta_t)
         assert r1.alpha_star == r2.alpha_star
         assert r1.curve == r2.curve
 
@@ -261,9 +260,9 @@ class TestSelect:
 
 class TestConfigAndExport:
     def test_config_validation(self):
-        net, data, inst, delta_t, rho_t, _ = pipeline_context(seed=58)
+        _, _, stage, delta_t, _, _ = pipeline_context(seed=58)
         with pytest.raises(ValueError, match="one of cp, gcv, loo, got 'aic'"):
-            prepare_selection(data, net, inst, rho_t, delta_t, criterion="aic")
+            prepare_selection(stage, delta_t, criterion="aic")
 
     def test_curve_csv_export(self):
         _, _, _, _, _, ctx = pipeline_context(seed=58)
