@@ -9,9 +9,9 @@
 
 import numpy as np
 
-from sarnet import (build_report, distinct_eigenvalues, labelled_stack,
-                    lee_group_network, lee_reduced_coefficient,
-                    proposition1_check)
+from sarnet import (GroupedNetwork, build_report, distinct_eigenvalues,
+                    labelled_stack, lee_group_network, lee_reduced_coefficient,
+                    row_normalize)
 
 rng = np.random.default_rng(0)
 
@@ -19,13 +19,15 @@ rng = np.random.default_rng(0)
 # 1. Complete graphs have exactly two distinct eigenvalues {n-1, -1}.
 #    By Cayley-Hamilton, W^2 is then a combination of I and W: the excluded
 #    instruments collapse onto the included regressors and nothing is
-#    identified, no matter how much data arrives.
+#    identified, no matter how much data arrives.  A single adjacency
+#    matrix is the one-group network GroupedNetwork.from_blocks([W], [M]).
 # ----------------------------------------------------------------------
 K6 = np.ones((6, 6)) - np.eye(6)
-count, clusters = distinct_eigenvalues(K6)
+k6 = GroupedNetwork.from_blocks([K6], [row_normalize(K6)], m_row_normalized=True)
+count, clusters = distinct_eigenvalues(k6)
 print("complete graph K6")
 print("  distinct eigenvalues:", count, clusters)
-print("  verdict:", proposition1_check(K6))
+print("  verdict:", build_report(k6).verdict)
 print()
 
 # ----------------------------------------------------------------------
@@ -76,9 +78,10 @@ ring = np.zeros((n, n))
 for i in range(n):
     for step in (1, 9):
         ring[i, (i + step) % n] = ring[(i + step) % n, i] = 1.0
+ring_net = GroupedNetwork.from_blocks([ring], [row_normalize(ring)], m_row_normalized=True)
 X = rng.standard_normal((n, 2))
 print("condition number of the stack's Gram matrix by lag order:")
 for order in (1, 2, 3, 4):
-    stack, _ = labelled_stack(ring.__matmul__, X, order)
+    stack, _ = labelled_stack(ring_net, X, order)
     sv = np.linalg.svd(stack, compute_uv=False)
     print(f"  order {order}: {(sv[0] / sv[-1]) ** 2:12.1f}")

@@ -73,7 +73,7 @@ print()
 for crit in ("cp", "gcv", "loo"):
     ctx_c = prepare_selection(stage, delta_tilde, criterion=crit)
     result = select_from_context(ctx_c, "T")
-    print(f"criterion {crit:>3}: alpha = {result.alpha_star:.4g}")
+    print(f"criterion {crit:>3}: alpha = {result.scheme.alpha:.4g}")
 
 # the full audit curve can go to CSV for plotting, here in the working directory
 Path("tikhonov_curve.csv").write_text(curve_to_csv(select_from_context(ctx, "T")))

@@ -16,8 +16,7 @@ from .transforms import (JProjector, ModelParams, reduced_form, row_sum_norm,
                          structural_residual)
 from .identification import (IdentificationReport, Verdict, build_report,
                              distinct_eigenvalues, labelled_stack,
-                             lee_reduced_coefficient, proposition1_check,
-                             proposition2_rank_check)
+                             lee_reduced_coefficient)
 from .instruments import (InstrumentSet, build_instruments, normalize_columns,
                           q1_roster, q2_roster)
 from .regularization import (Scheme, Spectrum, apply_projector,

@@ -18,7 +18,7 @@ import numpy as np
 from .estimation import first_stage, preliminary_delta, preliminary_rho, regularized_2sls
 from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
-from .instruments import build_instruments, normalize_columns, q1_roster
+from .instruments import _NORMALIZATIONS, build_instruments, normalize_columns, q1_roster
 from .montecarlo import McConfig, run_study, summarize
 from .selection import _CRITERIA, curve_to_csv, select_alpha
 
@@ -125,8 +125,7 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
                        help="drop the centrality instrument columns")
         p.add_argument("--no-m-lags", action="store_true",
                        help="drop the M-premultiplied instrument copy")
-        p.add_argument("--normalize", choices=("none", "unit-variance", "standardized"),
-                       default="unit-variance")
+        p.add_argument("--normalize", choices=_NORMALIZATIONS, default="unit-variance")
         p.add_argument("--out")
 
     est = sub.add_parser("estimate", help="regularized 2SLS on CSV data")
@@ -251,9 +250,9 @@ def _cmd_estimate(args) -> int:
         f"n = {net.n}",
         f"groups = {net.group_count}",
         f"instruments = {inst.n_columns}",
-        f"scheme = {sel.kind}",
+        f"scheme = {sel.scheme.kind}",
         f"criterion = {sel.criterion}",
-        f"alpha_star = {sel.alpha_star:.6g}",
+        f"alpha_star = {sel.scheme.alpha:.6g}",
         f"lambda_hat = {result.lambda_hat:.6g}",
         f"lambda_se = {result.std_errors[0]:.6g}",
     ]
@@ -280,7 +279,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_select(args) -> int:
     _, sel, _ = _prepare_estimation(args, need_count=False)
     _emit(curve_to_csv(sel), args.out)
-    print(f"alpha_star = {sel.alpha_star:.6g}", file=sys.stderr)
+    print(f"alpha_star = {sel.scheme.alpha:.6g}", file=sys.stderr)
     return 0
 
 

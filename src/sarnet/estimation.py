@@ -76,7 +76,6 @@ class EstimationResult:
     rho_tilde: float
     sigma2_hat: float
     scheme: Scheme
-    alpha_star: float
     tr_P: float
     condition_number: float
     k1: int
@@ -262,7 +261,7 @@ def _fit(stage: FirstStage, scheme: Scheme,
         delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")
     return EstimationResult(
         delta=delta, std_errors=se, rho_tilde=float(rho_tilde),
-        sigma2_hat=sigma2, scheme=scheme, alpha_star=scheme.alpha,
+        sigma2_hat=sigma2, scheme=scheme,
         tr_P=tr_P, condition_number=spectrum.condition_number,
         k1=data.k1, k2=data.k2, n=network.n,
     )

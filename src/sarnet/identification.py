@@ -7,10 +7,14 @@ onto the included regressors, and the effects are not identified.  With more
 distinct eigenvalues, identification rests on the instrument stack
 [WX, W^2 X, ..., W^{d-1} X, X] having full column rank, and its conditioning
 measures how close the model is to that failure (near-perfect collinearity of
-the first stage = weak identification).
+the first stage = weak identification).  ``build_report`` gives both answers.
 
-The spectral results assume a symmetric W (undirected network); asymmetric
-inputs are refused rather than silently symmetrized.
+Every function takes a ``GroupedNetwork``: the spectrum of its block-diagonal
+W is the union of the block spectra, and the stack is built with its
+block-wise lags.  A single adjacency matrix W is the one-group network
+``GroupedNetwork.from_blocks([W], [M])``.  The spectral results assume a
+symmetric W (undirected network); asymmetric blocks are refused rather than
+silently symmetrized.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,8 +31,6 @@ __all__ = [
     "Verdict",
     "IdentificationReport",
     "distinct_eigenvalues",
-    "proposition1_check",
-    "proposition2_rank_check",
     "labelled_stack",
     "lee_reduced_coefficient",
     "build_report",
@@ -67,25 +68,20 @@ class AsymmetricMatrixError(ValueError):
         )
 
 
-def _require_symmetric(*blocks: np.ndarray) -> list[np.ndarray]:
-    """The matrices (or stacks of them) as float arrays; refused unless all symmetric."""
-    blocks = [np.asarray(B, dtype=float) for B in blocks]
-    if any(B.ndim not in (2, 3) or B.shape[-1] != B.shape[-2] for B in blocks):
-        raise ValueError("W must be square")
-    asym = max(float(np.abs(B - np.swapaxes(B, -1, -2)).max()) if B.size else 0.0
-               for B in blocks)
+def _require_symmetric(stacks: tuple[np.ndarray, ...]) -> None:
+    """Refuse the W stacks unless every block is symmetric."""
+    asym = max(float(np.abs(S - np.swapaxes(S, -1, -2)).max()) for S in stacks)
     if asym > SYMMETRY_TOL:
         raise AsymmetricMatrixError(asym)
-    return blocks
 
 
-def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TOL,
+def distinct_eigenvalues(network: GroupedNetwork, tol: float = CLUSTER_TOL,
                          ) -> tuple[int, list[tuple[float, int]]]:
-    """Count distinct eigenvalues of a symmetric W by greedy gap clustering.
+    """Count distinct eigenvalues of the network's symmetric W by greedy gap clustering.
 
-    For a ``GroupedNetwork`` the spectrum of its block-diagonal W is the
-    union of the spectra of the blocks, each of which must be symmetric; they
-    are decomposed with one batched ``eigvalsh`` per group size.
+    The spectrum of the block-diagonal W is the union of the spectra of the
+    blocks, each of which must be symmetric; they are decomposed with one
+    batched ``eigvalsh`` per group size.
     Eigenvalues are sorted descending; a new cluster opens whenever the gap
     to the previous eigenvalue exceeds ``tol * max(1, |nu_max|)``.  Returns
     the cluster count and a list of (cluster mean, multiplicity) pairs.
@@ -94,8 +90,9 @@ def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TO
     """
     if not tol >= 0.0:          # NaN compares false
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
-    blocks = W.stacks_W().stacks() if isinstance(W, GroupedNetwork) else (W,)
-    vals = np.concatenate([np.linalg.eigvalsh(B).ravel() for B in _require_symmetric(*blocks)])
+    stacks = network.stacks_W().stacks()
+    _require_symmetric(stacks)
+    vals = np.concatenate([np.linalg.eigvalsh(S).ravel() for S in stacks])
     vals = np.sort(vals)[::-1]
     scale = max(1.0, abs(vals[0]))
     clusters: list[list[float]] = [[vals[0]]]
@@ -108,54 +105,42 @@ def distinct_eigenvalues(W: np.ndarray | GroupedNetwork, tol: float = CLUSTER_TO
     return len(summary), summary
 
 
-def proposition1_check(W: np.ndarray, tol: float = CLUSTER_TOL) -> Verdict:
-    """Two distinct eigenvalues mean the network effects are not identified.
-
-    Complete graphs are the canonical failure: their spectrum is
-    {n-1, -1}.  Anything else defers to the rank check.
-    """
-    count, _ = distinct_eigenvalues(W, tol)
-    return Verdict.NOT_IDENTIFIED if count == 2 else Verdict.POSSIBLY_IDENTIFIED
-
-
-def _stack_width(X: np.ndarray, order: int, iota: np.ndarray | None,
+def _stack_width(X: np.ndarray, order: int, centrality_columns: int,
                  doubled: bool) -> int:
     """Column count of ``labelled_stack`` on these arguments, after its checks."""
     if X.size == 0 or X.shape[1] == 0:
         raise ValueError("X must have at least one column")
     if order < 1:
         raise ValueError("order must be >= 1")
-    r = 0 if iota is None else iota.shape[1]
-    return (X.shape[1] * (order + 1) + r * order) * (2 if doubled else 1)
+    return (X.shape[1] * (order + 1) + centrality_columns * order) * (2 if doubled else 1)
 
 
-def labelled_stack(lag_W: Callable[[np.ndarray], np.ndarray], X: np.ndarray,
-                   order: int, iota: np.ndarray | None = None,
-                   lag_M: Callable[[np.ndarray], np.ndarray] | None = None,
+def labelled_stack(network: GroupedNetwork, X: np.ndarray, order: int,
+                   centrality: bool = False, m_copy: bool = False,
                    ) -> tuple[np.ndarray, list[str]]:
     """Columns [W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)].
 
-    ``lag_W`` and ``lag_M`` map an n x k array V to W V and M V (dense
-    products or the network's block-wise lags).  ``X`` is n x k.  With
-    ``iota`` (n x r) each power contributes r centrality columns; with
-    ``lag_M`` the whole stack is doubled by its M-premultiplied copy.
-    Returns the stack and one provenance label per column: ``W^j.X[c]``,
-    ``W^j.iota[r]``, ``X[c]`` and ``M.`` in front of the copy's labels.
+    W and M are the network's, applied with its block-wise lags; ``X`` is
+    n x k.  With ``centrality`` each power contributes one column per group,
+    iota being the network's ``group_ones()``; with ``m_copy`` the whole
+    stack is doubled by its M-premultiplied copy.  Returns the stack and one
+    provenance label per column: ``W^j.X[c]``, ``W^j.iota[r]``, ``X[c]`` and
+    ``M.`` in front of the copy's labels.
     """
-    _stack_width(X, order, iota, lag_M is not None)     # checks the arguments
+    _stack_width(X, order, network.group_count if centrality else 0, m_copy)  # checks X, order
     cols, labels = [], []
-    for name, V in (("X", X), ("iota", iota)):
+    for name, V in (("X", X), ("iota", network.group_ones() if centrality else None)):
         if V is None:
             continue
         for j in range(1, order + 1):
-            V = lag_W(V)
+            V = network.lag_W(V)
             cols.append(V)
             labels += [f"W^{j}.{name}[{c}]" for c in range(V.shape[1])]
     cols.append(X)
     labels += [f"X[{c}]" for c in range(X.shape[1])]
     stack = np.column_stack(cols)
-    if lag_M is not None:
-        stack = np.column_stack([stack, lag_M(stack)])
+    if m_copy:
+        stack = np.column_stack([stack, network.lag_M(stack)])
         labels += [f"M.{lab}" for lab in labels]
     return stack, labels
 
@@ -174,47 +159,22 @@ def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:
     return rank, full, cond
 
 
-def _stack_rank_check(lag_W, lag_M, X: np.ndarray, count: int, rho_zero: bool,
-                      iota: np.ndarray) -> tuple[bool, float]:
+def _stack_rank_check(network: GroupedNetwork, X: np.ndarray, count: int,
+                      correlated: bool) -> tuple[bool, float]:
     """Rank flag and Gram condition number of the stack of order count - 1.
 
-    A stack with more columns than rows cannot have full column rank, so it
-    reports ``(False, inf)`` without being built or decomposed.
+    Without spatial error correlation the stack is [WX, ..., W^{d-1} X, X];
+    with it (``correlated``) the centrality columns and the M-lagged copy
+    are added.  A stack with more columns than rows cannot have full column
+    rank, so it reports ``(False, inf)`` without being built or decomposed.
     """
-    if rho_zero:
-        iota = lag_M = None
-    elif lag_M is None:
-        raise ValueError("the spatially correlated case needs M")
     order = max(count - 1, 1)
-    if _stack_width(X, order, iota, lag_M is not None) > X.shape[0]:
+    if _stack_width(X, order, network.group_count if correlated else 0,
+                    correlated) > X.shape[0]:
         return False, math.inf
-    stack, _ = labelled_stack(lag_W, X, order, iota, lag_M)
+    stack, _ = labelled_stack(network, X, order, correlated, correlated)
     _, full, cond = _rank_and_condition(stack)
     return full, cond
-
-
-def proposition2_rank_check(W: np.ndarray, X: np.ndarray,
-                            rho_zero: bool = True,
-                            M: np.ndarray | None = None,
-                            tol: float = CLUSTER_TOL,
-                            iota: np.ndarray | None = None,
-                            ) -> tuple[bool, float]:
-    """Rank and conditioning of the identification stack.
-
-    Without spatial error correlation (``rho_zero``) the stack is
-    [WX, ..., W^{d-1} X, X] with d the number of distinct eigenvalues of W.
-    With correlation, the Bonacich columns and the M-lagged copy are added.
-    Returns (full_rank, condition number of the stack's Gram matrix); an
-    infinite condition number marks exact rank deficiency.  A stack with
-    more columns than rows reports ``(False, inf)`` without any SVD.
-    """
-    W, = _require_symmetric(W)
-    n = W.shape[0]
-    count, _ = distinct_eigenvalues(W, tol)
-    iota = np.ones((n, 1)) if iota is None else _as_rows(iota, n)
-    lag_M = None if M is None else np.asarray(M, dtype=float).__matmul__
-    return _stack_rank_check(W.__matmul__, lag_M, _as_rows(X, n), count,
-                             rho_zero, iota)
 
 
 def lee_reduced_coefficient(m_r: int, lam: float, beta1: float, beta2: float) -> float:
@@ -284,10 +244,13 @@ def build_report(network: GroupedNetwork,
                  ) -> IdentificationReport:
     """Assemble the full identification report.
 
+    Two distinct eigenvalues give NotIdentified.  Otherwise, with covariates
+    X, the verdict follows the rank flag and the Gram condition number of
+    the identification stack (with the correlated-disturbance columns unless
+    ``rho_zero``); an infinite condition number marks exact rank deficiency.
     Without covariates the rank check cannot run: the verdict is then
-    NotIdentified (two distinct eigenvalues) or PossiblyIdentified, and the
-    rank/condition fields stay empty.  A NaN or negative ``weak_threshold``
-    is refused, as is such a ``tol``.
+    PossiblyIdentified, and the rank/condition fields stay empty.  A NaN or
+    negative ``weak_threshold`` is refused, as is such a ``tol``.
     """
     if not weak_threshold >= 0.0:
         raise ValueError("weak_threshold must be a nonnegative number, "
@@ -296,9 +259,8 @@ def build_report(network: GroupedNetwork,
     rank_flag: bool | None = None
     cond: float | None = None
     if X is not None:
-        rank_flag, cond = _stack_rank_check(network.lag_W, network.lag_M,
-                                            _as_rows(X, network.n), count, rho_zero,
-                                            network.group_ones())
+        rank_flag, cond = _stack_rank_check(network, _as_rows(X, network.n), count,
+                                            not rho_zero)
     if count == 2:
         verdict = Verdict.NOT_IDENTIFIED
     elif rank_flag is None:

@@ -27,7 +27,7 @@ __all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
 #: powers, covariates constant within groups after the J projection)
 ZERO_COLUMN_RTOL = 1e-13
 
-_NORMALIZATIONS = ("none", "unit-variance", "standardized")
+_NORMALIZATIONS = ("none", "unit-variance")
 _SD_BLOCK = 16      # columns that normalize_columns transposes and reduces at a time
 
 
@@ -95,25 +95,21 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
 
     Columns, before J: W X, ..., W^order X, then (optionally) W iota, ...,
     W^order iota, then X itself, then (optionally) the M-premultiplied copy
-    of everything so far, as built by ``identification.labelled_stack``
-    with the network's block-wise lags.  iota is the block-diagonal matrix
-    of per-group ones vectors, so every power contributes one centrality
-    column per group.  Numerically zero columns (underflowed high powers,
-    covariates constant within groups) are dropped with a warning carrying
-    their label.
+    of everything so far, as built by ``identification.labelled_stack``.
+    iota is the block-diagonal matrix of per-group ones vectors, so every
+    power contributes one centrality column per group.  Numerically zero
+    columns (underflowed high powers, covariates constant within groups) are
+    dropped with a warning carrying their label.
     """
     X = _as_rows(X, network.n)
     if X.shape[0] != network.n:
         raise ValueError("X rows must match the network order")
-    stack, labels = labelled_stack(
-        network.lag_W, X, order,
-        iota=network.group_ones() if include_bonacich else None,
-        lag_M=network.lag_M if include_M_lags else None)
+    stack, labels = labelled_stack(network, X, order, include_bonacich, include_M_lags)
     return _drop_zero_columns(network.J.apply(stack), [f"J.{lab}" for lab in labels])
 
 
 def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
-    """Rescale columns to unit sample variance; ``standardized`` also demeans.
+    """Rescale columns to unit sample variance (``unit-variance``) or not (``none``).
 
     Tikhonov-style damping is not scale invariant, so columns with very
     different variances (a squared network lag versus a centrality count)
@@ -129,11 +125,11 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     # each column reduced as one contiguous row, in the order a per-column
     # np.std sums it, so the normalized roster is bit for bit the loop's; a
     # block of columns at a time, so that the transposed copy stays small
-    sd, mean = np.empty((2, inst.n_columns))
+    sd = np.empty(inst.n_columns)
     for j in range(0, inst.n_columns, _SD_BLOCK):
         cols = slice(j, j + _SD_BLOCK)
         rows = np.ascontiguousarray(inst.Q[:, cols].T)
-        sd[cols], mean[cols] = np.std(rows, axis=1, ddof=1), rows.mean(axis=1)
+        sd[cols] = np.std(rows, axis=1, ddof=1)
     keep = (sd > 0.0) & np.isfinite(sd)
     for lab, kept in zip(inst.labels, keep):
         if not kept:
@@ -143,8 +139,6 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     # one n x k result, in C order as the Gram's bits need
     Q = inst.Q if keep.all() else inst.Q.compress(keep, axis=1)
     out = np.empty(Q.shape)
-    if mode == "standardized":
-        Q = np.subtract(Q, mean[keep], out=out)
     return InstrumentSet(np.divide(Q, sd[keep], out=out),
                          tuple(lab for lab, k in zip(inst.labels, keep) if k))
 

@@ -172,7 +172,7 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
             result: EstimationResult = fit()
             estimates[name] = result.delta[:3].copy()
             if name in regularized:
-                alphas[name] = result.alpha_star
+                alphas[name] = result.scheme.alpha
         except NUMERICAL_FAILURES as exc:
             failures[name] = str(exc)
 

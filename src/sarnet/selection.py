@@ -205,9 +205,7 @@ def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:
 class SelectionResult:
     """Chosen parameter plus the full audit curve (in grid order)."""
 
-    alpha_star: float
     scheme: Scheme
-    kind: str
     criterion: str
     curve: tuple[tuple[float, float, float], ...]  # (alpha, criterion, S_hat)
 
@@ -229,8 +227,7 @@ def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
     scheme = Scheme.tikhonov(g) if kind == "T" else Scheme(kind, 1.0 / round(g))
     alphas = grid if kind == "T" else 1.0 / grid
     curve = tuple(zip(alphas.tolist(), crits.tolist(), values.tolist()))
-    return SelectionResult(alpha_star=float(scheme.alpha), scheme=scheme,
-                           kind=kind, criterion=ctx.criterion, curve=curve)
+    return SelectionResult(scheme=scheme, criterion=ctx.criterion, curve=curve)
 
 
 def select_alpha(stage: FirstStage, kind: str, criterion: str,

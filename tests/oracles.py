@@ -35,6 +35,35 @@ def dense_M(net: GroupedNetwork) -> np.ndarray:
     return build_block_diagonal(net.blocks_M())
 
 
+def dense_distinct_eigenvalues(W: np.ndarray, tol: float = 1e-8,
+                               ) -> tuple[int, list[tuple[float, int]]]:
+    """Distinct eigenvalues of one dense symmetric W: ``eigvalsh`` of the whole
+    matrix, then the package's gap rule (a new cluster opens where the gap to
+    the previous eigenvalue, in descending order, exceeds tol * max(1, |nu_max|)).
+    """
+    vals = np.sort(np.linalg.eigvalsh(W))[::-1]
+    scale = max(1.0, abs(vals[0]))
+    clusters = [[vals[0]]]
+    for v in vals[1:]:
+        if clusters[-1][-1] - v > tol * scale:
+            clusters.append([v])
+        else:
+            clusters[-1].append(v)
+    summary = [(float(np.mean(c)), len(c)) for c in clusters]
+    return len(summary), summary
+
+
+def dense_stack(net: GroupedNetwork, X: np.ndarray, order: int,
+                centrality: bool = False, m_copy: bool = False) -> np.ndarray:
+    """[W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)] from
+    dense matrix powers of W; iota is the n x G matrix of group indicators."""
+    powers = [np.linalg.matrix_power(dense_W(net), j) for j in range(1, order + 1)]
+    iota = np.repeat(np.eye(net.group_count), net.group_sizes, axis=0)
+    cols = [P @ V for V in ([X, iota] if centrality else [X]) for P in powers]
+    base = np.column_stack(cols + [X])
+    return np.column_stack([base, dense_M(net) @ base]) if m_copy else base
+
+
 def s_matrix(lam: float, W: np.ndarray) -> np.ndarray:
     """S(lambda) = I - lambda W."""
     W = np.asarray(W, dtype=float)

@@ -14,9 +14,9 @@ import pytest
 from sarnet.cli import main as cli_main
 from sarnet.estimation import (assemble_z, first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
-from sarnet.graphs import lee_group_network, load_network
-from sarnet.identification import (Verdict, distinct_eigenvalues,
-                                   labelled_stack, proposition1_check)
+from sarnet.graphs import GroupedNetwork, lee_group_network, load_network
+from sarnet.identification import (Verdict, build_report, distinct_eigenvalues,
+                                   labelled_stack)
 from sarnet.instruments import InstrumentSet, build_instruments, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, run_study, summarize
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
@@ -24,7 +24,7 @@ from sarnet.regularization import (Scheme, Spectrum, apply_projector,
 from sarnet.selection import (SelectionContext, criterion_value, default_grid,
                               prepare_selection, select_from_context)
 from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
-from oracles import dense_W, loo_refit, projector_matrix
+from oracles import loo_refit, projector_matrix
 
 GROUPS = (30, 60)
 SIZES = (10, 15)
@@ -170,12 +170,13 @@ def test_criterion_5_identification_suite(capsys):
     problems = []
     for n in range(3, 21):
         W = np.ones((n, n)) - np.eye(n)
-        if proposition1_check(W) is not Verdict.NOT_IDENTIFIED:
+        if build_report(GroupedNetwork.from_blocks([W], [W])).verdict \
+                is not Verdict.NOT_IDENTIFIED:
             problems.append(f"complete graph K_{n} not flagged")
-    count, _ = distinct_eigenvalues(dense_W(lee_group_network([10, 10])))
+    count, _ = distinct_eigenvalues(lee_group_network([10, 10]))
     if count != 2:
         problems.append(f"equal-size group design gave {count} distinct eigenvalues")
-    count57, clusters = distinct_eigenvalues(dense_W(lee_group_network([5, 7])))
+    count57, clusters = distinct_eigenvalues(lee_group_network([5, 7]))
     values = sorted(v for v, _ in clusters)
     expected = [-0.25, -1.0 / 6.0, 1.0]
     if count57 != 3 or np.abs(np.array(values) - expected).max() > 1e-10:
@@ -307,7 +308,7 @@ def test_criterion_8_csv_pipeline_and_conditioning(tmp_path, capsys):
     X = rng.standard_normal((n, 2))
     conds = []
     for order in (2, 3, 4):
-        stack, _ = labelled_stack(dense_W(ring_net).__matmul__, X, order)
+        stack, _ = labelled_stack(ring_net, X, order)
         sv = np.linalg.svd(stack, compute_uv=False)
         conds.append(float((sv[0] / sv[-1]) ** 2))
     if not (conds[0] < conds[1] < conds[2]):

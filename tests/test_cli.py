@@ -405,6 +405,21 @@ class TestConfigAndErrors:
         cfg.write_text(f"correlated = {value}\n")
         assert _read_config_file(str(cfg)) == {"correlated": expect}
 
+    def test_standardized_normalization_is_refused(self, csv_pair, tmp_path, capsys):
+        # every roster satisfies J Q = Q, so its columns already have zero
+        # mean within each group; unit-variance is the only rescaling
+        edges, nodes = csv_pair
+        data = ["--data", str(nodes), "--edges", str(edges)]
+        code, out, err = run_cli(["estimate", *data, "--normalize", "standardized"], capsys)
+        assert (code, out) == (1, "")
+        assert "usage error: argument --normalize: invalid choice: 'standardized'" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("normalize = standardized\n")
+        code, out, err = run_cli(["--config", str(cfg), "estimate", *data], capsys)
+        assert (code, out) == (2, "")
+        assert "data error: config key normalize: 'standardized' is not one of " \
+               "'none', 'unit-variance'" in err
+
     @pytest.mark.parametrize("order", ["0", "-2"])
     def test_nonpositive_order_flag_is_usage_error(self, csv_pair, order, capsys):
         edges, nodes = csv_pair

@@ -50,6 +50,18 @@ def test_dense_network_forms_are_test_oracles():
     assert [a for a in ("W", "M", "slices") if hasattr(GroupedNetwork, a)] == []
     assert [a for a in ("as_matrix", "block", "block_stacks")
             if hasattr(JProjector, a)] == []
+    # identification reads a GroupedNetwork only: build_report is the one
+    # verdict path, and no parameter takes a dense product as a callable
+    for name in ("proposition1_check", "proposition2_rank_check"):
+        assert not hasattr(sarnet, name)
+        assert [m for m in MODULES
+                if hasattr(importlib.import_module(f"sarnet.{m}"), name)] == []
+    tree = ast.parse((PACKAGE / "identification.py").read_text())
+    callables = [f"{node.name}({arg.arg})" for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 for arg in node.args.args + node.args.kwonlyargs
+                 if arg.annotation is not None and "Callable" in ast.unparse(arg.annotation)]
+    assert callables == []
 
 
 def test_generalized_inverses_are_test_oracles():

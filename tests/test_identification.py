@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from sarnet import identification
-from sarnet.graphs import (GroupedNetwork, build_block_diagonal, lee_group_network,
-                           row_normalize)
+from sarnet.graphs import GroupedNetwork, lee_group_network, row_normalize
 from sarnet.identification import (AsymmetricMatrixError, Verdict, build_report,
                                    distinct_eigenvalues, labelled_stack,
-                                   lee_reduced_coefficient, proposition1_check,
-                                   proposition2_rank_check)
-from oracles import dense_W
+                                   lee_reduced_coefficient)
+from oracles import dense_distinct_eigenvalues, dense_stack, dense_W
 
 
 def complete_graph(n):
@@ -20,6 +18,11 @@ def path_graph(n):
     for i in range(n - 1):
         W[i, i + 1] = W[i + 1, i] = 1.0
     return W
+
+
+def one_group(W, M=None):
+    """The one-group network of adjacency matrix W (M defaults to W)."""
+    return GroupedNetwork.from_blocks([W], [W if M is None else M])
 
 
 def cycle_network(n):
@@ -39,7 +42,7 @@ def chorded_ring(n=7):
 
 class TestDistinctEigenvalues:
     def test_complete_graph_has_two(self):
-        count, clusters = distinct_eigenvalues(complete_graph(4))
+        count, clusters = distinct_eigenvalues(one_group(complete_graph(4)))
         assert count == 2
         values = sorted(v for v, _ in clusters)
         np.testing.assert_allclose(values, [-1.0, 3.0], atol=1e-10)
@@ -47,7 +50,7 @@ class TestDistinctEigenvalues:
 
     def test_lee_groups_5_and_7(self):
         net = lee_group_network([5, 7])
-        count, clusters = distinct_eigenvalues(dense_W(net))
+        count, clusters = distinct_eigenvalues(net)
         assert count == 3
         values = sorted(v for v, _ in clusters)
         np.testing.assert_allclose(values, [-0.25, -1.0 / 6.0, 1.0], atol=1e-10)
@@ -58,7 +61,8 @@ class TestDistinctEigenvalues:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((8, 8))
         W = (A + A.T) / 2
-        count, _ = distinct_eigenvalues(W, tol=1e-8)
+        np.fill_diagonal(W, 0.0)        # a network has no self-links
+        count, _ = distinct_eigenvalues(one_group(W), tol=1e-8)
         # 50-digit eigenvalue oracle, clustered with the same rule
         mpmath.mp.dps = 50
         ev = mpmath.mp.eigsy(mpmath.mp.matrix(W.tolist()), eigvals_only=True)
@@ -73,7 +77,7 @@ class TestDistinctEigenvalues:
     def test_asymmetric_rejected_with_magnitude(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(AsymmetricMatrixError) as err:
-            distinct_eigenvalues(W)
+            distinct_eigenvalues(one_group(W))
         assert err.value.max_asymmetry == pytest.approx(1.0)
         assert "1.000e+00" in str(err.value)
 
@@ -81,25 +85,24 @@ class TestDistinctEigenvalues:
         rng = np.random.default_rng(9)
         A = rng.standard_normal((7, 7))
         W = A + A.T
+        np.fill_diagonal(W, 0.0)
         perm = rng.permutation(7)
-        c1, _ = distinct_eigenvalues(W)
-        c2, _ = distinct_eigenvalues(W[np.ix_(perm, perm)])
+        c1, _ = distinct_eigenvalues(one_group(W))
+        c2, _ = distinct_eigenvalues(one_group(W[np.ix_(perm, perm)]))
         assert c1 == c2
 
     def test_block_diagonal_union_property(self):
         blocks = [complete_graph(4), path_graph(3)]
-        W = build_block_diagonal(blocks)
-        _, clusters = distinct_eigenvalues(W)
+        _, clusters = distinct_eigenvalues(GroupedNetwork.from_blocks(blocks, blocks))
         whole = sorted(v for v, _ in clusters)
         per_block = set()
         for b in blocks:
-            _, cl = distinct_eigenvalues(b)
+            _, cl = dense_distinct_eigenvalues(b)
             per_block.update(round(v, 9) for v, _ in cl)
         np.testing.assert_allclose(whole, sorted(per_block), atol=1e-8)
 
     def test_multiplicities_sum_to_n(self):
-        net = lee_group_network([3, 4, 5])
-        count, clusters = distinct_eigenvalues(dense_W(net))
+        count, clusters = distinct_eigenvalues(lee_group_network([3, 4, 5]))
         assert sum(m for _, m in clusters) == 12
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0])
@@ -115,49 +118,54 @@ class TestDistinctEigenvalues:
 
 
 class TestProposition1:
+    """Two distinct eigenvalues: ``build_report`` says NotIdentified."""
+
     @pytest.mark.parametrize("n", range(3, 21))
     def test_complete_graphs_not_identified(self, n):
-        assert proposition1_check(complete_graph(n)) is Verdict.NOT_IDENTIFIED
+        report = build_report(one_group(complete_graph(n)))
+        assert report.distinct_eigenvalue_count == 2
+        assert report.verdict is Verdict.NOT_IDENTIFIED
 
     def test_equal_lee_groups_not_identified(self):
         net = lee_group_network([10, 10])
-        assert proposition1_check(dense_W(net)) is Verdict.NOT_IDENTIFIED
+        assert build_report(net).verdict is Verdict.NOT_IDENTIFIED
 
     def test_path_graph_possibly_identified(self):
-        W = path_graph(4)
-        count, _ = distinct_eigenvalues(W)
-        assert count == 4
-        assert proposition1_check(W) is Verdict.POSSIBLY_IDENTIFIED
+        report = build_report(one_group(path_graph(4)))
+        assert report.distinct_eigenvalue_count == 4
+        assert report.verdict is Verdict.POSSIBLY_IDENTIFIED
 
 
 class TestProposition2:
+    """Rank and conditioning of the identification stack, from ``build_report``."""
+
     def test_complete_graph_stack_rank_deficient(self):
         rng = np.random.default_rng(0)
         W = complete_graph(6)
         x1, x2 = rng.standard_normal((2, 6))
         X = np.column_stack([x1, W @ x2])  # own plus contextual block
-        full, cond = proposition2_rank_check(W, X)
-        assert not full
-        assert cond == np.inf
+        report = build_report(one_group(W), X)
+        assert report.rank_flag is False
+        assert report.stack_condition_number == np.inf
+        assert report.verdict is Verdict.NOT_IDENTIFIED
 
     def test_lee_three_sizes_full_rank(self):
         net = lee_group_network([4, 5, 6])
         rng = np.random.default_rng(1)
         X = rng.standard_normal((net.n, 1))
-        full, cond = proposition2_rank_check(dense_W(net), X)
-        assert full
+        report = build_report(net, X)
+        assert report.rank_flag is True
         # rank oracle on the explicit stack
-        count, _ = distinct_eigenvalues(dense_W(net))
-        stack, _ = labelled_stack(dense_W(net).__matmul__, X, count - 1)
+        count, _ = dense_distinct_eigenvalues(dense_W(net))
+        assert count == report.distinct_eigenvalue_count
+        stack = dense_stack(net, X, count - 1)
         assert np.linalg.matrix_rank(stack) == stack.shape[1]
 
     def test_scale_covariant_rank_flag(self):
         net = lee_group_network([4, 5, 6])
         rng = np.random.default_rng(2)
         X = rng.standard_normal((net.n, 2))
-        full1, _ = proposition2_rank_check(dense_W(net), X)
-        full2, _ = proposition2_rank_check(dense_W(net), 3.7 * X)
-        assert full1 == full2
+        assert build_report(net, X).rank_flag == build_report(net, 3.7 * X).rank_flag
 
     def test_larger_stacks_raise_condition_numbers(self):
         # single-group fixture: symmetric contiguity ring with extra
@@ -171,24 +179,17 @@ class TestProposition2:
         X = rng.standard_normal((n, 2))
         conds = []
         for order in (2, 3, 4):
-            stack, _ = labelled_stack(W.__matmul__, X, order)
+            stack, _ = labelled_stack(one_group(W), X, order)
             sv = np.linalg.svd(stack, compute_uv=False)
             conds.append((sv[0] / sv[-1]) ** 2)
         assert conds[0] < conds[1] < conds[2]
-
-    def test_correlated_case_needs_m(self):
-        net = lee_group_network([4, 5])
-        with pytest.raises(ValueError, match="needs M"):
-            proposition2_rank_check(dense_W(net), np.ones((9, 1)), rho_zero=False)
 
     def test_wide_stack_has_infinite_condition(self):
         # order 3, 2 covariates, 1 centrality column, M copy: 7 x 22 stack,
         # which can never have full column rank
         W = chorded_ring()
         X = np.random.default_rng(0).standard_normal((7, 2))
-        M = row_normalize(W)
-        assert proposition2_rank_check(W, X, rho_zero=False, M=M) == (False, np.inf)
-        net = GroupedNetwork((7,), W, M, m_row_normalized=True)
+        net = one_group(W, row_normalize(W))
         report = build_report(net, X, rho_zero=False)
         assert report.rank_flag is False
         assert report.stack_condition_number == np.inf
@@ -196,11 +197,8 @@ class TestProposition2:
 
     def test_wide_stack_keeps_argument_checks(self):
         W = chorded_ring()
-        with pytest.raises(ValueError, match="needs M"):
-            proposition2_rank_check(W, np.ones((7, 2)), rho_zero=False)
         with pytest.raises(ValueError, match="at least one column"):
-            proposition2_rank_check(W, np.ones((7, 0)), rho_zero=False,
-                                    M=row_normalize(W))
+            build_report(one_group(W, row_normalize(W)), np.ones((7, 0)), rho_zero=False)
 
 
 class TestLeeReducedCoefficient:

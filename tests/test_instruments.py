@@ -81,9 +81,9 @@ class TestNormalize:
         Q = np.column_stack([np.full(6, 5.0), np.arange(6.0)])
         inst = InstrumentSet(Q, ("const", "ramp"))
         with pytest.warns(UserWarning, match="zero-variance"):
-            out = normalize_columns(inst, "standardized")
+            out = normalize_columns(inst, "unit-variance")
         assert out.labels == ("ramp",)
-        assert abs(out.Q[:, 0].mean()) < 1e-12
+        np.testing.assert_array_equal(out.Q[:, 0], Q[:, 1] / np.std(Q[:, 1], ddof=1))
 
     def test_span_preserved(self, net_and_x):
         net, X = net_and_x

@@ -7,6 +7,7 @@ Networks have random unequal group sizes, singleton groups and all-zero rows
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
                                regularized_2sls)
 from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, build_block_diagonal,
                            load_network, row_normalize)
-from sarnet.identification import (_rank_and_condition, _stack_rank_check,
+from sarnet import identification
+from sarnet.identification import (_rank_and_condition, build_report,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, reduced_form,
                                row_sum_norm, solve_blockwise)
-from oracles import (d_matrix, dense_J, dense_M, dense_W, group_slices,
+from oracles import (d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
+                     dense_stack, dense_W, group_slices,
                      load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
                      s_matrix, textbook_iv_oracle)
 
@@ -59,34 +62,67 @@ def odd_networks(draw, min_last=1):
        seed=st.integers(0, 1000))
 def test_labelled_stack_matches_dense_oracle(net, order, k, seed):
     X = np.random.default_rng(seed).standard_normal((net.n, k))
-    iota = net.group_ones()
-    stack, labels = labelled_stack(net.lag_W, X, order, iota, net.lag_M)
-
-    cols = [np.linalg.matrix_power(dense_W(net), j) @ X for j in range(1, order + 1)]
-    cols += [np.linalg.matrix_power(dense_W(net), j) @ iota for j in range(1, order + 1)]
-    base = np.column_stack(cols + [X])
-    expect = np.column_stack([base, dense_M(net) @ base])
+    stack, labels = labelled_stack(net, X, order, centrality=True, m_copy=True)
+    expect = dense_stack(net, X, order, centrality=True, m_copy=True)
     np.testing.assert_allclose(stack, expect, rtol=1e-12, atol=1e-12)
     assert len(labels) == expect.shape[1] == len(set(labels))
     assert labels[0] == "W^1.X[0]" and labels[-1] == f"M.X[{k - 1}]"
 
 
+@st.composite
+def repeated_undirected_networks(draw):
+    """One or two symmetric blocks, each repeated 1-12 times.
+
+    A block is a weighted complete graph of 2-6 nodes (two eigenvalues) or
+    a random one of 1-4 nodes with isolated nodes.  Repeats add rows but no
+    distinct eigenvalues, so the identification stack of order d - 1 comes
+    out tall as well as wide, with and without the correlated columns.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for complete in draw(st.lists(st.booleans(), min_size=1, max_size=2)):
+        if complete:
+            m = draw(st.integers(2, 6))
+            blocks.append(rng.uniform(0.5, 2.0) * (np.ones((m, m)) - np.eye(m)))
+            continue
+        m = draw(st.integers(1, 4))
+        B = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.6), 1)
+        isolated = rng.random(m) < 0.25
+        B[isolated], B[:, isolated] = 0.0, 0.0
+        blocks.append(B + B.T)
+    repeats = draw(st.lists(st.integers(1, 12), min_size=len(blocks), max_size=len(blocks)))
+    sym = [B for B, r in zip(blocks, repeats) for _ in range(r)]
+    W = build_block_diagonal(sym)
+    return GroupedNetwork(tuple(len(B) for B in sym), W, row_normalize(W),
+                          m_row_normalized=True)
+
+
 @PROPERTY_SETTINGS
-@given(net=odd_networks(), order=st.integers(1, 4), k=st.integers(1, 3),
-       rho_zero=st.booleans(), seed=st.integers(0, 1000))
-def test_stack_rank_check_matches_dense_svd_or_is_wide(net, order, k, rho_zero, seed):
-    # dense lags, so that the stack the check builds is the oracle's, bit for bit
+@given(net=repeated_undirected_networks(), k=st.integers(1, 3), seed=st.integers(0, 1000))
+def test_stack_rank_check_matches_dense_svd_or_is_wide(net, k, seed):
     X = np.random.default_rng(seed).standard_normal((net.n, k))
-    iota = net.group_ones()
-    got = _stack_rank_check(dense_W(net).__matmul__, dense_M(net).__matmul__, X,
-                            order + 1, rho_zero, iota)
-    oracle, _ = labelled_stack(dense_W(net).__matmul__, X, order,
-                               None if rho_zero else iota,
-                               None if rho_zero else dense_M(net).__matmul__)
-    if oracle.shape[1] > net.n:
-        assert got == (False, np.inf)
-    else:
-        assert got == _rank_and_condition(oracle)[1:]
+    for rho_zero in (True, False):
+        built = []
+
+        def recording(*args):
+            out = labelled_stack(*args)
+            built.append(out[0])
+            return out
+
+        with mock.patch.object(identification, "labelled_stack", recording):
+            report = build_report(net, X, rho_zero)
+        count = report.distinct_eigenvalue_count
+        assert count == dense_distinct_eigenvalues(dense_W(net))[0]
+        oracle = dense_stack(net, X, max(count - 1, 1), not rho_zero, not rho_zero)
+        if oracle.shape[1] > net.n:
+            # a wide stack is neither built nor decomposed
+            assert built == []
+            assert (report.rank_flag, report.stack_condition_number) == (False, np.inf)
+        else:
+            stack, = built
+            np.testing.assert_allclose(stack, oracle, rtol=1e-12, atol=1e-12)
+            assert (report.rank_flag, report.stack_condition_number) == \
+                _rank_and_condition(stack)[1:]
 
 
 def dense_rho_objective(net, data, delta, rhos):
@@ -211,7 +247,7 @@ def test_spectrum_union_matches_dense_spectrum(blocks):
     W = build_block_diagonal(sym)
     net = GroupedNetwork(tuple(len(B) for B in sym), W, row_normalize(W))
     count, clusters = distinct_eigenvalues(net)
-    dense_count, dense_clusters = distinct_eigenvalues(dense_W(net))
+    dense_count, dense_clusters = dense_distinct_eigenvalues(dense_W(net))
     assert count == dense_count
     assert [m for _, m in clusters] == [m for _, m in dense_clusters]
     np.testing.assert_allclose([v for v, _ in clusters], [v for v, _ in dense_clusters],
@@ -409,7 +445,7 @@ def test_q2_roster_matches_dense_oracle(net, k, seed):
     assert np.all(np.abs(got.Q - want.Q) <= 1e-14 * scale)
 
 
-def normalize_by_column(inst, mode):
+def normalize_by_column(inst):
     """The per-column loop ``normalize_columns`` must reproduce bit for bit."""
     cols, labels = [], []
     for j, lab in enumerate(inst.labels):
@@ -417,8 +453,6 @@ def normalize_by_column(inst, mode):
         sd = float(np.std(c, ddof=1))
         if sd <= 0.0 or not np.isfinite(sd):
             continue
-        if mode == "standardized":
-            c = c - c.mean()
         cols.append(c / sd)
         labels.append(lab)
     return np.column_stack(cols), tuple(labels)
@@ -426,9 +460,8 @@ def normalize_by_column(inst, mode):
 
 @PROPERTY_SETTINGS
 @given(n=st.integers(2, 60), k=st.integers(2, 40), const=st.data(),
-       value=st.integers(-4, 4), seed=st.integers(0, 1000),
-       mode=st.sampled_from(("unit-variance", "standardized")))
-def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed, mode):
+       value=st.integers(-4, 4), seed=st.integers(0, 1000))
+def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed):
     rng = np.random.default_rng(seed)
     # scales from 1e-6 to 1e6 with offsets; one column constant at an
     # integer, whose mean is exact, so its variance is exactly zero
@@ -438,10 +471,10 @@ def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed, mod
     labels = tuple(f"c{i}" for i in range(k))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = normalize_columns(InstrumentSet(Q, labels), mode)
+        got = normalize_columns(InstrumentSet(Q, labels), "unit-variance")
     assert [str(w.message) for w in caught] == [
         f"dropping zero-variance instrument column 'c{j}'"]
-    want_Q, want_labels = normalize_by_column(InstrumentSet(Q, labels), mode)
+    want_Q, want_labels = normalize_by_column(InstrumentSet(Q, labels))
     assert np.array_equal(got.Q, want_Q)
     assert got.labels == want_labels
     assert got.Q.flags.c_contiguous

@@ -197,7 +197,7 @@ class TestSelect:
         _, _, stage, delta_t, _, _ = pipeline_context(seed=55)
         r1 = select_alpha(stage, "PC", "cp", delta_tilde=delta_t)
         r2 = select_alpha(stage, "PC", "cp", delta_tilde=delta_t)
-        assert r1.alpha_star == r2.alpha_star
+        assert r1.scheme == r2.scheme
         assert r1.curve == r2.curve
 
     def test_tie_breaks_toward_more_regularization(self):
