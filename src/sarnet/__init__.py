@@ -21,10 +21,10 @@ from .instruments import (InstrumentSet, build_instruments, normalize_columns,
                           q1_roster, q2_roster)
 from .regularization import (Scheme, Spectrum, apply_projector,
                              projector_traces, q_weights)
-from .estimation import (EstimationResult, FirstStage, SingularSystemError,
-                         assemble_z, bias_corrected_2sls, classical_2sls,
-                         first_stage, preliminary_delta, preliminary_rho,
-                         regularized_2sls)
+from .estimation import (EstimationResult, FirstStage, NumericalFailure,
+                         SingularSystemError, assemble_z, bias_corrected_2sls,
+                         classical_2sls, first_stage, preliminary_delta,
+                         preliminary_rho, regularized_2sls)
 from .selection import (SelectionResult, criterion_value, curve_to_csv,
                         default_grid, prepare_selection, s_hat, select_alpha,
                         select_from_context)

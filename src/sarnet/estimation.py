@@ -36,6 +36,7 @@ from .transforms import apply_D, assemble_z, gram_D, whiten, whitened_residual
 __all__ = [
     "EstimationResult",
     "FirstStage",
+    "NumericalFailure",
     "SingularSystemError",
     "assemble_z",
     "preliminary_delta",
@@ -50,6 +51,15 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 #: interval searched by the method-of-moments rho
 RHO_BOUNDS = (-0.99, 0.99)
+
+
+class NumericalFailure(ValueError):
+    """Valid input on which a stage has nothing to work with.
+
+    No nonzero spectrum, no usable instrument column, or an undefined or
+    non-finite selection criterion.  Any other ``ValueError`` is bad input
+    or a bug.
+    """
 
 
 class SingularSystemError(np.linalg.LinAlgError):

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "BlockStacks",
@@ -273,7 +272,14 @@ def build_block_diagonal(blocks: Iterable[np.ndarray]) -> np.ndarray:
     for i, b in enumerate(blocks):
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"block {i} is not square (shape {b.shape})")
-    return scipy.linalg.block_diag(*blocks)
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    offset = 0
+    for b in blocks:
+        m = b.shape[0]
+        out[offset:offset + m, offset:offset + m] = b
+        offset += m
+    return out
 
 
 def row_normalize(W: np.ndarray) -> np.ndarray:

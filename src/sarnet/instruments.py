@@ -73,7 +73,8 @@ def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
     """
     scale = float(peaks.max()) if peaks.size else 0.0
     if scale <= 0.0:
-        raise ValueError("all instrument columns are numerically zero")
+        from .estimation import NumericalFailure     # estimation imports this module
+        raise NumericalFailure("all instrument columns are numerically zero")
     keep = peaks > ZERO_COLUMN_RTOL * scale
     for lab, kept in zip(labels, keep):
         if not kept:
@@ -135,7 +136,8 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         if not kept:
             warnings.warn(f"dropping zero-variance instrument column {lab!r}")
     if not np.any(keep):
-        raise ValueError("all instrument columns had zero variance")
+        from .estimation import NumericalFailure     # estimation imports this module
+        raise NumericalFailure("all instrument columns had zero variance")
     # one n x k result, in C order as the Gram's bits need
     Q = inst.Q if keep.all() else inst.Q.compress(keep, axis=1)
     out = np.empty(Q.shape)

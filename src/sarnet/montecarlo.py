@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimation import (EstimationResult, bias_corrected_2sls, classical_2sls,
-                         first_stage, preliminary_delta, preliminary_rho,
-                         regularized_2sls)
+from .estimation import (EstimationResult, NumericalFailure, bias_corrected_2sls,
+                         classical_2sls, first_stage, preliminary_delta,
+                         preliminary_rho, regularized_2sls)
 from .graphs import GroupedNetwork, PanelData, generate_mc_network
 from .instruments import normalize_columns, q1_roster, q2_roster
 from .selection import _check_criterion, prepare_selection, select_from_context
@@ -58,8 +58,9 @@ ESTIMATOR_LABELS = {
 PARAMETERS = ("lambda", "beta1", "beta2", "rho")
 
 #: what a numerically failed fit raises (``SingularSystemError`` is a
-#: ``LinAlgError``); anything else is a bug and propagates
-NUMERICAL_FAILURES = (np.linalg.LinAlgError, ValueError)
+#: ``LinAlgError``); anything else, a plain ``ValueError`` from a shape or
+#: broadcasting bug included, is a bug and propagates
+NUMERICAL_FAILURES = (np.linalg.LinAlgError, NumericalFailure)
 
 
 @dataclass(frozen=True)

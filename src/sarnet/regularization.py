@@ -133,7 +133,8 @@ class Spectrum:
         keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
         vals, vecs = vals[keep], vecs[:, keep]
         if vals.size == 0:
-            raise ValueError("instrument matrix has no nonzero spectrum")
+            from .estimation import NumericalFailure     # estimation imports this module
+            raise NumericalFailure("instrument matrix has no nonzero spectrum")
         if not gram_route:
             return cls(vals, vecs, n)
         spectrum = cls.__new__(cls)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FirstStage
+from .estimation import FirstStage, NumericalFailure
 from .regularization import Scheme, Spectrum, _grid_weights
 from .transforms import apply_D, whiten, whitened_residual
 
@@ -173,7 +173,7 @@ def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.
         else:
             if np.any(tr_P >= n):
                 bad = float(tr_P[tr_P >= n][0])
-                raise ValueError(f"GCV undefined: tr(P) = {bad:.3g} >= n = {n}")
+                raise NumericalFailure(f"GCV undefined: tr(P) = {bad:.3g} >= n = {n}")
             fit = (rss / n) / (1.0 - tr_P / n) ** 2
     values = ctx.sigma2_eps * (fit - ctx.sigma2_v * (q ** 2).sum(axis=1) / n
                                + ctx.sigma2_eps * tr_P ** 2 * ctx.bias_factor / n)
@@ -221,7 +221,7 @@ def select_from_context(ctx: SelectionContext, kind: str) -> SelectionResult:
     crits, values = _score_grid(ctx, kind, grid)
     finite = np.isfinite(values)
     if not np.any(finite):
-        raise ValueError("selection curve has no finite values")
+        raise NumericalFailure("selection curve has no finite values")
     ties = np.flatnonzero(values == values[finite].min())
     g = float(grid[ties[-1] if kind == "T" else ties[0]])
     scheme = Scheme.tikhonov(g) if kind == "T" else Scheme(kind, 1.0 / round(g))

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,15 @@ def test_generalized_inverses_are_test_oracles():
             if name in banned:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert found == []
+
+
+def test_package_imports_numpy_alone():
+    # scipy.linalg maps a second OpenBLAS into every process; a fresh
+    # interpreter, since this session's own imports would mask a regression
+    code = ("import sarnet, sarnet.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

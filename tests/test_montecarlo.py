@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from sarnet import instruments, montecarlo
-from sarnet.graphs import GroupedNetwork
+from sarnet.estimation import NumericalFailure
+from sarnet.graphs import GroupedNetwork, generate_mc_network
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
-from sarnet.instruments import normalize_columns
+from sarnet.instruments import InstrumentSet, build_instruments, normalize_columns
 from sarnet.regularization import Spectrum
 
 
@@ -154,6 +155,34 @@ class TestFailureHandling:
         monkeypatch.setattr(montecarlo, target, broken)
         with pytest.raises(TypeError, match="bug"):
             run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # a shape or broadcasting bug raises a plain ValueError: it is not a
+        # numerically failed fit and must not turn into failure cells
+        def misshapen(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(montecarlo, "regularized_2sls", misshapen)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+
+    def test_numerical_failure_becomes_failure_cell(self, monkeypatch):
+        def empty(*args, **kwargs):
+            raise NumericalFailure("instrument matrix has no nonzero spectrum")
+        monkeypatch.setattr(montecarlo, "regularized_2sls", empty)
+        rep = run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+        assert rep.failures == {name: "instrument matrix has no nonzero spectrum"
+                                for name in ("t_2sls", "lf_2sls", "pc_2sls")}
+        assert np.all(np.isfinite(rep.estimates["bias_corrected"]))
+
+    def test_numerical_sites_raise_numerical_failure(self):
+        net = generate_mc_network(3, 4, 2, np.random.default_rng(0))
+        with pytest.raises(NumericalFailure, match="numerically zero"):
+            build_instruments(net, np.zeros((net.n, 1)), 1, include_bonacich=False)
+        with pytest.warns(UserWarning, match="zero-variance"), \
+                pytest.raises(NumericalFailure, match="zero variance"):
+            normalize_columns(InstrumentSet(np.ones((5, 2)), ("a", "b")), "unit-variance")
+        with pytest.raises(NumericalFailure, match="no nonzero spectrum"):
+            Spectrum.from_instruments(InstrumentSet(np.zeros((5, 2)), ("a", "b")))
 
     def test_linalg_error_becomes_failure_cell(self, monkeypatch):
         def singular(*args, **kwargs):

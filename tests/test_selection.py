@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sarnet import selection
-from sarnet.estimation import first_stage, preliminary_delta, preliminary_rho
+from sarnet.estimation import (NumericalFailure, first_stage, preliminary_delta,
+                               preliminary_rho)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces
 from sarnet.selection import (SelectionContext, criterion_value,
@@ -73,7 +74,7 @@ class TestCriterionValues:
         ctx = make_context(seed=3, n=6, m=12, criterion="gcv")
         if ctx.spectrum.rank < 6:
             pytest.skip("fixture not saturated")
-        with pytest.raises(ValueError, match="GCV undefined"):
+        with pytest.raises(NumericalFailure, match="GCV undefined"):
             criterion_value(ctx, Scheme.principal_components(ctx.spectrum.rank))
 
     @pytest.mark.parametrize("kind,param", [("T", 0.05), ("LF", 16), ("PC", 3)])
@@ -254,7 +255,7 @@ class TestSelect:
         ctx = make_context(seed=10)
         broken = dataclasses.replace(ctx, w=np.full(ctx.n, np.nan),
                                      coef=np.full(ctx.spectrum.rank, np.nan))
-        with pytest.raises(ValueError, match="no finite values"):
+        with pytest.raises(NumericalFailure, match="no finite values"):
             select_from_context(broken, "T")
 
 
