@@ -78,14 +78,17 @@ print()
 # ----------------------------------------------------------------------
 alpha = 0.25
 e = rng.standard_normal(net.n)
-K = inst.Q.T @ inst.Q / net.n
-dense = inst.Q @ np.linalg.solve(K @ K + alpha * np.eye(inst.n_columns), K) @ inst.Q.T @ e / net.n
+# the roster keeps its per-group columns as one vector; written out in full
+# it is the n x m matrix Q of the textbook formula
+Q = inst.dense()
+K = Q.T @ Q / net.n
+dense = Q @ np.linalg.solve(K @ K + alpha * np.eye(inst.n_columns), K) @ Q.T @ e / net.n
 spectral = apply_projector(spectrum, Scheme.tikhonov(alpha), e)
 print("Tikhonov dual-route max gap:", float(np.abs(dense - spectral).max()))
 
 # principal components with every component is the ordinary projection, so
 # classical 2SLS is the undamped corner of the same family
 full = apply_projector(spectrum, Scheme.principal_components(spectrum.rank), e)
-lsq, *_ = np.linalg.lstsq(inst.Q, e, rcond=None)
+lsq, *_ = np.linalg.lstsq(Q, e, rcond=None)
 print("PC-full vs least-squares projection max gap:",
-      float(np.abs(full - inst.Q @ lsq).max()))
+      float(np.abs(full - Q @ lsq).max()))

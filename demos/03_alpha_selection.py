@@ -11,12 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from sarnet import (Scheme, criterion_value, curve_to_csv, first_stage,
-                    generate_mc_network, normalize_columns, preliminary_delta,
-                    preliminary_rho, prepare_selection, q1_roster, q2_roster,
-                    regularized_2sls, s_hat, select_from_context)
+from sarnet import (curve_to_csv, first_stage, generate_mc_network,
+                    normalize_columns, preliminary_delta, preliminary_rho,
+                    prepare_selection, q1_roster, q2_roster, regularized_2sls,
+                    select_from_context)
 from sarnet.graphs import PanelData
-from sarnet.selection import default_grid
 from sarnet.transforms import ModelParams, reduced_form
 
 rng = np.random.default_rng(11)
@@ -52,11 +51,10 @@ print()
 # The Tikhonov curve: fit criterion and the MSE estimate across the grid.
 # The argmin balances the two failure modes.
 # ----------------------------------------------------------------------
-grid = default_grid("T", ctx.spectrum, ctx.min_components)
+curve = select_from_context(ctx, "T").curve
 print("alpha        Cp          S_hat")
-for a in grid[::6]:
-    scheme = Scheme.tikhonov(a)
-    print(f"{a:10.3g}  {criterion_value(ctx, scheme):10.4f}  {s_hat(ctx, scheme):10.4f}")
+for a, crit, value in curve[::6]:
+    print(f"{a:10.3g}  {crit:10.4f}  {value:10.4f}")
 print()
 
 for kind in ("T", "LF", "PC"):

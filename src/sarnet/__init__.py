@@ -25,9 +25,8 @@ from .estimation import (EstimationResult, FirstStage, NumericalFailure,
                          SingularSystemError, assemble_z, bias_corrected_2sls,
                          classical_2sls, first_stage, preliminary_delta,
                          preliminary_rho, regularized_2sls)
-from .selection import (SelectionResult, criterion_value, curve_to_csv,
-                        default_grid, prepare_selection, s_hat, select_alpha,
-                        select_from_context)
+from .selection import (SelectionResult, curve_to_csv, default_grid,
+                        prepare_selection, select_alpha, select_from_context)
 from .montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                          ReplicationResult, StudySummary, run_replication,
                          run_study, summarize)

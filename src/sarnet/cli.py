@@ -2,7 +2,10 @@
 
 Results go to standard output (or --out); warnings and notes go to standard
 error.  Exit status: 0 success, 1 usage error, 2 data error (missing or
-malformed input files), 3 numerical failure.  A config file of ``key =
+malformed input files), 3 numerical failure (a ``LinAlgError`` or
+``NumericalFailure``) or a directed network given to the spectral
+diagnostics.  Flags and files are validated here, before the library runs;
+any other exception is a bug and propagates.  A config file of ``key =
 value`` lines supplies defaults for any long flag; explicit flags win.
 Identical flags and seed produce byte-identical output.
 """
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import first_stage, preliminary_delta, preliminary_rho, regularized_2sls
+from .estimation import (NumericalFailure, first_stage, preliminary_delta, preliminary_rho,
+                         regularized_2sls)
 from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
 from .instruments import _NORMALIZATIONS, build_instruments, normalize_columns, q1_roster
@@ -307,8 +311,11 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except AsymmetricMatrixError as exc:    # outside the spectral results' scope
+        print(f"unsupported network: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse -h
         code = exc.code

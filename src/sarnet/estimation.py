@@ -31,7 +31,7 @@ from numpy.polynomial import Polynomial
 from .graphs import BlockStacks, GroupedNetwork, PanelData
 from .instruments import InstrumentSet
 from .regularization import Scheme, Spectrum, q_weights
-from .transforms import apply_D, assemble_z, gram_D, whiten, whitened_residual
+from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
 __all__ = [
     "EstimationResult",
@@ -200,16 +200,17 @@ def _bias_trace(network: GroupedNetwork, spectrum: Spectrum, q: np.ndarray,
                 lam: float, rho: float) -> float:
     """tr(P D) = sum_j q_j psi_j' D psi_j for psi = F C, D never materialized.
 
-    With psi held as Q Phi diag(n nu)^(-1/2) this is the k x k contraction
-    tr(C diag(q) C' F'DF), F'DF summed over each group's support
-    (``gram_D``).  With an explicit psi only the diagonal of psi'D psi
-    enters.
+    With psi held as F Phi diag(n nu)^(-1/2) this is the m x m contraction
+    tr(C diag(q) C' F'DF), D block diagonal, so F'DF is the instrument
+    set's ``gram`` with D applied to its c + 1 columns.  With an explicit
+    psi only the diagonal of psi'D psi enters.
     """
     F = spectrum.factor
     if spectrum.basis is None:
         return float(np.einsum("ij,ij,j->", F, apply_D(network, lam, rho, F), q))
     B = (spectrum.basis * (q / spectrum.scale ** 2)) @ spectrum.basis.T
-    return float(np.vdot(B, gram_D(network, lam, rho, F)))     # B is symmetric
+    FDF = F.gram(lambda V: apply_D(network, lam, rho, V))
+    return float(np.vdot(B, FDF))     # B is symmetric
 
 
 @dataclass(frozen=True)

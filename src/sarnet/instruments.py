@@ -6,6 +6,14 @@ W^j iota, and, when disturbances are spatially correlated, the M-lagged copy
 of all of the above.  The infinite family is truncated at a chosen lag order;
 the fixed-effect annihilator J is always applied last so the instruments are
 orthogonal to the swept-out group effects by construction (J Q = Q).
+
+An ``InstrumentSet`` holds its global columns as a dense n x c matrix ``Q``.
+The large roster ``q2_roster`` adds one centrality column per group, J_r W_r
+iota_r, which is nonzero only on group r's rows; those columns are held as
+one n-vector ``v`` (column r is v on group r's rows) and the first row of
+each group that has a column, never as an n x G block.  Products with the
+roster, its Gram and its normalization then cost O(n c) plus segment sums
+of v.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,21 +42,40 @@ _SD_BLOCK = 16      # columns that normalize_columns transposes and reduces at a
 
 @dataclass(frozen=True)
 class InstrumentSet:
-    """Instrument matrix with per-column provenance labels.
+    """Instrument matrix F = [Q | V] with per-column provenance labels.
 
-    The set owns the spectrum of its Q Q'/n as ``spectrum``, decomposed once
+    ``Q`` holds the global columns.  The optional per-group part V has one
+    column per entry of ``starts``: column r is ``v`` on the rows from
+    ``starts[r]`` up to the next start (or n) and zero elsewhere.  ``v`` is
+    zero on every row of a group without a column, so those rows add exact
+    zeros.  Without a per-group part F is Q, and every product below does
+    exactly the arithmetic of Q itself.
+
+    The set owns the spectrum of its F F'/n as ``spectrum``, decomposed once
     on first access; every estimator and selector reads it from there.
     """
 
     Q: np.ndarray
     labels: tuple[str, ...]
+    v: np.ndarray | None = None
+    starts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        if Q.shape[1] != len(self.labels):
-            raise ValueError("one label per column required")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "labels", tuple(self.labels))
+        if (self.v is None) != (self.starts is None):
+            raise ValueError("a per-group part needs both v and starts")
+        if self.v is not None:
+            v = np.asarray(self.v, dtype=float)
+            starts = np.asarray(self.starts, dtype=np.intp)
+            if v.shape != (Q.shape[0],) or starts.ndim != 1 or starts.size == 0 \
+                    or starts[0] < 0 or starts[-1] >= v.size or np.any(np.diff(starts) <= 0):
+                raise ValueError("v needs one entry per row and starts ascending row indices")
+            object.__setattr__(self, "v", v)
+            object.__setattr__(self, "starts", starts)
+        if self.n_columns != len(self.labels):
+            raise ValueError("one label per column required")
 
     @property
     def n(self) -> int:
@@ -55,13 +83,76 @@ class InstrumentSet:
 
     @property
     def n_columns(self) -> int:
-        return self.Q.shape[1]
+        return self.Q.shape[1] + (0 if self.starts is None else self.starts.size)
 
     @functools.cached_property
     def spectrum(self):
-        """Nonzero eigenpairs of Q Q'/n (a ``regularization.Spectrum``)."""
+        """Nonzero eigenpairs of F F'/n (a ``regularization.Spectrum``)."""
         from .regularization import Spectrum    # regularization imports this module
         return Spectrum.from_instruments(self)
+
+    def _segment_sums(self, x: np.ndarray) -> np.ndarray:
+        """Row sums of x over each per-group column's rows, one row per column."""
+        return np.add.reduceat(x, self.starts, axis=0)
+
+    def _rows(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """Each per-group column's row of ``values`` on its rows, ``fill`` above them."""
+        out = np.full((self.n,) + values.shape[1:], fill)
+        out[self.starts[0]:] = np.repeat(values, np.diff(self.starts, append=self.n), axis=0)
+        return out
+
+    def _per_row(self, c: np.ndarray) -> np.ndarray:
+        """V c for a vector or matrix c with one row per per-group column."""
+        return (self.v if c.ndim == 1 else self.v[:, None]) * self._rows(c)
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """F'x for an n-vector or an n-row matrix x."""
+        head = self.Q.T @ x
+        if self.v is None:
+            return head
+        vx = (self.v if x.ndim == 1 else self.v[:, None]) * x
+        return np.concatenate([head, self._segment_sums(vx)])
+
+    def dot(self, c: np.ndarray) -> np.ndarray:
+        """F c for an m-vector or an m-row matrix c."""
+        k = self.Q.shape[1]
+        if self.v is None:
+            return self.Q @ c
+        return self.Q @ c[:k] + self._per_row(c[k:])
+
+    def gram(self, apply: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+        """F'AF for a block-diagonal A given by ``apply`` (V -> A V); F'F without.
+
+        A acts on the c + 1 columns [Q, v] once.  Being block diagonal, it
+        maps the per-group column r to (A v) on group r's rows, so every
+        block of F'AF is a product of those columns or a segment sum of
+        their entrywise products; the per-group block is diagonal.
+        """
+        Q, v = self.Q, self.v
+        if v is None:
+            return Q.T @ (Q if apply is None else apply(Q))
+        if apply is None:
+            AQ, Av = Q, v
+        else:
+            AF = apply(np.column_stack([Q, v]))
+            AQ, Av = AF[:, :-1], AF[:, -1]
+        k = Q.shape[1]
+        out = np.zeros((self.n_columns, self.n_columns))
+        out[:k, :k] = Q.T @ AQ
+        out[:k, k:] = self._segment_sums(Q * Av[:, None]).T
+        out[k:, :k] = self._segment_sums(v[:, None] * AQ)
+        np.fill_diagonal(out[k:, k:], self._segment_sums(v * Av))
+        return out
+
+    def dense(self) -> np.ndarray:
+        """F as one n x m matrix, the per-group columns written out in full."""
+        if self.v is None:
+            return self.Q
+        out = np.zeros((self.n, self.n_columns))
+        k = self.Q.shape[1]
+        out[:, :k] = self.Q
+        out[:, k:] = self._per_row(np.eye(self.starts.size))
+        return out
 
 
 def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
@@ -80,6 +171,14 @@ def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
         if not kept:
             warnings.warn(f"dropping numerically zero instrument column {lab!r}")
     return keep
+
+
+def _group_subset(Q: np.ndarray, labels, v: np.ndarray, starts: np.ndarray,
+                  keep: np.ndarray) -> InstrumentSet:
+    """Q and the per-group columns ``keep`` selects; v is zero on the others' rows."""
+    if not keep.any():
+        return InstrumentSet(Q, labels)
+    return InstrumentSet(Q, labels, v, starts[keep])
 
 
 def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
@@ -115,7 +214,9 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     Tikhonov-style damping is not scale invariant, so columns with very
     different variances (a squared network lag versus a centrality count)
     would be regularized unevenly without this.  Zero-variance columns are
-    dropped with their label.
+    dropped with their label.  A per-group column is v on its group's rows
+    and zero elsewhere, so its variance comes from the segment sums of v and
+    v^2, and the rescaled set keeps the layout: v divided row by row.
     """
     if mode == "none":
         return inst
@@ -123,14 +224,23 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         raise ValueError(f"unknown normalization {mode!r}")
     if inst.n_columns == 0:
         raise ValueError("empty instrument set")
+    n, k = inst.n, inst.Q.shape[1]
     # each column reduced as one contiguous row, in the order a per-column
     # np.std sums it, so the normalized roster is bit for bit the loop's; a
     # block of columns at a time, so that the transposed copy stays small
     sd = np.empty(inst.n_columns)
-    for j in range(0, inst.n_columns, _SD_BLOCK):
-        cols = slice(j, j + _SD_BLOCK)
+    for j in range(0, k, _SD_BLOCK):
+        cols = slice(j, min(j + _SD_BLOCK, k))
         rows = np.ascontiguousarray(inst.Q[:, cols].T)
         sd[cols] = np.std(rows, axis=1, ddof=1)
+    if inst.v is not None:
+        # sum over all n rows of (x - mean)^2 = s2 - s1^2/n; J sweeps each
+        # group's mean, so s1 is rounding noise and nothing cancels.  A
+        # group that spans all n rows can round below zero: NaN, dropped
+        s1 = inst._segment_sums(inst.v)
+        s2 = inst._segment_sums(inst.v * inst.v)
+        with np.errstate(invalid="ignore"):
+            sd[k:] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
     keep = (sd > 0.0) & np.isfinite(sd)
     for lab, kept in zip(inst.labels, keep):
         if not kept:
@@ -138,11 +248,15 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     if not np.any(keep):
         from .estimation import NumericalFailure     # estimation imports this module
         raise NumericalFailure("all instrument columns had zero variance")
-    # one n x k result, in C order as the Gram's bits need
-    Q = inst.Q if keep.all() else inst.Q.compress(keep, axis=1)
-    out = np.empty(Q.shape)
-    return InstrumentSet(np.divide(Q, sd[keep], out=out),
-                         tuple(lab for lab, k in zip(inst.labels, keep) if k))
+    labels = tuple(lab for lab, kp in zip(inst.labels, keep) if kp)
+    # one n x c result, in C order as the Gram's bits need
+    Q = inst.Q if keep[:k].all() else inst.Q.compress(keep[:k], axis=1)
+    Q = np.divide(Q, sd[:k][keep[:k]], out=np.empty(Q.shape))
+    if inst.v is None:
+        return InstrumentSet(Q, labels)
+    # a dropped column's rows are divided by inf, which zeroes them
+    scale = inst._rows(np.where(keep[k:], sd[k:], np.inf), fill=np.inf)
+    return _group_subset(Q, labels, inst.v / scale, inst.starts, keep[k:])
 
 
 def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
@@ -189,22 +303,22 @@ def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
     of groups (the many-instruments regime).
 
     Group r's column J_r W_r iota_r is nonzero only on that group's rows, and
-    there it equals the n-vector v = J W 1.  So v is computed once and its
-    entries are scattered into the roster, one per row; no n x G block is
-    formed.  Numerically zero columns (groups without links, or whose W_r
-    iota_r J annihilates) are dropped by the same rule as everywhere else.
+    there it equals the n-vector v = J W 1.  So v is computed once and the
+    roster holds it as its per-group part; no n x G block is formed, and
+    q1's columns are shared, not copied, when all of them are kept.
+    Numerically zero columns (groups without links, or whose W_r iota_r J
+    annihilates) are dropped by the same rule as everywhere else, and v is
+    zeroed on their rows.
     """
-    n, c = q1.n, q1.n_columns
+    c = q1.n_columns
     sizes = np.asarray(network.group_sizes)
-    v = network.J.apply(network.lag_W(np.ones(n)))
-    peaks = np.concatenate([np.abs(q1.Q).max(axis=0),
-                            np.maximum.reduceat(np.abs(v), np.cumsum(sizes) - sizes)])
+    starts = np.cumsum(sizes) - sizes
+    v = network.J.apply(network.lag_W(np.ones(q1.n)))
+    peaks = np.concatenate([np.abs(q1.Q).max(axis=0), np.maximum.reduceat(np.abs(v), starts)])
     labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(sizes.size)]
     keep = _keep_nonzero(peaks, labels)
-    column = np.cumsum(keep) - 1                    # each kept column's place
-    owner = c + np.repeat(np.arange(sizes.size), sizes)     # each row's own column
-    rows = np.flatnonzero(keep[owner])
-    Q = np.zeros((n, column[-1] + 1))
-    Q[:, column[:c][keep[:c]]] = q1.Q[:, keep[:c]]
-    Q[rows, column[owner[rows]]] = v[rows]
-    return InstrumentSet(Q, tuple(lab for lab, k in zip(labels, keep) if k))
+    Q = q1.Q if keep[:c].all() else q1.Q[:, keep[:c]]
+    kept = tuple(lab for lab, k in zip(labels, keep) if k)
+    if not keep[c:].all():
+        v = np.where(np.repeat(keep[c:], sizes), v, 0.0)
+    return _group_subset(Q, kept, v, starts, keep[c:])

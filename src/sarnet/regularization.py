@@ -26,10 +26,13 @@ classical 2SLS is the undamped special case.
 
 Everything downstream of the eigendecomposition works in the rank-dimensional
 coordinates <e, psi_j>, the dual form of Carrasco (2012): with few
-instruments the psi_j are Q phi_j / sqrt(n nu_j) for the eigenpairs
-(nu_j, phi_j) of K = Q'Q/n, and ``Spectrum`` keeps them as that product, so
-the n x rank matrix psi is formed only where an n-vector per component is
-needed (the leave-one-out leverages).
+instruments the psi_j are F phi_j / sqrt(n nu_j) for the eigenpairs
+(nu_j, phi_j) of K = F'F/n, F the instrument set, and ``Spectrum`` keeps
+them as that product, so the n x rank matrix psi is formed only where an
+n-vector per component is needed (the leave-one-out leverages).  For the
+large roster F = [Q | V], V one column per group held as one n-vector, K is
+assembled from Q'Q and segment sums (``InstrumentSet.gram``), and F'x and
+F c cost O(n c) plus a segment sum, never a product with an n x G block.
 """
 
 from __future__ import annotations
@@ -53,16 +56,16 @@ _KINDS = ("T", "LF", "PC")
 
 
 class Spectrum:
-    """Nonzero eigenpairs (nu_j, psi_j) of Q Q'/n, psi held as a product F C.
+    """Nonzero eigenpairs (nu_j, psi_j) of F F'/n, psi held as a product F C.
 
     ``eigenvalues`` are descending and strictly positive after the relative
     cutoff.  The orthonormal eigenvectors are psi = F C: on the Gram route
-    F = Q and C = Phi diag(n nu)^(-1/2), with Phi (``basis``) the matching
-    eigenvectors of K = Q'Q/n; on the dense route, and for an explicit
-    ``Spectrum(eigenvalues, vectors, n)``, F = psi and C = I (``basis`` is
-    None).  Consumers go through ``coords(x)`` = psi'x = C'(F'x) and
-    ``expand(c)`` = psi c = F(C c); ``vectors`` forms psi itself on first
-    access and caches it.
+    ``factor`` is the ``InstrumentSet`` F and C = Phi diag(n nu)^(-1/2), with
+    Phi (``basis``) the matching eigenvectors of K = F'F/n; on the dense
+    route, and for an explicit ``Spectrum(eigenvalues, vectors, n)``,
+    ``factor`` is psi itself and C = I (``basis`` is None).  Consumers go
+    through ``coords(x)`` = psi'x = C'(F'x) and ``expand(c)`` = psi c =
+    F(C c); ``vectors`` forms psi itself on first access and caches it.
     """
 
     def __init__(self, eigenvalues, vectors, n: int) -> None:
@@ -71,8 +74,7 @@ class Spectrum:
         if vecs.shape != (self.n, self.rank):
             raise ValueError("vectors must be n x (number of eigenvalues)")
 
-    def _set(self, eigenvalues, factor: np.ndarray, basis: np.ndarray | None,
-             n: int) -> None:
+    def _set(self, eigenvalues, factor, basis: np.ndarray | None, n: int) -> None:
         vals = np.asarray(eigenvalues, dtype=float)
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
@@ -100,35 +102,44 @@ class Spectrum:
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """psi'x = C'(F'x) for an n-vector or an n-row matrix x."""
-        c = self.factor.T @ x
-        return c if self.basis is None else self._scaled(self.basis.T @ c)
+        if self.basis is None:
+            return self.factor.T @ x
+        return self._scaled(self.basis.T @ self.factor.tdot(x))
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """psi c = F(C c) for a rank-length vector or a rank-row matrix c."""
-        return self.factor @ (c if self.basis is None else self.basis @ self._scaled(c))
+        if self.basis is None:
+            return self.factor @ c
+        return self.factor.dot(self.basis @ self._scaled(c))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
-        """psi as an n x rank matrix, (Q Phi) / sqrt(n nu) on the Gram route."""
+        """psi as an n x rank matrix, (F Phi) / sqrt(n nu) on the Gram route."""
         if self.basis is None:
             return self.factor
-        return (self.factor @ self.basis) / self.scale
+        return self.factor.dot(self.basis) / self.scale
 
     @classmethod
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
-        """Eigendecompose Q Q'/n, working in whichever dimension is smaller.
+        """Eigendecompose F F'/n, working in whichever dimension is smaller.
 
-        For m < n/4 instruments the m x m Gram K = Q'Q/n is decomposed and
-        psi is kept as Q Phi diag(n nu)^(-1/2); otherwise Q Q'/n is
-        decomposed directly and psi is its eigenvectors.  Both routes share
-        their nonzero spectrum.  Callers with an ``InstrumentSet`` read its
-        cached ``inst.spectrum``, which is built here.
+        For m < n/4 instruments the m x m Gram K = F'F/n is decomposed and
+        psi is kept as F Phi diag(n nu)^(-1/2); otherwise F F'/n is
+        decomposed directly, with F written out in full, and psi is its
+        eigenvectors.  Both routes share their nonzero spectrum.  Callers
+        with an ``InstrumentSet`` read its cached ``inst.spectrum``, which is
+        built here; a bare matrix is taken as the global columns of one.
         """
-        Q = inst.Q if isinstance(inst, InstrumentSet) else np.asarray(inst, dtype=float)
-        Q = np.atleast_2d(Q)
-        n, m = Q.shape
+        if not isinstance(inst, InstrumentSet):
+            Q = np.atleast_2d(np.asarray(inst, dtype=float))
+            inst = InstrumentSet(Q, tuple(map(str, range(Q.shape[1]))))
+        n, m = inst.n, inst.n_columns
         gram_route = m < n / 4
-        vals, vecs = np.linalg.eigh(Q.T @ Q / n if gram_route else Q @ Q.T / n)
+        if gram_route:
+            vals, vecs = np.linalg.eigh(inst.gram() / n)
+        else:
+            F = inst.dense()
+            vals, vecs = np.linalg.eigh(F @ F.T / n)
         vals, vecs = vals[::-1], vecs[:, ::-1]
         keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
         vals, vecs = vals[keep], vecs[:, keep]
@@ -138,7 +149,9 @@ class Spectrum:
         if not gram_route:
             return cls(vals, vecs, n)
         spectrum = cls.__new__(cls)
-        spectrum._set(vals, Q, vecs, n)
+        # a new set over the same arrays: the set caches its spectrum, and a
+        # spectrum holding that set would make a cycle only the collector frees
+        spectrum._set(vals, InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts), vecs, n)
         return spectrum
 
 

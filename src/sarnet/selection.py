@@ -17,8 +17,8 @@ D = J R W S^{-1} R^{-1} is evaluated at preliminary estimates.  Z and the
 coordinates psi'R Z that give H are read from the roster's ``FirstStage``,
 the same one the regularized fit then reads.  The search runs over
 ``default_grid`` for each scheme kind and scores the whole grid in one
-array pass, from one (grid x rank) matrix of damping weights;
-``criterion_value`` and ``s_hat`` are its one-point case.
+array pass, from one (grid x rank) matrix of damping weights; the
+criterion and S_hat at every grid point are kept as the result's ``curve``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FirstStage, NumericalFailure
+from .identification import CLUSTER_TOL
 from .regularization import Scheme, Spectrum, _grid_weights
 from .transforms import apply_D, whiten, whitened_residual
 
@@ -35,8 +36,6 @@ __all__ = [
     "SelectionContext",
     "SelectionResult",
     "prepare_selection",
-    "criterion_value",
-    "s_hat",
     "select_from_context",
     "select_alpha",
     "default_grid",
@@ -62,7 +61,10 @@ def default_grid(kind: str, spectrum: Spectrum, min_components: int) -> np.ndarr
     LF: doubling iteration counts 1, 2, 4, ..., 2^14.
     PC: every component count from ``min_components`` (fewer kept components
     than second-stage regressors cannot give an invertible sandwich) up to
-    the retained rank.
+    the retained rank that ends an eigenvalue cluster.  Adjacent
+    eigenvalues within ``CLUSTER_TOL`` of the larger one form one cluster;
+    its eigenvectors are an arbitrary basis of one eigenspace, so a count
+    inside it would keep an arbitrary subspace.  The rank always ends one.
     """
     if kind == "T":
         return np.geomspace(1e-8, max(1.0, 10.0 * spectrum.nu_max ** 2), 40)
@@ -70,7 +72,10 @@ def default_grid(kind: str, spectrum: Spectrum, min_components: int) -> np.ndarr
         return np.array([2 ** k for k in range(15)], dtype=float)
     if kind == "PC":
         lo = min(max(1, min_components), spectrum.rank)
-        return np.arange(lo, spectrum.rank + 1, dtype=float)
+        nu = spectrum.eigenvalues
+        ends = np.append(np.flatnonzero(nu[:-1] - nu[1:] > CLUSTER_TOL * nu[:-1]) + 1,
+                         spectrum.rank)
+        return ends[ends >= lo].astype(float)
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
@@ -147,6 +152,14 @@ def prepare_selection(stage: FirstStage, delta_tilde: np.ndarray,
 def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.ndarray]:
     """(criterion, S_hat) at every grid point of one scheme kind, in one array pass.
 
+    The goodness-of-fit criteria:
+
+        Mallows Cp:  v'v/n + 2 s2_v tr(P)/n
+        GCV:         (v'v/n) / (1 - tr(P)/n)^2, rejected when tr(P) >= n
+        LOO:         mean of squared leave-one-out residuals, computed through
+                     the linear-smoother identity r_i / (1 - P_ii); the tests
+                     hold the literal delete-one refit it is checked against.
+
     Row i of the (grid x rank) weight matrix q holds the damping weights at
     ``grid[i]``, so tr P and tr P^2 are row sums and the first-stage
     residual ||(I - P) w||^2 = w'w - ((2 - q) q) coef^2 is one product.
@@ -178,23 +191,6 @@ def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.
     values = ctx.sigma2_eps * (fit - ctx.sigma2_v * (q ** 2).sum(axis=1) / n
                                + ctx.sigma2_eps * tr_P ** 2 * ctx.bias_factor / n)
     return fit, values
-
-
-def criterion_value(ctx: SelectionContext, scheme: Scheme) -> float:
-    """Goodness-of-fit value of the context's criterion at one scheme.
-
-    Mallows Cp:  v'v/n + 2 s2_v tr(P)/n
-    GCV:         (v'v/n) / (1 - tr(P)/n)^2, rejected when tr(P) >= n
-    LOO:         mean of squared leave-one-out residuals, computed through
-                 the linear-smoother identity r_i / (1 - P_ii); the tests
-                 hold the literal delete-one refit it is checked against.
-    """
-    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[0][0])
-
-
-def s_hat(ctx: SelectionContext, scheme: Scheme) -> float:
-    """Plug-in estimate of the dominant MSE term of the endogenous effect."""
-    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "assemble_z",
     "whiten",
     "apply_D",
-    "gram_D",
     "whitened_residual",
     "structural_residual",
     "reduced_form",
@@ -230,35 +229,6 @@ def apply_D(network: GroupedNetwork, lam: float, rho: float,
     t = solve_blockwise(rho, network.stacks_M(), V, "R(rho)")
     t = solve_blockwise(lam, network.stacks_W(), t, "S(lambda)")
     return whiten(network, rho, network.lag_W(t))
-
-
-def gram_D(network: GroupedNetwork, lam: float, rho: float,
-           F: np.ndarray) -> np.ndarray:
-    """F'DF for an n x k matrix F, summed group by group over each group's support.
-
-    D is block diagonal, so F'DF = sum_r F_r' D_r F_r over the rows F_r of
-    group r, and only the columns of F that are nonzero on those rows (the
-    group's support, read from F's nonzero pattern) contribute.  Each row's
-    support entries are gathered into an n x s matrix X, s the largest
-    support; a group with a smaller support fills its other slots with
-    columns that are zero on its rows, so they add exact zeros.  D is
-    applied to X's s columns, and K_r = X_r'(D X)_r is one batched product
-    per group size, added into F'DF at the gathered columns.  The cost is
-    O(n m s + G s^2) instead of the O(n m k) of D F.
-    """
-    k = F.shape[1]
-    sizes = np.asarray(network.group_sizes)
-    support = np.logical_or.reduceat(F != 0.0, np.cumsum(sizes) - sizes, axis=0)
-    s = int(support.sum(axis=1).max())
-    cols = np.argsort(~support, axis=1)[:, :s]       # each group's support first
-    X = np.take_along_axis(F, np.repeat(cols, sizes, axis=0), axis=1)
-    DX = apply_D(network, lam, rho, X)
-    K = np.empty((network.group_count, s, s))
-    for groups, (rows, S) in zip(network.stacks_W().groups, network.stacks_W().parts):
-        g, m = S.shape[:2]
-        K[groups] = X[rows].reshape(g, m, s).transpose(0, 2, 1) @ DX[rows].reshape(g, m, s)
-    at = cols[:, :, None] * k + cols[:, None, :]
-    return np.bincount(at.ravel(), weights=K.ravel(), minlength=k * k).reshape(k, k)
 
 
 def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sarnet.graphs import GroupedNetwork, PanelData, generate_mc_network
+from sarnet.selection import _score_grid
 from sarnet.transforms import ModelParams, reduced_form
 
 
@@ -99,3 +100,13 @@ def write_network_csvs(tmp_path, net, data=None, prefix=""):
     nodes = tmp_path / f"{prefix}nodes.csv"
     nodes.write_text("\n".join(nrows) + "\n")
     return edges, nodes
+
+
+def criterion_at(ctx, scheme) -> float:
+    """The context's goodness-of-fit criterion at one scheme: a one-point grid."""
+    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[0][0])
+
+
+def s_hat_at(ctx, scheme) -> float:
+    """The plug-in MSE estimate S_hat at one scheme: a one-point grid."""
+    return float(_score_grid(ctx, scheme.kind, [scheme.grid_value])[1][0])

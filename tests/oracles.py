@@ -132,7 +132,7 @@ def loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
     nu (1 - q)/q (zero-weight components dropped).  For each i the fit is
     re-solved without row i, holding that penalty fixed, and the held-out
     point is predicted.  Quadratic per observation: the slow reference
-    that the linear-smoother identity of ``criterion_value`` is tested
+    that the linear-smoother identity of ``selection._score_grid`` is tested
     against.
     """
     q = q_weights(scheme, ctx.spectrum)

@@ -21,9 +21,9 @@ from sarnet.instruments import InstrumentSet, build_instruments, normalize_colum
 from sarnet.montecarlo import McConfig, run_study, summarize
 from sarnet.regularization import (Scheme, Spectrum, apply_projector,
                                    projector_traces, q_weights)
-from sarnet.selection import (SelectionContext, criterion_value, default_grid,
-                              prepare_selection, select_from_context)
-from conftest import draw_dataset, nilpotent_dataset, write_network_csvs
+from sarnet.selection import (SelectionContext, default_grid, prepare_selection,
+                              select_from_context)
+from conftest import criterion_at, draw_dataset, nilpotent_dataset, write_network_csvs
 from oracles import loo_refit, projector_matrix
 
 GROUPS = (30, 60)
@@ -141,7 +141,8 @@ def test_criterion_4_oracle_equivalences(capsys):
         result = regularized_2sls(first_stage(data, net, q2, 0.0),
                                   Scheme.principal_components(q2.spectrum.rank))
         Z = assemble_z(data, net)
-        P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
+        Q = q2.dense()
+        P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
         oracle = np.linalg.pinv(Z.T @ P @ Z) @ (Z.T @ P @ data.y)
         worst = max(worst, float(np.abs(result.delta - oracle).max()))
     if worst > 1e-8:
@@ -233,7 +234,7 @@ def test_criterion_7_selector_suite(capsys):
     for scheme in (Scheme.tikhonov(0.2 * ctx.spectrum.nu_max ** 2),
                    Scheme.landweber(16),
                    Scheme.principal_components(min(4, ctx.spectrum.rank))):
-        ident = criterion_value(ctx, scheme)
+        ident = criterion_at(ctx, scheme)
         refit = loo_refit(ctx, scheme)
         if abs(ident - refit) > 1e-6:
             problems.append(f"LOO routes disagree for {scheme.kind}: "

@@ -240,6 +240,23 @@ class TestSimulate:
         assert out.splitlines()[0] == "estimator,parameter,mean,sd,rmse,n_used,n_failed"
 
 
+    def test_broadcasting_bug_propagates_instead_of_exit_3(self, monkeypatch, capsys):
+        # a shape bug raises numpy's plain ValueError: neither a numerical
+        # failure of the fit nor bad input, so no exit code may absorb it
+        grid_weights = selection._grid_weights
+
+        def one_extra(kind, grid, spectrum):
+            q = grid_weights(kind, grid, spectrum)
+            return np.column_stack([q, q[:, :1]])
+
+        monkeypatch.setattr(selection, "_grid_weights", one_extra)
+        with pytest.raises(ValueError) as caught:
+            main(["simulate", "--groups", "4", "--size", "8", "--max-links", "2",
+                  "--reps", "1", "--seed", "1"])
+        assert not isinstance(caught.value, estimation.NumericalFailure)
+        assert "mismatch" in str(caught.value)
+
+
 class TestBadInput:
     """Malformed numbers fail at load time as data errors naming the cell."""
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarnet.estimation import (SingularSystemError, assemble_z,
                                bias_corrected_2sls, classical_2sls,
@@ -9,7 +10,8 @@ from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_n
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import Scheme, Spectrum
-from sarnet.selection import prepare_selection, select_from_context
+from sarnet.selection import (_score_grid, default_grid, prepare_selection,
+                              select_from_context)
 from conftest import draw_dataset
 from oracles import dense_M, dense_W, textbook_iv_oracle
 
@@ -123,7 +125,7 @@ class TestRegularized2sls:
             q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
             result = regularized_2sls(first_stage(data, net, q2, rho_tilde=0.0),
                                       Scheme.principal_components(q2.spectrum.rank))
-            oracle = textbook_iv_oracle(assemble_z(data, net), data.y, q2.Q)
+            oracle = textbook_iv_oracle(assemble_z(data, net), data.y, q2.dense())
             np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_classical_wrapper_matches_pc_full(self):
@@ -148,7 +150,8 @@ class TestRegularized2sls:
         rho = 0.23
         Rm = np.eye(net.n) - rho * dense_M(net)
         Z = assemble_z(data, net)
-        P = q2.Q @ np.linalg.pinv(q2.Q.T @ q2.Q) @ q2.Q.T
+        Q = q2.dense()
+        P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
         oracle = np.linalg.solve((Rm @ Z).T @ P @ (Rm @ Z),
                                  (Rm @ Z).T @ P @ (Rm @ data.y))
         result = regularized_2sls(first_stage(data, net, q2, rho),
@@ -245,7 +248,7 @@ def rotated_in_cluster(inst, value, rng):
     basis[:, cluster] = basis[:, cluster] @ rotation
     turned = Spectrum.__new__(Spectrum)
     turned._set(spectrum.eigenvalues, spectrum.factor, basis, spectrum.n)
-    out = InstrumentSet(inst.Q, inst.labels)
+    out = InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts)
     out.__dict__["spectrum"] = turned          # what the cached property would hold
     return out, cluster.size
 
@@ -284,3 +287,59 @@ def test_fits_ignore_the_basis_inside_the_unit_variance_cluster(seed):
     for a, b in zip(got, want, strict=True):
         assert np.linalg.norm(a.delta - b.delta) <= 1e-10 * np.linalg.norm(b.delta)
         assert a.sigma2_hat == pytest.approx(b.sigma2_hat, rel=1e-10)
+
+
+def cluster_draw(seed, draw):
+    """Draw ``draw`` of the (30, 10, 3) cell under ``seed``: data, network,
+    delta_tilde and the unit-variance large roster."""
+    config = McConfig(group_count=30, group_size=10, max_links=3, replications=1,
+                      seed=seed, criterion="cp")
+    net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(draw + 1)[draw])
+    q1 = q1_roster(net, data.regressors(net))
+    delta_tilde = preliminary_delta(data, net, q1)
+    return net, data, delta_tilde, normalize_columns(q2_roster(net, q1), "unit-variance")
+
+
+def pc_fits(data, net, roster, delta_tilde):
+    """The selected PC scheme, and the PC fit at every count of its grid."""
+    stage = first_stage(data, net, roster, 0.0)
+    ctx = prepare_selection(stage, delta_tilde, "cp")
+    grid = default_grid("PC", roster.spectrum, ctx.min_components)
+    fits = [regularized_2sls(stage, Scheme.principal_components(int(k))).delta
+            for k in grid]
+    return select_from_context(ctx, "PC").scheme, fits
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), draw=st.integers(0, 3))
+def test_pc_fits_and_alpha_ignore_the_basis_inside_the_cluster(seed, draw):
+    # PC counts end eigenvalue clusters, so a kept subspace is a sum of
+    # whole eigenspaces: turning the basis LAPACK picked inside the
+    # (n - 1)/n cluster moves neither a PC fit nor the selected count
+    net, data, delta_tilde, inst = cluster_draw(seed, draw)
+    turned, size = rotated_in_cluster(inst, (net.n - 1) / net.n,
+                                      np.random.default_rng(seed))
+    assert size >= 2
+    chosen, want = pc_fits(data, net, inst, delta_tilde)
+    got_chosen, got = pc_fits(data, net, turned, delta_tilde)
+    assert got_chosen == chosen
+    for a, b in zip(got, want, strict=True):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_pc_selection_no_longer_splits_the_cluster_of_a_small_cell_draw():
+    # draw 1 of seed 0 at (30, 10, 3): scored over every count from 3 up to
+    # the rank, S_hat is lowest at 9 components, 3 of the 24 eigenvectors
+    # of the (n - 1)/n cluster, an arbitrary subspace; the grid of cluster
+    # ends chooses among whole eigenspaces only
+    net, data, delta_tilde, inst = cluster_draw(0, 1)
+    spectrum = inst.spectrum
+    ctx = prepare_selection(first_stage(data, net, inst, 0.0), delta_tilde, "cp")
+    every = np.arange(ctx.min_components, spectrum.rank + 1, dtype=float)
+    split = int(every[np.argmin(_score_grid(ctx, "PC", every)[1])])
+    clustered = np.isclose(spectrum.eigenvalues, (net.n - 1) / net.n, rtol=1e-10, atol=0.0)
+    assert clustered.sum() == 24 and split == 9
+    assert clustered[split - 1] and clustered[split]
+    grid = default_grid("PC", spectrum, ctx.min_components).astype(int)
+    assert list(grid) == [3, 4, 5, 6] + list(range(30, spectrum.rank + 1))
+    assert select_from_context(ctx, "PC").scheme.steps == 6

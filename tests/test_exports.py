@@ -92,3 +92,13 @@ def test_package_imports_numpy_alone():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_removed_wrappers_stay_removed():
+    # a selection curve already holds (alpha, criterion, S_hat) at every
+    # grid point, and the bias trace reads the instrument set's Gram, so the
+    # one-point selection wrappers and the support-scanning F'DF are gone
+    for module, name in (("selection", "criterion_value"), ("selection", "s_hat"),
+                         ("transforms", "gram_D")):
+        assert not hasattr(sarnet, name)
+        assert not hasattr(importlib.import_module(f"sarnet.{module}"), name)

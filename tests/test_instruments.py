@@ -139,7 +139,7 @@ class TestRosters:
         X = data.regressors(net)
         J = net.J
         q2 = q2_roster(net, q1_roster(net, X))
-        np.testing.assert_allclose(J.apply(q2.Q), q2.Q, atol=1e-10)
+        np.testing.assert_allclose(J.apply(q2.dense()), q2.dense(), atol=1e-10)
 
     def test_q2_of_a_lee_network_adds_no_column(self):
         # W_r iota_r = iota_r (or 0 in a singleton), which J annihilates, so
@@ -156,9 +156,9 @@ class TestRosters:
             for r in range(net.group_count)]
 
     def test_q2_allocates_little_beyond_the_roster(self):
-        # the per-group columns are scattered from one n-vector; an n x G
-        # temporary (indicator, its lag, its projection, a stacked copy)
-        # would each be as large as the roster's centrality block
+        # the per-group columns are held as one n-vector and q1's columns are
+        # shared; an n x G temporary (indicator, its lag, its projection, a
+        # scattered roster) would each be about G / (c + 1) times larger
         config = McConfig(group_count=240, group_size=15, max_links=6,
                           replications=1, seed=0)
         net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
@@ -169,14 +169,14 @@ class TestRosters:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q2.n_columns > 240
-        assert peak <= 1.25 * q2.Q.nbytes
+        assert q2.n_columns > 240 and q2.Q is q1.Q
+        assert peak <= 1.25 * (q2.Q.nbytes + q2.v.nbytes)
 
     def test_normalize_allocates_little_beyond_the_result(self):
-        # the column sums run over small transposed blocks and the quotient
-        # goes into one output array; a whole transposed copy, np.std's
-        # deviation temporary and a separate quotient would each be as
-        # large as the roster
+        # the global columns' sums run over small transposed blocks and the
+        # per-group columns' over segment sums of v; the result is one n x c
+        # matrix and one n-vector.  A dense n x (c + G) roster, or a
+        # temporary of its size, would be 14 times the bound
         config = McConfig(group_count=240, group_size=15, max_links=6,
                           replications=1, seed=0)
         net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
@@ -188,7 +188,7 @@ class TestRosters:
         finally:
             tracemalloc.stop()
         assert out.n_columns == q2.n_columns > 240
-        assert peak <= 1.3 * q2.Q.nbytes
+        assert peak <= 2.5 * (out.Q.nbytes + out.v.nbytes)
 
 
 def test_instrument_set_validation():
@@ -202,28 +202,33 @@ def test_spectrum_is_decomposed_once_and_cached(net_and_x):
     net, X = net_and_x
     inst = q2_roster(net, q1_roster(net, X))
     assert inst.spectrum is inst.spectrum
-    direct = Spectrum.from_instruments(inst.Q)
+    direct = Spectrum.from_instruments(inst)
+    assert direct is not inst.spectrum
     np.testing.assert_array_equal(inst.spectrum.eigenvalues, direct.eigenvalues)
     np.testing.assert_array_equal(inst.spectrum.vectors, direct.vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_roster_kept_whole_equals_the_copying_construction(seed):
-    # when no column is dropped the roster is not copied on its way to the
-    # normalized set; the values and the C layout, and so the Gram's bits,
-    # must be those of copying it through a boolean index and compress
+    # when no column is dropped q1's columns are not copied on their way to
+    # the normalized set; the values and the C layout, and so the Gram's
+    # bits, must be those of copying them through a boolean index and
+    # compress, and the per-group part is v over each group's column SD
     config = McConfig(group_count=60, group_size=15, max_links=6, replications=1,
                       seed=seed)
     net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
     q1 = q1_roster(net, data.regressors(net))
     raw = q2_roster(net, q1)
-    assert raw.n_columns == q1.n_columns + 60
+    assert raw.n_columns == q1.n_columns + 60 and raw.Q is q1.Q
     got = normalize_columns(raw, "unit-variance")
 
-    keep = np.ones(raw.n_columns, dtype=bool)
+    keep = np.ones(q1.n_columns, dtype=bool)
     copied = raw.Q[:, keep]
     sd = np.std(np.ascontiguousarray(copied.T), axis=1, ddof=1)
     want = copied.compress(keep, axis=1) / sd[keep]
     assert got.Q.flags.c_contiguous and want.flags.c_contiguous
     assert np.array_equal(got.Q, want)
     assert np.array_equal(got.Q.T @ got.Q / got.n, want.T @ want / got.n)
+    dense = raw.dense()[:, q1.n_columns:]
+    np.testing.assert_allclose(got.dense()[:, q1.n_columns:],
+                               dense / np.std(dense, axis=0, ddof=1), rtol=1e-13)

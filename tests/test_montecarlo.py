@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sarnet import instruments, montecarlo
-from sarnet.estimation import NumericalFailure
+from sarnet.estimation import (NumericalFailure, bias_corrected_2sls, first_stage,
+                               preliminary_delta)
 from sarnet.graphs import GroupedNetwork, generate_mc_network
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
                                summarize)
-from sarnet.instruments import InstrumentSet, build_instruments, normalize_columns
+from sarnet.instruments import (InstrumentSet, build_instruments, normalize_columns,
+                                q1_roster, q2_roster)
 from sarnet.regularization import Spectrum
 
 
@@ -138,6 +141,26 @@ class TestRunReplication:
         spectrum = q2_norm.spectrum
         assert spectrum.basis is not None           # the Gram route
         assert ("vectors" in spectrum.__dict__) == formed
+
+    def test_large_roster_path_stays_below_one_dense_roster(self):
+        # at G = 480 the dense n x (c + G) roster alone is 28 MB; the layout
+        # keeps q2 at n x (c + 1), and its Gram, spectrum, first stage and
+        # bias trace work from that, so the whole path peaks below it
+        config = McConfig(group_count=480, group_size=15, max_links=6,
+                          replications=1, seed=0)
+        net, data = montecarlo._draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+        q1 = q1_roster(net, data.regressors(net))
+        delta_tilde = preliminary_delta(data, net, q1)
+        tracemalloc.start()
+        try:
+            q2 = normalize_columns(q2_roster(net, q1), "unit-variance")
+            stage = first_stage(data, net, q2, 0.0)
+            fit = bias_corrected_2sls(stage, lambda_tilde=float(delta_tilde[0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q2.n_columns > 480 and np.all(np.isfinite(fit.delta))
+        assert peak < net.n * q2.n_columns * 8
 
     def test_shared_rho_is_recorded(self):
         config = McConfig(**SMALL)

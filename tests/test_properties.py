@@ -23,7 +23,7 @@ from sarnet.identification import (_rank_and_condition, build_report,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, q_weights
-from sarnet.transforms import (ModelParams, apply_D, assemble_z, gram_D, reduced_form,
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form,
                                row_sum_norm, solve_blockwise)
 from oracles import (d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
                      dense_stack, dense_W, group_slices,
@@ -432,7 +432,8 @@ def test_q2_roster_matches_dense_oracle(net, k, seed):
     got, got_warned = roster_and_warnings(lambda: q2_roster(net, q1))
     want, want_warned = roster_and_warnings(lambda: q2_roster_dense(net, q1))
     assert got.labels == want.labels and got_warned == want_warned
-    assert got.Q.shape == want.Q.shape
+    got_Q = got.dense()
+    assert got_Q.shape == want.Q.shape
     scale = np.abs(want.Q).max(axis=0)
     degree = np.abs(net.lag_W(np.ones(net.n)))
     for j, lab in enumerate(got.labels):
@@ -440,9 +441,9 @@ def test_q2_roster_matches_dense_oracle(net, k, seed):
             rows = group_slices(net)[int(lab[9:-1])]
             off = np.ones(net.n, dtype=bool)
             off[rows] = False
-            assert not got.Q[off, j].any()
+            assert not got_Q[off, j].any()
             scale[j] = max(scale[j], degree[rows].max())
-    assert np.all(np.abs(got.Q - want.Q) <= 1e-14 * scale)
+    assert np.all(np.abs(got_Q - want.Q) <= 1e-14 * scale)
 
 
 def normalize_by_column(inst):
@@ -530,16 +531,78 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
 
 @PROPERTY_SETTINGS
 @given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
-       dense=st.booleans(), seed=st.integers(0, 1000))
-def test_gram_D_matches_dense_oracle(net, lam, rho, dense, seed):
-    # a dense F gives every group the full support, s = k
+       normalized=st.booleans(), seed=st.integers(0, 1000))
+def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, seed):
+    # q2 held as its global columns plus one n-vector for the per-group
+    # columns, against the n x (c + G) roster of the dense oracle: labels
+    # and values, then every product the spectrum and the bias trace take
+    # from the layout against the same product of the written-out roster
     lam /= max(1.0, row_sum_norm(dense_W(net)))
     rng = np.random.default_rng(seed)
-    F = rng.standard_normal((net.n, 4)) if dense else support_roster(net, rng)
-    want = F.T @ d_matrix(net, lam, rho) @ F
-    got = gram_D(net, lam, rho, F)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    base = rng.standard_normal((net.n, 2))
+    try:
+        q1, _ = roster_and_warnings(lambda: q1_roster(net, base))
+    except ValueError:                         # every group a singleton: J = 0
+        assume(False)
+    got, got_warned = roster_and_warnings(lambda: q2_roster(net, q1))
+    want, want_warned = roster_and_warnings(lambda: q2_roster_dense(net, q1))
+    assert got.labels == want.labels and got_warned == want_warned
+    # J W 1 rounds as one vector, the oracle's J W iota as a block: each
+    # centrality column is compared on the scale of W_r iota_r, before J
+    # cancels most of it, and a normalized column on that scale over its SD
+    scale = np.abs(want.Q).max(axis=0)
+    degree = np.abs(net.lag_W(np.ones(net.n)))
+    for j, lab in enumerate(want.labels):
+        if lab.startswith("J.W.iota["):
+            scale[j] = max(scale[j], degree[group_slices(net)[int(lab[9:-1])]].max())
+    if normalized:
+        scale /= np.std(want.Q, axis=0, ddof=1)
+        raw_labels = want.labels
+        try:
+            want, want_warned = roster_and_warnings(
+                lambda: normalize_columns(want, "unit-variance"))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                roster_and_warnings(lambda: normalize_columns(got, "unit-variance"))
+            return
+        got, got_warned = roster_and_warnings(
+            lambda: normalize_columns(got, "unit-variance"))
+        assert got.labels == want.labels and got_warned == want_warned
+        scale = scale[[raw_labels.index(lab) for lab in want.labels]]
+    F = got.dense()
+    for j, lab in enumerate(got.labels):
+        if lab.startswith("J.W.iota["):
+            off = np.ones(net.n, dtype=bool)
+            off[group_slices(net)[int(lab[9:-1])]] = False
+            assert not F[off, j].any()
+    assert np.all(np.abs(F - want.Q) <= 1e-13 * scale)
+
+    n, m = F.shape
+    K = got.gram() / n
+    np.testing.assert_allclose(K, F.T @ F / n, rtol=0.0, atol=1e-13 * np.abs(K).max())
+    FDF = got.gram(lambda V: apply_D(net, lam, rho, V))
+    dense_FDF = F.T @ d_matrix(net, lam, rho) @ F
+    assert np.abs(FDF - dense_FDF).max() <= 1e-12 * max(1.0, np.abs(dense_FDF).max())
+    x, c = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
+    for got_x, want_x in ((got.tdot(x), F.T @ x), (got.tdot(x[:, 0]), F.T @ x[:, 0]),
+                          (got.dot(c), F @ c), (got.dot(c[:, 0]), F @ c[:, 0])):
+        assert got_x.shape == want_x.shape
+        np.testing.assert_allclose(got_x, want_x, rtol=0.0,
+                                   atol=1e-13 * max(1.0, np.abs(want_x).max()))
+    # psi itself depends on the basis LAPACK picks inside a cluster; the
+    # eigenvalues and the projector psi psi' do not
+    try:
+        spectrum, oracle = got.spectrum, Spectrum.from_instruments(F)
+    except ValueError:                         # no nonzero spectrum
+        assume(False)
+    assume(oracle.condition_number < 1e8)
+    assert spectrum.rank == oracle.rank
+    np.testing.assert_allclose(spectrum.eigenvalues, oracle.eigenvalues, rtol=0.0,
+                               atol=1e-13 * oracle.nu_max)
+    P = oracle.vectors @ oracle.vectors.T
+    np.testing.assert_allclose(spectrum.vectors @ spectrum.vectors.T, P, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(spectrum.expand(spectrum.coords(x)), P @ x, rtol=0.0,
+                               atol=1e-8 * np.abs(x).max())
 
 
 @PROPERTY_SETTINGS

@@ -1,12 +1,14 @@
-"""Benchmark reference cases that guard the normalized roster's last bits.
+"""Benchmark reference cases that once failed on the large roster's last bits.
 
-PC selection cuts the spectrum of QQ'/n by component count.  On some cases
-of ``mc_bench_cell`` a count falls next to a cluster of repeated eigenvalues,
-where the eigenvector basis is arbitrary, so a last-bit change in the
-normalized large roster or in the order its Gram is summed moves PC-2SLS
-off the reference.  Case 39 fails when that Gram is formed as Q'(Q/n)
-instead of Q'Q/n; cases 16 and 53 are reported to fail under another
-reordering of its sums.  Each case runs in about a second.
+The unit-variance large roster's Gram has an eigenvalue cluster at
+(n - 1)/n whose eigenvector basis is arbitrary.  While PC selection could
+cut that cluster by component count, a last-bit change in the normalized
+roster or in the order its Gram is summed moved PC-2SLS off the reference
+on some cases of ``mc_bench_cell``: case 39 failed when the Gram was formed
+as Q'(Q/n) instead of Q'Q/n, and cases 16 and 53 under another reordering
+of its sums.  PC counts now end clusters (``selection.default_grid``), and
+the Gram is assembled from the roster's layout; these cases pin that the
+references still hold.  Each case runs in about a second.
 """
 
 import json

@@ -6,6 +6,7 @@ from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
                                    apply_projector,
                                    projector_traces, q_weights)
+from sarnet.selection import default_grid
 from oracles import projector_diagonal, projector_matrix
 
 
@@ -55,16 +56,17 @@ class TestSpectrum:
 
 
 @pytest.mark.parametrize("groups,clustered", [(240, 233), (60, 53)])
-def test_gram_route_keeps_the_dense_gram_and_its_eigh(groups, clustered):
-    """The normalized large roster's Q, Gram and eigenpairs keep their bits.
+def test_gram_route_decomposes_the_layout_gram(groups, clustered):
+    """The normalized large roster's Gram comes from its layout, not a dense roster.
 
-    The Gram Q'Q/n stays dense and C-ordered, decomposed by one ``eigh``,
-    and psi, when it is formed, is (Q Phi) / sqrt(n nu) on those exact
-    eigenpairs.  The reason is the spectrum's degenerate cluster: on the
-    first draw of seed 0 at G = 240, 233 of the 245 adjacent eigenvalue gaps
-    are below 1e-10 relative, so the PC component count cuts an arbitrary
-    basis inside it, and any last-bit change in Q or Q'Q rotates that basis
-    and can move PC-2SLS.
+    K = F'F/n is assembled from Q'Q and segment sums of v; it equals the
+    Gram of the written-out roster to rounding, and the spectrum is one
+    ``eigh`` of it, with psi = (F Phi) / sqrt(n nu) formed only on request.
+    Each unit-variance per-group column has sum of squares n - 1 and its own
+    rows, so K holds a cluster at (n - 1)/n: on the first draw of seed 0 at
+    G = 240, 233 of the 245 adjacent eigenvalue gaps are below 1e-10
+    relative.  Its basis is arbitrary, so no PC count of ``default_grid``
+    falls inside it.
     """
     config = McConfig(group_count=groups, group_size=15, max_links=6,
                       replications=1, seed=0)
@@ -72,17 +74,24 @@ def test_gram_route_keeps_the_dense_gram_and_its_eigh(groups, clustered):
     inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
                              "unit-variance")
     spec = inst.spectrum
-    n = inst.n
-    vals, vecs = np.linalg.eigh(inst.Q.T @ inst.Q / n)
+    n, F = inst.n, inst.dense()
+    K = inst.gram() / n
+    assert np.abs(K - F.T @ F / n).max() <= 1e-14
+    vals, vecs = np.linalg.eigh(K)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > EIGENVALUE_CUTOFF * vals[0]
     vals, vecs = vals[keep], vecs[:, keep]
-    assert spec.factor is inst.Q
+    assert spec.factor.Q is inst.Q and spec.factor.v is inst.v
+    assert "spectrum" not in spec.factor.__dict__     # no set <-> spectrum cycle
     assert np.array_equal(spec.eigenvalues, vals)
     assert np.array_equal(spec.basis, vecs)
-    assert np.sum(-np.diff(vals) / vals[:-1] < 1e-10) == clustered
+    gaps = -np.diff(vals) / vals[:-1] < 1e-10
+    assert np.sum(gaps) == clustered
     assert "vectors" not in spec.__dict__
-    assert np.array_equal(spec.vectors, (inst.Q @ vecs) / np.sqrt(n * vals))
+    np.testing.assert_allclose(spec.vectors, (F @ vecs) / np.sqrt(n * vals),
+                               rtol=0.0, atol=1e-13)
+    counts = default_grid("PC", spec, 3).astype(int)
+    assert not np.any(gaps[counts[counts < spec.rank] - 1])
 
 
 class TestScheme:

@@ -8,10 +8,9 @@ from sarnet.estimation import (NumericalFailure, first_stage, preliminary_delta,
                                preliminary_rho)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, projector_traces
-from sarnet.selection import (SelectionContext, criterion_value,
-                              curve_to_csv, default_grid, prepare_selection,
-                              s_hat, select_alpha, select_from_context)
-from conftest import draw_dataset
+from sarnet.selection import (SelectionContext, curve_to_csv, default_grid,
+                              prepare_selection, select_alpha, select_from_context)
+from conftest import criterion_at, draw_dataset, s_hat_at
 from oracles import dense_J, dense_M, dense_W, loo_refit, r_matrix, s_matrix
 
 
@@ -57,8 +56,8 @@ class TestCriterionValues:
         ctx = make_context(seed=1)
         heavy = Scheme.tikhonov(1e14 * ctx.spectrum.nu_max ** 2)
         vv = float(ctx.w @ ctx.w) / ctx.n
-        cp = criterion_value(ctx, heavy)
-        gcv = criterion_value(dataclasses.replace(ctx, criterion="gcv"), heavy)
+        cp = criterion_at(ctx, heavy)
+        gcv = criterion_at(dataclasses.replace(ctx, criterion="gcv"), heavy)
         assert cp == pytest.approx(vv, rel=1e-10)
         assert gcv == pytest.approx(vv, rel=1e-10)
 
@@ -67,7 +66,7 @@ class TestCriterionValues:
         ctx = make_context(seed=2, noise=0.0)
         full = Scheme.principal_components(ctx.spectrum.rank)
         ctx = dataclasses.replace(ctx, sigma2_v=0.3)
-        cp = criterion_value(ctx, full)
+        cp = criterion_at(ctx, full)
         assert cp == pytest.approx(2 * 0.3 * ctx.spectrum.rank / ctx.n, abs=1e-12)
 
     def test_gcv_rejects_saturated_projector(self):
@@ -75,7 +74,7 @@ class TestCriterionValues:
         if ctx.spectrum.rank < 6:
             pytest.skip("fixture not saturated")
         with pytest.raises(NumericalFailure, match="GCV undefined"):
-            criterion_value(ctx, Scheme.principal_components(ctx.spectrum.rank))
+            criterion_at(ctx, Scheme.principal_components(ctx.spectrum.rank))
 
     @pytest.mark.parametrize("kind,param", [("T", 0.05), ("LF", 16), ("PC", 3)])
     def test_loo_identity_matches_refit_oracle(self, kind, param):
@@ -87,7 +86,7 @@ class TestCriterionValues:
             scheme = Scheme.landweber(param)
         else:
             scheme = Scheme.principal_components(param)
-        identity = criterion_value(ctx, scheme)
+        identity = criterion_at(ctx, scheme)
         refit = loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
@@ -95,7 +94,7 @@ class TestCriterionValues:
         _, _, _, _, _, ctx = pipeline_context(seed=51, criterion="loo",
                                               group_count=3, group_size=10)
         scheme = Scheme.tikhonov(0.3 * ctx.spectrum.nu_max ** 2)
-        identity = criterion_value(ctx, scheme)
+        identity = criterion_at(ctx, scheme)
         refit = loo_refit(ctx, scheme)
         assert identity == pytest.approx(refit, abs=1e-6)
 
@@ -115,17 +114,17 @@ class TestSHat:
         ctx = make_context(seed=5)
         heavy = Scheme.tikhonov(1e14 * ctx.spectrum.nu_max ** 2)
         vv = float(ctx.w @ ctx.w) / ctx.n
-        assert s_hat(ctx, heavy) == pytest.approx(ctx.sigma2_eps * vv, rel=1e-9)
+        assert s_hat_at(ctx, heavy) == pytest.approx(ctx.sigma2_eps * vv, rel=1e-9)
 
     def test_matches_hand_assembled_formula(self):
         ctx = make_context(seed=6)
         scheme = Scheme.landweber(8)
         tr_P, tr_P2 = projector_traces(ctx.spectrum, scheme)
-        fit = criterion_value(ctx, scheme)
+        fit = criterion_at(ctx, scheme)
         expect = ctx.sigma2_eps * (fit - ctx.sigma2_v * tr_P2 / ctx.n
                                    + ctx.sigma2_eps * tr_P ** 2
                                    * ctx.bias_factor / ctx.n)
-        assert s_hat(ctx, scheme) == pytest.approx(expect, rel=1e-12)
+        assert s_hat_at(ctx, scheme) == pytest.approx(expect, rel=1e-12)
 
 
 class TestSelect:
@@ -191,8 +190,8 @@ class TestSelect:
         for (_, crit, value), g in zip(result.curve, grid):
             scheme = (Scheme.tikhonov(g) if kind == "T"
                       else Scheme(kind, 1.0 / round(g)))
-            assert crit == pytest.approx(criterion_value(ctx, scheme), rel=1e-12)
-            assert value == pytest.approx(s_hat(ctx, scheme), rel=1e-12)
+            assert crit == pytest.approx(criterion_at(ctx, scheme), rel=1e-12)
+            assert value == pytest.approx(s_hat_at(ctx, scheme), rel=1e-12)
 
     def test_deterministic(self):
         _, _, stage, delta_t, _, _ = pipeline_context(seed=55)
@@ -235,8 +234,8 @@ class TestSelect:
             scheme = Scheme.tikhonov(alpha)
             tr_P, _ = projector_traces(ctx.spectrum, scheme)
             if tr_P / ctx.n < 0.05:
-                cp = criterion_value(ctx, scheme)
-                gcv = criterion_value(gcv_ctx, scheme)
+                cp = criterion_at(ctx, scheme)
+                gcv = criterion_at(gcv_ctx, scheme)
                 assert abs(cp - gcv) < 0.1 * cp
 
     def test_variance_proxy_monotone_in_regularization(self):
