@@ -22,7 +22,8 @@ from .estimation import (NumericalFailure, first_stage, preliminary_delta, preli
                          regularized_2sls)
 from .graphs import load_network
 from .identification import AsymmetricMatrixError, build_report, distinct_eigenvalues
-from .instruments import _NORMALIZATIONS, build_instruments, normalize_columns, q1_roster
+from .instruments import (_NORMALIZATIONS, _distinct_columns, build_instruments,
+                          normalize_columns, q1_roster)
 from .montecarlo import McConfig, run_study, summarize
 from .selection import _CRITERIA, curve_to_csv, select_alpha
 
@@ -205,7 +206,10 @@ def _cmd_diagnose(args) -> int:
         if not value >= 0.0:          # NaN compares false
             raise UsageError(f"{flag} must be a nonnegative number, got {value}")
     net, data = _load(args, need_data=False)
-    X = data.regressors(net) if data is not None else None
+    X = None
+    if data is not None:     # the stack lags the covariates, each once
+        X = np.column_stack([data.x1, data.x2])
+        X = X[:, _distinct_columns(list(X.T))]
     report = build_report(net, X, rho_zero=not args.correlated,
                           tol=args.tol, weak_threshold=args.weak_threshold)
     lines = [f"{report.verdict} ({report.distinct_eigenvalue_count} distinct eigenvalues)"]

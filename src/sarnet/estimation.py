@@ -13,11 +13,13 @@ the many-instrument estimator minus a plug-in estimate of its leading
 instrument-count bias, in the spirit of Liu and Lee (2010).
 
 Every fit on one instrument roster shares its first stage: ``first_stage``
-whitens [Z y] at rho_tilde and projects it on the roster's spectrum once,
-and ``regularized_2sls``, ``classical_2sls`` and ``bias_corrected_2sls``
-take that ``FirstStage`` and differ only in their damping weights.  At
+decomposes the roster's spectrum, whitens [Z y] at rho_tilde and projects
+it on that spectrum once, and ``regularized_2sls``, ``classical_2sls`` and
+``bias_corrected_2sls`` take that ``FirstStage`` and differ only in their
+damping weights; the bias trace is the spectrum's ``weighted_trace``.  At
 rho_tilde = 0, R is the identity and the whitening does no work.
 ``preliminary_delta`` is one more such fit, on the small roster at rho = 0.
+``NumericalFailure`` is re-exported from ``instruments``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .graphs import BlockStacks, GroupedNetwork, PanelData
-from .instruments import InstrumentSet
+from .instruments import InstrumentSet, NumericalFailure
 from .regularization import Scheme, Spectrum, q_weights
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
 
@@ -51,15 +53,6 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 #: interval searched by the method-of-moments rho
 RHO_BOUNDS = (-0.99, 0.99)
-
-
-class NumericalFailure(ValueError):
-    """Valid input on which a stage has nothing to work with.
-
-    No nonzero spectrum, no usable instrument column, or an undefined or
-    non-finite selection criterion.  Any other ``ValueError`` is bad input
-    or a bug.
-    """
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -196,63 +189,42 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
 # Regularized and classical 2SLS
 # ---------------------------------------------------------------------------
 
-def _bias_trace(network: GroupedNetwork, spectrum: Spectrum, q: np.ndarray,
-                lam: float, rho: float) -> float:
-    """tr(P D) = sum_j q_j psi_j' D psi_j for psi = F C, D never materialized.
-
-    With psi held as F Phi diag(n nu)^(-1/2) this is the m x m contraction
-    tr(C diag(q) C' F'DF), D block diagonal, so F'DF is the instrument
-    set's ``gram`` with D applied to its c + 1 columns.  With an explicit
-    psi only the diagonal of psi'D psi enters.
-    """
-    F = spectrum.factor
-    if spectrum.basis is None:
-        return float(np.einsum("ij,ij,j->", F, apply_D(network, lam, rho, F), q))
-    B = (spectrum.basis * (q / spectrum.scale ** 2)) @ spectrum.basis.T
-    FDF = F.gram(lambda V: apply_D(network, lam, rho, V))
-    return float(np.vdot(B, FDF))     # B is symmetric
-
-
 @dataclass(frozen=True)
 class FirstStage:
     """One instrument roster's first stage, shared by every fit on it.
 
-    Holds Z = (W Y, X1, W X2) and the spectrum coordinates U = psi'R Z and
-    uy = psi'R y of the whitened data at ``rho_tilde``; ``first_stage``
-    builds it.  The fits differ only in their damping weights, so any
-    number of them read one stage.
+    Holds the roster's spectrum, Z = (W Y, X1, W X2) and the spectrum
+    coordinates U = psi'R Z and uy = psi'R y of the whitened data at
+    ``rho_tilde``; ``first_stage`` builds it.  The fits differ only in their
+    damping weights, so any number of them read one stage.
     """
 
     data: PanelData
     network: GroupedNetwork
     instruments: InstrumentSet
+    spectrum: Spectrum
     rho_tilde: float
     Z: np.ndarray
     U: np.ndarray
     uy: np.ndarray
 
-    @property
-    def spectrum(self) -> Spectrum:
-        return self.instruments.spectrum
-
 
 def first_stage(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
                 rho_tilde: float) -> FirstStage:
-    """Project R(rho_tilde)[Z y] on the instruments' spectrum, once per roster.
-
-    Decomposes the instruments' spectrum if nothing has read it yet.
-    """
+    """Decompose the instruments' spectrum and project R(rho_tilde)[Z y] on it."""
+    spectrum = Spectrum.from_instruments(instruments)
     Z = assemble_z(data, network)
-    Uy = instruments.spectrum.coords(whiten(network, rho_tilde, np.column_stack([Z, data.y])))
-    return FirstStage(data, network, instruments, rho_tilde, Z, Uy[:, :-1], Uy[:, -1])
+    Uy = spectrum.coords(whiten(network, rho_tilde, np.column_stack([Z, data.y])))
+    return FirstStage(data, network, instruments, spectrum, rho_tilde, Z,
+                      Uy[:, :-1], Uy[:, -1])
 
 
 def _fit(stage: FirstStage, scheme: Scheme,
          lambda_tilde: float | None = None) -> EstimationResult:
     """The one (regularized) 2SLS fit; bias-corrected when ``lambda_tilde`` is set.
 
-    The damping weights q are computed once, from the instruments' cached
-    spectrum, and serve the normal equations, tr P and the bias trace.
+    The damping weights q are computed once, from the stage's spectrum, and
+    serve the normal equations, tr P and the bias trace tr(P D).
     The normal equations are formed from the stage's coordinates psi'R[Z y].
     """
     data, network, rho_tilde = stage.data, stage.network, stage.rho_tilde
@@ -266,7 +238,8 @@ def _fit(stage: FirstStage, scheme: Scheme,
     sigma2 = float(eps_hat @ eps_hat) / network.n
     se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
     if lambda_tilde is not None:
-        tr_PD = _bias_trace(network, spectrum, q, lambda_tilde, rho_tilde)
+        tr_PD = spectrum.weighted_trace(
+            q, lambda V: apply_D(network, lambda_tilde, rho_tilde, V))
         e1 = np.zeros(delta.size)
         e1[0] = 1.0
         delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")

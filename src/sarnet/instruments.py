@@ -18,7 +18,6 @@ of v.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -28,8 +27,8 @@ import numpy as np
 from .graphs import GroupedNetwork, _as_rows
 from .identification import labelled_stack
 
-__all__ = ["InstrumentSet", "build_instruments", "normalize_columns",
-           "q1_roster", "q2_roster"]
+__all__ = ["InstrumentSet", "NumericalFailure", "build_instruments",
+           "normalize_columns", "q1_roster", "q2_roster"]
 
 #: columns whose largest absolute entry falls below this times the largest
 #: entry of any column are dropped as numerically zero (underflowed high
@@ -38,6 +37,15 @@ ZERO_COLUMN_RTOL = 1e-13
 
 _NORMALIZATIONS = ("none", "unit-variance")
 _SD_BLOCK = 16      # columns that normalize_columns transposes and reduces at a time
+
+
+class NumericalFailure(ValueError):
+    """Valid input on which a stage has nothing to work with.
+
+    No nonzero spectrum, no usable instrument column, or an undefined or
+    non-finite selection criterion.  Any other ``ValueError`` is bad input
+    or a bug.  Defined here, the lowest module that raises it.
+    """
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,6 @@ class InstrumentSet:
     zero on every row of a group without a column, so those rows add exact
     zeros.  Without a per-group part F is Q, and every product below does
     exactly the arithmetic of Q itself.
-
-    The set owns the spectrum of its F F'/n as ``spectrum``, decomposed once
-    on first access; every estimator and selector reads it from there.
     """
 
     Q: np.ndarray
@@ -84,12 +89,6 @@ class InstrumentSet:
     @property
     def n_columns(self) -> int:
         return self.Q.shape[1] + (0 if self.starts is None else self.starts.size)
-
-    @functools.cached_property
-    def spectrum(self):
-        """Nonzero eigenpairs of F F'/n (a ``regularization.Spectrum``)."""
-        from .regularization import Spectrum    # regularization imports this module
-        return Spectrum.from_instruments(self)
 
     def _segment_sums(self, x: np.ndarray) -> np.ndarray:
         """Row sums of x over each per-group column's rows, one row per column."""
@@ -164,7 +163,6 @@ def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
     """
     scale = float(peaks.max()) if peaks.size else 0.0
     if scale <= 0.0:
-        from .estimation import NumericalFailure     # estimation imports this module
         raise NumericalFailure("all instrument columns are numerically zero")
     keep = peaks > ZERO_COLUMN_RTOL * scale
     for lab, kept in zip(labels, keep):
@@ -246,7 +244,6 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         if not kept:
             warnings.warn(f"dropping zero-variance instrument column {lab!r}")
     if not np.any(keep):
-        from .estimation import NumericalFailure     # estimation imports this module
         raise NumericalFailure("all instrument columns had zero variance")
     labels = tuple(lab for lab, kp in zip(inst.labels, keep) if kp)
     # one n x c result, in C order as the Gram's bits need
@@ -259,39 +256,41 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     return _group_subset(Q, labels, inst.v / scale, inst.starts, keep[k:])
 
 
+def _distinct_columns(columns) -> list[int]:
+    """Indices of the columns that repeat no earlier kept column, first ones kept.
+
+    A column repeats another when their difference has norm at most 1e-12
+    times the larger of the two norms.
+    """
+    kept: list[int] = []
+    for i, col in enumerate(columns):
+        scale = float(np.linalg.norm(col))
+        if not any(np.linalg.norm(col - columns[j])
+                   <= 1e-12 * max(scale, np.linalg.norm(columns[j])) for j in kept):
+            kept.append(i)
+    return kept
+
+
 def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     """Small roster J [base, W base, M base, M W base], duplicates dropped.
 
     ``base`` is normally the regressor block (X1, W X2); when own and
     contextual characteristics share columns the blocks overlap, so exact
-    duplicate columns are removed (keeping the first occurrence) to keep the
-    Gram matrix invertible.
+    duplicate columns are removed by ``_distinct_columns`` to keep the Gram
+    matrix invertible.
     """
     base = _as_rows(base, network.n)
     Wb = network.lag_W(base)
     blocks = [base, Wb, network.lag_M(base), network.lag_M(Wb)]
     tags = ["X", "W.X", "M.X", "M.W.X"]
-    cols, labels = [], []
-
-    def is_duplicate(col: np.ndarray) -> bool:
-        scale = float(np.linalg.norm(col))
-        for kept in cols:
-            if np.linalg.norm(col - kept) <= 1e-12 * max(scale, np.linalg.norm(kept)):
-                return True
-        return False
-
-    for blk, tag in zip(blocks, tags):
-        for c in range(blk.shape[1]):
-            col = blk[:, c]
-            if is_duplicate(col):
-                continue
-            cols.append(col)
-            labels.append(f"J.{tag}[{c}]")
+    cols = [blk[:, c] for blk in blocks for c in range(blk.shape[1])]
+    labels = [f"J.{tag}[{c}]" for blk, tag in zip(blocks, tags) for c in range(blk.shape[1])]
+    keep = _distinct_columns(cols)
     # J goes column by column so each column's rounding is independent of the
     # others; PC selection inside a repeated eigenvalue turns a last-bit
     # change into a different component count
-    return _drop_zero_columns(np.column_stack([network.J.apply(c) for c in cols]),
-                              labels)
+    return _drop_zero_columns(np.column_stack([network.J.apply(cols[i]) for i in keep]),
+                              [labels[i] for i in keep])
 
 
 def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:

@@ -6,15 +6,19 @@ six estimators on the same draw: 2SLS with the small instrument roster, 2SLS
 with the centrality-augmented roster, its bias-corrected version, and the
 three regularized estimators (T / LF / PC) with a per-replication
 data-driven alpha.  The large roster extends the small one, which is built
-once.  All five large-roster estimators read the spectrum of the
-unit-variance-normalized roster: damping is not scale invariant, but the
-undamped projector and the bias trace tr(P D) are, so normalizing the
-large-iv and bias-corrected rows gives the same estimator while one
-decomposition serves all five.  They and the damping selection also share
-one ``first_stage``, the coordinates of R[Z y] on that spectrum, so [Z y]
-is whitened and projected once, not once per fit.  Without
+once and fitted once, at rho = 0: that fit is the preliminary delta_tilde,
+and its first three entries are the finite-roster row, so a draw
+decomposes two spectra.  All five large-roster estimators read the
+spectrum of the unit-variance-normalized roster: damping is not scale
+invariant, but the undamped projector and the bias trace tr(P D) are, so
+normalizing the large-iv and bias-corrected rows gives the same estimator
+while one decomposition serves all five.  They and the damping selection
+also share one ``first_stage``, the coordinates of R[Z y] on that spectrum,
+so [Z y] is whitened and projected once, not once per fit.  Without
 ``transform_with_rho`` the whitening is at rho = 0, where R = I and nothing
-is computed.  Summaries report Mean (SD) [RMSE] per estimator and parameter.
+is computed; with it, every row is whitened at rho_tilde, and the finite
+row fits a q1 stage of its own.  Summaries report Mean (SD) [RMSE] per
+estimator and parameter.
 
 Seeding: the master seed spawns one child seed per replication through
 numpy's SeedSequence, so results are reproducible bit for bit and invariant
@@ -139,13 +143,15 @@ def _draw_sample(config: McConfig, seed) -> tuple[GroupedNetwork, PanelData]:
 def run_replication(config: McConfig, seed) -> ReplicationResult:
     """One draw, all six estimators on it; numerical failures become missing cells.
 
-    q1 is built once and extended into the large roster.  Each roster has
-    one spectrum.  The five large-roster fits and the selection context
-    read the normalized q2's one first stage, and a failure to build it
-    fails all five; only the T/LF/PC rows record an alpha.  The
-    large-iv and bias-corrected fits use the full projector
-    P = Q (Q'Q)^+ Q' and the trace tr(P D); both are invariant under
-    Q -> Q diag(s), so they read the normalized roster's spectrum.
+    q1 is built once and extended into the large roster.  Its one fit at
+    rho = 0 gives delta_tilde, whose first three entries are the finite
+    row unless ``transform_with_rho`` whitens that row at rho_tilde.  The
+    five large-roster fits and the selection context read the normalized
+    q2's one first stage, and a failure to build it fails all five; only
+    the T/LF/PC rows record an alpha.  The large-iv and bias-corrected fits
+    use the full projector P = Q (Q'Q)^+ Q' and the trace tr(P D); both are
+    invariant under Q -> Q diag(s), so they read the normalized roster's
+    spectrum.
     """
     nan3 = np.full(3, np.nan)
     estimates = {name: nan3.copy() for name in ESTIMATORS}
@@ -181,7 +187,10 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
         failures.update((name, msg) for name in names)
         return ReplicationResult(estimates, float(rho_tilde), alphas, failures)
 
-    attempt("2sls_finite", lambda: classical_2sls(first_stage(data, net, q1, rho_plug)))
+    if config.transform_with_rho:
+        attempt("2sls_finite", lambda: classical_2sls(first_stage(data, net, q1, rho_tilde)))
+    else:
+        estimates["2sls_finite"] = delta_tilde[:3].copy()
     try:
         stage = first_stage(data, net, q2_norm, rho_plug)
     except NUMERICAL_FAILURES as exc:

@@ -33,6 +33,9 @@ n-vector per component is needed (the leave-one-out leverages).  For the
 large roster F = [Q | V], V one column per group held as one n-vector, K is
 assembled from Q'Q and segment sums (``InstrumentSet.gram``), and F'x and
 F c cost O(n c) plus a segment sum, never a product with an n x G block.
+The bias trace tr(P D) is ``Spectrum.weighted_trace`` on the same product.
+A roster's spectrum belongs to its first stage: ``estimation.first_stage``
+decomposes it once per stage, and an instrument set holds none.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .instruments import InstrumentSet
+from .instruments import InstrumentSet, NumericalFailure
 
 __all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector", "projector_traces"]
 
@@ -62,19 +66,13 @@ class Spectrum:
     cutoff.  The orthonormal eigenvectors are psi = F C: on the Gram route
     ``factor`` is the ``InstrumentSet`` F and C = Phi diag(n nu)^(-1/2), with
     Phi (``basis``) the matching eigenvectors of K = F'F/n; on the dense
-    route, and for an explicit ``Spectrum(eigenvalues, vectors, n)``,
-    ``factor`` is psi itself and C = I (``basis`` is None).  Consumers go
-    through ``coords(x)`` = psi'x = C'(F'x) and ``expand(c)`` = psi c =
-    F(C c); ``vectors`` forms psi itself on first access and caches it.
+    route ``factor`` is psi itself and C = I (``basis`` is None).  Consumers
+    go through ``coords(x)`` = psi'x = C'(F'x), ``expand(c)`` = psi c =
+    F(C c) and ``weighted_trace``; ``vectors`` forms psi itself on first
+    access and caches it.  Only this class reads the representation.
     """
 
-    def __init__(self, eigenvalues, vectors, n: int) -> None:
-        vecs = np.asarray(vectors, dtype=float)
-        self._set(eigenvalues, vecs, None, n)
-        if vecs.shape != (self.n, self.rank):
-            raise ValueError("vectors must be n x (number of eigenvalues)")
-
-    def _set(self, eigenvalues, factor, basis: np.ndarray | None, n: int) -> None:
+    def __init__(self, eigenvalues, factor, basis: np.ndarray | None, n: int) -> None:
         vals = np.asarray(eigenvalues, dtype=float)
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
@@ -112,6 +110,19 @@ class Spectrum:
             return self.factor @ c
         return self.factor.dot(self.basis @ self._scaled(c))
 
+    def weighted_trace(self, q: np.ndarray,
+                       apply: Callable[[np.ndarray], np.ndarray]) -> float:
+        """sum_j q_j psi_j' A psi_j, A block diagonal and ``apply`` V -> A V.
+
+        The Gram route contracts C diag(q) C' with F'AF, the instrument
+        set's ``gram``, in which A acts on c + 1 columns; the dense route
+        takes only the diagonal of psi'A psi.  A = D gives tr(P^alpha D).
+        """
+        if self.basis is None:
+            return float(np.einsum("ij,ij,j->", self.factor, apply(self.factor), q))
+        B = (self.basis * (q / self.scale ** 2)) @ self.basis.T
+        return float(np.vdot(B, self.factor.gram(apply)))     # B is symmetric
+
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """psi as an n x rank matrix, (F Phi) / sqrt(n nu) on the Gram route."""
@@ -126,9 +137,9 @@ class Spectrum:
         For m < n/4 instruments the m x m Gram K = F'F/n is decomposed and
         psi is kept as F Phi diag(n nu)^(-1/2); otherwise F F'/n is
         decomposed directly, with F written out in full, and psi is its
-        eigenvectors.  Both routes share their nonzero spectrum.  Callers
-        with an ``InstrumentSet`` read its cached ``inst.spectrum``, which is
-        built here; a bare matrix is taken as the global columns of one.
+        eigenvectors.  Both routes share their nonzero spectrum.  Every fit
+        gets its roster's spectrum from here, through ``first_stage``; a bare
+        matrix is taken as the global columns of an ``InstrumentSet``.
         """
         if not isinstance(inst, InstrumentSet):
             Q = np.atleast_2d(np.asarray(inst, dtype=float))
@@ -144,15 +155,10 @@ class Spectrum:
         keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
         vals, vecs = vals[keep], vecs[:, keep]
         if vals.size == 0:
-            from .estimation import NumericalFailure     # estimation imports this module
             raise NumericalFailure("instrument matrix has no nonzero spectrum")
-        if not gram_route:
-            return cls(vals, vecs, n)
-        spectrum = cls.__new__(cls)
-        # a new set over the same arrays: the set caches its spectrum, and a
-        # spectrum holding that set would make a cycle only the collector frees
-        spectrum._set(vals, InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts), vecs, n)
-        return spectrum
+        if gram_route:
+            return cls(vals, inst, vecs, n)
+        return cls(vals, vecs, None, n)
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,8 @@ def test_criterion_4_oracle_equivalences(capsys):
         net, data, _, _, _ = draw_dataset(seed=(400, rep), group_count=4,
                                           group_size=6)
         q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
-        result = regularized_2sls(first_stage(data, net, q2, 0.0),
-                                  Scheme.principal_components(q2.spectrum.rank))
+        stage = first_stage(data, net, q2, 0.0)
+        result = regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
         Z = assemble_z(data, net)
         Q = q2.dense()
         P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T

@@ -50,6 +50,28 @@ def symmetric_pair(tmp_path):
     return write_network_csvs(tmp_path, net, data)
 
 
+def write_rings(tmp_path, shared_x=False):
+    """Two symmetric rings of 5 and 7 nodes, and node data with random x1, x2, y.
+
+    With ``shared_x`` the x2 column repeats x1.
+    """
+    rows = ["group_id,src,dst,weight"]
+    for g, m in ((0, 5), (1, 7)):
+        for i in range(m):
+            j = (i + 1) % m
+            rows.append(f"{g},{i},{j},1")
+            rows.append(f"{g},{j},{i},1")
+    (tmp_path / "rings.csv").write_text("\n".join(rows) + "\n")
+    nrows = ["group_id,node_id,x1,x2,y"]
+    rng = np.random.default_rng(0)
+    for g, m in ((0, 5), (1, 7)):
+        for i in range(m):
+            a, b, c = rng.standard_normal(3)
+            nrows.append(f"{g},{i},{a:.6f},{a if shared_x else b:.6f},{c:.6f}")
+    (tmp_path / "nodes.csv").write_text("\n".join(nrows) + "\n")
+    return tmp_path / "rings.csv", tmp_path / "nodes.csv"
+
+
 class TestDiagnose:
     def test_complete_graph_not_identified(self, k5_edges, capsys):
         code, out, _ = run_cli(["diagnose", "--edges", str(k5_edges)], capsys)
@@ -66,25 +88,24 @@ class TestDiagnose:
         assert "not symmetric" in err
 
     def test_symmetric_fixture_full_report(self, tmp_path, capsys):
-        rows = ["group_id,src,dst,weight"]
         # two rings of different sizes: symmetric, several eigenvalues
-        for g, m in ((0, 5), (1, 7)):
-            for i in range(m):
-                j = (i + 1) % m
-                rows.append(f"{g},{i},{j},1")
-                rows.append(f"{g},{j},{i},1")
-        (tmp_path / "rings.csv").write_text("\n".join(rows) + "\n")
-        nrows = ["group_id,node_id,x1,x2,y"]
-        rng = np.random.default_rng(0)
-        for g, m in ((0, 5), (1, 7)):
-            for i in range(m):
-                a, b, c = rng.standard_normal(3)
-                nrows.append(f"{g},{i},{a:.6f},{b:.6f},{c:.6f}")
-        (tmp_path / "nodes.csv").write_text("\n".join(nrows) + "\n")
-        code, out, _ = run_cli(["diagnose", "--edges", str(tmp_path / "rings.csv"),
-                                "--data", str(tmp_path / "nodes.csv")], capsys)
+        edges, nodes = write_rings(tmp_path)
+        code, out, _ = run_cli(["diagnose", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
         assert code == 0
         assert "rank_full = true" in out
+
+    def test_shared_covariate_enters_the_stack_once(self, tmp_path, capsys):
+        # x2 = x1: on the regressor block [X1, W X2] the stack column W X1
+        # would repeat W X2, an exact rank deficiency on any network.  The
+        # stack lags the distinct covariates, here the one column x
+        edges, nodes = write_rings(tmp_path, shared_x=True)
+        code, out, _ = run_cli(["diagnose", "--edges", str(edges),
+                                "--data", str(nodes)], capsys)
+        assert code == 0
+        assert out.startswith("Identified (")
+        assert "rank_full = true" in out
+        assert "stack_condition_number = inf" not in out
 
 
 class TestEstimate:
@@ -238,6 +259,22 @@ class TestSimulate:
              "--reps", "2", "--seed", "1", "--format", "csv"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "estimator,parameter,mean,sd,rmse,n_used,n_failed"
+
+    def test_transform_rho_table_is_worker_invariant(self, capsys):
+        # whitening at rho_tilde is the one path where the finite-roster row
+        # fits a first stage of its own, not delta_tilde
+        args = ["simulate", "--groups", "4", "--size", "8", "--max-links", "3",
+                "--reps", "4", "--seed", "3"]
+        code, plain, _ = run_cli(args, capsys)
+        code1, one, _ = run_cli(args + ["--transform-rho", "--workers", "1"], capsys)
+        code2, two, _ = run_cli(args + ["--transform-rho", "--workers", "2"], capsys)
+        assert code == code1 == code2 == 0
+        assert one == two
+
+        def finite_row(text):
+            return next(line for line in text.splitlines() if line.startswith("2SLS (finite"))
+
+        assert finite_row(one) != finite_row(plain)
 
 
     def test_broadcasting_bug_propagates_instead_of_exit_3(self, monkeypatch, capsys):

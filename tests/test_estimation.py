@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,8 +125,8 @@ class TestRegularized2sls:
             net, data, _, _, _ = draw_dataset(seed=(40, rep), group_count=4,
                                               group_size=6)
             q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
-            result = regularized_2sls(first_stage(data, net, q2, rho_tilde=0.0),
-                                      Scheme.principal_components(q2.spectrum.rank))
+            stage = first_stage(data, net, q2, rho_tilde=0.0)
+            result = regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
             oracle = textbook_iv_oracle(assemble_z(data, net), data.y, q2.dense())
             np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
@@ -132,8 +134,8 @@ class TestRegularized2sls:
         net, data, _, _, _ = draw_dataset(seed=41)
         q2 = q2_roster(net, q1_roster(net, data.regressors(net)))
         a = classical_2sls(first_stage(data, net, q2, rho_tilde=0.1))
-        b = regularized_2sls(first_stage(data, net, q2, 0.1),
-                             Scheme.principal_components(q2.spectrum.rank))
+        stage = first_stage(data, net, q2, 0.1)
+        b = regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
         np.testing.assert_allclose(a.delta, b.delta, atol=1e-12)
 
     def test_noiseless_light_tikhonov_recovers_truth(self):
@@ -154,8 +156,8 @@ class TestRegularized2sls:
         P = Q @ np.linalg.pinv(Q.T @ Q) @ Q.T
         oracle = np.linalg.solve((Rm @ Z).T @ P @ (Rm @ Z),
                                  (Rm @ Z).T @ P @ (Rm @ data.y))
-        result = regularized_2sls(first_stage(data, net, q2, rho),
-                                  Scheme.principal_components(q2.spectrum.rank))
+        stage = first_stage(data, net, q2, rho)
+        result = regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
         np.testing.assert_allclose(result.delta, oracle, atol=1e-8)
 
     def test_scale_equivariance(self):
@@ -222,7 +224,7 @@ class TestBiasCorrected:
             q2 = q2_roster(net, q1)
             delta_t = preliminary_delta(data, net, q1)
             stage = first_stage(data, net, q2, 0.0)
-            plain = regularized_2sls(stage, Scheme.principal_components(q2.spectrum.rank))
+            plain = regularized_2sls(stage, Scheme.principal_components(stage.spectrum.rank))
             corrected = bias_corrected_2sls(stage, lambda_tilde=float(delta_t[0]))
             lam_plain.append(plain.lambda_hat)
             lam_corrected.append(corrected.lambda_hat)
@@ -238,19 +240,27 @@ def test_assemble_z_layout(small_dataset):
     np.testing.assert_allclose(Z[:, 2], dense_W(net) @ data.x2[:, 0], atol=1e-12)
 
 
+@contextlib.contextmanager
 def rotated_in_cluster(inst, value, rng):
-    """``inst`` with its Gram eigenbasis turned by a random rotation inside
-    the eigenvalue cluster at ``value``; the cluster's size is returned too."""
-    spectrum = inst.spectrum
+    """A copy of the Gram-route roster ``inst`` and the size of its eigenvalue
+    cluster at ``value``.  While the context is open, the copy's spectrum is
+    that of ``inst`` with the Gram eigenbasis turned by a random rotation
+    inside the cluster; every other roster is decomposed as usual."""
+    spectrum = Spectrum.from_instruments(inst)
     cluster = np.flatnonzero(np.isclose(spectrum.eigenvalues, value, rtol=1e-10, atol=0.0))
     rotation, _ = np.linalg.qr(rng.standard_normal((cluster.size, cluster.size)))
     basis = spectrum.basis.copy()
     basis[:, cluster] = basis[:, cluster] @ rotation
-    turned = Spectrum.__new__(Spectrum)
-    turned._set(spectrum.eigenvalues, spectrum.factor, basis, spectrum.n)
-    out = InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts)
-    out.__dict__["spectrum"] = turned          # what the cached property would hold
-    return out, cluster.size
+    turned = Spectrum(spectrum.eigenvalues, spectrum.factor, basis, spectrum.n)
+    copy = InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts)
+    original = Spectrum.from_instruments.__func__
+
+    def substituted(cls, roster):
+        return turned if roster is copy else original(cls, roster)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Spectrum, "from_instruments", classmethod(substituted))
+        yield copy, cluster.size
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -268,9 +278,6 @@ def test_fits_ignore_the_basis_inside_the_unit_variance_cluster(seed):
     delta_tilde = preliminary_delta(data, net, q1)
     rho = preliminary_rho(data, net, delta_tilde)
     inst = normalize_columns(q2_roster(net, q1), "unit-variance")
-    turned, size = rotated_in_cluster(inst, (net.n - 1) / net.n,
-                                      np.random.default_rng(seed))
-    assert size >= 2 and inst.spectrum.basis is not None
 
     def fits(roster):
         stage = first_stage(data, net, roster, rho)
@@ -281,8 +288,11 @@ def test_fits_ignore_the_basis_inside_the_unit_variance_cluster(seed):
                    bias_corrected_2sls(stage, lambda_tilde=float(delta_tilde[0]))]
         return chosen, results + [regularized_2sls(stage, s) for s in chosen + schemes]
 
-    chosen, want = fits(inst)
-    got_chosen, got = fits(turned)
+    with rotated_in_cluster(inst, (net.n - 1) / net.n,
+                            np.random.default_rng(seed)) as (turned, size):
+        assert size >= 2
+        chosen, want = fits(inst)
+        got_chosen, got = fits(turned)
     assert got_chosen == chosen
     for a, b in zip(got, want, strict=True):
         assert np.linalg.norm(a.delta - b.delta) <= 1e-10 * np.linalg.norm(b.delta)
@@ -304,7 +314,7 @@ def pc_fits(data, net, roster, delta_tilde):
     """The selected PC scheme, and the PC fit at every count of its grid."""
     stage = first_stage(data, net, roster, 0.0)
     ctx = prepare_selection(stage, delta_tilde, "cp")
-    grid = default_grid("PC", roster.spectrum, ctx.min_components)
+    grid = default_grid("PC", stage.spectrum, ctx.min_components)
     fits = [regularized_2sls(stage, Scheme.principal_components(int(k))).delta
             for k in grid]
     return select_from_context(ctx, "PC").scheme, fits
@@ -317,11 +327,11 @@ def test_pc_fits_and_alpha_ignore_the_basis_inside_the_cluster(seed, draw):
     # whole eigenspaces: turning the basis LAPACK picked inside the
     # (n - 1)/n cluster moves neither a PC fit nor the selected count
     net, data, delta_tilde, inst = cluster_draw(seed, draw)
-    turned, size = rotated_in_cluster(inst, (net.n - 1) / net.n,
-                                      np.random.default_rng(seed))
-    assert size >= 2
-    chosen, want = pc_fits(data, net, inst, delta_tilde)
-    got_chosen, got = pc_fits(data, net, turned, delta_tilde)
+    with rotated_in_cluster(inst, (net.n - 1) / net.n,
+                            np.random.default_rng(seed)) as (turned, size):
+        assert size >= 2
+        chosen, want = pc_fits(data, net, inst, delta_tilde)
+        got_chosen, got = pc_fits(data, net, turned, delta_tilde)
     assert got_chosen == chosen
     for a, b in zip(got, want, strict=True):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
@@ -333,8 +343,9 @@ def test_pc_selection_no_longer_splits_the_cluster_of_a_small_cell_draw():
     # of the (n - 1)/n cluster, an arbitrary subspace; the grid of cluster
     # ends chooses among whole eigenspaces only
     net, data, delta_tilde, inst = cluster_draw(0, 1)
-    spectrum = inst.spectrum
-    ctx = prepare_selection(first_stage(data, net, inst, 0.0), delta_tilde, "cp")
+    stage = first_stage(data, net, inst, 0.0)
+    spectrum = stage.spectrum
+    ctx = prepare_selection(stage, delta_tilde, "cp")
     every = np.arange(ctx.min_components, spectrum.rank + 1, dtype=float)
     split = int(every[np.argmin(_score_grid(ctx, "PC", every)[1])])
     clustered = np.isclose(spectrum.eigenvalues, (net.n - 1) / net.n, rtol=1e-10, atol=0.0)

@@ -102,3 +102,30 @@ def test_removed_wrappers_stay_removed():
                          ("transforms", "gram_D")):
         assert not hasattr(sarnet, name)
         assert not hasattr(importlib.import_module(f"sarnet.{module}"), name)
+
+
+def test_first_stage_owns_the_spectrum():
+    # a roster is decomposed by its first stage, not cached on the set, and
+    # the bias trace is the spectrum's own weighted trace: only
+    # regularization reads how a spectrum is represented
+    from sarnet.instruments import InstrumentSet
+    assert not hasattr(InstrumentSet, "spectrum")
+    assert not hasattr(importlib.import_module("sarnet.estimation"), "_bias_trace")
+    representation = {"factor", "basis", "scale"}
+    readers = [f"{m}:{node.lineno} {node.attr}" for m in MODULES if m != "regularization"
+               for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in representation]
+    assert readers == []
+
+
+def test_no_function_level_imports_between_layers():
+    # modules import each other at the top only, lower layers first; the
+    # one exception is GroupedNetwork.J, which builds a transforms.JProjector
+    # from the network transforms itself reads
+    found = []
+    for m in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{m}.{node.name}" for inner in ast.walk(node)
+                          if isinstance(inner, ast.ImportFrom) and inner.level > 0]
+    assert found == ["graphs.J"]

@@ -7,7 +7,6 @@ from sarnet.graphs import generate_mc_network, lee_group_network
 from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.instruments import (InstrumentSet, build_instruments,
                                 normalize_columns, q1_roster, q2_roster)
-from sarnet.regularization import Spectrum
 from conftest import draw_dataset
 from oracles import dense_M, dense_W
 
@@ -196,16 +195,6 @@ def test_instrument_set_validation():
         InstrumentSet(np.ones((3, 2)), ("only-one",))
     with pytest.raises(ValueError, match="unknown normalization 'weird'"):
         normalize_columns(InstrumentSet(np.ones((3, 1)), ("a",)), "weird")
-
-
-def test_spectrum_is_decomposed_once_and_cached(net_and_x):
-    net, X = net_and_x
-    inst = q2_roster(net, q1_roster(net, X))
-    assert inst.spectrum is inst.spectrum
-    direct = Spectrum.from_instruments(inst)
-    assert direct is not inst.spectrum
-    np.testing.assert_array_equal(inst.spectrum.eigenvalues, direct.eigenvalues)
-    np.testing.assert_array_equal(inst.spectrum.vectors, direct.vectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

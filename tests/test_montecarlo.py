@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sarnet import instruments, montecarlo
-from sarnet.estimation import (NumericalFailure, bias_corrected_2sls, first_stage,
-                               preliminary_delta)
+from sarnet import estimation, instruments, montecarlo
+from sarnet.estimation import (NumericalFailure, bias_corrected_2sls, classical_2sls,
+                               first_stage, preliminary_delta, preliminary_rho,
+                               regularized_2sls)
 from sarnet.graphs import GroupedNetwork, generate_mc_network
 from sarnet.montecarlo import (ESTIMATOR_LABELS, ESTIMATORS, McConfig,
                                ReplicationResult, run_replication, run_study,
@@ -65,16 +66,17 @@ class TestRunReplication:
             assert len(calls) == 2
 
     def test_one_first_stage_per_roster(self, monkeypatch):
-        # the finite-roster fit and the normalized q2 each get one stage; the
-        # q2 spectrum's coordinates are taken once for that stage and once
-        # by the selection context for its target direction, whatever the
+        # q1's one stage is the preliminary fit's, whose delta_tilde is also
+        # the finite-roster row; the normalized q2 gets one stage, and its
+        # spectrum's coordinates are taken once for that stage and once by
+        # the selection context for its target direction, whatever the
         # number of large-roster fits
         stages, rosters, coords = [], [], []
         first_stage, coords_of = montecarlo.first_stage, Spectrum.coords
 
         def counting_stage(data, net, inst, rho):
-            stages.append(inst)
-            return first_stage(data, net, inst, rho)
+            stages.append(first_stage(data, net, inst, rho))
+            return stages[-1]
 
         def recording(inst, mode):
             rosters.append(normalize_columns(inst, mode))
@@ -84,7 +86,8 @@ class TestRunReplication:
             coords.append(spectrum)
             return coords_of(spectrum, x)
 
-        monkeypatch.setattr(montecarlo, "first_stage", counting_stage)
+        for module in (montecarlo, estimation):          # preliminary_delta's too
+            monkeypatch.setattr(module, "first_stage", counting_stage)
         monkeypatch.setattr(montecarlo, "normalize_columns", recording)
         monkeypatch.setattr(Spectrum, "coords", counting_coords)
         config = McConfig(**{**SMALL, "criterion": "cp"})
@@ -94,8 +97,9 @@ class TestRunReplication:
             result = run_replication(config, np.random.SeedSequence(rep))
             assert not result.failures
             [q2_norm] = rosters
-            assert len(stages) == 2 and stages[1] is q2_norm
-            assert sum(s is q2_norm.spectrum for s in coords) == 2
+            assert len(stages) == 2 and stages[1].instruments is q2_norm
+            assert stages[0].instruments is not q2_norm and stages[0].rho_tilde == 0.0
+            assert sum(s is stages[1].spectrum for s in coords) == 2
 
     def test_small_roster_is_built_once(self, monkeypatch):
         # q2_roster extends the q1 it is given instead of building its own
@@ -126,19 +130,20 @@ class TestRunReplication:
     def test_psi_is_formed_only_for_loo(self, monkeypatch, criterion, formed):
         # at the G = 240 design every consumer but the LOO leverages works in
         # the instrument coordinates, so psi = Q Phi / sqrt(n nu) is never built
-        rosters = []
+        stages = []
+        original = montecarlo.first_stage
 
-        def recording(inst, mode):
-            rosters.append(normalize_columns(inst, mode))
-            return rosters[-1]
+        def recording(*args):
+            stages.append(original(*args))
+            return stages[-1]
 
-        monkeypatch.setattr(montecarlo, "normalize_columns", recording)
+        monkeypatch.setattr(montecarlo, "first_stage", recording)
         config = McConfig(group_count=240, group_size=15, max_links=6,
                           replications=1, seed=0, criterion=criterion)
         result = run_replication(config, np.random.SeedSequence(0).spawn(1)[0])
         assert not result.failures
-        [q2_norm] = rosters
-        spectrum = q2_norm.spectrum
+        [stage] = stages                            # the normalized q2's
+        spectrum = stage.spectrum
         assert spectrum.basis is not None           # the Gram route
         assert ("vectors" in spectrum.__dict__) == formed
 
@@ -161,6 +166,46 @@ class TestRunReplication:
             tracemalloc.stop()
         assert q2.n_columns > 480 and np.all(np.isfinite(fit.delta))
         assert peak < net.n * q2.n_columns * 8
+
+    def test_finite_row_is_delta_tilde_by_default(self):
+        # q1 is fitted once, at rho = 0, and that fit is both the
+        # preliminary estimate and the finite-roster row
+        config = McConfig(**SMALL)
+        for rep in range(3):
+            seed = np.random.SeedSequence(rep)
+            net, data = montecarlo._draw_sample(config, seed)
+            delta_tilde = preliminary_delta(data, net, q1_roster(net, data.regressors(net)))
+            result = run_replication(config, seed)
+            assert np.array_equal(result.estimates["2sls_finite"], delta_tilde[:3])
+
+    def test_transform_with_rho_whitens_every_row_at_rho_tilde(self):
+        # with the option on, the finite row gets its own q1 stage at
+        # rho_tilde, and the five large-roster rows read one rho_tilde
+        # stage of the normalized q2
+        config = McConfig(**{**SMALL, "transform_with_rho": True})
+        for rep in range(3):
+            seed = np.random.SeedSequence(rep)
+            result = run_replication(config, seed)
+            net, data = montecarlo._draw_sample(config, seed)
+            q1 = q1_roster(net, data.regressors(net))
+            delta_tilde = preliminary_delta(data, net, q1)
+            rho = preliminary_rho(data, net, delta_tilde)
+            assert result.rho_tilde == rho and rho != 0.0 and not result.failures
+            stage = first_stage(data, net, normalize_columns(q2_roster(net, q1),
+                                                             "unit-variance"), rho)
+            ctx = montecarlo.prepare_selection(stage, delta_tilde, config.criterion)
+            want = {
+                "2sls_finite": classical_2sls(first_stage(data, net, q1, rho)),
+                "2sls_large": classical_2sls(stage),
+                "bias_corrected": bias_corrected_2sls(
+                    stage, lambda_tilde=float(delta_tilde[0])),
+            }
+            for name, kind in (("t_2sls", "T"), ("lf_2sls", "LF"), ("pc_2sls", "PC")):
+                want[name] = regularized_2sls(
+                    stage, montecarlo.select_from_context(ctx, kind).scheme)
+                assert result.alphas[name] == want[name].scheme.alpha
+            for name in ESTIMATORS:
+                assert np.array_equal(result.estimates[name], want[name].delta[:3]), name
 
     def test_shared_rho_is_recorded(self):
         config = McConfig(**SMALL)
@@ -217,21 +262,20 @@ class TestFailureHandling:
         assert np.all(np.isfinite(rep.estimates["2sls_large"]))
 
     def test_failed_large_roster_stage_fails_its_five_fits(self, monkeypatch):
+        # the finite-roster row is delta_tilde, so the only stage the
+        # replication builds itself is the large roster's
         calls = []
-        original = montecarlo.first_stage
 
-        def second_fails(*args):
+        def fails(*args):
             calls.append(1)
-            if len(calls) == 2:                   # q1's stage comes first
-                raise np.linalg.LinAlgError("no spectrum")
-            return original(*args)
+            raise np.linalg.LinAlgError("no spectrum")
 
-        monkeypatch.setattr(montecarlo, "first_stage", second_fails)
+        monkeypatch.setattr(montecarlo, "first_stage", fails)
         rep = run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
         assert rep.failures == {name: "large-roster first stage failed: no spectrum"
                                 for name in ESTIMATORS[1:]}
         assert np.all(np.isfinite(rep.estimates["2sls_finite"]))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestRunStudy:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sarnet.estimation import (_bias_trace, bias_corrected_2sls, classical_2sls,
+from sarnet.estimation import (bias_corrected_2sls, classical_2sls,
                                first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
 from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, build_block_diagonal,
@@ -344,7 +344,7 @@ def test_full_projector_fits_are_invariant_to_column_scale(net, seed):
             want = fit(raw).delta
         except np.linalg.LinAlgError:          # too few instruments for the sandwich
             assume(False)
-        rtol = max(1e-10, 1e-13 * raw.spectrum.condition_number)
+        rtol = max(1e-10, 1e-13 * Spectrum.from_instruments(raw).condition_number)
         assert np.linalg.norm(fit(scaled).delta - want) <= rtol * np.linalg.norm(want)
 
 
@@ -371,7 +371,7 @@ def test_preliminary_delta_matches_textbook_oracle(net, seed):
     assume(sandwich < 1e6)
     want = textbook_iv_oracle(Z, data.y, Q)
     got = preliminary_delta(data, net, q1)
-    rtol = max(1e-12, 1e-13 * (sandwich + q1.spectrum.condition_number))
+    rtol = max(1e-12, 1e-13 * (sandwich + Spectrum.from_instruments(q1).condition_number))
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
@@ -388,7 +388,8 @@ def test_fits_sharing_one_first_stage_equal_fits_on_their_own(net, rho, seed):
         warnings.simplefilter("ignore")        # dropped columns warn
         inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
                                  "unit-variance")
-    rank = inst.spectrum.rank
+    shared = first_stage(data, net, inst, rho)
+    rank = shared.spectrum.rank
     fits = (classical_2sls,
             lambda stage: bias_corrected_2sls(stage, lambda_tilde=0.2),
             lambda stage: regularized_2sls(stage, Scheme.tikhonov(0.05)),
@@ -402,7 +403,6 @@ def test_fits_sharing_one_first_stage_equal_fits_on_their_own(net, rho, seed):
             return str(exc)
         return np.concatenate([result.delta, result.std_errors, [result.sigma2_hat]])
 
-    shared = first_stage(data, net, inst, rho)
     for fit in fits:
         got = outcome(fit, shared)
         want = outcome(fit, first_stage(data, net, inst, rho))
@@ -592,7 +592,7 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, seed):
     # psi itself depends on the basis LAPACK picks inside a cluster; the
     # eigenvalues and the projector psi psi' do not
     try:
-        spectrum, oracle = got.spectrum, Spectrum.from_instruments(F)
+        spectrum, oracle = Spectrum.from_instruments(got), Spectrum.from_instruments(F)
     except ValueError:                         # no nonzero spectrum
         assume(False)
     assume(oracle.condition_number < 1e8)
@@ -614,7 +614,8 @@ def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
     D = d_matrix(net, lam, rho)
     for scheme in (Scheme.principal_components(spectrum.rank), Scheme.tikhonov(alpha)):
         want = np.trace(projector_matrix(spectrum, scheme) @ D)
-        got = _bias_trace(net, spectrum, q_weights(scheme, spectrum), lam, rho)
+        got = spectrum.weighted_trace(q_weights(scheme, spectrum),
+                                      lambda V: apply_D(net, lam, rho, V))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 

@@ -73,7 +73,7 @@ def test_gram_route_decomposes_the_layout_gram(groups, clustered):
     net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
     inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
                              "unit-variance")
-    spec = inst.spectrum
+    spec = Spectrum.from_instruments(inst)
     n, F = inst.n, inst.dense()
     K = inst.gram() / n
     assert np.abs(K - F.T @ F / n).max() <= 1e-14
@@ -81,8 +81,7 @@ def test_gram_route_decomposes_the_layout_gram(groups, clustered):
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > EIGENVALUE_CUTOFF * vals[0]
     vals, vecs = vals[keep], vecs[:, keep]
-    assert spec.factor.Q is inst.Q and spec.factor.v is inst.v
-    assert "spectrum" not in spec.factor.__dict__     # no set <-> spectrum cycle
+    assert spec.factor is inst                        # the set itself, not a copy
     assert np.array_equal(spec.eigenvalues, vals)
     assert np.array_equal(spec.basis, vecs)
     gaps = -np.diff(vals) / vals[:-1] < 1e-10
@@ -113,8 +112,8 @@ class TestScheme:
 
 
 def spectrum_of(*nus):
-    """A spectrum with the given descending eigenvalues and trivial vectors."""
-    return Spectrum(np.array(nus, dtype=float), np.eye(len(nus)), len(nus))
+    """A dense-route spectrum with the given descending eigenvalues and psi = I."""
+    return Spectrum(np.array(nus, dtype=float), np.eye(len(nus)), None, len(nus))
 
 
 class TestQWeight:
