@@ -558,6 +558,11 @@ def load_edge_csv(path: str | Path,
     appear in the edge list, ordered by (group_id, node_id).  A repeated
     (group_id, src, dst) is refused; self-links are dropped with a warning.
     """
+    return _edge_network(path, node_keys)[0]
+
+
+def _edge_network(path, node_keys) -> tuple[GroupedNetwork, Sequence[tuple]]:
+    """``load_edge_csv``'s network and its node keys, one per row."""
     table = _CsvTable(path, "edge", ("group_id", "src", "dst"))
     gi, si, di = map(table.names.index, ("group_id", "src", "dst"))
     w = (table.floats([table.names.index("weight")], weights=True)[:, 0]
@@ -568,7 +573,8 @@ def load_edge_csv(path: str | Path,
     distinct, which = np.unique(g * len(nids) + v, return_inverse=True)
     which = which.reshape(v.shape)
     found = list(zip(gids[distinct // len(nids)].tolist(), nids[distinct % len(nids)].tolist()))
-    sizes, index = _group_layout(found if one_kind else node_keys)
+    keys = found if one_kind else node_keys
+    sizes, index = _group_layout(keys)
     pos = np.array([index.get(key, -1) for key in found])[which]
     if (pos < 0).any():
         i, c = divmod(int(np.argmax(pos.ravel() < 0)), 2)
@@ -591,19 +597,20 @@ def load_edge_csv(path: str | Path,
         stacks[-1][np.searchsorted(groups, group[e]), i[e], j[e]] = w[e]
     return GroupedNetwork.from_blocks(
         BlockStacks(sizes, stacks), BlockStacks(sizes, [row_normalize(S) for S in stacks]),
-        m_row_normalized=True)
+        m_row_normalized=True), keys
 
 
 def load_network(edges_path: str | Path,
                  nodes_path: str | Path | None = None,
                  m_edges_path: str | Path | None = None,
                  ) -> tuple[GroupedNetwork, PanelData | None]:
-    """Load a network plus optional node data, with optional separate M edges."""
+    """Load a network plus optional node data, with optional separate M edges on its nodes."""
     node_keys, data = load_node_csv(nodes_path) if nodes_path is not None else (None, None)
-    net = load_edge_csv(edges_path, node_keys)
+    net, keys = _edge_network(edges_path, node_keys)
     if m_edges_path is not None:
-        m_net = load_edge_csv(m_edges_path, node_keys)
-        if m_net.group_sizes != net.group_sizes:
-            raise ValueError("M edge list does not match the W edge list's node set")
+        m_net, m_keys = _edge_network(m_edges_path, node_keys)
+        if m_keys != keys:
+            raise ValueError(f"{m_edges_path}: M edge list does not match "
+                             "the W edge list's node set")
         net = GroupedNetwork.from_blocks(net.stacks_W(), m_net.stacks_W())
     return net, data

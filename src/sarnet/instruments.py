@@ -13,7 +13,8 @@ iota_r, which is nonzero only on group r's rows; those columns are held as
 one n-vector ``v`` (column r is v on group r's rows) and the first row of
 each group that has a column, never as an n x G block.  Products with the
 roster, its Gram and its normalization then cost O(n c) plus segment sums
-of v.
+of v.  Only ``InstrumentSet`` reads that layout, so its methods are the column
+rule of every roster: ``nonzero``, ``column_sds``, ``select`` and ``rescaled``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ __all__ = ["InstrumentSet", "NumericalFailure", "build_instruments",
 ZERO_COLUMN_RTOL = 1e-13
 
 _NORMALIZATIONS = ("none", "unit-variance")
-_SD_BLOCK = 16      # columns that normalize_columns transposes and reduces at a time
+_SD_BLOCK = 16      # columns that column_sds transposes and reduces at a time
+#: each column rule's failure when it leaves no column, keyed by its drop warnings' word
+_NOTHING_LEFT = {"numerically zero": "all instrument columns are numerically zero",
+                 "zero-variance": "all instrument columns had zero variance"}
 
 
 class NumericalFailure(ValueError):
@@ -153,37 +157,64 @@ class InstrumentSet:
         out[:, k:] = self._per_row(np.eye(self.starts.size))
         return out
 
+    def peaks(self) -> np.ndarray:
+        """Each column's largest absolute entry."""
+        peaks = np.abs(self.Q).max(axis=0)
+        if self.v is None:
+            return peaks
+        return np.concatenate([peaks, np.maximum.reduceat(np.abs(self.v), self.starts)])
 
-def _keep_nonzero(peaks: np.ndarray, labels: list[str]) -> np.ndarray:
-    """Which columns to keep, given each column's largest absolute entry.
+    def column_sds(self) -> np.ndarray:
+        """Each column's sample SD (ddof 1), NaN where rounding leaves no variance."""
+        n, k = self.n, self.Q.shape[1]
+        # each column reduced as one contiguous row, in the order a per-column
+        # np.std sums it, so the normalized roster is bit for bit the loop's; a
+        # block of columns at a time, so that the transposed copy stays small
+        sd = np.empty(self.n_columns)
+        for j in range(0, k, _SD_BLOCK):
+            cols = slice(j, min(j + _SD_BLOCK, k))
+            sd[cols] = np.std(np.ascontiguousarray(self.Q[:, cols].T), axis=1, ddof=1)
+        if self.v is not None:
+            # sum over all n rows of (x - mean)^2 = s2 - s1^2/n; J sweeps each
+            # group's mean, so s1 is rounding noise and nothing cancels.  A
+            # group that spans all n rows can round below zero: NaN
+            s1 = self._segment_sums(self.v)
+            s2 = self._segment_sums(self.v * self.v)
+            with np.errstate(invalid="ignore"):
+                sd[k:] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
+        return sd
 
-    A column is numerically zero when its peak falls below
-    ``ZERO_COLUMN_RTOL`` times the largest peak; each one is dropped with a
-    warning carrying its label.
-    """
-    scale = float(peaks.max()) if peaks.size else 0.0
-    if scale <= 0.0:
-        raise NumericalFailure("all instrument columns are numerically zero")
-    keep = peaks > ZERO_COLUMN_RTOL * scale
-    for lab, kept in zip(labels, keep):
-        if not kept:
-            warnings.warn(f"dropping numerically zero instrument column {lab!r}")
-    return keep
+    def select(self, keep: np.ndarray, why: str) -> InstrumentSet:
+        """The columns marked by ``keep``, each dropped one warned of by its label."""
+        for lab, kept in zip(self.labels, keep):
+            if not kept:
+                warnings.warn(f"dropping {why} instrument column {lab!r}")
+        if not keep.any():
+            raise NumericalFailure(_NOTHING_LEFT[why])
+        k = self.Q.shape[1]
+        # a boolean index copies even when it keeps every column
+        Q = self.Q if keep[:k].all() else self.Q[:, keep[:k]]
+        labels = tuple(lab for lab, kept in zip(self.labels, keep) if kept)
+        if self.v is None or not keep[k:].any():
+            return InstrumentSet(Q, labels)
+        v = self.v if keep[k:].all() else np.where(self._rows(keep[k:], fill=False), self.v, 0.0)
+        return InstrumentSet(Q, labels, v, self.starts[keep[k:]])
 
+    def nonzero(self) -> InstrumentSet:
+        """The columns whose peak is above ``ZERO_COLUMN_RTOL`` times the largest."""
+        peaks = self.peaks()
+        scale = float(peaks.max()) if peaks.size else 0.0
+        if scale <= 0.0:
+            raise NumericalFailure(_NOTHING_LEFT["numerically zero"])
+        return self.select(peaks > ZERO_COLUMN_RTOL * scale, "numerically zero")
 
-def _group_subset(Q: np.ndarray, labels, v: np.ndarray, starts: np.ndarray,
-                  keep: np.ndarray) -> InstrumentSet:
-    """Q and the per-group columns ``keep`` selects; v is zero on the others' rows."""
-    if not keep.any():
-        return InstrumentSet(Q, labels)
-    return InstrumentSet(Q, labels, v, starts[keep])
-
-
-def _drop_zero_columns(Q: np.ndarray, labels: list[str]) -> InstrumentSet:
-    keep = _keep_nonzero(np.abs(Q).max(axis=0), labels)
-    # a boolean index copies even when it keeps every column
-    return InstrumentSet(Q if keep.all() else Q[:, keep],
-                         tuple(lab for lab, k in zip(labels, keep) if k))
+    def rescaled(self, sd: np.ndarray) -> InstrumentSet:
+        """Each column divided by its entry of ``sd``; v is divided row by row."""
+        k = self.Q.shape[1]
+        # one n x c result, in C order as the Gram's bits need
+        Q = np.divide(self.Q, sd[:k], out=np.empty(self.Q.shape))
+        v = None if self.v is None else self.v / self._rows(sd[k:], fill=1.0)
+        return InstrumentSet(Q, self.labels, v, self.starts)
 
 
 def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
@@ -197,13 +228,13 @@ def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
     iota is the block-diagonal matrix of per-group ones vectors, so every
     power contributes one centrality column per group.  Numerically zero
     columns (underflowed high powers, covariates constant within groups) are
-    dropped with a warning carrying their label.
+    dropped by ``InstrumentSet.nonzero``.
     """
     X = _as_rows(X, network.n)
     if X.shape[0] != network.n:
         raise ValueError("X rows must match the network order")
     stack, labels = labelled_stack(network, X, order, include_bonacich, include_M_lags)
-    return _drop_zero_columns(network.J.apply(stack), [f"J.{lab}" for lab in labels])
+    return InstrumentSet(network.J.apply(stack), [f"J.{lab}" for lab in labels]).nonzero()
 
 
 def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
@@ -212,9 +243,7 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
     Tikhonov-style damping is not scale invariant, so columns with very
     different variances (a squared network lag versus a centrality count)
     would be regularized unevenly without this.  Zero-variance columns are
-    dropped with their label.  A per-group column is v on its group's rows
-    and zero elsewhere, so its variance comes from the segment sums of v and
-    v^2, and the rescaled set keeps the layout: v divided row by row.
+    dropped with their label, and the rescaled set keeps the per-group layout.
     """
     if mode == "none":
         return inst
@@ -222,38 +251,9 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
         raise ValueError(f"unknown normalization {mode!r}")
     if inst.n_columns == 0:
         raise ValueError("empty instrument set")
-    n, k = inst.n, inst.Q.shape[1]
-    # each column reduced as one contiguous row, in the order a per-column
-    # np.std sums it, so the normalized roster is bit for bit the loop's; a
-    # block of columns at a time, so that the transposed copy stays small
-    sd = np.empty(inst.n_columns)
-    for j in range(0, k, _SD_BLOCK):
-        cols = slice(j, min(j + _SD_BLOCK, k))
-        rows = np.ascontiguousarray(inst.Q[:, cols].T)
-        sd[cols] = np.std(rows, axis=1, ddof=1)
-    if inst.v is not None:
-        # sum over all n rows of (x - mean)^2 = s2 - s1^2/n; J sweeps each
-        # group's mean, so s1 is rounding noise and nothing cancels.  A
-        # group that spans all n rows can round below zero: NaN, dropped
-        s1 = inst._segment_sums(inst.v)
-        s2 = inst._segment_sums(inst.v * inst.v)
-        with np.errstate(invalid="ignore"):
-            sd[k:] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
+    sd = inst.column_sds()
     keep = (sd > 0.0) & np.isfinite(sd)
-    for lab, kept in zip(inst.labels, keep):
-        if not kept:
-            warnings.warn(f"dropping zero-variance instrument column {lab!r}")
-    if not np.any(keep):
-        raise NumericalFailure("all instrument columns had zero variance")
-    labels = tuple(lab for lab, kp in zip(inst.labels, keep) if kp)
-    # one n x c result, in C order as the Gram's bits need
-    Q = inst.Q if keep[:k].all() else inst.Q.compress(keep[:k], axis=1)
-    Q = np.divide(Q, sd[:k][keep[:k]], out=np.empty(Q.shape))
-    if inst.v is None:
-        return InstrumentSet(Q, labels)
-    # a dropped column's rows are divided by inf, which zeroes them
-    scale = inst._rows(np.where(keep[k:], sd[k:], np.inf), fill=np.inf)
-    return _group_subset(Q, labels, inst.v / scale, inst.starts, keep[k:])
+    return inst.select(keep, "zero-variance").rescaled(sd[keep])
 
 
 def _distinct_columns(columns) -> list[int]:
@@ -289,8 +289,8 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     # J goes column by column so each column's rounding is independent of the
     # others; PC selection inside a repeated eigenvalue turns a last-bit
     # change into a different component count
-    return _drop_zero_columns(np.column_stack([network.J.apply(cols[i]) for i in keep]),
-                              [labels[i] for i in keep])
+    return InstrumentSet(np.column_stack([network.J.apply(cols[i]) for i in keep]),
+                         [labels[i] for i in keep]).nonzero()
 
 
 def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
@@ -302,22 +302,12 @@ def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
     of groups (the many-instruments regime).
 
     Group r's column J_r W_r iota_r is nonzero only on that group's rows, and
-    there it equals the n-vector v = J W 1.  So v is computed once and the
-    roster holds it as its per-group part; no n x G block is formed, and
-    q1's columns are shared, not copied, when all of them are kept.
-    Numerically zero columns (groups without links, or whose W_r iota_r J
-    annihilates) are dropped by the same rule as everywhere else, and v is
-    zeroed on their rows.
+    there it equals the n-vector v = J W 1, which the roster holds as its
+    per-group part next to q1's shared columns.  Numerically zero columns
+    (groups without links, or whose W_r iota_r J annihilates) are dropped by
+    ``InstrumentSet.nonzero``.
     """
-    c = q1.n_columns
     sizes = np.asarray(network.group_sizes)
-    starts = np.cumsum(sizes) - sizes
     v = network.J.apply(network.lag_W(np.ones(q1.n)))
-    peaks = np.concatenate([np.abs(q1.Q).max(axis=0), np.maximum.reduceat(np.abs(v), starts)])
-    labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(sizes.size)]
-    keep = _keep_nonzero(peaks, labels)
-    Q = q1.Q if keep[:c].all() else q1.Q[:, keep[:c]]
-    kept = tuple(lab for lab, k in zip(labels, keep) if k)
-    if not keep[c:].all():
-        v = np.where(np.repeat(keep[c:], sizes), v, 0.0)
-    return _group_subset(Q, kept, v, starts, keep[c:])
+    labels = q1.labels + tuple(f"J.W.iota[{r}]" for r in range(sizes.size))
+    return InstrumentSet(q1.Q, labels, v, np.cumsum(sizes) - sizes).nonzero()

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
-from sarnet.instruments import InstrumentSet, _drop_zero_columns
+from sarnet.instruments import InstrumentSet
 from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.selection import SelectionContext
 
@@ -115,7 +115,7 @@ def q2_roster_dense(network, q1: InstrumentSet) -> InstrumentSet:
     """q1 extended by the n x G centrality block J W iota, formed whole."""
     V = network.J.apply(network.lag_W(network.group_ones()))
     labels = list(q1.labels) + [f"J.W.iota[{r}]" for r in range(V.shape[1])]
-    return _drop_zero_columns(np.column_stack([q1.Q, V]), labels)
+    return InstrumentSet(np.column_stack([q1.Q, V]), labels).nonzero()
 
 
 def d_matrix(network, lam: float, rho: float) -> np.ndarray:
@@ -306,6 +306,13 @@ def load_edge_csv_by_cell(path: str | Path,
                                       m_row_normalized=True)
 
 
+def edge_nodes_by_cell(path: str | Path) -> set[tuple]:
+    """The (group_id, node_id) keys at either end of an edge list's links."""
+    header, rows = _read_csv_rows(path)
+    gi, si, di = map([h.lower() for h in header].index, ("group_id", "src", "dst"))
+    return {(_as_id(r[gi]), _as_id(r[j])) for _, r in rows for j in (si, di)}
+
+
 def load_network_by_cell(edges_path: str | Path,
                  nodes_path: str | Path | None = None,
                  m_edges_path: str | Path | None = None,
@@ -317,8 +324,11 @@ def load_network_by_cell(edges_path: str | Path,
         node_keys, data = load_node_csv_by_cell(nodes_path)
     net = load_edge_csv_by_cell(edges_path, node_keys)
     if m_edges_path is not None:
-        m_net = load_edge_csv_by_cell(m_edges_path, node_keys if node_keys is not None else None)
-        if m_net.n != net.n or m_net.group_sizes != net.group_sizes:
-            raise ValueError("M edge list does not match the W edge list's node set")
+        m_net = load_edge_csv_by_cell(m_edges_path, node_keys)
+        # a node file fixes both node sets; without one, the two lists must
+        # link the same nodes, not merely as many in each group
+        if node_keys is None and edge_nodes_by_cell(m_edges_path) != edge_nodes_by_cell(edges_path):
+            raise ValueError(f"{m_edges_path}: M edge list does not match "
+                             "the W edge list's node set")
         net = GroupedNetwork.from_blocks(net.blocks_W(), m_net.blocks_W())
     return net, data

@@ -368,6 +368,15 @@ class TestBadInput:
         assert code == 2
         assert f"{edges}, line 3, column 3 (dst): unknown node 99 in group 0" in err
 
+    def test_m_edges_on_other_nodes_is_data_error(self, files, capsys):
+        edges, _ = files
+        m_edges = edges.with_name("m_edges.csv")
+        m_edges.write_text(edges.read_text().replace(",2,", ",99,"))
+        code, _, err = run_cli(["diagnose", "--edges", str(edges),
+                                "--m-edges", str(m_edges)], capsys)
+        assert code == 2
+        assert f"data error: {m_edges}: M edge list does not match" in err
+
     def test_repeated_edge_is_data_error(self, files, capsys):
         edges, nodes = files
         lines = edges.read_text().splitlines()

@@ -2,7 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sarnet.estimation import (SingularSystemError, assemble_z,
                                bias_corrected_2sls, classical_2sls,
@@ -11,7 +11,7 @@ from sarnet.estimation import (SingularSystemError, assemble_z,
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.montecarlo import McConfig, _draw_sample
-from sarnet.regularization import Scheme, Spectrum
+from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.selection import (_score_grid, default_grid, prepare_selection,
                               select_from_context)
 from conftest import draw_dataset
@@ -311,21 +311,30 @@ def cluster_draw(seed, draw):
 
 
 def pc_fits(data, net, roster, delta_tilde):
-    """The selected PC scheme, and the PC fit at every count of its grid."""
+    """The selected PC scheme, and the PC fit at every count of its grid with
+    the condition number of its normal equations U'diag(q)U."""
     stage = first_stage(data, net, roster, 0.0)
     ctx = prepare_selection(stage, delta_tilde, "cp")
-    grid = default_grid("PC", stage.spectrum, ctx.min_components)
-    fits = [regularized_2sls(stage, Scheme.principal_components(int(k))).delta
-            for k in grid]
+    fits = []
+    for k in default_grid("PC", stage.spectrum, ctx.min_components):
+        scheme = Scheme.principal_components(int(k))
+        q = q_weights(scheme, stage.spectrum)
+        fits.append((regularized_2sls(stage, scheme).delta,
+                     np.linalg.cond(stage.U.T @ (q[:, None] * stage.U))))
     return select_from_context(ctx, "PC").scheme, fits
 
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), draw=st.integers(0, 3))
+@example(seed=232, draw=0)
 def test_pc_fits_and_alpha_ignore_the_basis_inside_the_cluster(seed, draw):
     # PC counts end eigenvalue clusters, so a kept subspace is a sum of
     # whole eigenspaces: turning the basis LAPACK picked inside the
-    # (n - 1)/n cluster moves neither a PC fit nor the selected count
+    # (n - 1)/n cluster moves neither a PC fit nor the selected count.  The
+    # turn is a rounding change, which moves a fit by about eps times the
+    # condition number of its normal equations (observed below 3 eps cond
+    # over 40 draws; 0.03 eps cond at the pinned draw's 3 components, where
+    # cond is 5e7); a count that split an eigenspace would move it by O(1)
     net, data, delta_tilde, inst = cluster_draw(seed, draw)
     with rotated_in_cluster(inst, (net.n - 1) / net.n,
                             np.random.default_rng(seed)) as (turned, size):
@@ -333,8 +342,8 @@ def test_pc_fits_and_alpha_ignore_the_basis_inside_the_cluster(seed, draw):
         chosen, want = pc_fits(data, net, inst, delta_tilde)
         got_chosen, got = pc_fits(data, net, turned, delta_tilde)
     assert got_chosen == chosen
-    for a, b in zip(got, want, strict=True):
-        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    for (a, _), (b, cond) in zip(got, want, strict=True):
+        assert np.linalg.norm(a - b) <= 100 * np.finfo(float).eps * cond * np.linalg.norm(b)
 
 
 def test_pc_selection_no_longer_splits_the_cluster_of_a_small_cell_draw():

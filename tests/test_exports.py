@@ -129,3 +129,23 @@ def test_no_function_level_imports_between_layers():
                 found += [f"{m}.{node.name}" for inner in ast.walk(node)
                           if isinstance(inner, ast.ImportFrom) and inner.level > 0]
     assert found == ["graphs.J"]
+
+
+def test_instrument_set_owns_the_column_rule():
+    # peaks, drops and rescaling are InstrumentSet methods, so nothing
+    # outside its class body reads the per-group layout, and the roster
+    # builders' own zero-column helpers stay gone
+    instruments = importlib.import_module("sarnet.instruments")
+    for name in ("_keep_nonzero", "_group_subset", "_drop_zero_columns"):
+        assert not hasattr(instruments, name)
+    layout = {"v", "starts", "_rows", "_segment_sums", "_per_row"}
+    readers = []
+    for m in MODULES:
+        tree = ast.parse((PACKAGE / f"{m}.py").read_text())
+        owner = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "InstrumentSet"
+                 for node in ast.walk(cls)}
+        readers += [f"{m}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in layout
+                    and id(node) not in owner]
+    assert readers == []

@@ -279,6 +279,18 @@ class TestCsvIngestion:
         keys, _ = load_node_csv(tmp_path / "nodes.csv")
         assert keys == [("g10", 2), ("g9", -3), ("g9", 10)]
 
+    def test_m_edges_on_other_nodes_rejected(self, tmp_path):
+        # equal group sizes are not enough: without a node file M's node d
+        # would take the row of W's node c
+        (tmp_path / "w.csv").write_text("group_id,src,dst\n1,a,b\n1,b,c\n1,c,a\n")
+        (tmp_path / "m.csv").write_text("group_id,src,dst\n1,a,b\n1,b,d\n1,d,a\n")
+        with pytest.raises(ValueError, match=f"{tmp_path / 'm.csv'}: M edge list does not "
+                                             "match the W edge list's node set"):
+            load_network(tmp_path / "w.csv", None, tmp_path / "m.csv")
+        (tmp_path / "m.csv").write_text("group_id,src,dst\n1,c,b\n1,b,a\n")
+        net, _ = load_network(tmp_path / "w.csv", None, tmp_path / "m.csv")
+        assert net.lag_M(np.arange(3.0)).tolist() == [0.0, 0.0, 1.0]
+
     def test_node_keys_split_across_a_group_rejected(self, tmp_path):
         (tmp_path / "edges.csv").write_text("group_id,src,dst,weight\n1,0,1,1\n")
         with pytest.raises(ValueError, match="together"):

@@ -531,12 +531,14 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
 
 @PROPERTY_SETTINGS
 @given(net=odd_networks(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9),
-       normalized=st.booleans(), seed=st.integers(0, 1000))
-def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, seed):
+       normalized=st.booleans(), partial=st.booleans(), seed=st.integers(0, 1000))
+def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, partial, seed):
     # q2 held as its global columns plus one n-vector for the per-group
     # columns, against the n x (c + G) roster of the dense oracle: labels
     # and values, then every product the spectrum and the bias trace take
-    # from the layout against the same product of the written-out roster
+    # from the layout against the same product of the written-out roster.
+    # With ``partial`` a random subset of the per-group columns is first
+    # dropped from both through ``select``
     lam /= max(1.0, row_sum_norm(dense_W(net)))
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((net.n, 2))
@@ -547,6 +549,16 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, seed):
     got, got_warned = roster_and_warnings(lambda: q2_roster(net, q1))
     want, want_warned = roster_and_warnings(lambda: q2_roster_dense(net, q1))
     assert got.labels == want.labels and got_warned == want_warned
+    if partial:
+        per_group = np.array([lab.startswith("J.W.iota[") for lab in got.labels])
+        keep = ~per_group | (rng.random(per_group.size) < 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")    # each dropped column warns
+            kept, want = (inst.select(keep, "numerically zero") for inst in (got, want))
+        assert np.array_equal(kept.dense(), got.dense()[:, keep])
+        for lab in np.array(got.labels)[~keep]:
+            assert kept.v is None or not kept.v[group_slices(net)[int(lab[9:-1])]].any()
+        got = kept
     # J W 1 rounds as one vector, the oracle's J W iota as a block: each
     # centrality column is compared on the scale of W_r iota_r, before J
     # cancels most of it, and a normalized column on that scale over its SD
