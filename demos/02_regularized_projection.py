@@ -38,7 +38,12 @@ data = PanelData(y=y, x1=x[:, None], x2=x[:, None], group_sizes=net.group_sizes)
 q1 = q1_roster(net, data.regressors(net))
 inst = normalize_columns(q2_roster(net, q1), "unit-variance")
 spectrum = Spectrum.from_instruments(inst)
-print(f"{inst.n_columns} instrument columns, retained rank {spectrum.rank}")
+# unit-variance columns give every per-group column the same sum of
+# squares, so that value is an eigenvalue of high multiplicity; it is split
+# off in closed form and only the rest of the spectrum is decomposed
+value, size = spectrum.cluster
+print(f"{inst.n_columns} instrument columns, retained rank {spectrum.rank}, "
+      f"cluster {value:.6f} x {size}")
 print("eigenvalue range: %.3f .. %.3f  (condition %.1f)" % (
     spectrum.eigenvalues[-1], spectrum.eigenvalues[0], spectrum.condition_number))
 print()

@@ -326,11 +326,12 @@ def generate_mc_network(group_count: int, group_size: int, max_links: int,
     the group, never across groups) are set to 1.  k = 0 leaves the row all
     zeros (an individual with no successors).  M is the row-normalized W.
 
-    Draw order is fixed for reproducibility: groups in index order, one
-    uniform-integer vector per group covering its rows top to bottom.  The
-    generator is numpy's default (PCG64) when an integer or SeedSequence is
-    given, so identical seeds give bit-identical networks.  All groups are
-    then built at once as one (G, m, m) array.
+    Draw order is fixed for reproducibility: groups in index order, each
+    group's rows top to bottom, all drawn by one call whose stream equals
+    one uniform-integer vector per group drawn in turn.  The generator is
+    numpy's default (PCG64) when an integer or SeedSequence is given, so
+    identical seeds give bit-identical networks.  All groups are then built
+    at once as one (G, m, m) array.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
@@ -339,8 +340,7 @@ def generate_mc_network(group_count: int, group_size: int, max_links: int,
             f"max_links must lie in [0, group_size), got {max_links} with group_size {group_size}"
         )
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    degrees = np.array([rng.integers(0, max_links + 1, size=group_size)
-                        for _ in range(group_count)]).reshape(group_count, group_size, 1)
+    degrees = rng.integers(0, max_links + 1, size=(group_count, group_size, 1))
     # row i links to i+1 .. i+k (mod m): step t of the ring is on while t <= k
     steps = np.arange(1, max_links + 1)
     cols = (np.arange(group_size)[:, None] + steps) % group_size

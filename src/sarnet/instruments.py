@@ -13,7 +13,8 @@ iota_r, which is nonzero only on group r's rows; those columns are held as
 one n-vector ``v`` (column r is v on group r's rows) and the first row of
 each group that has a column, never as an n x G block.  Products with the
 roster, its Gram and its normalization then cost O(n c) plus segment sums
-of v.  Only ``InstrumentSet`` reads that layout, so its methods are the column
+of v; its Gram F'F/n is an arrowhead, handed over as blocks (``arrowhead``).
+Only ``InstrumentSet`` reads that layout, so its methods are the column
 rule of every roster: ``nonzero``, ``column_sds``, ``select`` and ``rescaled``.
 """
 
@@ -123,29 +124,34 @@ class InstrumentSet:
             return self.Q @ c
         return self.Q @ c[:k] + self._per_row(c[k:])
 
-    def gram(self, apply: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        """F'AF for a block-diagonal A given by ``apply`` (V -> A V); F'F without.
+    def arrowhead(self, apply: Callable[[np.ndarray], np.ndarray] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The blocks (head, left, right, diagonal) of F'AF for a block-diagonal A.
 
-        A acts on the c + 1 columns [Q, v] once.  Being block diagonal, it
-        maps the per-group column r to (A v) on group r's rows, so every
-        block of F'AF is a product of those columns or a segment sum of
-        their entrywise products; the per-group block is diagonal.
+        F'AF = [[head, right'], [left, diag(diagonal)]]: head = Q'AQ, and
+        ``left`` and ``right`` have one row per per-group column.  ``apply``
+        maps V -> A V; without it A = I, F'F is symmetric and ``right`` is
+        ``left``.  A acts on the c + 1 columns [Q, v] once.  Being block
+        diagonal, it maps the per-group column r to (A v) on group r's rows,
+        so both borders and the diagonal are segment sums of entrywise
+        products of those columns.  Without a per-group part they are empty.
         """
         Q, v = self.Q, self.v
         if v is None:
-            return Q.T @ (Q if apply is None else apply(Q))
+            empty = np.empty((0, Q.shape[1]))
+            return Q.T @ (Q if apply is None else apply(Q)), empty, empty, np.empty(0)
         if apply is None:
             AQ, Av = Q, v
         else:
             AF = apply(np.column_stack([Q, v]))
             AQ, Av = AF[:, :-1], AF[:, -1]
-        k = Q.shape[1]
-        out = np.zeros((self.n_columns, self.n_columns))
-        out[:k, :k] = Q.T @ AQ
-        out[:k, k:] = self._segment_sums(Q * Av[:, None]).T
-        out[k:, :k] = self._segment_sums(v[:, None] * AQ)
-        np.fill_diagonal(out[k:, k:], self._segment_sums(v * Av))
-        return out
+        left = self._segment_sums(v[:, None] * AQ)
+        right = left if apply is None else self._segment_sums(Q * Av[:, None])
+        return Q.T @ AQ, left, right, self._segment_sums(v * Av)
+
+    def per_group_squares(self, values: np.ndarray) -> np.ndarray:
+        """(V * V) values: v_i^2 times the entry of row i's per-group column."""
+        return self.v * self.v * self._rows(values)
 
     def dense(self) -> np.ndarray:
         """F as one n x m matrix, the per-group columns written out in full."""

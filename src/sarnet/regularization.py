@@ -28,14 +28,19 @@ Everything downstream of the eigendecomposition works in the rank-dimensional
 coordinates <e, psi_j>, the dual form of Carrasco (2012): with few
 instruments the psi_j are F phi_j / sqrt(n nu_j) for the eigenpairs
 (nu_j, phi_j) of K = F'F/n, F the instrument set, and ``Spectrum`` keeps
-them as that product, so the n x rank matrix psi is formed only where an
-n-vector per component is needed (the leave-one-out leverages).  For the
+them as that product, so the n x rank matrix psi is never needed.  For the
 large roster F = [Q | V], V one column per group held as one n-vector, K is
-assembled from Q'Q and segment sums (``InstrumentSet.gram``), and F'x and
-F c cost O(n c) plus a segment sum, never a product with an n x G block.
-The bias trace tr(P D) is ``Spectrum.weighted_trace`` on the same product.
-A roster's spectrum belongs to its first stage: ``estimation.first_stage``
-decomposes it once per stage, and an instrument set holds none.
+the arrowhead [[A, B'], [B, diag(d)]] that ``InstrumentSet.arrowhead``
+assembles from Q'Q and segment sums.  When the per-group diagonal d is one
+value (unit-variance columns), a thin SVD of the G x c border B of rank r
+deflates it (Golub 1973): d is an eigenvalue of multiplicity G - r whose
+eigenvectors are the complement of B's column space, held as r Householder
+reflectors, and only the (c + r)^2 core goes to ``eigh``.  F'x, F c, the
+bias trace tr(P D) (``Spectrum.weighted_trace``) and the leverages
+(``Spectrum.weighted_diagonal``) then cost O(n c) plus O(G c^2), never a
+product with an n x G block or a G x G matrix.  A roster's spectrum belongs
+to its first stage: ``estimation.first_stage`` decomposes it once per
+stage, and an instrument set holds none.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ __all__ = ["Spectrum", "Scheme", "q_weights", "apply_projector", "projector_trac
 EIGENVALUE_CUTOFF = 1e-12
 #: Landweber-Fridman step as a fraction of the bound 1/nu_1^2
 LF_STEP = 0.9
+#: per-group Gram diagonal entries within this many ulps of their largest are one value
+DIAGONAL_ULPS = 64
 
 _KINDS = ("T", "LF", "PC")
 
@@ -63,21 +70,32 @@ class Spectrum:
     """Nonzero eigenpairs (nu_j, psi_j) of F F'/n, psi held as a product F C.
 
     ``eigenvalues`` are descending and strictly positive after the relative
-    cutoff.  The orthonormal eigenvectors are psi = F C: on the Gram route
-    ``factor`` is the ``InstrumentSet`` F and C = Phi diag(n nu)^(-1/2), with
-    Phi (``basis``) the matching eigenvectors of K = F'F/n; on the dense
-    route ``factor`` is psi itself and C = I (``basis`` is None).  Consumers
-    go through ``coords(x)`` = psi'x = C'(F'x), ``expand(c)`` = psi c =
-    F(C c) and ``weighted_trace``; ``vectors`` forms psi itself on first
-    access and caches it.  Only this class reads the representation.
+    cutoff.  On the dense route ``factor`` is psi itself and C = I
+    (``basis`` is None).  On the Gram route ``factor`` is the
+    ``InstrumentSet`` F = [Q | V] and C = Phi diag(n nu)^(-1/2), Phi the
+    eigenvectors of the arrowhead K = F'F/n = [[A, B'], [B, diag(d)]], one
+    row of B and entry of d per column of V.  When d is one value,
+    ``_deflate`` finds an orthogonal H = I - Y T Y' (``reflectors`` = (Y, T))
+    on the per-group coordinates whose first r columns span B's columns;
+    its other G - r columns are eigenvectors of the eigenvalue d, the
+    cluster, which sits at ``cluster_start`` in the descending order with
+    ``cluster_size`` entries and is never formed.  ``basis`` holds the
+    other eigenvectors in the instrument coordinates.  Consumers go through
+    ``coords(x)`` = psi'x, ``expand(c)`` = psi c, ``weighted_trace`` and
+    ``weighted_diagonal``; ``vectors`` forms psi itself on first access and
+    caches it.  Only this class reads the representation.
     """
 
-    def __init__(self, eigenvalues, factor, basis: np.ndarray | None, n: int) -> None:
+    def __init__(self, eigenvalues, factor, basis: np.ndarray | None, n: int,
+                 reflectors: tuple[np.ndarray, np.ndarray] | None = None,
+                 cluster: tuple[int, int] = (0, 0)) -> None:
         vals = np.asarray(eigenvalues, dtype=float)
         if np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         self.eigenvalues, self.factor, self.basis, self.n = vals, factor, basis, int(n)
         self.scale = None if basis is None else np.sqrt(self.n * vals)
+        self.reflectors = reflectors
+        self.cluster_start, self.cluster_size = cluster
 
     @property
     def rank(self) -> int:
@@ -94,71 +112,205 @@ class Spectrum:
             return math.inf
         return float(self.eigenvalues[0] / self.eigenvalues[-1])
 
+    @property
+    def cluster(self) -> tuple[float, int]:
+        """(eigenvalue, multiplicity) of the cluster split off in closed form."""
+        if self.cluster_size == 0:
+            return 0.0, 0
+        return float(self.eigenvalues[self.cluster_start]), self.cluster_size
+
     def _scaled(self, c: np.ndarray) -> np.ndarray:
         """diag(n nu)^(-1/2) c for a rank-length vector or matrix c."""
         return c / (self.scale if c.ndim == 1 else self.scale[:, None])
+
+    def _split(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of a rank-row c on ``basis``'s components and on the cluster."""
+        p, g = self.cluster_start, self.cluster_size
+        if g == 0:
+            return c, c[:0]
+        return np.concatenate([c[:p], c[p + g:]]), c[p:p + g]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """psi'x = C'(F'x) for an n-vector or an n-row matrix x."""
         if self.basis is None:
             return self.factor.T @ x
-        return self._scaled(self.basis.T @ self.factor.tdot(x))
+        y = self.factor.tdot(x)
+        core = self.basis.T @ y
+        p, g = self.cluster_start, self.cluster_size
+        if g:
+            Y, T = self.reflectors
+            tail = _turn(Y, T.T, y[-Y.shape[0]:])[Y.shape[1]:]      # H'y, past r
+            core = np.concatenate([core[:p], tail, core[p:]])
+        return self._scaled(core)
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """psi c = F(C c) for a rank-length vector or a rank-row matrix c."""
         if self.basis is None:
             return self.factor @ c
-        return self.factor.dot(self.basis @ self._scaled(c))
+        core, tail = self._split(self._scaled(c))
+        coef = self.basis @ core
+        if self.cluster_size:
+            Y, T = self.reflectors
+            z = np.zeros((Y.shape[0],) + tail.shape[1:])
+            z[Y.shape[1]:] = tail
+            coef[-Y.shape[0]:] += _turn(Y, T, z)
+        return self.factor.dot(coef)
+
+    def _cluster_diagonal(self, w: np.ndarray) -> np.ndarray:
+        """diag(H_c diag(w) H_c') over the per-group coordinates, H_c = columns r.. of H.
+
+        H_c[g, j] = [g = r + j] - (Y T)[g] . Y[r + j], so the sum over j of
+        w_j H_c[g, j]^2 is a quadratic form in (Y T)[g] plus, for g >= r,
+        the diagonal and cross terms of w_(g - r): O(G r^2), and for a
+        constant w it is w (1 - ||H[g, :r]||^2).
+        """
+        Y, T = self.reflectors
+        r = Y.shape[1]
+        YT, tail = Y @ T, Y[r:]
+        out = np.einsum("gi,ij,gj->g", YT, (tail * w[:, None]).T @ tail, YT)
+        out[r:] += w * (1.0 - 2.0 * np.einsum("gi,gi->g", YT[r:], tail))
+        return out
 
     def weighted_trace(self, q: np.ndarray,
                        apply: Callable[[np.ndarray], np.ndarray]) -> float:
         """sum_j q_j psi_j' A psi_j, A block diagonal and ``apply`` V -> A V.
 
-        The Gram route contracts C diag(q) C' with F'AF, the instrument
-        set's ``gram``, in which A acts on c + 1 columns; the dense route
-        takes only the diagonal of psi'A psi.  A = D gives tr(P^alpha D).
+        The Gram route contracts the columns of ``basis``, split into their
+        global rows a and per-group rows b, with the arrowhead blocks of
+        F'AF (``InstrumentSet.arrowhead``, A applied to c + 1 columns); the
+        cluster adds its closed-form diagonal against the per-group block.
+        The dense route takes only the diagonal of psi'A psi.  A = D gives
+        tr(P^alpha D).
         """
         if self.basis is None:
             return float(np.einsum("ij,ij,j->", self.factor, apply(self.factor), q))
-        B = (self.basis * (q / self.scale ** 2)) @ self.basis.T
-        return float(np.vdot(B, self.factor.gram(apply)))     # B is symmetric
+        head, left, right, diagonal = self.factor.arrowhead(apply)
+        w, w_cluster = self._split(q / self.scale ** 2)
+        k = head.shape[0]
+        a, b = self.basis[:k], self.basis[k:]
+        total = float(np.vdot((a * w) @ a.T, head))
+        total += float((((left + right) @ a + diagonal[:, None] * b) * b).sum(axis=0) @ w)
+        if self.cluster_size:
+            total += float(diagonal @ self._cluster_diagonal(w_cluster))
+        return total
+
+    def weighted_diagonal(self, q: np.ndarray) -> np.ndarray:
+        """sum_j q_j psi_ij^2 for every row i, the diagonal of psi diag(q) psi'.
+
+        The Gram route squares only the n-vectors of ``basis``'s components;
+        the cluster adds v_i^2 times its closed-form diagonal of its group.
+        """
+        if self.basis is None:
+            return self.factor ** 2 @ q
+        w, w_cluster = self._split(q / self.scale ** 2)
+        out = self.factor.dot(self.basis) ** 2 @ w
+        if self.cluster_size:
+            out += self.factor.per_group_squares(self._cluster_diagonal(w_cluster))
+        return out
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
-        """psi as an n x rank matrix, (F Phi) / sqrt(n nu) on the Gram route."""
+        """psi as an n x rank matrix, for inspection; no consumer needs it."""
         if self.basis is None:
             return self.factor
-        return self.factor.dot(self.basis) / self.scale
+        return self.expand(np.eye(self.rank))
 
     @classmethod
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
         """Eigendecompose F F'/n, working in whichever dimension is smaller.
 
-        For m < n/4 instruments the m x m Gram K = F'F/n is decomposed and
-        psi is kept as F Phi diag(n nu)^(-1/2); otherwise F F'/n is
-        decomposed directly, with F written out in full, and psi is its
-        eigenvectors.  Both routes share their nonzero spectrum.  Every fit
-        gets its roster's spectrum from here, through ``first_stage``; a bare
-        matrix is taken as the global columns of an ``InstrumentSet``.
+        For m < n/4 instruments the Gram K = F'F/n is decomposed: ``_deflate``
+        splits off the cluster of K's per-group block, and only the
+        (c + r)^2 core goes to ``eigh``; without a per-group part the core is
+        Q'Q/n itself.  Otherwise F F'/n is decomposed directly, with F
+        written out in full, and psi is its eigenvectors.  Both routes share
+        their nonzero spectrum.  Every fit gets its roster's spectrum from
+        here, through ``first_stage``; a bare matrix is taken as the global
+        columns of an ``InstrumentSet``.
         """
         if not isinstance(inst, InstrumentSet):
             Q = np.atleast_2d(np.asarray(inst, dtype=float))
             inst = InstrumentSet(Q, tuple(map(str, range(Q.shape[1]))))
         n, m = inst.n, inst.n_columns
-        gram_route = m < n / 4
-        if gram_route:
-            vals, vecs = np.linalg.eigh(inst.gram() / n)
-        else:
+        dense = m >= n / 4
+        if dense:
             F = inst.dense()
             vals, vecs = np.linalg.eigh(F @ F.T / n)
+            value, size = 0.0, 0
+        else:
+            head, border, _, diagonal = inst.arrowhead()
+            core, Y, T, value, size = _deflate(head, border, diagonal)
+            vals, vecs = np.linalg.eigh(core / n)
+            value /= n
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        keep = vals > max(EIGENVALUE_CUTOFF * max(vals[0], 0.0), 0.0)
+        cut = EIGENVALUE_CUTOFF * max(vals.max(initial=0.0), value if size else 0.0)
+        keep = vals > cut
         vals, vecs = vals[keep], vecs[:, keep]
-        if vals.size == 0:
+        size = size if value > cut else 0
+        if vals.size + size == 0:
             raise NumericalFailure("instrument matrix has no nonzero spectrum")
-        if gram_route:
-            return cls(vals, inst, vecs, n)
-        return cls(vals, vecs, None, n)
+        if dense:
+            return cls(vals, vecs, None, n)
+        k, G = head.shape[0], diagonal.size
+        z = np.zeros((G, vecs.shape[1]))
+        z[:core.shape[0] - k] = vecs[k:]                 # the core's r per-group rows
+        basis = np.concatenate([vecs[:k], _turn(Y, T, z)])
+        start = int(np.count_nonzero(vals > value))
+        eigenvalues = np.concatenate([vals[:start], np.full(size, value), vals[start:]])
+        return cls(eigenvalues, inst, basis, n, (Y, T), (start, size))
+
+
+def _turn(Y: np.ndarray, T: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(I - Y T Y') z; with T' in place of T, the transpose of that product."""
+    return z - Y @ (T @ (Y.T @ z))
+
+
+def _reflectors(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact WY form (Y, T) of the Householder QR of an orthonormal G x r U.
+
+    H = I - Y T Y' is orthogonal and its first r columns are U's up to sign
+    (LAPACK's reflectors, accumulated as in its ``dlarft``).
+    """
+    G, r = U.shape
+    h, tau = np.linalg.qr(U, mode="raw")
+    Y = np.tril(h.T, -1) + np.eye(G, r)
+    T = np.zeros((r, r))
+    for i in range(r):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ (Y[:, :i].T @ Y[:, i]))
+        T[i, i] = tau[i]
+    return Y, T
+
+
+def _deflate(head: np.ndarray, border: np.ndarray, diagonal: np.ndarray):
+    """Split the arrowhead K = [[head, border'], [border, diag(diagonal)]].
+
+    When the G diagonal entries agree to ``DIAGONAL_ULPS`` (a unit-variance
+    large roster: each column has sum of squares n - 1) they are taken as
+    their mean d.  A thin SVD border = U S W' of rank r then gives H (as
+    ``_reflectors`` of U), and diag(I, H)' K diag(I, H) is the core
+    [[head, B'H_r], [H_r'B, d I_r]] plus d on the other G - r coordinates
+    (Golub 1973).  Otherwise H = I, r = G and the core is K itself, as it is
+    without a per-group part (G = 0, the core is ``head``).  Returns
+    (core, Y, T, d, G - r).
+    """
+    G, k = border.shape
+    peak = float(np.abs(diagonal).max(initial=0.0))
+    if G and np.ptp(diagonal) <= DIAGONAL_ULPS * np.finfo(float).eps * peak:
+        value = float(diagonal.mean())
+        U, s, _ = np.linalg.svd(border, full_matrices=False)
+        # matrix_rank's tolerance
+        r = int(np.count_nonzero(s > s.max(initial=0.0) * max(G, k) * np.finfo(float).eps))
+        U, inner = U[:, :r], np.full(r, value)
+    else:
+        value, r, inner, U = 0.0, G, diagonal, np.empty((G, 0))
+    Y, T = _reflectors(U)
+    turned = _turn(Y, T.T, border)[:r]                   # H_r'B; the rest vanishes
+    core = np.zeros((k + r, k + r))
+    core[:k, :k] = head
+    core[k:, :k] = turned
+    core[:k, k:] = turned.T
+    np.fill_diagonal(core[k:, k:], inner)
+    return core, Y, T, value, G - r
 
 
 @dataclass(frozen=True)

@@ -164,18 +164,17 @@ def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.
     ``grid[i]``, so tr P and tr P^2 are row sums and the first-stage
     residual ||(I - P) w||^2 = w'w - ((2 - q) q) coef^2 is one product.
     LOO builds its two n-vectors per row, residual and leverage, from the
-    squared eigenvectors formed once per call.
+    spectrum's ``expand`` and ``weighted_diagonal``; psi is never formed.
     """
-    q = _grid_weights(kind, grid, ctx.spectrum)
+    spectrum = ctx.spectrum
+    q = _grid_weights(kind, grid, spectrum)
     n = ctx.n
     tr_P = q.sum(axis=1)
     if ctx.criterion == "loo":
-        V = ctx.spectrum.vectors
-        V2 = V ** 2
         fit = np.empty(len(q))
         for i, qi in enumerate(q):
-            resid = ctx.w - V @ (qi * ctx.coef)
-            denom = 1.0 - V2 @ qi
+            resid = ctx.w - spectrum.expand(qi * ctx.coef)
+            denom = 1.0 - spectrum.weighted_diagonal(qi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(np.abs(denom) > 1e-12, resid / denom, np.inf)
             fit[i] = np.mean(r ** 2)

@@ -35,6 +35,21 @@ def dense_M(net: GroupedNetwork) -> np.ndarray:
     return build_block_diagonal(net.blocks_M())
 
 
+def mc_network_by_group(group_count: int, group_size: int, max_links: int,
+                        rng: np.random.Generator) -> GroupedNetwork:
+    """The wrap-around design of ``generate_mc_network``, drawn and built group
+    by group: one ``integers`` vector of out-degrees per group, in order, and
+    row i of a group linked to i+1 .. i+k (mod m) by a loop over its rows."""
+    blocks = []
+    for _ in range(group_count):
+        B = np.zeros((group_size, group_size))
+        for i, k in enumerate(rng.integers(0, max_links + 1, size=group_size)):
+            B[i, (i + 1 + np.arange(k)) % group_size] = 1.0
+        blocks.append(B)
+    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
+                                      m_row_normalized=True)
+
+
 def dense_distinct_eigenvalues(W: np.ndarray, tol: float = 1e-8,
                                ) -> tuple[int, list[tuple[float, int]]]:
     """Distinct eigenvalues of one dense symmetric W: ``eigvalsh`` of the whole
@@ -87,6 +102,17 @@ def dense_J(net: GroupedNetwork) -> np.ndarray:
         A = np.column_stack([np.ones(len(M_r)), M_r.sum(axis=1)])
         blocks.append(np.eye(len(M_r)) - A @ np.linalg.pinv(A, rcond=1e-10))
     return build_block_diagonal(blocks)
+
+
+def arrowhead_matrix(head, left, right, diagonal) -> np.ndarray:
+    """F'AF written out whole from the blocks of ``InstrumentSet.arrowhead``."""
+    k = head.shape[0]
+    out = np.zeros((k + diagonal.size, k + diagonal.size))
+    out[:k, :k] = head
+    out[:k, k:] = right.T
+    out[k:, :k] = left
+    np.fill_diagonal(out[k:, k:], diagonal)
+    return out
 
 
 def projector_matrix(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:

@@ -6,7 +6,7 @@ from sarnet.graphs import (GroupedNetwork, PanelData, build_block_diagonal,
                            load_edge_csv, load_network, load_node_csv,
                            row_normalize)
 from conftest import write_network_csvs
-from oracles import dense_M, dense_W, group_slices
+from oracles import dense_M, dense_W, group_slices, mc_network_by_group
 
 
 class TestBuildBlockDiagonal:
@@ -94,6 +94,19 @@ class TestGenerateMcNetwork:
                 if i == 9 and k == 3:
                     assert B[9, 0] == B[9, 1] == B[9, 2] == 1.0 and B[9].sum() == 3
         assert wrapped > 0
+
+    @pytest.mark.parametrize("group_count,group_size,max_links",
+                             [(1, 1, 0), (7, 6, 5), (40, 10, 3), (240, 15, 6), (13, 15, 1)])
+    def test_one_draw_matches_the_per_group_loop(self, group_count, group_size, max_links):
+        # all degrees come from one integers call; the stream, and so the
+        # network and the generator's next draw, equal one call per group
+        batched, looped = np.random.default_rng(5), np.random.default_rng(5)
+        net = generate_mc_network(group_count, group_size, max_links, batched)
+        want = mc_network_by_group(group_count, group_size, max_links, looped)
+        for got_B, want_B in ((net.blocks_W(), want.blocks_W()), (net.blocks_M(), want.blocks_M())):
+            assert all(np.array_equal(a, b) for a, b in zip(got_B, want_B, strict=True))
+        assert batched.random(3).tolist() == looped.random(3).tolist()
+        assert batched.integers(0, 7, size=5).tolist() == looped.integers(0, 7, size=5).tolist()
 
     def test_zero_degree_gives_zero_row(self):
         net = generate_mc_network(30, 10, 3, seed=11)

@@ -22,10 +22,10 @@ from sarnet import identification
 from sarnet.identification import (_rank_and_condition, build_report,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
-from sarnet.regularization import Scheme, Spectrum, q_weights
+from sarnet.regularization import Scheme, Spectrum, apply_projector, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form,
                                row_sum_norm, solve_blockwise)
-from oracles import (d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
+from oracles import (arrowhead_matrix, d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
                      dense_stack, dense_W, group_slices,
                      load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
                      s_matrix, textbook_iv_oracle)
@@ -34,9 +34,9 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def odd_blocks(draw, min_last=1):
+def odd_blocks(draw, min_last=1, min_groups=2, max_groups=6):
     """W blocks of sizes 1..7 (the last one at least ``min_last``), zero rows."""
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=min_groups - 1, max_size=max_groups - 1))
     sizes.append(draw(st.integers(min_last, 7)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = []
@@ -49,9 +49,9 @@ def odd_blocks(draw, min_last=1):
 
 
 @st.composite
-def odd_networks(draw, min_last=1):
+def odd_networks(draw, min_last=1, min_groups=2, max_groups=6):
     """The dense-constructed network of ``odd_blocks``, M the row-normalized W."""
-    blocks = draw(odd_blocks(min_last))
+    blocks = draw(odd_blocks(min_last, min_groups, max_groups))
     W = build_block_diagonal(blocks)
     return GroupedNetwork(tuple(len(B) for B in blocks), W, row_normalize(W),
                           m_row_normalized=True)
@@ -590,9 +590,9 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, partial, seed
     assert np.all(np.abs(F - want.Q) <= 1e-13 * scale)
 
     n, m = F.shape
-    K = got.gram() / n
+    K = arrowhead_matrix(*got.arrowhead()) / n
     np.testing.assert_allclose(K, F.T @ F / n, rtol=0.0, atol=1e-13 * np.abs(K).max())
-    FDF = got.gram(lambda V: apply_D(net, lam, rho, V))
+    FDF = arrowhead_matrix(*got.arrowhead(lambda V: apply_D(net, lam, rho, V)))
     dense_FDF = F.T @ d_matrix(net, lam, rho) @ F
     assert np.abs(FDF - dense_FDF).max() <= 1e-12 * max(1.0, np.abs(dense_FDF).max())
     x, c = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
@@ -629,6 +629,88 @@ def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
         got = spectrum.weighted_trace(q_weights(scheme, spectrum),
                                       lambda V: apply_D(net, lam, rho, V))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+# The Gram route splits the cluster of the large roster's per-group block off
+# in closed form.  The odd networks' rosters are wider than n/4, so each is
+# padded with zero rows (isolated rows without an instrument, in the last
+# group's segment) to take that route; F'F does not change.
+
+def padded(inst):
+    """``inst`` with zero rows appended until it takes the Gram route."""
+    pad = max(0, 4 * inst.n_columns + 4 - inst.n)
+    Q = np.vstack([inst.Q, np.zeros((pad, inst.Q.shape[1]))])
+    v = None if inst.v is None else np.concatenate([inst.v, np.zeros(pad)])
+    return InstrumentSet(Q, inst.labels, v, inst.starts)
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(min_groups=8, max_groups=16), width=st.integers(1, 2),
+       normalized=st.booleans(), lam=st.floats(-0.9, 0.9), rho=st.floats(-0.9, 0.9), alpha=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 1000))
+def test_deflated_spectrum_matches_dense_oracle(net, width, normalized, lam, rho, alpha, seed):
+    # eigenvalues, damped projectors and the bias trace of the deflated
+    # spectrum against eigh of the written-out F F'/n, and the cluster
+    # multiplicity against G - r, r the rank of the Gram's border.  Unit
+    # variance gives every per-group column the same sum of squares, so the
+    # cluster is there once G exceeds r; an unnormalized roster's diagonal
+    # differs and none is
+    lam /= max(1.0, row_sum_norm(dense_W(net)))
+    base = np.random.default_rng(seed).standard_normal((net.n, width))
+    try:
+        q1, _ = roster_and_warnings(lambda: q1_roster(net, base))
+        inst, _ = roster_and_warnings(lambda: normalize_columns(
+            q2_roster(net, q1), "unit-variance" if normalized else "none"))
+    except ValueError:                         # J = 0, or no column has variance
+        assume(False)
+    inst = padded(inst)
+    n, F = inst.n, inst.dense()
+    dense_vals, dense_vecs = np.linalg.eigh(F @ F.T / n)
+    dense_vals, dense_vecs = dense_vals[::-1], dense_vecs[:, ::-1]
+    # no eigenvalue near the relative cutoff, where either route may keep it
+    relative = dense_vals / dense_vals[0]
+    assume(not np.any((relative > 1e-15) & (relative < 1e-9)))
+    keep = relative > 1e-12
+    oracle = Spectrum(dense_vals[keep], dense_vecs[:, keep], None, n)
+    assume(oracle.condition_number < 1e8)
+    spectrum = Spectrum.from_instruments(inst)
+    assert spectrum.basis is not None and spectrum.rank == oracle.rank
+    np.testing.assert_allclose(spectrum.eigenvalues, oracle.eigenvalues, rtol=0.0,
+                               atol=1e-13 * oracle.nu_max)
+
+    _, border, _, diagonal = inst.arrowhead()
+    value, size = spectrum.cluster
+    groups = diagonal.size
+    rank = np.linalg.matrix_rank(border) if groups else 0
+    if normalized:
+        assert size == groups - rank
+    assert size in (0, groups - rank)
+    if size:
+        assert value == pytest.approx(diagonal.mean() / n, rel=1e-14)
+        assert np.sum(np.abs(oracle.eigenvalues - value) <= 1e-13 * oracle.nu_max) >= size
+
+    D = np.zeros((n, n))
+    D[:net.n, :net.n] = d_matrix(net, lam, rho)
+
+    def apply(V):
+        out = np.zeros_like(V)
+        out[:net.n] = apply_D(net, lam, rho, V[:net.n])
+        return out
+
+    # an eigenvector moves by about eps nu_1 / gap under rounding, so the
+    # projectors agree to a multiple of eps times the condition number, and
+    # the traces to that times the absolute sum of D
+    tol = 1e-13 * oracle.condition_number
+    for scheme in (Scheme.tikhonov(alpha * oracle.nu_max ** 2), Scheme.landweber(16),
+                   Scheme.principal_components(spectrum.rank)):
+        P = projector_matrix(oracle, scheme)
+        np.testing.assert_allclose(apply_projector(spectrum, scheme, np.eye(n)), P,
+                                   rtol=0.0, atol=tol)
+        q = q_weights(scheme, spectrum)
+        np.testing.assert_allclose(spectrum.weighted_diagonal(q), np.diag(P), rtol=0.0, atol=tol)
+        got = spectrum.weighted_trace(q, apply)
+        want = np.trace(P @ D)
+        assert abs(got - want) <= tol * max(1.0, np.abs(D).sum())
 
 
 # The CSV loaders convert whole columns; the oracle parses cell by cell.

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
                                    apply_projector,
                                    projector_traces, q_weights)
 from sarnet.selection import default_grid
-from oracles import projector_diagonal, projector_matrix
+from oracles import arrowhead_matrix, projector_diagonal, projector_matrix
 
 
 def random_instruments(seed, n=40, m=6):
@@ -57,16 +60,18 @@ class TestSpectrum:
 
 @pytest.mark.parametrize("groups,clustered", [(240, 233), (60, 53)])
 def test_gram_route_decomposes_the_layout_gram(groups, clustered):
-    """The normalized large roster's Gram comes from its layout, not a dense roster.
+    """The normalized large roster's spectrum is that of its layout's Gram.
 
-    K = F'F/n is assembled from Q'Q and segment sums of v; it equals the
-    Gram of the written-out roster to rounding, and the spectrum is one
-    ``eigh`` of it, with psi = (F Phi) / sqrt(n nu) formed only on request.
-    Each unit-variance per-group column has sum of squares n - 1 and its own
-    rows, so K holds a cluster at (n - 1)/n: on the first draw of seed 0 at
-    G = 240, 233 of the 245 adjacent eigenvalue gaps are below 1e-10
-    relative.  Its basis is arbitrary, so no PC count of ``default_grid``
-    falls inside it.
+    K = F'F/n is the arrowhead [[A, B'], [B, d I]] of the layout's blocks,
+    equal to the Gram of the written-out roster to rounding.  Each
+    unit-variance per-group column has sum of squares n - 1 and its own
+    rows, so d = (n - 1)/n, an eigenvalue of multiplicity G - r with r the
+    rank of the border B.  The spectrum holds that cluster exactly, as
+    ``clustered`` + 1 equal values: on the first draw of seed 0 at
+    G = 240, 233 of the 245 adjacent gaps of dense ``eigh`` of K are below
+    1e-10 relative.  Every eigenvalue agrees with dense ``eigh`` within
+    rounding, psi = F C is formed only on request and spans the same
+    space, and no PC count of ``default_grid`` falls inside the cluster.
     """
     config = McConfig(group_count=groups, group_size=15, max_links=6,
                       replications=1, seed=0)
@@ -75,22 +80,75 @@ def test_gram_route_decomposes_the_layout_gram(groups, clustered):
                              "unit-variance")
     spec = Spectrum.from_instruments(inst)
     n, F = inst.n, inst.dense()
-    K = inst.gram() / n
+    head, border, _, diagonal = inst.arrowhead()
+    K = arrowhead_matrix(head, border, border, diagonal) / n
     assert np.abs(K - F.T @ F / n).max() <= 1e-14
     vals, vecs = np.linalg.eigh(K)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > EIGENVALUE_CUTOFF * vals[0]
     vals, vecs = vals[keep], vecs[:, keep]
     assert spec.factor is inst                        # the set itself, not a copy
-    assert np.array_equal(spec.eigenvalues, vals)
-    assert np.array_equal(spec.basis, vecs)
-    gaps = -np.diff(vals) / vals[:-1] < 1e-10
+    assert spec.rank == vals.size
+    np.testing.assert_allclose(spec.eigenvalues, vals, rtol=0.0, atol=1e-14 * vals[0])
+    assert np.sum(-np.diff(vals) / vals[:-1] < 1e-10) == clustered
+    value, size = spec.cluster
+    assert size == diagonal.size - np.linalg.matrix_rank(border) == clustered + 1
+    assert value == pytest.approx((n - 1) / n, rel=1e-15)
+    start = spec.cluster_start
+    assert np.all(spec.eigenvalues[start:start + size] == value)
+    gaps = -np.diff(spec.eigenvalues) / spec.eigenvalues[:-1] < 1e-10
     assert np.sum(gaps) == clustered
     assert "vectors" not in spec.__dict__
-    np.testing.assert_allclose(spec.vectors, (F @ vecs) / np.sqrt(n * vals),
-                               rtol=0.0, atol=1e-13)
+    psi = spec.vectors
+    np.testing.assert_allclose(psi.T @ psi, np.eye(spec.rank), rtol=0.0, atol=1e-13)
+    dense_psi = (F @ vecs) / np.sqrt(n * vals)
+    x = np.random.default_rng(groups).standard_normal((n, 3))
+    np.testing.assert_allclose(psi @ (psi.T @ x), dense_psi @ (dense_psi.T @ x),
+                               rtol=0.0, atol=1e-12)
     counts = default_grid("PC", spec, 3).astype(int)
     assert not np.any(gaps[counts[counts < spec.rank] - 1])
+
+
+@pytest.mark.parametrize("roster", ["q1", "unnormalized q2"])
+def test_gram_route_without_a_cluster_is_one_eigh_of_the_gram(roster):
+    # a roster without a per-group part, and one whose per-group diagonal
+    # differs (unnormalized centrality columns), split nothing off: the
+    # core is K = F'F/n itself and the spectrum is one eigh of it, bit for bit
+    config = McConfig(group_count=60, group_size=15, max_links=6, replications=1, seed=0)
+    net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+    inst = q1_roster(net, data.regressors(net))
+    if roster != "q1":
+        inst = q2_roster(net, inst)
+    spec = Spectrum.from_instruments(inst)
+    K = arrowhead_matrix(*inst.arrowhead()) / inst.n
+    vals, vecs = np.linalg.eigh(K)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > EIGENVALUE_CUTOFF * vals[0]
+    assert spec.cluster == (0.0, 0)
+    assert np.array_equal(spec.eigenvalues, vals[keep])
+    assert np.array_equal(spec.basis, vecs[:, keep])
+
+
+def test_large_roster_spectrum_forms_no_gram_sized_array():
+    # 960 groups of 5 keep the unit-variance q2 on the Gram route (fewer
+    # than n/4 columns), where one (c + G)^2 array is 6.2 MB; the spectrum
+    # decomposes the (c + r)^2 core and holds the cluster's eigenvectors
+    # as r reflectors, so its peak stays a fraction of that
+    config = McConfig(group_count=960, group_size=5, max_links=3, replications=1, seed=0)
+    net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # groups without links drop their column
+        inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
+                                 "unit-variance")
+    assert inst.n_columns > 800 and inst.n_columns < inst.n / 4
+    tracemalloc.start()
+    try:
+        spec = Spectrum.from_instruments(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.n_columns ** 2 * 8 / 4
+    assert spec.cluster[1] > 800
 
 
 class TestScheme:
