@@ -13,6 +13,7 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -180,6 +181,9 @@ def _cmd_simulate(args) -> int:
     if args.max_links >= args.size:
         raise UsageError(f"--max-links must be below --size ({args.size}), "
                          f"got {args.max_links}")
+    if McConfig.lam * args.max_links >= 1.0:      # keeps ||lambda W|| < 1
+        raise UsageError(f"--max-links must be at most {math.ceil(1 / McConfig.lam) - 1} "
+                         f"at lambda = {McConfig.lam:g}, got {args.max_links}")
     config = McConfig(group_count=args.groups, group_size=args.size,
                       max_links=args.max_links, replications=args.reps,
                       seed=args.seed, criterion=args.criterion,

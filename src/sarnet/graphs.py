@@ -3,7 +3,9 @@
 A sample is a collection of disjoint groups.  Interactions only happen within
 a group, so the full-sample interaction matrices W (outcome spillovers) and M
 (disturbance spillovers) are block diagonal with one block per group, and a
-``GroupedNetwork`` stores only those blocks, as one stack per group size.
+``GroupedNetwork`` stores only those blocks, as one stack per group size.  The
+fixed-effect annihilator J is held on the same layout.  This module is the
+only one that knows which rows a size's stack covers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 __all__ = [
     "BlockStacks",
     "GroupedNetwork",
+    "JProjector",
     "PanelData",
     "build_block_diagonal",
     "row_normalize",
@@ -133,9 +136,88 @@ class BlockStacks:
                 out[r] = B
         return tuple(out)
 
+    def map(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            V: np.ndarray) -> np.ndarray:
+        """``fn(stack, V_g)`` on every size's stack and its (g, m, k) rows of V."""
+        return _map_stacked(fn, self.parts, V)
+
     def matmul(self, V: np.ndarray) -> np.ndarray:
         """This matrix times V, one batched product per block size."""
-        return _map_stacked(np.matmul, self.parts, V)
+        return self.map(np.matmul, V)
+
+
+#: relative residual of M iota on iota below which the two are treated as
+#: collinear, and iota alone spans the annihilated space
+COLLINEARITY_TOL = 1e-8
+#: relative singular-value cutoff of J's generalized inverse
+SV_CUTOFF = 1e-10
+
+
+class JProjector:
+    """Block-diagonal orthogonal projector annihilating span{iota, M_r iota}.
+
+    Within each group the basis of the annihilated space is iota alone when
+    M_r iota is (numerically) collinear with iota -- e.g. a row-normalized M
+    with no zero rows, where the block reduces to the deviation-from-group-
+    mean projector I - iota iota'/m -- and {iota, M_r iota} otherwise.
+
+    The generalized inverse in the textbook formula
+    I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
+    relative singular-value cutoff of ``SV_CUTOFF``.  Built from the diagonal
+    blocks M_r of M (a ``BlockStacks``); a network holds its own as
+    ``network.J``.
+
+    J is stored only as its bases B_r, J_r = I - B_r B_r': ``parts`` holds
+    one ``(rows, stack)`` pair per group size, on the rows of M's stacks,
+    the stack (g, m, min(m, 2)).  One batched SVD of [iota, M_r iota] per
+    size gives them, with M_r iota zeroed where it is collinear with iota
+    and the singular directions below the cutoff zeroed, so a basis of
+    width 1 carries a zero column.  ``apply`` is one batched
+    V - B (B' V) per size.
+    """
+
+    def __init__(self, M: BlockStacks):
+        self.group_sizes = M.group_sizes
+        parts, kept = [], 0
+        for rows, M_s in M.parts:
+            m = M_s.shape[1]
+            iota = np.ones(m)
+            mi = M_s @ iota
+            resid = mi - (mi.sum(axis=1, keepdims=True) / m) * iota
+            scale = np.maximum(np.linalg.norm(mi, axis=1), 1e-300)
+            collinear = np.linalg.norm(resid, axis=1) / scale < COLLINEARITY_TOL
+            A = np.stack([np.broadcast_to(iota, mi.shape),
+                          np.where(collinear[:, None], 0.0, mi)], axis=2)
+            U, s, _ = np.linalg.svd(A, full_matrices=False)
+            keep = s > SV_CUTOFF * s[:, :1]
+            kept += int(keep.sum())
+            parts.append((rows, U * keep[:, None, :]))
+        self.parts = tuple(parts)
+        #: tr J = n - the annihilated dimensions (J is a projector)
+        self.trace = float(sum(self.group_sizes) - kept)
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """J V for a vector or matrix V, one batched product per group size.
+
+        V is made C-contiguous first: BLAS picks its kernels, and with them
+        the rounding, by the operands' strides.
+        """
+        return _map_stacked(lambda B, V: V - B @ (B.transpose(0, 2, 1) @ V), self.parts,
+                            np.ascontiguousarray(V, dtype=float))
+
+    def trace_product(self, A: BlockStacks) -> float:
+        """tr(J A) for a block-diagonal A with this projector's group sizes.
+
+        Per group, tr(J_r A_r) = tr(A_r) - tr(B_r' A_r B_r): O(m^2) from the
+        basis, one batched product per size.  The per-group traces are
+        summed in network order.
+        """
+        if A.group_sizes != self.group_sizes:
+            raise ValueError("A's group sizes differ from the projector's")
+        traces = np.empty(len(self.group_sizes))
+        for groups, S, (_, B) in zip(A.groups, A.stacks(), self.parts):
+            traces[groups] = np.trace(S, axis1=1, axis2=2) - ((S @ B) * B).sum(axis=(1, 2))
+        return sum(traces.tolist())
 
 
 class GroupedNetwork:
@@ -152,9 +234,9 @@ class GroupedNetwork:
 
     W and M are stored as ``BlockStacks`` (``stacks_W()``, ``stacks_M()``):
     one read-only (g, m, m) stack per distinct group size, copied from the
-    input.  The block-wise kernels (lags, solves, J) make one batched call
-    per size.  ``blocks_W()`` and ``blocks_M()`` are read-only views into
-    the stacks, one per group.
+    input.  The block-wise kernels (lags, solves, and ``J``, a ``JProjector``
+    on the same rows) make one batched call per size.  ``blocks_W()`` and
+    ``blocks_M()`` are read-only views into the stacks, one per group.
     """
 
     def __init__(self, group_sizes: Sequence[int], W: np.ndarray, M: np.ndarray,
@@ -227,9 +309,8 @@ class GroupedNetwork:
         return self._M.blocks()
 
     @functools.cached_property
-    def J(self):
-        """The fixed-effect annihilator of this network's M (a ``JProjector``)."""
-        from .transforms import JProjector
+    def J(self) -> JProjector:
+        """The fixed-effect annihilator of this network's M."""
         return JProjector(self._M)
 
     # -- block-wise products ------------------------------------------------

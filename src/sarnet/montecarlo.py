@@ -102,6 +102,10 @@ class McConfig:
             raise ValueError("replications must be >= 1")
         if not 0 <= self.max_links < self.group_size:
             raise ValueError("max_links must lie in [0, group_size)")
+        # the design's binary W has row sums up to max_links
+        if abs(self.lam) * self.max_links >= 1.0:
+            raise ValueError(f"|lam| * max_links = {abs(self.lam) * self.max_links:g} >= 1: "
+                             "the drawn W could make ||lam W|| >= 1")
         _check_criterion(self.criterion)
 
     @property

@@ -45,7 +45,6 @@ stage, and an instrument set holds none.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -82,8 +81,7 @@ class Spectrum:
     ``cluster_size`` entries and is never formed.  ``basis`` holds the
     other eigenvectors in the instrument coordinates.  Consumers go through
     ``coords(x)`` = psi'x, ``expand(c)`` = psi c, ``weighted_trace`` and
-    ``weighted_diagonal``; ``vectors`` forms psi itself on first access and
-    caches it.  Only this class reads the representation.
+    ``weighted_diagonal``.  Only this class reads the representation.
     """
 
     def __init__(self, eigenvalues, factor, basis: np.ndarray | None, n: int,
@@ -207,13 +205,6 @@ class Spectrum:
         if self.cluster_size:
             out += self.factor.per_group_squares(self._cluster_diagonal(w_cluster))
         return out
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """psi as an n x rank matrix, for inspection; no consumer needs it."""
-        if self.basis is None:
-            return self.factor
-        return self.expand(np.eye(self.rank))
 
     @classmethod
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":

@@ -9,8 +9,9 @@ with X = (X1, W X2).  Estimation works on the transformed equation
     J R(rho) Y = lambda J R(rho) W Y + J R(rho) X beta + J eps,
 
 where R(rho) = I - rho M whitens the spatially correlated disturbance
-(Cochrane-Orcutt style) and the block-diagonal projector J sweeps out the
-group fixed effects by annihilating span{iota, M iota} within each group.
+(Cochrane-Orcutt style) and the block-diagonal projector J (``network.J``,
+a ``graphs.JProjector``) sweeps out the group fixed effects by annihilating
+span{iota, M iota} within each group.
 Everything here is computed block by block; no n x n inverse is ever formed.
 """
 
@@ -20,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BlockStacks, GroupedNetwork, PanelData, _group_rows, _map_stacked
+from .graphs import BlockStacks, GroupedNetwork, PanelData
 
 __all__ = [
     "ModelParams",
-    "JProjector",
     "assemble_z",
     "whiten",
     "apply_D",
     "whitened_residual",
-    "structural_residual",
     "reduced_form",
     "row_sum_norm",
     "solve_blockwise",
@@ -90,8 +89,7 @@ def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
     if coef == 0.0:
         return B
     try:
-        return _map_stacked(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V),
-                            A.parts, B)
+        return A.map(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V), B)
     except np.linalg.LinAlgError:
         for r, A_r in enumerate(A.blocks()):
             m = A_r.shape[0]
@@ -101,100 +99,6 @@ def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
                 raise np.linalg.LinAlgError(
                     f"{label} is singular on group block {r}") from None
         raise
-
-
-# ---------------------------------------------------------------------------
-# Fixed-effect annihilator J
-# ---------------------------------------------------------------------------
-
-class JProjector:
-    """Block-diagonal orthogonal projector annihilating span{iota, M_r iota}.
-
-    Within each group the basis of the annihilated space is iota alone when
-    M_r iota is (numerically) collinear with iota -- e.g. a row-normalized M
-    with no zero rows, where the block reduces to the deviation-from-group-
-    mean projector I - iota iota'/m -- and {iota, M_r iota} otherwise.
-
-    The generalized inverse in the textbook formula
-    I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
-    relative singular-value cutoff of 1e-10.  Built from the diagonal blocks
-    M_r of M (a ``BlockStacks``); a network holds its own as ``network.J``.
-
-    J is stored only as its orthonormal bases B_r, J_r = I - B_r B_r': one
-    (g, m, w) stack per pair of group size m and basis width w (1 or 2),
-    with the rows of those groups, so ``apply`` is one batched
-    V - B (B' V) per pair.
-    """
-
-    #: relative residual of M iota on iota below which the two are treated
-    #: as collinear and the group-mean projector is used
-    collinearity_tol = 1e-8
-    #: relative singular-value cutoff for the generalized inverse
-    sv_cutoff = 1e-10
-
-    def __init__(self, M: BlockStacks):
-        self.group_sizes = M.group_sizes
-        self._groups: list[np.ndarray] = []
-        self._parts: list[tuple[slice | np.ndarray, np.ndarray]] = []
-        for groups, M_s in zip(M.groups, M.stacks()):
-            m = M_s.shape[1]
-            iota = np.ones(m)
-            mi = M_s @ iota
-            resid = mi - (mi.sum(axis=1, keepdims=True) / m) * iota
-            scale = np.maximum(np.linalg.norm(mi, axis=1), 1e-300)
-            wide = ~(np.linalg.norm(resid, axis=1) / scale < self.collinearity_tol)
-            A = np.stack([np.broadcast_to(iota, mi.shape), mi], axis=2)
-            for cols in (1, 2):
-                sel = wide == (cols == 2)
-                if not sel.any():
-                    continue
-                U, s, _ = np.linalg.svd(A[sel, :, :cols], full_matrices=False)
-                width = (s > self.sv_cutoff * s[:, :1]).sum(axis=1)
-                for w in np.unique(width):
-                    keep = width == w
-                    self._add_part(groups[sel][keep], U[keep][:, :, :w])
-
-    def _add_part(self, groups: np.ndarray, bases: np.ndarray) -> None:
-        # each m x w basis is kept column-major, the layout of U[:, keep]
-        # from one group's own SVD: BLAS picks its kernels by the operands'
-        # layout, so J V then rounds exactly as a per-group loop does
-        self._groups.append(groups)
-        self._parts.append((_group_rows(self.group_sizes, groups),
-                            np.ascontiguousarray(bases.transpose(0, 2, 1)).transpose(0, 2, 1)))
-
-    @property
-    def n(self) -> int:
-        return sum(self.group_sizes)
-
-    @property
-    def trace(self) -> float:
-        """tr J = n - sum of annihilated dimensions (J is a projector)."""
-        return float(self.n - sum(B.shape[0] * B.shape[2] for _, B in self._parts))
-
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        """J V for a vector or matrix V, one batched product per (size, width).
-
-        V is made C-contiguous first: BLAS picks its kernels, and with them
-        the rounding, by the operands' strides.
-        """
-        return _map_stacked(lambda B, V: V - B @ (B.transpose(0, 2, 1) @ V), self._parts,
-                            np.ascontiguousarray(V, dtype=float))
-
-    def trace_product(self, A: BlockStacks) -> float:
-        """tr(J A) for a block-diagonal A with this projector's group sizes.
-
-        Per group, tr(J_r A_r) = tr(A_r) - tr(B_r' A_r B_r): O(m^2 w) from
-        the basis, one batched product per (size, width).  The per-group
-        traces are summed in network order.
-        """
-        stacks = {S.shape[1]: (groups, S) for groups, S in zip(A.groups, A.stacks())}
-        traces = np.empty(len(self.group_sizes))
-        for groups, (_, B) in zip(self._groups, self._parts):
-            by_size, S = stacks[B.shape[1]]
-            A_g = S[np.searchsorted(by_size, groups)]
-            traces[groups] = (np.trace(A_g, axis1=1, axis2=2)
-                              - ((A_g @ B) * B).sum(axis=(1, 2)))
-        return sum(traces.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +139,6 @@ def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,
                       Z: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """J R(rho) (y - Z delta); its mean square is the sigma2 plug-in."""
     return network.J.apply(whiten(network, rho, y - Z @ np.asarray(delta, dtype=float)))
-
-
-def structural_residual(params: ModelParams, data, network: GroupedNetwork,
-                        ) -> np.ndarray:
-    """J R(rho) (Y - lambda W Y - X beta); equals J eps at the true values."""
-    Z = assemble_z(data, network)
-    delta = np.concatenate([[params.lam], params.beta])
-    if Z.shape[1] != delta.size:
-        raise ValueError(f"X has {Z.shape[1] - 1} columns but beta has "
-                         f"{delta.size - 1} entries")
-    return whitened_residual(network, params.rho, data.y, Z, delta)
 
 
 def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,

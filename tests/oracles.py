@@ -115,16 +115,21 @@ def arrowhead_matrix(head, left, right, diagonal) -> np.ndarray:
     return out
 
 
+def psi(spectrum: Spectrum) -> np.ndarray:
+    """The n x rank eigenvectors psi of F F'/n, formed whole."""
+    return spectrum.expand(np.eye(spectrum.rank))
+
+
 def projector_matrix(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
     """Dense P^alpha = sum_j q_j psi_j psi_j'."""
-    q = q_weights(scheme, spectrum)
-    return (spectrum.vectors * q) @ spectrum.vectors.T
+    q, vectors = q_weights(scheme, spectrum), psi(spectrum)
+    return (vectors * q) @ vectors.T
 
 
 def projector_diagonal(spectrum: Spectrum, scheme: Scheme) -> np.ndarray:
     """Diagonal entries P^alpha_ii = sum_j q_j psi_ji^2 (smoother leverages)."""
     q = q_weights(scheme, spectrum)
-    return (spectrum.vectors ** 2) @ q
+    return (psi(spectrum) ** 2) @ q
 
 
 def textbook_iv_oracle(Z: np.ndarray, y: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -169,7 +174,7 @@ def loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
     nu = ctx.spectrum.eigenvalues[keep]
     qk = q[keep]
     n = ctx.n
-    U = ctx.spectrum.vectors[:, keep] * np.sqrt(n * nu)
+    U = psi(ctx.spectrum)[:, keep] * np.sqrt(n * nu)
     penalty = np.diag(nu * (1.0 - qk) / qk)
     B = U.T @ U / n + penalty
     Uw = U.T @ ctx.w / n

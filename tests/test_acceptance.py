@@ -24,7 +24,7 @@ from sarnet.regularization import (Scheme, Spectrum, apply_projector,
 from sarnet.selection import (SelectionContext, default_grid, prepare_selection,
                               select_from_context)
 from conftest import criterion_at, draw_dataset, nilpotent_dataset, write_network_csvs
-from oracles import loo_refit, projector_matrix
+from oracles import loo_refit, projector_matrix, psi
 
 GROUPS = (30, 60)
 SIZES = (10, 15)
@@ -255,8 +255,9 @@ def test_criterion_7_selector_suite(capsys):
     Q = rng.standard_normal((40, 6))
     spec = Spectrum.from_instruments(InstrumentSet(Q, tuple(f"c{i}" for i in range(6))))
     raw = rng.standard_normal(40)
-    w = raw - spec.vectors @ (spec.vectors.T @ raw)  # exactly no in-span signal
-    coef = spec.vectors.T @ w
+    vectors = psi(spec)
+    w = raw - vectors @ (vectors.T @ raw)  # exactly no in-span signal
+    coef = vectors.T @ w
     noisy = SelectionContext(spectrum=spec, w=w, coef=coef,
                              sigma2_eps=1.0,
                              sigma2_v=float(w @ w) / 40,

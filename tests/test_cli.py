@@ -544,6 +544,14 @@ class TestConfigAndErrors:
         assert out == ""
         assert f"usage error: {named}" in err
 
+    def test_unstable_design_is_one_line_usage_error(self, monkeypatch, capsys):
+        # a row of --max-links links has that row sum in the binary W, so
+        # lambda = 0.1 keeps ||lambda W|| < 1 only up to 9 links
+        monkeypatch.setattr(cli, "run_study", None)     # runs nothing
+        code, out, err = run_cli(["simulate", "--size", "15", "--max-links", "10"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "usage error: --max-links must be at most 9 at lambda = 0.1, got 10\n"
+
     def test_config_value_inside_choices_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("reps = 2\ngroups = 4\nsize = 8\ncriterion = gcv\n"

@@ -15,7 +15,7 @@ from sarnet.regularization import Scheme, Spectrum, q_weights
 from sarnet.selection import (_score_grid, default_grid, prepare_selection,
                               select_from_context)
 from conftest import draw_dataset
-from oracles import dense_M, dense_W, textbook_iv_oracle
+from oracles import dense_M, dense_W, psi, textbook_iv_oracle
 
 
 class TestPreliminaryDelta:
@@ -200,7 +200,8 @@ class TestBiasCorrected:
         q = Spectrum.from_instruments(
             InstrumentSet(np.random.default_rng(1).standard_normal((12, 4)),
                           tuple("abcd")))
-        P = (q.vectors @ q.vectors.T)
+        vectors = psi(q)
+        P = vectors @ vectors.T
         Rm = np.eye(12) - rho * dense_M(net)
         # dense-inverse oracle
         D_dense = Rm @ W @ np.linalg.inv(np.eye(12) - lam * W) @ np.linalg.inv(Rm)
@@ -211,7 +212,7 @@ class TestBiasCorrected:
         # and the operator route used by the estimator agrees with both:
         # tr(P D) = sum_j psi_j' D psi_j with every component kept
         from sarnet.transforms import apply_D
-        got = np.einsum("ij,ij->", q.vectors, apply_D(net, lam, rho, q.vectors))
+        got = np.einsum("ij,ij->", vectors, apply_D(net, lam, rho, vectors))
         assert got == pytest.approx(np.trace(P @ D_dense), abs=1e-8)
 
     def test_correction_moves_lambda_toward_truth_on_average(self):

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sarnet
-from sarnet.graphs import GroupedNetwork
-from sarnet.transforms import JProjector
+from sarnet.graphs import GroupedNetwork, JProjector
+from sarnet.regularization import Spectrum
 
 PACKAGE = Path(sarnet.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -97,9 +97,10 @@ def test_package_imports_numpy_alone():
 def test_removed_wrappers_stay_removed():
     # a selection curve already holds (alpha, criterion, S_hat) at every
     # grid point, and the bias trace reads the instrument set's Gram, so the
-    # one-point selection wrappers and the support-scanning F'DF are gone
+    # one-point selection wrappers and the support-scanning F'DF are gone;
+    # the structural residual is the whitened residual at (lambda, beta)
     for module, name in (("selection", "criterion_value"), ("selection", "s_hat"),
-                         ("transforms", "gram_D")):
+                         ("transforms", "gram_D"), ("transforms", "structural_residual")):
         assert not hasattr(sarnet, name)
         assert not hasattr(importlib.import_module(f"sarnet.{module}"), name)
 
@@ -116,19 +117,40 @@ def test_first_stage_owns_the_spectrum():
                for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text()))
                if isinstance(node, ast.Attribute) and node.attr in representation]
     assert readers == []
+    # psi = F C is never formed whole; the n x rank form is a test oracle
+    assert not hasattr(Spectrum, "vectors")
 
 
 def test_no_function_level_imports_between_layers():
-    # modules import each other at the top only, lower layers first; the
-    # one exception is GroupedNetwork.J, which builds a transforms.JProjector
-    # from the network transforms itself reads
+    # modules import each other at the top only, lower layers first
     found = []
     for m in MODULES:
         for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{m}.{node.name}" for inner in ast.walk(node)
                           if isinstance(inner, ast.ImportFrom) and inner.level > 0]
-    assert found == ["graphs.J"]
+    assert found == []
+
+
+def test_only_graphs_knows_the_per_size_layout():
+    # which rows each size's stack covers, and the groups it holds, are
+    # read in graphs alone: the other modules go through stacks(), blocks(),
+    # map() and the network's kernels.  cli's argparse namespace has a
+    # --groups option of its own.  J is built in graphs too.
+    assert sarnet.JProjector is JProjector
+    assert not hasattr(importlib.import_module("sarnet.transforms"), "JProjector")
+    readers = []
+    for m in MODULES:
+        if m == "graphs":
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("parts", "groups")
+                    and ast.unparse(node.value) != "args"):
+                readers.append(f"{m}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.ImportFrom):
+                readers += [f"{m}:{node.lineno} {a.name}" for a in node.names
+                            if a.name in ("_group_rows", "_map_stacked")]
+    assert readers == []
 
 
 def test_instrument_set_owns_the_column_rule():

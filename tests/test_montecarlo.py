@@ -129,8 +129,8 @@ class TestRunReplication:
     @pytest.mark.parametrize("criterion", ["cp", "loo"])
     def test_psi_is_never_formed(self, monkeypatch, criterion):
         # at the G = 240 design every consumer works in the instrument
-        # coordinates, the LOO leverages included (``weighted_diagonal``), so
-        # psi = F C is never built
+        # coordinates, the LOO leverages included (``weighted_diagonal``), and
+        # a spectrum has no way to build psi = F C whole
         stages = []
         original = montecarlo.first_stage
 
@@ -147,7 +147,7 @@ class TestRunReplication:
         spectrum = stage.spectrum
         assert spectrum.basis is not None           # the Gram route
         assert spectrum.cluster[1] > 0
-        assert "vectors" not in spectrum.__dict__
+        assert not hasattr(Spectrum, "vectors")
 
     def test_large_roster_path_stays_below_one_dense_roster(self):
         # at G = 480 the dense n x (c + G) roster alone is 28 MB; the layout
@@ -433,6 +433,12 @@ def test_config_validation():
         McConfig(replications=0)
     with pytest.raises(ValueError):
         McConfig(group_size=5, max_links=5)
+    # a row with max_links links has row sum max_links in the binary W
+    with pytest.raises(ValueError, match=r"\|lam\| \* max_links = 1 >= 1"):
+        McConfig(group_size=15, max_links=10)
+    with pytest.raises(ValueError, match="max_links = 1.2 >= 1"):
+        McConfig(group_size=15, max_links=4, lam=-0.3)
+    assert McConfig(group_size=15, max_links=9).max_links == 9
     for empty in ({"group_count": 0}, {"group_count": -3}, {"group_size": 0, "max_links": 0}):
         with pytest.raises(ValueError, match="group_count and group_size must be >= 1"):
             McConfig(**empty)

@@ -25,6 +25,7 @@ from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_r
 from sarnet.regularization import Scheme, Spectrum, apply_projector, q_weights
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form,
                                row_sum_norm, solve_blockwise)
+import oracles
 from oracles import (arrowhead_matrix, d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
                      dense_stack, dense_W, group_slices,
                      load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
@@ -272,7 +273,9 @@ def loop_solve(net, coef, blocks, V):
 
 
 def loop_j_apply(net, V):
-    """J V from each group's own basis of span{iota, M_r iota}, as in the docstring."""
+    """J V from each group's own basis of span{iota, M_r iota}, as in the docstring:
+    the SVD of [iota, 0] when M_r iota is collinear with iota, of [iota, M_r iota]
+    otherwise, with the directions below the cutoff zeroed."""
     out = np.array(V)
     for M_r, sl in zip(net.blocks_M(), group_slices(net)):
         m = len(M_r)
@@ -280,9 +283,9 @@ def loop_j_apply(net, V):
         mi = M_r @ iota
         resid = mi - (mi.sum() / m) * iota
         collinear = np.linalg.norm(resid) / max(np.linalg.norm(mi), 1e-300) < 1e-8
-        A = iota[:, None] if collinear else np.column_stack([iota, mi])
+        A = np.column_stack([iota, np.zeros(m) if collinear else mi])
         U, s, _ = np.linalg.svd(A, full_matrices=False)
-        B = U[:, s > 1e-10 * s[0]]
+        B = U * (s > 1e-10 * s[0])
         out[sl] = out[sl] - B @ (B.T @ out[sl])
     return out
 
@@ -519,7 +522,7 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
     spectrum = route_spectrum(support_roster(net, rng), gram)
     x = rng.standard_normal((net.n, 3))
     c = rng.standard_normal((spectrum.rank, 3))
-    psi = spectrum.vectors
+    psi = oracles.psi(spectrum)
     for got, want in ((spectrum.coords(x), psi.T @ x),
                       (spectrum.coords(x[:, 0]), psi.T @ x[:, 0]),
                       (spectrum.expand(c), psi @ c),
@@ -611,8 +614,9 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, partial, seed
     assert spectrum.rank == oracle.rank
     np.testing.assert_allclose(spectrum.eigenvalues, oracle.eigenvalues, rtol=0.0,
                                atol=1e-13 * oracle.nu_max)
-    P = oracle.vectors @ oracle.vectors.T
-    np.testing.assert_allclose(spectrum.vectors @ spectrum.vectors.T, P, rtol=0.0, atol=1e-8)
+    psi, oracle_psi = oracles.psi(spectrum), oracles.psi(oracle)
+    P = oracle_psi @ oracle_psi.T
+    np.testing.assert_allclose(psi @ psi.T, P, rtol=0.0, atol=1e-8)
     np.testing.assert_allclose(spectrum.expand(spectrum.coords(x)), P @ x, rtol=0.0,
                                atol=1e-8 * np.abs(x).max())
 

@@ -11,7 +11,7 @@ from sarnet.regularization import Scheme, Spectrum, projector_traces
 from sarnet.selection import (SelectionContext, curve_to_csv, default_grid,
                               prepare_selection, select_alpha, select_from_context)
 from conftest import criterion_at, draw_dataset, s_hat_at
-from oracles import dense_J, dense_M, dense_W, loo_refit, r_matrix, s_matrix
+from oracles import dense_J, dense_M, dense_W, loo_refit, psi, r_matrix, s_matrix
 
 
 def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
@@ -26,12 +26,13 @@ def make_context(seed=0, n=30, m=6, noise=1.0, signal=1.0, sigma2_eps=0.8,
     Q = rng.standard_normal((n, m))
     spec = Spectrum.from_instruments(InstrumentSet(Q, tuple(f"c{i}" for i in range(m))))
     raw = rng.standard_normal(n)
-    in_span = spec.vectors @ (spec.vectors.T @ raw)
+    vectors = psi(spec)
+    in_span = vectors @ (vectors.T @ raw)
     raw2 = rng.standard_normal(n)
-    off_span = raw2 - spec.vectors @ (spec.vectors.T @ raw2)
+    off_span = raw2 - vectors @ (vectors.T @ raw2)
     w = signal * in_span + noise * off_span
-    coef = spec.vectors.T @ w
-    resid = w - spec.vectors @ coef
+    coef = vectors.T @ w
+    resid = w - vectors @ coef
     sigma2_v = float(resid @ resid) / n
     return SelectionContext(spectrum=spec, w=w, coef=coef,
                             sigma2_eps=sigma2_eps, sigma2_v=sigma2_v,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, generate_mc_network,
-                           row_normalize)
-from sarnet.transforms import (JProjector, ModelParams, apply_D, reduced_form,
-                               row_sum_norm, solve_blockwise, structural_residual, whiten)
+from sarnet.graphs import (BlockStacks, GroupedNetwork, JProjector, PanelData,
+                           generate_mc_network, row_normalize)
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form, row_sum_norm,
+                               solve_blockwise, whiten, whitened_residual)
 from conftest import draw_dataset
 from oracles import dense_J, dense_M, dense_W, group_slices, r_matrix, s_matrix
 
@@ -93,11 +93,46 @@ class TestJProjector:
         v = np.random.default_rng(0).standard_normal(net.n)
         np.testing.assert_allclose(J.apply(v), dense_J(net) @ v, atol=1e-12)
 
+    def test_one_basis_stack_per_group_size_on_the_rows_of_m(self):
+        # sizes 4 and 5 interleaved (index-array rows), plus a singleton;
+        # full rows of a row-normalized M are collinear (iota alone), a zero
+        # row makes a group wide (iota and M iota)
+        full4, full5 = (row_normalize(np.ones((m, m)) - np.eye(m)) for m in (4, 5))
+        wide4, wide5 = full4.copy(), full5.copy()
+        wide4[1] = wide5[3] = 0.0
+        blocks = [full4, wide5, np.zeros((1, 1)), wide4, full5, full4, wide5]
+        net = GroupedNetwork.from_blocks(blocks, blocks, m_row_normalized=True)
+        J = net.J
+        assert [B.shape for _, B in J.parts] == [(1, 1, 1), (3, 4, 2), (3, 5, 2)]
+        rows = [r for r, _ in J.parts]
+        assert rows[0] == slice(9, 10) and all(isinstance(r, np.ndarray) for r in rows[1:])
+        assert ([np.r_[r].tolist() for r in rows]
+                == [np.r_[r].tolist() for r, _ in net.stacks_M().parts])
+        # a collinear group's basis has a zero second column
+        widths = [(np.abs(B).sum(axis=1) > 0).sum(axis=1).tolist() for _, B in J.parts]
+        assert widths == [[1], [1, 2, 1], [2, 1, 2]]
+        dense = dense_J(net)
+        assert J.trace == 28 - 10
+        assert J.trace == pytest.approx(np.trace(dense), abs=1e-10)
+        V = np.random.default_rng(3).standard_normal((net.n, 3))
+        np.testing.assert_allclose(J.apply(V), dense @ V, atol=1e-12)
+        assert J.trace_product(net.stacks_W()) == pytest.approx(
+            np.trace(dense @ dense_W(net)), abs=1e-12)
+
+    def test_trace_product_refuses_other_group_sizes(self):
+        net = generate_mc_network(3, 6, 2, seed=5)
+        other = generate_mc_network(2, 9, 2, seed=5)
+        with pytest.raises(ValueError, match="group sizes"):
+            net.J.trace_product(other.stacks_W())
+
 
 class TestStructuralResidual:
+    # J R(rho) (Y - lambda W Y - X beta), the whitened residual at delta =
+    # (lambda, beta); it equals J eps at the true values
     def test_zero_disturbance_gives_zero(self):
         net, data, params, gamma, eps = draw_dataset(seed=3, sigma_eps=0.0)
-        res = structural_residual(params, data, net)
+        res = whitened_residual(net, params.rho, data.y, assemble_z(data, net),
+                                np.r_[params.lam, params.beta])
         assert np.abs(res).max() < 1e-10
 
     def test_zero_params_give_projected_outcome(self, ring3_network):
@@ -106,14 +141,16 @@ class TestStructuralResidual:
                          group_sizes=(3,))
         params = ModelParams(lam=0.0, beta1=[0.0], beta2=[0.0], rho=0.0,
                              gamma=[0.0], sigma2=1.0)
-        res = structural_residual(params, data, ring3_network)
-        J = ring3_network.J
-        np.testing.assert_allclose(res, J.apply(y), atol=1e-12)
+        net = ring3_network
+        res = whitened_residual(net, params.rho, data.y, assemble_z(data, net),
+                                np.r_[params.lam, params.beta])
+        np.testing.assert_allclose(res, net.J.apply(y), atol=1e-12)
 
     def test_matches_dense_term_by_term_oracle(self):
         net, data, params, gamma, eps = draw_dataset(seed=12, group_count=2,
                                                      group_size=6)
-        res = structural_residual(params, data, net)
+        res = whitened_residual(net, params.rho, data.y, assemble_z(data, net),
+                                np.r_[params.lam, params.beta])
         # dense oracle assembled term by term
         J = dense_J(net)
         R = np.eye(net.n) - params.rho * dense_M(net)
@@ -123,7 +160,8 @@ class TestStructuralResidual:
 
     def test_equals_projected_noise_at_truth(self):
         net, data, params, gamma, eps = draw_dataset(seed=21)
-        res = structural_residual(params, data, net)
+        res = whitened_residual(net, params.rho, data.y, assemble_z(data, net),
+                                np.r_[params.lam, params.beta])
         J = net.J
         np.testing.assert_allclose(res, J.apply(eps), atol=1e-9)
 
