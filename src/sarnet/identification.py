@@ -77,7 +77,7 @@ def _require_symmetric(stacks: tuple[np.ndarray, ...]) -> None:
 
 def distinct_eigenvalues(network: GroupedNetwork, tol: float = CLUSTER_TOL,
                          ) -> tuple[int, list[tuple[float, int]]]:
-    """Count distinct eigenvalues of the network's symmetric W by greedy gap clustering.
+    """Count distinct eigenvalues of the network's symmetric W by gap clustering.
 
     The spectrum of the block-diagonal W is the union of the spectra of the
     blocks, each of which must be symmetric; they are decomposed with one
@@ -92,16 +92,9 @@ def distinct_eigenvalues(network: GroupedNetwork, tol: float = CLUSTER_TOL,
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
     stacks = network.stacks_W().stacks()
     _require_symmetric(stacks)
-    vals = np.concatenate([np.linalg.eigvalsh(S).ravel() for S in stacks])
-    vals = np.sort(vals)[::-1]
-    scale = max(1.0, abs(vals[0]))
-    clusters: list[list[float]] = [[vals[0]]]
-    for v in vals[1:]:
-        if clusters[-1][-1] - v > tol * scale:
-            clusters.append([v])
-        else:
-            clusters[-1].append(v)
-    summary = [(float(np.mean(c)), len(c)) for c in clusters]
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(S).ravel() for S in stacks]))[::-1]
+    gaps = np.flatnonzero(vals[:-1] - vals[1:] > tol * max(1.0, abs(vals[0]))) + 1
+    summary = [(float(c.mean()), c.size) for c in np.split(vals, gaps)]
     return len(summary), summary
 
 

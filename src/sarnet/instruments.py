@@ -39,7 +39,7 @@ ZERO_COLUMN_RTOL = 1e-13
 
 _NORMALIZATIONS = ("none", "unit-variance")
 _SD_BLOCK = 16      # columns that column_sds transposes and reduces at a time
-#: each column rule's failure when it leaves no column, keyed by its drop warnings' word
+#: each column rule's failure when it leaves no column, keyed by its drop warning's word
 _NOTHING_LEFT = {"numerically zero": "all instrument columns are numerically zero",
                  "zero-variance": "all instrument columns had zero variance"}
 
@@ -191,10 +191,13 @@ class InstrumentSet:
         return sd
 
     def select(self, keep: np.ndarray, why: str) -> InstrumentSet:
-        """The columns marked by ``keep``, each dropped one warned of by its label."""
-        for lab, kept in zip(self.labels, keep):
-            if not kept:
-                warnings.warn(f"dropping {why} instrument column {lab!r}")
+        """The columns marked by ``keep``, the dropped ones named in one warning."""
+        dropped = [lab for lab, kept in zip(self.labels, keep) if not kept]
+        if len(dropped) == 1:
+            warnings.warn(f"dropping {why} instrument column {dropped[0]!r}")
+        elif dropped:
+            warnings.warn(f"dropping {len(dropped)} {why} instrument columns: "
+                          + ", ".join(map(repr, dropped)))
         if not keep.any():
             raise NumericalFailure(_NOTHING_LEFT[why])
         k = self.Q.shape[1]

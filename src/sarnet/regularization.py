@@ -35,8 +35,9 @@ assembles from Q'Q and segment sums.  When the per-group diagonal d is one
 value (unit-variance columns), a thin SVD of the G x c border B of rank r
 deflates it (Golub 1973): d is an eigenvalue of multiplicity G - r whose
 eigenvectors are the complement of B's column space, held as r Householder
-reflectors, and only the (c + r)^2 core goes to ``eigh``.  F'x, F c, the
-bias trace tr(P D) (``Spectrum.weighted_trace``) and the leverages
+reflectors, and only the (c + r)^2 core goes to ``eigh``.  Being one
+eigenvalue, the cluster carries one damping weight.  F'x, F c, the bias
+trace tr(P D) (``Spectrum.weighted_trace``) and the leverages
 (``Spectrum.weighted_diagonal``) then cost O(n c) plus O(G c^2), never a
 product with an n x G block or a G x G matrix.  A roster's spectrum belongs
 to its first stage: ``estimation.first_stage`` decomposes it once per
@@ -78,10 +79,11 @@ class Spectrum:
     on the per-group coordinates whose first r columns span B's columns;
     its other G - r columns are eigenvectors of the eigenvalue d, the
     cluster, which sits at ``cluster_start`` in the descending order with
-    ``cluster_size`` entries and is never formed.  ``basis`` holds the
-    other eigenvectors in the instrument coordinates.  Consumers go through
-    ``coords(x)`` = psi'x, ``expand(c)`` = psi c, ``weighted_trace`` and
-    ``weighted_diagonal``.  Only this class reads the representation.
+    ``cluster_size`` entries and is never formed: per unit weight, its part of
+    the leverages and bias trace is ``cluster_diagonal`` = 1 - ||H[g, :r]||^2.
+    ``basis`` holds the other eigenvectors in the instrument coordinates.
+    Consumers go through ``coords(x)`` = psi'x, ``expand(c)`` = psi c,
+    ``weighted_trace`` and ``weighted_diagonal``; only this class reads the representation.
     """
 
     def __init__(self, eigenvalues, factor, basis: np.ndarray | None, n: int,
@@ -94,6 +96,10 @@ class Spectrum:
         self.scale = None if basis is None else np.sqrt(self.n * vals)
         self.reflectors = reflectors
         self.cluster_start, self.cluster_size = cluster
+        self.cluster_diagonal = None
+        if self.cluster_size:
+            turned = _turn(*reflectors, np.eye(*reflectors[0].shape))     # H[:, :r]
+            self.cluster_diagonal = 1.0 - np.einsum("gi,gi->g", turned, turned)
 
     @property
     def rank(self) -> int:
@@ -154,20 +160,16 @@ class Spectrum:
             coef[-Y.shape[0]:] += _turn(Y, T, z)
         return self.factor.dot(coef)
 
-    def _cluster_diagonal(self, w: np.ndarray) -> np.ndarray:
-        """diag(H_c diag(w) H_c') over the per-group coordinates, H_c = columns r.. of H.
+    def _weights(self, q: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """q / (n nu), rank on the rows, on ``basis``'s part and the cluster's one weight.
 
-        H_c[g, j] = [g = r + j] - (Y T)[g] . Y[r + j], so the sum over j of
-        w_j H_c[g, j]^2 is a quadratic form in (Y T)[g] plus, for g >= r,
-        the diagonal and cross terms of w_(g - r): O(G r^2), and for a
-        constant w it is w (1 - ||H[g, :r]||^2).
+        The cluster's weights must agree (per row of a (grid x rank) q): a
+        component count inside it would keep a subspace that the basis picks.
         """
-        Y, T = self.reflectors
-        r = Y.shape[1]
-        YT, tail = Y @ T, Y[r:]
-        out = np.einsum("gi,ij,gj->g", YT, (tail * w[:, None]).T @ tail, YT)
-        out[r:] += w * (1.0 - 2.0 * np.einsum("gi,gi->g", YT[r:], tail))
-        return out
+        core, cluster = self._split((q / self.scale ** 2).T)
+        if np.any(cluster != cluster[:1]):
+            raise ValueError("weights must be constant on the eigenvalue cluster")
+        return core, cluster[0] if cluster.size else 0.0
 
     def weighted_trace(self, q: np.ndarray,
                        apply: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -176,34 +178,36 @@ class Spectrum:
         The Gram route contracts the columns of ``basis``, split into their
         global rows a and per-group rows b, with the arrowhead blocks of
         F'AF (``InstrumentSet.arrowhead``, A applied to c + 1 columns); the
-        cluster adds its closed-form diagonal against the per-group block.
-        The dense route takes only the diagonal of psi'A psi.  A = D gives
-        tr(P^alpha D).
+        cluster adds its one weight times ``cluster_diagonal`` against the
+        per-group block.  The dense route takes only the diagonal of
+        psi'A psi.  A = D gives tr(P^alpha D).
         """
         if self.basis is None:
             return float(np.einsum("ij,ij,j->", self.factor, apply(self.factor), q))
+        w, w_cluster = self._weights(q)
         head, left, right, diagonal = self.factor.arrowhead(apply)
-        w, w_cluster = self._split(q / self.scale ** 2)
         k = head.shape[0]
         a, b = self.basis[:k], self.basis[k:]
         total = float(np.vdot((a * w) @ a.T, head))
         total += float((((left + right) @ a + diagonal[:, None] * b) * b).sum(axis=0) @ w)
         if self.cluster_size:
-            total += float(diagonal @ self._cluster_diagonal(w_cluster))
+            total += float(w_cluster * (diagonal @ self.cluster_diagonal))
         return total
 
     def weighted_diagonal(self, q: np.ndarray) -> np.ndarray:
         """sum_j q_j psi_ij^2 for every row i, the diagonal of psi diag(q) psi'.
 
-        The Gram route squares only the n-vectors of ``basis``'s components;
-        the cluster adds v_i^2 times its closed-form diagonal of its group.
+        A (grid x rank) q gives n x grid.  The Gram route squares only the
+        n-vectors of ``basis``'s components; the cluster adds its weight
+        times v_i^2 times ``cluster_diagonal`` of row i's group.
         """
         if self.basis is None:
-            return self.factor ** 2 @ q
-        w, w_cluster = self._split(q / self.scale ** 2)
+            return self.factor ** 2 @ q.T
+        w, w_cluster = self._weights(q)
         out = self.factor.dot(self.basis) ** 2 @ w
         if self.cluster_size:
-            out += self.factor.per_group_squares(self._cluster_diagonal(w_cluster))
+            out += np.multiply.outer(self.factor.per_group_squares(self.cluster_diagonal),
+                                     w_cluster)
         return out
 
     @classmethod

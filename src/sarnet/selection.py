@@ -163,21 +163,20 @@ def _score_grid(ctx: SelectionContext, kind: str, grid) -> tuple[np.ndarray, np.
     Row i of the (grid x rank) weight matrix q holds the damping weights at
     ``grid[i]``, so tr P and tr P^2 are row sums and the first-stage
     residual ||(I - P) w||^2 = w'w - ((2 - q) q) coef^2 is one product.
-    LOO builds its two n-vectors per row, residual and leverage, from the
-    spectrum's ``expand`` and ``weighted_diagonal``; psi is never formed.
+    LOO takes its n x grid residuals from one ``expand`` of the rank x grid
+    coefficients and its leverages from one ``weighted_diagonal`` of q;
+    psi is never formed.
     """
     spectrum = ctx.spectrum
     q = _grid_weights(kind, grid, spectrum)
     n = ctx.n
     tr_P = q.sum(axis=1)
     if ctx.criterion == "loo":
-        fit = np.empty(len(q))
-        for i, qi in enumerate(q):
-            resid = ctx.w - spectrum.expand(qi * ctx.coef)
-            denom = 1.0 - spectrum.weighted_diagonal(qi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(np.abs(denom) > 1e-12, resid / denom, np.inf)
-            fit[i] = np.mean(r ** 2)
+        resid = ctx.w[:, None] - spectrum.expand(q.T * ctx.coef[:, None])
+        denom = 1.0 - spectrum.weighted_diagonal(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(np.abs(denom) > 1e-12, resid / denom, np.inf)
+        fit = np.mean(r ** 2, axis=0)
     else:
         rss = float(ctx.w @ ctx.w) - ((2.0 - q) * q) @ (ctx.coef ** 2)
         if ctx.criterion == "cp":

@@ -112,7 +112,8 @@ def test_first_stage_owns_the_spectrum():
     from sarnet.instruments import InstrumentSet
     assert not hasattr(InstrumentSet, "spectrum")
     assert not hasattr(importlib.import_module("sarnet.estimation"), "_bias_trace")
-    representation = {"factor", "basis", "scale", "reflectors", "cluster_start", "cluster_size"}
+    representation = {"factor", "basis", "scale", "reflectors", "cluster_start", "cluster_size",
+                      "cluster_diagonal"}
     readers = [f"{m}:{node.lineno} {node.attr}" for m in MODULES if m != "regularization"
                for node in ast.walk(ast.parse((PACKAGE / f"{m}.py").read_text()))
                if isinstance(node, ast.Attribute) and node.attr in representation]

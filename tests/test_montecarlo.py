@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sarnet import estimation, instruments, montecarlo
+from sarnet import estimation, instruments, montecarlo, selection
 from sarnet.estimation import (NumericalFailure, bias_corrected_2sls, classical_2sls,
                                first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
@@ -18,6 +18,36 @@ from sarnet.regularization import Spectrum
 
 
 SMALL = dict(group_count=6, group_size=8, max_links=3, replications=4, seed=5)
+#: (mean, SD) per (estimator, parameter) of a three-replication LOO study at
+#: (60, 15, 6), seed 0
+LOO_RECORDED = {
+    ("2sls_finite", "lambda"): (0.10126198050987933, 0.03259386979612402),
+    ("2sls_finite", "beta1"): (0.19766505946864818, 0.060122930543236405),
+    ("2sls_finite", "beta2"): (0.21427166748534335, 0.045809525302683424),
+    ("2sls_large", "lambda"): (0.08188365753337329, 0.02082115147192669),
+    ("2sls_large", "beta1"): (0.19480115018860325, 0.06070534225800469),
+    ("2sls_large", "beta2"): (0.21819963246429888, 0.041993521975510234),
+    ("bias_corrected", "lambda"): (0.0973426127248554, 0.023576910263317825),
+    ("bias_corrected", "beta1"): (0.19809150455404023, 0.06192857271139052),
+    ("bias_corrected", "beta2"): (0.21422829538203825, 0.04184761034049853),
+    ("t_2sls", "lambda"): (0.09423736390977396, 0.010737072626234224),
+    ("t_2sls", "beta1"): (0.1838362704542478, 0.06646808721162478),
+    ("t_2sls", "beta2"): (0.21366666876555596, 0.035758563377595386),
+    ("lf_2sls", "lambda"): (0.09486811047462546, 0.01086002079521272),
+    ("lf_2sls", "beta1"): (0.1834232767215553, 0.06661326738980683),
+    ("lf_2sls", "beta2"): (0.21333713761482911, 0.03563673594056683),
+    ("pc_2sls", "lambda"): (0.10486768092538368, 0.0176358941137464),
+    ("pc_2sls", "beta1"): (0.19457768971190725, 0.05891605722992139),
+    ("pc_2sls", "beta2"): (0.2111727485929729, 0.03468593556775489),
+    ("2sls_finite", "rho"): (0.1719404493672878, 0.031193140770345427),
+}
+#: LOO criterion at the first, middle and last grid point of each kind, on
+#: the normalized q2 of that study's first draw
+LOO_CURVE_RECORDED = {
+    "T": (1.8066049949678735, 1.80582796764294, 2.2239345776442514),
+    "LF": (1.8994137123232027, 1.8273180447016648, 1.8066050061297556),
+    "PC": (1.9422880702548657, 1.8647234950694778, 1.8066050061297558),
+}
 
 
 class TestRunReplication:
@@ -289,6 +319,28 @@ class TestRunStudy:
         for got, expect in zip(study, manual):
             np.testing.assert_array_equal(got.estimates["t_2sls"],
                                           expect.estimates["t_2sls"])
+
+    def test_loo_study_keeps_its_recorded_values(self):
+        # no benchmark workload selects by LOO, so its rows are pinned here:
+        # means and SDs recorded when the LOO criterion still scored its grid
+        # one point at a time
+        config = McConfig(group_count=60, group_size=15, max_links=6, replications=3,
+                          seed=0, criterion="loo")
+        summary = summarize(run_study(config), config)
+        for cell, (mean, sd) in LOO_RECORDED.items():
+            stats = summary.cell(*cell)
+            assert (stats.mean, stats.sd) == pytest.approx((mean, sd), rel=1e-10), cell
+        assert summary.cells.keys() == LOO_RECORDED.keys()
+        # on these draws every data-driven row takes its grid's most damped
+        # point, so the rows alone would not see LOO's values move: the first
+        # draw's LOO curves are pinned at their first, middle and last points
+        net, data = montecarlo._draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+        q1 = q1_roster(net, data.regressors(net))
+        stage = first_stage(data, net, normalize_columns(q2_roster(net, q1), "unit-variance"), 0.0)
+        ctx = selection.prepare_selection(stage, preliminary_delta(data, net, q1), "loo")
+        for kind, recorded in LOO_CURVE_RECORDED.items():
+            crit = [c for _, c, _ in selection.select_from_context(ctx, kind).curve]
+            assert (crit[0], crit[len(crit) // 2], crit[-1]) == pytest.approx(recorded, rel=1e-10)
 
     def test_worker_split_is_seed_invariant(self):
         config = McConfig(**SMALL)

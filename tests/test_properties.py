@@ -530,6 +530,25 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+    if not gram:
+        return
+    # on the Gram route psi is expand(I), so the loop above checks expand
+    # against itself: psi is checked on its own against eigh of the
+    # written-out F F'/n, as orthonormal, spanning its nonzero eigenspace
+    # and diagonalizing it.  An eigenvector moves by about eps nu_1 / gap,
+    # so the tolerances are a multiple of eps times the condition number
+    F = spectrum.factor.dense()
+    K = F @ F.T / net.n
+    vals, vecs = np.linalg.eigh(K)
+    relative = vals / vals.max()
+    assume(not np.any((relative > 1e-13) & (relative < 1e-9)))   # no value near the cutoff
+    nonzero = vecs[:, relative > 1e-11]
+    assert nonzero.shape[1] == spectrum.rank
+    tol = 1e-13 * spectrum.condition_number
+    np.testing.assert_allclose(psi.T @ psi, np.eye(spectrum.rank), rtol=0.0, atol=tol)
+    np.testing.assert_allclose(psi @ psi.T, nonzero @ nonzero.T, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(psi.T @ K @ psi, np.diag(spectrum.eigenvalues), rtol=0.0,
+                               atol=tol * spectrum.nu_max)
 
 
 @PROPERTY_SETTINGS
@@ -705,13 +724,17 @@ def test_deflated_spectrum_matches_dense_oracle(net, width, normalized, lam, rho
     # projectors agree to a multiple of eps times the condition number, and
     # the traces to that times the absolute sum of D
     tol = 1e-13 * oracle.condition_number
-    for scheme in (Scheme.tikhonov(alpha * oracle.nu_max ** 2), Scheme.landweber(16),
-                   Scheme.principal_components(spectrum.rank)):
+    schemes = (Scheme.tikhonov(alpha * oracle.nu_max ** 2), Scheme.landweber(16),
+               Scheme.principal_components(spectrum.rank))
+    # the three schemes' weights as one (3 x rank) grid: one leverage column each
+    stacked = spectrum.weighted_diagonal(np.array([q_weights(s, spectrum) for s in schemes]))
+    for scheme, leverages in zip(schemes, stacked.T, strict=True):
         P = projector_matrix(oracle, scheme)
         np.testing.assert_allclose(apply_projector(spectrum, scheme, np.eye(n)), P,
                                    rtol=0.0, atol=tol)
         q = q_weights(scheme, spectrum)
         np.testing.assert_allclose(spectrum.weighted_diagonal(q), np.diag(P), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(leverages, np.diag(P), rtol=0.0, atol=tol)
         got = spectrum.weighted_trace(q, apply)
         want = np.trace(P @ D)
         assert abs(got - want) <= tol * max(1.0, np.abs(D).sum())

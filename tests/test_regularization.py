@@ -110,6 +110,33 @@ def test_gram_route_decomposes_the_layout_gram(groups, clustered):
     assert not np.any(gaps[counts[counts < spec.rank] - 1])
 
 
+def test_the_cluster_carries_one_weight():
+    # the cluster is one eigenvalue whose eigenvector basis is arbitrary:
+    # weights constant on it (counts ending on its boundaries) give one
+    # leverage column per grid row, equal to the one-row calls, while a
+    # count ending inside it has no basis-free leverages or bias trace
+    config = McConfig(group_count=60, group_size=15, max_links=6, replications=1, seed=0)
+    net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
+    inst = normalize_columns(q2_roster(net, q1_roster(net, data.regressors(net))),
+                             "unit-variance")
+    spec = Spectrum.from_instruments(inst)
+    start, size = spec.cluster_start, spec.cluster[1]
+    assert start > 0 and size > 1
+    q = np.array([q_weights(scheme, spec) for scheme in (
+        Scheme.principal_components(start), Scheme.principal_components(start + size),
+        Scheme.tikhonov(0.5), Scheme.landweber(8))])
+    got = spec.weighted_diagonal(q)
+    assert got.shape == (inst.n, q.shape[0])
+    for column, row in zip(got.T, q):
+        np.testing.assert_allclose(column, spec.weighted_diagonal(row), rtol=1e-12, atol=0.0)
+    inside = q_weights(Scheme.principal_components(start + 1), spec)
+    for call in (lambda: spec.weighted_diagonal(inside),
+                 lambda: spec.weighted_diagonal(np.vstack([q, inside])),
+                 lambda: spec.weighted_trace(inside, lambda V: V)):
+        with pytest.raises(ValueError, match="constant on the eigenvalue cluster"):
+            call()
+
+
 @pytest.mark.parametrize("roster", ["q1", "unnormalized q2"])
 def test_gram_route_without_a_cluster_is_one_eigh_of_the_gram(roster):
     # a roster without a per-group part, and one whose per-group diagonal

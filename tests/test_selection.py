@@ -92,12 +92,17 @@ class TestCriterionValues:
         assert identity == pytest.approx(refit, abs=1e-6)
 
     def test_loo_identity_matches_refit_on_pipeline_data(self):
-        _, _, _, _, _, ctx = pipeline_context(seed=51, criterion="loo",
-                                              group_count=3, group_size=10)
-        scheme = Scheme.tikhonov(0.3 * ctx.spectrum.nu_max ** 2)
-        identity = criterion_at(ctx, scheme)
-        refit = loo_refit(ctx, scheme)
-        assert identity == pytest.approx(refit, abs=1e-6)
+        # 30 groups take the Gram route with a cluster, whose leverages are
+        # its one weight times a per-group vector
+        for groups, size in ((3, 10), (30, 15)):
+            _, _, _, _, _, ctx = pipeline_context(seed=51, criterion="loo",
+                                                  group_count=groups, group_size=size)
+            if groups == 30:
+                assert ctx.spectrum.cluster[1] > 0
+            scheme = Scheme.tikhonov(0.3 * ctx.spectrum.nu_max ** 2)
+            identity = criterion_at(ctx, scheme)
+            refit = loo_refit(ctx, scheme)
+            assert identity == pytest.approx(refit, abs=1e-6)
 
 
 class TestSHat:
