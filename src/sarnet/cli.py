@@ -1,13 +1,14 @@
 """Command-line surface: simulate, estimate, diagnose, select.
 
 Results go to standard output (or --out); warnings and notes go to standard
-error.  Exit status: 0 success, 1 usage error, 2 data error (missing or
-malformed input files), 3 numerical failure (a ``LinAlgError`` or
-``NumericalFailure``) or a directed network given to the spectral
-diagnostics.  Flags and files are validated here, before the library runs;
-any other exception is a bug and propagates.  A config file of ``key =
-value`` lines supplies defaults for any long flag; explicit flags win.
-Identical flags and seed produce byte-identical output.
+error, a library warning as one ``warning: <message>`` line.  Exit status:
+0 success, 1 usage error, 2 data error (missing or malformed input files),
+3 numerical failure (a ``LinAlgError`` or ``NumericalFailure``) or a
+directed network given to the spectral diagnostics.  Flags and files are
+validated here, before the library runs; any other exception is a bug and
+propagates.  A config file of ``key = value`` lines supplies defaults for
+any long flag; explicit flags win.  Identical flags and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,37 +299,40 @@ def _cmd_select(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        defaults: dict[str, object] = {}
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            defaults = _read_config_file(argv[idx + 1])
-        parser = _build_parser(defaults)
-        args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        return _cmd_select(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, NumericalFailure) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except AsymmetricMatrixError as exc:    # outside the spectral results' scope
-        print(f"unsupported network: {exc}", file=sys.stderr)
-        return 3
-    except SystemExit as exc:  # argparse -h
-        code = exc.code
-        return int(code) if isinstance(code, int) else 0
+    with warnings.catch_warnings():
+        # a library warning as one line, in the style of the notes, without its source
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            defaults: dict[str, object] = {}
+            if "--config" in argv:
+                idx = argv.index("--config")
+                if idx + 1 >= len(argv):
+                    raise UsageError("--config needs a path")
+                defaults = _read_config_file(argv[idx + 1])
+            parser = _build_parser(defaults)
+            args = parser.parse_args(argv)
+            if args.command == "simulate":
+                return _cmd_simulate(args)
+            if args.command == "diagnose":
+                return _cmd_diagnose(args)
+            if args.command == "estimate":
+                return _cmd_estimate(args)
+            return _cmd_select(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except DataError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 2
+        except (np.linalg.LinAlgError, NumericalFailure) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except AsymmetricMatrixError as exc:    # outside the spectral results' scope
+            print(f"unsupported network: {exc}", file=sys.stderr)
+            return 3
+        except SystemExit as exc:  # argparse -h
+            code = exc.code
+            return int(code) if isinstance(code, int) else 0
 
 
 if __name__ == "__main__":

@@ -120,32 +120,6 @@ def preliminary_delta(data: PanelData, network: GroupedNetwork,
     return classical_2sls(first_stage(data, network, q1, 0.0)).delta
 
 
-def _build_moment_ops(network: GroupedNetwork):
-    """Operators for M1 = JWJ - cI, M2 = JMJ - cI, M3 = JMWJ - cI.
-
-    Each c is tr(J A J)/tr(J); the recentering makes eps' M_i eps a valid
-    moment at the true rho.  Returned as closures acting block by block.
-    """
-    J = network.J
-    W, M = network.stacks_W(), network.stacks_M()
-    MW = BlockStacks(network.group_sizes,
-                     [M_s @ W_s for M_s, W_s in zip(M.stacks(), W.stacks())])
-    ops = []
-    specs = [
-        (network.lag_W, W),
-        (network.lag_M, M),
-        (lambda V: network.lag_M(network.lag_W(V)), MW),
-    ]
-    for lag, A in specs:
-        c = J.trace_product(A) / J.trace       # tr(J A J) = tr(J A), J idempotent
-
-        def apply_op(v, lag=lag, c=c):
-            return J.apply(lag(J.apply(v))) - c * v
-
-        ops.append(apply_op)
-    return ops
-
-
 def preliminary_rho(data: PanelData, network: GroupedNetwork,
                     delta_tilde: np.ndarray) -> float:
     """Method-of-moments rho: the exact minimizer of ||g(rho)||^2 on [-0.99, 0.99].
@@ -157,23 +131,28 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     a real root of the cubic derivative.  Every such candidate (the real
     parts of all three roots, clipped to the interval, and both bounds) is
     evaluated and the smallest objective value wins.  A numerically zero
-    residual makes the objective flat; by convention that returns 0 with a
+    residual (squared norm at most 1e-24 y'y, a threshold that scales with
+    the data) makes the objective flat; by convention that returns 0 with a
     warning.
     """
     J = network.J
     Z = assemble_z(data, network)
     e = data.y - Z @ np.asarray(delta_tilde, dtype=float)
-    a = J.apply(e)
-    b = J.apply(network.lag_M(e))
-    if float(a @ a + b @ b) < 1e-24 * network.n:
+    # eps(rho) = a - rho b with a = J e and b = J M e, both in J's range, so
+    # a'(J A J - cI)b = a'A b - c a'b: each moment is one 2x2 form of [a b]
+    ab = J.apply(np.column_stack([e, network.lag_M(e)]))
+    gram = ab.T @ ab
+    if np.trace(gram) <= 1e-24 * float(data.y @ data.y):
         warnings.warn("rho objective is degenerate (residual ~ 0); returning 0")
         return 0.0
-    # each moment is quadratic in rho: eps(rho) = a - rho b
+    W, M = network.stacks_W(), network.stacks_M()
+    MW = BlockStacks(network.group_sizes,
+                     [M_s @ W_s for M_s, W_s in zip(M.stacks(), W.stacks())])
     moments = []
-    for op in _build_moment_ops(network):
-        Ma, Mb = op(a), op(b)
-        moments.append(Polynomial([float(a @ Ma), -float(a @ Mb + b @ Ma),
-                                   float(b @ Mb)]))
+    for A in (W, M, MW):
+        c = J.trace_product(A) / J.trace       # tr(J A J) = tr(J A), J idempotent
+        F = ab.T @ A.matmul(ab) - c * gram
+        moments.append(Polynomial([F[0, 0], -(F[0, 1] + F[1, 0]), F[1, 1]]))
     lo, hi = RHO_BOUNDS
     slopes = sum(g * g for g in moments).deriv()
     # a moment with no rho^2 term leaves rounding noise (~1e-16 of the other

@@ -209,15 +209,12 @@ class JProjector:
         """tr(J A) for a block-diagonal A with this projector's group sizes.
 
         Per group, tr(J_r A_r) = tr(A_r) - tr(B_r' A_r B_r): O(m^2) from the
-        basis, one batched product per size.  The per-group traces are
-        summed in network order.
+        basis, one batched product and one reduction per size.
         """
         if A.group_sizes != self.group_sizes:
             raise ValueError("A's group sizes differ from the projector's")
-        traces = np.empty(len(self.group_sizes))
-        for groups, S, (_, B) in zip(A.groups, A.stacks(), self.parts):
-            traces[groups] = np.trace(S, axis1=1, axis2=2) - ((S @ B) * B).sum(axis=(1, 2))
-        return sum(traces.tolist())
+        return float(sum(np.trace(S, axis1=1, axis2=2).sum() - ((S @ B) * B).sum()
+                         for S, (_, B) in zip(A.stacks(), self.parts)))
 
 
 class GroupedNetwork:
@@ -685,7 +682,12 @@ def load_network(edges_path: str | Path,
                  nodes_path: str | Path | None = None,
                  m_edges_path: str | Path | None = None,
                  ) -> tuple[GroupedNetwork, PanelData | None]:
-    """Load a network plus optional node data, with optional separate M edges on its nodes."""
+    """Load a network plus optional node data, with optional separate M edges on its nodes.
+
+    M defaults to the row-normalized W.  An M edge file gives M's weights as
+    they are, not row-normalized, and the network's ``m_row_normalized`` is
+    then False.
+    """
     node_keys, data = load_node_csv(nodes_path) if nodes_path is not None else (None, None)
     net, keys = _edge_network(edges_path, node_keys)
     if m_edges_path is not None:

@@ -36,7 +36,7 @@ __all__ = [
     "build_report",
 ]
 
-#: absolute symmetry tolerance for spectral diagnostics
+#: symmetry tolerance for spectral diagnostics, relative to max |W|
 SYMMETRY_TOL = 1e-10
 #: default relative gap below which eigenvalues belong to one cluster
 CLUSTER_TOL = 1e-8
@@ -69,9 +69,9 @@ class AsymmetricMatrixError(ValueError):
 
 
 def _require_symmetric(stacks: tuple[np.ndarray, ...]) -> None:
-    """Refuse the W stacks unless every block is symmetric."""
+    """Refuse the W stacks unless every block is symmetric to SYMMETRY_TOL * max |W|."""
     asym = max(float(np.abs(S - np.swapaxes(S, -1, -2)).max()) for S in stacks)
-    if asym > SYMMETRY_TOL:
+    if asym > SYMMETRY_TOL * max(float(np.abs(S).max()) for S in stacks):
         raise AsymmetricMatrixError(asym)
 
 
@@ -83,8 +83,9 @@ def distinct_eigenvalues(network: GroupedNetwork, tol: float = CLUSTER_TOL,
     blocks, each of which must be symmetric; they are decomposed with one
     batched ``eigvalsh`` per group size.
     Eigenvalues are sorted descending; a new cluster opens whenever the gap
-    to the previous eigenvalue exceeds ``tol * max(1, |nu_max|)``.  Returns
-    the cluster count and a list of (cluster mean, multiplicity) pairs.
+    to the previous eigenvalue exceeds ``tol * max |nu|``, so the count does
+    not change when W is rescaled; a zero W is one cluster.  Returns the
+    cluster count and a list of (cluster mean, multiplicity) pairs.
     "Distinct" is exact only in exact arithmetic, hence the tolerance knob;
     a NaN or negative ``tol`` is refused.
     """
@@ -93,7 +94,7 @@ def distinct_eigenvalues(network: GroupedNetwork, tol: float = CLUSTER_TOL,
     stacks = network.stacks_W().stacks()
     _require_symmetric(stacks)
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(S).ravel() for S in stacks]))[::-1]
-    gaps = np.flatnonzero(vals[:-1] - vals[1:] > tol * max(1.0, abs(vals[0]))) + 1
+    gaps = np.flatnonzero(vals[:-1] - vals[1:] > tol * np.abs(vals).max()) + 1
     summary = [(float(c.mean()), c.size) for c in np.split(vals, gaps)]
     return len(summary), summary
 

@@ -38,7 +38,6 @@ __all__ = ["InstrumentSet", "NumericalFailure", "build_instruments",
 ZERO_COLUMN_RTOL = 1e-13
 
 _NORMALIZATIONS = ("none", "unit-variance")
-_SD_BLOCK = 16      # columns that column_sds transposes and reduces at a time
 #: each column rule's failure when it leaves no column, keyed by its drop warning's word
 _NOTHING_LEFT = {"numerically zero": "all instrument columns are numerically zero",
                  "zero-variance": "all instrument columns had zero variance"}
@@ -173,13 +172,8 @@ class InstrumentSet:
     def column_sds(self) -> np.ndarray:
         """Each column's sample SD (ddof 1), NaN where rounding leaves no variance."""
         n, k = self.n, self.Q.shape[1]
-        # each column reduced as one contiguous row, in the order a per-column
-        # np.std sums it, so the normalized roster is bit for bit the loop's; a
-        # block of columns at a time, so that the transposed copy stays small
         sd = np.empty(self.n_columns)
-        for j in range(0, k, _SD_BLOCK):
-            cols = slice(j, min(j + _SD_BLOCK, k))
-            sd[cols] = np.std(np.ascontiguousarray(self.Q[:, cols].T), axis=1, ddof=1)
+        sd[:k] = np.std(self.Q, axis=0, ddof=1)
         if self.v is not None:
             # sum over all n rows of (x - mean)^2 = s2 - s1^2/n; J sweeps each
             # group's mean, so s1 is rounding noise and nothing cancels.  A
@@ -295,10 +289,7 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     cols = [blk[:, c] for blk in blocks for c in range(blk.shape[1])]
     labels = [f"J.{tag}[{c}]" for blk, tag in zip(blocks, tags) for c in range(blk.shape[1])]
     keep = _distinct_columns(cols)
-    # J goes column by column so each column's rounding is independent of the
-    # others; PC selection inside a repeated eigenvalue turns a last-bit
-    # change into a different component count
-    return InstrumentSet(np.column_stack([network.J.apply(cols[i]) for i in keep]),
+    return InstrumentSet(network.J.apply(np.column_stack([cols[i] for i in keep])),
                          [labels[i] for i in keep]).nonzero()
 
 

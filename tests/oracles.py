@@ -54,10 +54,10 @@ def dense_distinct_eigenvalues(W: np.ndarray, tol: float = 1e-8,
                                ) -> tuple[int, list[tuple[float, int]]]:
     """Distinct eigenvalues of one dense symmetric W: ``eigvalsh`` of the whole
     matrix, then the package's gap rule (a new cluster opens where the gap to
-    the previous eigenvalue, in descending order, exceeds tol * max(1, |nu_max|)).
+    the previous eigenvalue, in descending order, exceeds tol * max |nu|).
     """
     vals = np.sort(np.linalg.eigvalsh(W))[::-1]
-    scale = max(1.0, abs(vals[0]))
+    scale = max(abs(v) for v in vals)
     clusters = [[vals[0]]]
     for v in vals[1:]:
         if clusters[-1][-1] - v > tol * scale:

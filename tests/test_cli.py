@@ -122,6 +122,15 @@ class TestEstimate:
             assert np.isfinite(float(fields[key])) or fields[key] == "-"
         assert "standard errors" in err
 
+    def test_library_warnings_print_without_source_location(self, csv_pair, capsys):
+        # the csv_pair roster loses its underflowed high centrality powers
+        edges, nodes = csv_pair
+        code, _, err = run_cli(["estimate", "--data", str(nodes), "--edges", str(edges),
+                                "--scheme", "T"], capsys)
+        assert code == 0
+        assert any(line.startswith("warning: dropping ") for line in err.splitlines())
+        assert ".py:" not in err
+
     def test_byte_identical_output_files(self, csv_pair, tmp_path, capsys):
         edges, nodes = csv_pair
         args = ["estimate", "--data", str(nodes), "--edges", str(edges),

@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ class TestPreliminaryRho:
         with pytest.warns(UserWarning, match="degenerate"):
             rho = preliminary_rho(data, net, delta)
         assert rho == 0.0
+
+    def test_degeneracy_threshold_scales_with_the_data(self):
+        # rescaling y, x1 and x2 together leaves delta_tilde and rho_tilde as
+        # they are, down to a scale where an absolute residual threshold
+        # would call the objective flat
+        net, data, _, _, _ = draw_dataset(seed=3, group_count=60, group_size=15,
+                                          max_links=6)
+
+        def rho_at(s):
+            scaled = PanelData(y=s * data.y, x1=s * data.x1, x2=s * data.x2,
+                               group_sizes=data.group_sizes)
+            delta = preliminary_delta(scaled, net, q1_roster(net, scaled.regressors(net)))
+            return preliminary_rho(scaled, net, delta)
+
+        base = rho_at(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = rho_at(1e-13)
+        assert base == pytest.approx(0.0884269, abs=1e-7)
+        assert tiny == pytest.approx(base, abs=1e-12)
 
     def test_unbiased_at_zero_rho_over_replications(self):
         # simulation oracle: with rho0 = 0 and the true delta plugged in,

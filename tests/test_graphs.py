@@ -304,6 +304,14 @@ class TestCsvIngestion:
         net, _ = load_network(tmp_path / "w.csv", None, tmp_path / "m.csv")
         assert net.lag_M(np.arange(3.0)).tolist() == [0.0, 0.0, 1.0]
 
+    def test_m_edge_weights_are_taken_as_given(self, tmp_path):
+        (tmp_path / "w.csv").write_text("group_id,src,dst\n1,a,b\n1,b,c\n1,c,a\n")
+        (tmp_path / "m.csv").write_text("group_id,src,dst,weight\n1,a,b,2\n1,a,c,3\n"
+                                        "1,b,c,1\n")
+        net, _ = load_network(tmp_path / "w.csv", None, tmp_path / "m.csv")
+        assert net.blocks_M()[0].tolist() == [[0, 2, 3], [0, 0, 1], [0, 0, 0]]
+        assert not net.m_row_normalized
+
     def test_node_keys_split_across_a_group_rejected(self, tmp_path):
         (tmp_path / "edges.csv").write_text("group_id,src,dst,weight\n1,0,1,1\n")
         with pytest.raises(ValueError, match="together"):

@@ -67,7 +67,7 @@ class TestDistinctEigenvalues:
         mpmath.mp.dps = 50
         ev = mpmath.mp.eigsy(mpmath.mp.matrix(W.tolist()), eigvals_only=True)
         vals = sorted((float(v) for v in ev), reverse=True)
-        scale = max(1.0, abs(vals[0]))
+        scale = max(abs(v) for v in vals)
         oracle = 1
         for prev, cur in zip(vals, vals[1:]):
             if prev - cur > 1e-8 * scale:
@@ -80,6 +80,19 @@ class TestDistinctEigenvalues:
             distinct_eigenvalues(one_group(W))
         assert err.value.max_asymmetry == pytest.approx(1.0)
         assert "1.000e+00" in str(err.value)
+
+    def test_tolerances_are_relative_to_the_scale_of_w(self):
+        # a directed 4-cycle stays directed at any scale
+        W = np.roll(np.eye(4), 1, axis=1)
+        with pytest.raises(AsymmetricMatrixError):
+            distinct_eigenvalues(one_group(1e-11 * W))
+        # the undirected 5-cycle has eigenvalues 2, 2cos(2pi/5) (twice) and
+        # 2cos(4pi/5) (twice) at any scale
+        cycle = path_graph(5)
+        cycle[0, 4] = cycle[4, 0] = 1.0
+        count, clusters = distinct_eigenvalues(one_group(1e-9 * cycle))
+        assert count == 3 and [m for _, m in clusters] == [1, 2, 2]
+        assert distinct_eigenvalues(one_group(np.zeros((3, 3)))) == (1, [(0.0, 3)])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)

@@ -203,7 +203,9 @@ def test_roster_kept_whole_equals_the_copying_construction(seed):
     # when no column is dropped q1's columns are not copied on their way to
     # the normalized set; the values and the C layout, and so the Gram's
     # bits, must be those of copying them through a boolean index and
-    # compress, and the per-group part is v over each group's column SD
+    # compress and dividing by the SDs of the roster as drawn (a boolean
+    # index copies into F order, whose np.std sums in another order), and
+    # the per-group part is v over each group's column SD
     config = McConfig(group_count=60, group_size=15, max_links=6, replications=1,
                       seed=seed)
     net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
@@ -214,7 +216,7 @@ def test_roster_kept_whole_equals_the_copying_construction(seed):
 
     keep = np.ones(q1.n_columns, dtype=bool)
     copied = raw.Q[:, keep]
-    sd = np.std(np.ascontiguousarray(copied.T), axis=1, ddof=1)
+    sd = np.std(raw.Q, axis=0, ddof=1)
     want = copied.compress(keep, axis=1) / sd[keep]
     assert got.Q.flags.c_contiguous and want.flags.c_contiguous
     assert np.array_equal(got.Q, want)

@@ -6,9 +6,11 @@ cut that cluster by component count, a last-bit change in the normalized
 roster or in the order its Gram is summed moved PC-2SLS off the reference
 on some cases of ``mc_bench_cell``: case 39 failed when the Gram was formed
 as Q'(Q/n) instead of Q'Q/n, and cases 16 and 53 under another reordering
-of its sums.  PC counts now end clusters (``selection.default_grid``), and
-the Gram is assembled from the roster's layout; these cases pin that the
-references still hold.  Each case runs in about a second.
+of its sums.  PC counts now end clusters (``selection.default_grid``), so
+the preliminary stage is held to tolerance, not to the bit: rho_tilde's
+moments, q1's J and the column SDs are computed in whatever order is
+simplest.  These cases pin that the references still hold within their
+tolerances.  Each case runs in about a second.
 """
 
 import json
