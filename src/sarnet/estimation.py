@@ -25,12 +25,12 @@ rho_tilde = 0, R is the identity and the whitening does no work.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .graphs import BlockStacks, GroupedNetwork, PanelData
+from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet, NumericalFailure
 from .regularization import Scheme, Spectrum, q_weights
 from .transforms import apply_D, assemble_z, whiten, whitened_residual
@@ -145,11 +145,8 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     if np.trace(gram) <= 1e-24 * float(data.y @ data.y):
         warnings.warn("rho objective is degenerate (residual ~ 0); returning 0")
         return 0.0
-    W, M = network.stacks_W(), network.stacks_M()
-    MW = BlockStacks(network.group_sizes,
-                     [M_s @ W_s for M_s, W_s in zip(M.stacks(), W.stacks())])
     moments = []
-    for A in (W, M, MW):
+    for A in (network.stacks_W(), network.stacks_M(), network.stacks_MW()):
         c = J.trace_product(A) / J.trace       # tr(J A J) = tr(J A), J idempotent
         F = ab.T @ A.matmul(ab) - c * gram
         moments.append(Polynomial([F[0, 0], -(F[0, 1] + F[1, 0]), F[1, 1]]))
@@ -176,6 +173,10 @@ class FirstStage:
     coordinates U = psi'R Z and uy = psi'R y of the whitened data at
     ``rho_tilde``; ``first_stage`` builds it.  The fits differ only in their
     damping weights, so any number of them read one stage.
+
+    D at (lambda, rho_tilde) is applied through ``apply_D``, which solves
+    for iota alongside and keeps D iota; the selection context at the same
+    lambda reads it from ``D_iota`` instead of solving again.
     """
 
     data: PanelData
@@ -186,6 +187,21 @@ class FirstStage:
     Z: np.ndarray
     U: np.ndarray
     uy: np.ndarray
+    _D_iota: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def apply_D(self, lam: float, V: np.ndarray) -> np.ndarray:
+        """D V at (lam, rho_tilde), iota solved as one more column and D iota kept."""
+        DV = apply_D(self.network, lam, self.rho_tilde,
+                     np.column_stack([V, np.ones(self.network.n)]))
+        self._D_iota[lam] = DV[:, -1].copy()
+        return DV[:, :-1]
+
+    def D_iota(self, lam: float) -> np.ndarray:
+        """D iota at (lam, rho_tilde): kept by ``apply_D``, or solved on iota alone."""
+        if lam not in self._D_iota:
+            self._D_iota[lam] = apply_D(self.network, lam, self.rho_tilde,
+                                        np.ones(self.network.n))
+        return self._D_iota[lam]
 
 
 def first_stage(data: PanelData, network: GroupedNetwork, instruments: InstrumentSet,
@@ -217,8 +233,7 @@ def _fit(stage: FirstStage, scheme: Scheme,
     sigma2 = float(eps_hat @ eps_hat) / network.n
     se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
     if lambda_tilde is not None:
-        tr_PD = spectrum.weighted_trace(
-            q, lambda V: apply_D(network, lambda_tilde, rho_tilde, V))
+        tr_PD = spectrum.weighted_trace(q, lambda V: stage.apply_D(lambda_tilde, V))
         e1 = np.zeros(delta.size)
         e1[0] = 1.0
         delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")

@@ -63,18 +63,22 @@ def _group_rows(group_sizes: Sequence[int], groups: np.ndarray) -> slice | np.nd
 
 
 def _map_stacked(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 parts: Iterable[tuple[slice | np.ndarray, np.ndarray]],
+                 parts: Sequence[tuple[slice | np.ndarray, np.ndarray]],
                  V: np.ndarray) -> np.ndarray:
     """Apply a block-diagonal operator with one batched call per part.
 
     Each part pairs the rows it covers with a (g, m, ...) stack of per-group
     operands.  V's rows of those g groups go to ``fn(stack, V_g)`` as a
     (g, m, k) stack, and the (g, m, k) result fills the same rows of the
-    output.  A vector V is treated as one column.
+    output.  A vector V is treated as one column.  When one stack covers
+    every row, its result is the output, without a copy.
     """
     V = np.asarray(V, dtype=float)
-    out = np.empty_like(V)
     k = math.prod(V.shape[1:])
+    if len(parts) == 1:
+        stack = parts[0][1]
+        return fn(stack, V.reshape(stack.shape[0], stack.shape[1], k)).reshape(V.shape)
+    out = np.empty_like(V)
     for rows, stack in parts:
         part = V[rows]
         out[rows] = fn(stack, part.reshape(stack.shape[0], stack.shape[1], k)
@@ -128,6 +132,11 @@ class BlockStacks:
     def stacks(self) -> tuple[np.ndarray, ...]:
         return tuple(S for _, S in self.parts)
 
+    @functools.cached_property
+    def row_sum_norm(self) -> float:
+        """The largest absolute row sum over all blocks (the infinity-norm), formed once."""
+        return max(float(np.abs(S).sum(axis=2).max()) for S in self.stacks())
+
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The blocks in network order, as read-only views into the stacks."""
         out: list = [None] * len(self.group_sizes)
@@ -162,36 +171,46 @@ class JProjector:
     mean projector I - iota iota'/m -- and {iota, M_r iota} otherwise.
 
     The generalized inverse in the textbook formula
-    I - A (A'A)^- A' with A = (iota, M_r iota) is realized spectrally with a
-    relative singular-value cutoff of ``SV_CUTOFF``.  Built from the diagonal
+    I - A (A'A)^- A' with A = (iota, M_r iota) keeps A's second singular
+    direction only when s_2 > ``SV_CUTOFF`` s_1.  Built from the diagonal
     blocks M_r of M (a ``BlockStacks``); a network holds its own as
     ``network.J``.
 
     J is stored only as its bases B_r, J_r = I - B_r B_r': ``parts`` holds
     one ``(rows, stack)`` pair per group size, on the rows of M's stacks,
-    the stack (g, m, min(m, 2)).  One batched SVD of [iota, M_r iota] per
-    size gives them, with M_r iota zeroed where it is collinear with iota
-    and the singular directions below the cutoff zeroed, so a basis of
-    width 1 carries a zero column.  ``apply`` is one batched
-    V - B (B' V) per size.
+    the stack (g, m, min(m, 2)).  The bases are built in closed form, with
+    no decomposition: the first column is iota/sqrt(m), the second
+    r = M_r iota - mean * iota, taken off iota a second time (classical
+    Gram-Schmidt with one re-orthogonalization pass) and normalized.  It is
+    zeroed where M_r iota is collinear with iota, or where s_2 <= cutoff s_1,
+    with s_1 s_2 = sqrt(m) ||r|| and s_1^2 + s_2^2 = m + ||M_r iota||^2;
+    so a basis of width 1 carries a zero column, and a singleton's basis
+    is iota alone.  ``apply`` is one batched V - B (B' V) per size.
     """
 
     def __init__(self, M: BlockStacks):
         self.group_sizes = M.group_sizes
         parts, kept = [], 0
         for rows, M_s in M.parts:
-            m = M_s.shape[1]
-            iota = np.ones(m)
-            mi = M_s @ iota
-            resid = mi - (mi.sum(axis=1, keepdims=True) / m) * iota
-            scale = np.maximum(np.linalg.norm(mi, axis=1), 1e-300)
-            collinear = np.linalg.norm(resid, axis=1) / scale < COLLINEARITY_TOL
-            A = np.stack([np.broadcast_to(iota, mi.shape),
-                          np.where(collinear[:, None], 0.0, mi)], axis=2)
-            U, s, _ = np.linalg.svd(A, full_matrices=False)
-            keep = s > SV_CUTOFF * s[:, :1]
-            kept += int(keep.sum())
-            parts.append((rows, U * keep[:, None, :]))
+            g, m = M_s.shape[:2]
+            B = np.zeros((g, m, min(m, 2)))
+            B[:, :, 0] = 1.0 / math.sqrt(m)
+            kept += g
+            if m > 1:
+                mi = M_s.sum(axis=2)
+                r = mi - mi.sum(axis=1, keepdims=True) / m
+                norm_mi = np.sqrt((mi * mi).sum(axis=1))
+                norm_r = np.sqrt((r * r).sum(axis=1))
+                collinear = norm_r / np.maximum(norm_mi, 1e-300) < COLLINEARITY_TOL
+                r -= r.sum(axis=1, keepdims=True) / m
+                norm_r = np.sqrt((r * r).sum(axis=1))
+                # s_1^2 is the larger root of s^4 - (m + ||M iota||^2) s^2 + m ||r||^2
+                total, det = m + norm_mi ** 2, math.sqrt(m) * norm_r
+                s1_sq = (total + np.sqrt(np.maximum(total ** 2 - 4.0 * det ** 2, 0.0))) / 2.0
+                keep = ~collinear & (det > SV_CUTOFF * s1_sq)
+                np.divide(r, norm_r[:, None], out=B[:, :, 1], where=keep[:, None])
+                kept += int(keep.sum())
+            parts.append((rows, B))
         self.parts = tuple(parts)
         #: tr J = n - the annihilated dimensions (J is a projector)
         self.trace = float(sum(self.group_sizes) - kept)
@@ -296,6 +315,15 @@ class GroupedNetwork:
     def stacks_M(self) -> BlockStacks:
         """M's blocks, one read-only (g, m, m) stack per group size."""
         return self._M
+
+    def stacks_MW(self) -> BlockStacks:
+        """M W's blocks, one read-only (g, m, m) stack per group size, formed once."""
+        return self._MW
+
+    @functools.cached_property
+    def _MW(self) -> BlockStacks:
+        return BlockStacks(self.group_sizes, [M_s @ W_s for M_s, W_s
+                                              in zip(self._M.stacks(), self._W.stacks())])
 
     def blocks_W(self) -> tuple[np.ndarray, ...]:
         """The diagonal blocks of W, one per group: read-only views into the stacks."""

@@ -195,8 +195,9 @@ class InstrumentSet:
         if not keep.any():
             raise NumericalFailure(_NOTHING_LEFT[why])
         k = self.Q.shape[1]
-        # a boolean index copies even when it keeps every column
-        Q = self.Q if keep[:k].all() else self.Q[:, keep[:k]]
+        # a boolean index copies even when it keeps every column, and into
+        # F order; compress keeps C order, so column_sds rounds one way
+        Q = self.Q if keep[:k].all() else np.compress(keep[:k], self.Q, axis=1)
         labels = tuple(lab for lab, kept in zip(self.labels, keep) if kept)
         if self.v is None or not keep[k:].any():
             return InstrumentSet(Q, labels)

@@ -17,8 +17,12 @@ also share one ``first_stage``, the coordinates of R[Z y] on that spectrum,
 so [Z y] is whitened and projected once, not once per fit.  Without
 ``transform_with_rho`` the whitening is at rho = 0, where R = I and nothing
 is computed; with it, every row is whitened at rho_tilde, and the finite
-row fits a q1 stage of its own.  Summaries report Mean (SD) [RMSE] per
-estimator and parameter.
+row fits a q1 stage of its own.  A replication makes two batched
+per-group LAPACK calls: the reduced form's one solve with R(rho)S(lambda),
+and the bias trace's one D solve, which carries iota so that the
+selection context reads D iota from the stage (with ``transform_with_rho``
+and ||lambda_tilde W|| >= 1, D solves its two factors in turn).  Summaries
+report Mean (SD) [RMSE] per estimator and parameter.
 
 Seeding: the master seed spawns one child seed per replication through
 numpy's SeedSequence, so results are reproducible bit for bit and invariant

@@ -30,7 +30,7 @@ import numpy as np
 from .estimation import FirstStage, NumericalFailure
 from .identification import CLUSTER_TOL
 from .regularization import Scheme, Spectrum, _grid_weights
-from .transforms import apply_D, whiten, whitened_residual
+from .transforms import whiten, whitened_residual
 
 __all__ = [
     "SelectionContext",
@@ -109,6 +109,8 @@ def prepare_selection(stage: FirstStage, delta_tilde: np.ndarray,
 
     The stage already holds Z and the coordinates U = psi'R Z at its
     rho_tilde, so H and the target direction cost one whitened n-vector.
+    D iota comes from the stage too: kept by the bias-corrected fit at the
+    same lambda_tilde, or solved on iota alone.
     """
     _check_criterion(criterion)
     network, rho_tilde, spectrum = stage.network, stage.rho_tilde, stage.spectrum
@@ -134,8 +136,7 @@ def prepare_selection(stage: FirstStage, delta_tilde: np.ndarray,
     # squared norm of D iota, averaged over observations: the raw sum grows
     # like n and would make the bias proxy drown the fit terms for every
     # alpha, contradicting the 1/(n alpha^2) order of the term it estimates
-    t = J.apply(apply_D(network, float(delta_tilde[0]), rho_tilde,
-                        np.ones(network.n)))
+    t = J.apply(stage.D_iota(float(delta_tilde[0])))
     bias_factor = float(t @ t) / network.n
 
     return SelectionContext(

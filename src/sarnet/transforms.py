@@ -42,7 +42,7 @@ def row_sum_norm(A: np.ndarray) -> float:
 
 def _require_stable(lam: float, network: GroupedNetwork, what: str) -> None:
     """Refuse ||lambda W|| >= 1 in the row-sum norm, the largest over the blocks."""
-    norm = abs(lam) * max(row_sum_norm(S) for S in network.stacks_W().stacks())
+    norm = abs(lam) * network.stacks_W().row_sum_norm
     if norm >= 1.0:
         raise ValueError(f"||lambda W|| = {norm:.3f} >= 1: {what}")
 
@@ -77,6 +77,12 @@ class ModelParams:
         return params
 
 
+def _plus_identity(A: np.ndarray) -> np.ndarray:
+    """A + I for a (g, m, m) stack, in place: the factors are formed in one array."""
+    A.reshape(A.shape[0], -1)[:, ::A.shape[1] + 1] += 1.0
+    return A
+
+
 def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
                     label: str) -> np.ndarray:
     """Solve (I - coef * A) X = B for a network's ``stacks_W()`` or ``stacks_M()``.
@@ -89,7 +95,7 @@ def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
     if coef == 0.0:
         return B
     try:
-        return A.map(lambda S, V: np.linalg.solve(np.eye(S.shape[1]) - coef * S, V), B)
+        return A.map(lambda S, V: np.linalg.solve(_plus_identity(np.multiply(S, -coef)), V), B)
     except np.linalg.LinAlgError:
         for r, A_r in enumerate(A.blocks()):
             m = A_r.shape[0]
@@ -99,6 +105,31 @@ def solve_blockwise(coef: float, A: BlockStacks, B: np.ndarray,
                 raise np.linalg.LinAlgError(
                     f"{label} is singular on group block {r}") from None
         raise
+
+
+def _solve_rs(network: GroupedNetwork, lam: float, rho: float,
+              B: np.ndarray) -> np.ndarray:
+    """Solve R(rho) S(lambda) X = B, one batched LAPACK call per block size.
+
+    Where ||rho M|| < 1 and ||lambda W|| < 1 in the row-sum norm, neither
+    factor can be singular, and X is one solve with the product
+    R S = I - rho M - lambda W + rho lambda M W (``stacks_MW()``).
+    Otherwise, and at rho = 0 or lambda = 0 where the product is one
+    factor, ``solve_blockwise`` solves R, then S: it names a singular
+    factor and its network block, and skips a factor that is I.
+    """
+    W, M = network.stacks_W(), network.stacks_M()
+    if (rho == 0.0 or lam == 0.0 or abs(rho) * M.row_sum_norm >= 1.0
+            or abs(lam) * W.row_sum_norm >= 1.0):
+        return solve_blockwise(lam, W, solve_blockwise(rho, M, B, "R(rho)"), "S(lambda)")
+    stacks = []
+    for M_s, W_s, MW_s in zip(M.stacks(), W.stacks(), network.stacks_MW().stacks()):
+        RS = np.multiply(MW_s, rho * lam)
+        scaled = np.multiply(M_s, rho)
+        RS -= scaled
+        RS -= np.multiply(W_s, lam, out=scaled)
+        stacks.append(_plus_identity(RS))
+    return BlockStacks(network.group_sizes, stacks).map(np.linalg.solve, B)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +154,15 @@ def whiten(network: GroupedNetwork, rho: float, V: np.ndarray) -> np.ndarray:
 
 def apply_D(network: GroupedNetwork, lam: float, rho: float,
             V: np.ndarray) -> np.ndarray:
-    """D V = R(rho) W S(lambda)^{-1} R(rho)^{-1} V through per-group solves.
+    """D V = R(rho) W (R(rho) S(lambda))^{-1} V through per-group solves.
 
-    D is the bias operator of the many-instruments correction (Liu and Lee
-    2010): the endogenous regressor R W Y has the component D eps.  Its
-    blocks are never formed: V's columns are the right-hand sides of one
-    batched R(rho) solve and one batched S(lambda) solve per group size.
+    D = R W S^{-1} R^{-1} is the bias operator of the many-instruments
+    correction (Liu and Lee 2010): the endogenous regressor R W Y has the
+    component D eps.  Its blocks are never formed: V's columns are the
+    right-hand sides of one batched solve with R S per group size, then
+    lagged by W and whitened.
     """
-    t = solve_blockwise(rho, network.stacks_M(), V, "R(rho)")
-    t = solve_blockwise(lam, network.stacks_W(), t, "S(lambda)")
-    return whiten(network, rho, network.lag_W(t))
+    return whiten(network, rho, network.lag_W(_solve_rs(network, lam, rho, V)))
 
 
 def whitened_residual(network: GroupedNetwork, rho: float, y: np.ndarray,
@@ -145,12 +175,13 @@ def reduced_form(params: ModelParams, X: np.ndarray, gamma: np.ndarray | None,
                  eps: np.ndarray, network: GroupedNetwork) -> np.ndarray:
     """Equilibrium outcome Y = S^{-1}(X beta + iota gamma) + S^{-1} R^{-1} eps.
 
-    Computed with per-group linear solves; S(lambda) or R(rho) being singular
-    on some block raises an error naming the offending factor.  Requires the
+    R S Y = R (X beta + iota gamma) + eps, so Y is one batched solve with
+    R(rho) S(lambda) per group size; S(lambda) or R(rho) being singular on
+    some block raises an error naming the offending factor.  Requires the
     stable regime ||lambda W|| < 1.
     """
     _require_stable(params.lam, network, "reduced form not defined")
     gamma = params.gamma if gamma is None else np.asarray(gamma, dtype=float)
     mean_part = X @ params.beta + network.expand_group_values(gamma)
-    u = solve_blockwise(params.rho, network.stacks_M(), eps, "R(rho)")
-    return solve_blockwise(params.lam, network.stacks_W(), mean_part + u, "S(lambda)")
+    return _solve_rs(network, params.lam, params.rho,
+                     whiten(network, params.rho, mean_part) + eps)

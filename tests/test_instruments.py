@@ -224,3 +224,16 @@ def test_roster_kept_whole_equals_the_copying_construction(seed):
     dense = raw.dense()[:, q1.n_columns:]
     np.testing.assert_allclose(got.dense()[:, q1.n_columns:],
                                dense / np.std(dense, axis=0, ddof=1), rtol=1e-13)
+
+
+def test_dropping_a_global_column_keeps_q_in_c_order():
+    # a boolean index on axis 1 copies into F order, where np.std sums each
+    # column in another order than on a C array; select keeps one layout,
+    # so the SDs do not depend on whether an unrelated column was dropped
+    Q = np.random.default_rng(4).standard_normal((500, 5))
+    Q[:, 2] = 0.0
+    with pytest.warns(UserWarning, match="numerically zero"):
+        kept = InstrumentSet(Q, tuple("abcde")).nonzero()
+    assert kept.labels == ("a", "b", "d", "e") and kept.Q.flags.c_contiguous
+    want = np.std(np.ascontiguousarray(Q[:, [0, 1, 3, 4]]), axis=0, ddof=1)
+    assert np.array_equal(kept.column_sds(), want)

@@ -496,3 +496,52 @@ def test_config_validation():
             McConfig(**empty)
     assert McConfig().truth("lambda") == 0.1
     assert McConfig().n == 300
+
+
+def test_lapack_call_budget(monkeypatch):
+    # the batched per-group LAPACK calls (a 3-D first argument) of one
+    # replication: the reduced form's one solve with R S and the bias
+    # trace's one D solve, which carries iota for the selection context;
+    # J's bases take no SVD.  With transform_with_rho the D solve is at
+    # (lambda_tilde, rho_tilde), one product solve while ||lambda W|| < 1
+    calls = {"solve": [], "svd": 0}
+    solve, svd = np.linalg.solve, np.linalg.svd
+
+    def counting_solve(a, b, *args, **kwargs):
+        if np.ndim(a) == 3:
+            calls["solve"].append(np.shape(b)[-1])
+        return solve(a, b, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"] += np.ndim(a) == 3
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    seed = np.random.SeedSequence(0).spawn(1)[0]
+    for criterion in ("cp", "loo"):
+        for transform in (False, True):
+            config = McConfig(group_count=30, group_size=10, max_links=3,
+                              criterion=criterion, transform_with_rho=transform)
+            calls.update(solve=[], svd=0)
+            rep = run_replication(config, seed)
+            assert rep.failures == {} and rep.rho_tilde != 0.0
+            assert len(calls["solve"]) == 2 and calls["svd"] == 0, (criterion, transform)
+
+    net, data = montecarlo._draw_sample(config, seed)
+    q1 = q1_roster(net, data.regressors(net))
+    delta_tilde = preliminary_delta(data, net, q1)
+    assert abs(delta_tilde[0]) * net.stacks_W().row_sum_norm < 1.0   # the product regime
+    rho_tilde = preliminary_rho(data, net, delta_tilde)
+    stage = first_stage(data, net, normalize_columns(q2_roster(net, q1), "unit-variance"),
+                        rho_tilde)
+    calls.update(solve=[], svd=0)
+    bias_corrected_2sls(stage, float(delta_tilde[0]))
+    assert len(calls["solve"]) == 1
+    calls.update(solve=[])
+    selection.prepare_selection(stage, delta_tilde, "cp")
+    assert calls["solve"] == []
+    # without a bias fit, D is applied to iota alone
+    fresh = first_stage(data, net, q1, rho_tilde)
+    selection.select_alpha(fresh, "T", "cp", delta_tilde)
+    assert calls["solve"] == [1] and calls["svd"] == 0

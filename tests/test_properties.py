@@ -274,18 +274,24 @@ def loop_solve(net, coef, blocks, V):
 
 def loop_j_apply(net, V):
     """J V from each group's own basis of span{iota, M_r iota}, as in the docstring:
-    the SVD of [iota, 0] when M_r iota is collinear with iota, of [iota, M_r iota]
-    otherwise, with the directions below the cutoff zeroed."""
+    iota/sqrt(m), then r = M_r iota - mean * iota taken off iota once more and
+    normalized, zeroed when M_r iota is collinear with iota or when the closed-form
+    s_2 of [iota, M_r iota] is at most the cutoff times s_1; a singleton keeps iota."""
     out = np.array(V)
     for M_r, sl in zip(net.blocks_M(), group_slices(net)):
         m = len(M_r)
-        iota = np.ones(m)
-        mi = M_r @ iota
-        resid = mi - (mi.sum() / m) * iota
-        collinear = np.linalg.norm(resid) / max(np.linalg.norm(mi), 1e-300) < 1e-8
-        A = np.column_stack([iota, np.zeros(m) if collinear else mi])
-        U, s, _ = np.linalg.svd(A, full_matrices=False)
-        B = U * (s > 1e-10 * s[0])
+        B = np.full((m, 1), 1.0 / np.sqrt(m))
+        if m > 1:
+            mi = M_r.sum(axis=1)
+            r = mi - mi.sum() / m
+            norm_mi, norm_r = np.sqrt((mi * mi).sum()), np.sqrt((r * r).sum())
+            collinear = norm_r / max(norm_mi, 1e-300) < 1e-8
+            r = r - r.sum() / m
+            norm_r = np.sqrt((r * r).sum())
+            total, det = m + norm_mi ** 2, np.sqrt(m) * norm_r
+            s1_sq = (total + np.sqrt(max(total ** 2 - 4.0 * det ** 2, 0.0))) / 2.0
+            keep = not collinear and det > 1e-10 * s1_sq
+            B = np.column_stack([B[:, 0], r / norm_r if keep else np.zeros(m)])
         out[sl] = out[sl] - B @ (B.T @ out[sl])
     return out
 

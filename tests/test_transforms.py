@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sarnet.graphs import (BlockStacks, GroupedNetwork, JProjector, PanelData,
-                           generate_mc_network, row_normalize)
+from sarnet.graphs import (COLLINEARITY_TOL, SV_CUTOFF, BlockStacks, GroupedNetwork,
+                           JProjector, PanelData, generate_mc_network, row_normalize)
 from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form, row_sum_norm,
                                solve_blockwise, whiten, whitened_residual)
 from conftest import draw_dataset
@@ -119,6 +119,51 @@ class TestJProjector:
         assert J.trace_product(net.stacks_W()) == pytest.approx(
             np.trace(dense @ dense_W(net)), abs=1e-12)
 
+    def test_basis_is_orthonormal_just_above_the_collinearity_tol(self):
+        # M iota is off iota by a residual ratio of 2e-8, so it is kept; one
+        # Gram-Schmidt pass would leave r about eps / 2e-8 off iota, and the
+        # second pass makes B'B = I to rounding
+        m = 6
+        z = np.array([1.0, -2.0, 0.5, 1.5, -1.0, 0.0])
+        mi = 0.5 * (1.0 + 2e-8 * np.sqrt(m) / np.linalg.norm(z) * z)
+        M = np.zeros((m, m))
+        M[np.arange(m), (np.arange(m) + 1) % m] = mi
+        ratio = np.linalg.norm(mi - mi.mean()) / np.linalg.norm(mi)
+        assert COLLINEARITY_TOL < ratio < 3 * COLLINEARITY_TOL
+        J = JProjector(BlockStacks.from_blocks([M], "M"))
+        (_, B), = J.parts
+        assert J.trace == m - 2
+        assert np.abs(B[0].T @ B[0] - np.eye(2)).max() <= 10 * np.finfo(float).eps
+
+    def test_kept_width_and_trace_follow_the_svd_rule_on_tiny_entries(self):
+        # entries of 1e-6 put s_2 / s_1 of [iota, M iota] on both sides of
+        # SV_CUTOFF while M iota stays off iota beyond COLLINEARITY_TOL; the
+        # closed-form singular values must keep what the SVD keeps
+        m = 5
+        z = np.array([2.0, -1.0, 0.5, -2.0, 0.5])
+        rng = np.random.default_rng(11)
+        blocks = []
+        for ratio in (1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 1e-2):
+            M = np.zeros((m, m))
+            M[np.arange(m), (np.arange(m) + 1) % m] = \
+                1e-6 * (1.0 + ratio * np.sqrt(m) / np.linalg.norm(z) * z)
+            blocks.append(M)
+        generic = 1e-6 * rng.random((m, m))
+        np.fill_diagonal(generic, 0.0)
+        blocks.append(generic)
+        svd_widths = []
+        for M in blocks:
+            mi = M @ np.ones(m)
+            collinear = np.linalg.norm(mi - mi.mean()) / np.linalg.norm(mi) < COLLINEARITY_TOL
+            A = np.column_stack([np.ones(m), np.zeros(m) if collinear else mi])
+            s = np.linalg.svd(A, compute_uv=False)
+            svd_widths.append(int((s > SV_CUTOFF * s[0]).sum()))
+        assert svd_widths == [1, 1, 1, 1, 2, 2, 2]
+        J = JProjector(BlockStacks.from_blocks(blocks, "M"))
+        (_, B), = J.parts
+        assert (np.abs(B).sum(axis=1) > 0).sum(axis=1).tolist() == svd_widths
+        assert J.trace == m * len(blocks) - sum(svd_widths)
+
     def test_trace_product_refuses_other_group_sizes(self):
         net = generate_mc_network(3, 6, 2, seed=5)
         other = generate_mc_network(2, 9, 2, seed=5)
@@ -229,6 +274,48 @@ class TestReducedForm:
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"S\(lambda\) is singular on group block 2"):
             apply_D(net, 0.5, 0.0, np.ones((net.n, 2)))
+
+    def test_singular_factor_named_with_the_other_factor_on(self):
+        # sizes (2, 2, 3) as above, with lambda and rho both nonzero, where a
+        # nonsingular pair of factors would take one solve with R S: a
+        # singular factor is still named, by its network block
+        pair = 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        triangle = np.ones((3, 3)) - np.eye(3)
+        net = GroupedNetwork.from_blocks([pair, pair, triangle],
+                                         [pair, pair, triangle / 2])
+        ones = np.ones((net.n, 2))
+        for lam in (0.1, 0.2, -0.3, 0.123):      # R(1) = I - M: singular on block 2
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"R\(rho\) is singular on group block 2"):
+                apply_D(net, lam, 1.0, ones)
+            params = ModelParams(lam=lam, beta1=[0.0], beta2=[0.0], rho=1.0,
+                                 gamma=np.zeros(3), sigma2=1.0)
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"R\(rho\) is singular on group block 2"):
+                reduced_form(params, np.zeros((net.n, 2)), None, np.ones(net.n), net)
+        for rho in (0.1, 0.5, -0.3, 0.77):       # S(0.5) = I - W/2: singular on block 2
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"S\(lambda\) is singular on group block 2"):
+                apply_D(net, 0.5, rho, ones)
+            # the reduced form refuses ||lambda W|| >= 1 before any solve
+            params = ModelParams(lam=0.5, beta1=[0.0], beta2=[0.0], rho=rho,
+                                 gamma=np.zeros(3), sigma2=1.0)
+            with pytest.raises(ValueError, match="lambda W"):
+                reduced_form(params, np.zeros((net.n, 2)), None, np.ones(net.n), net)
+
+    def test_product_solve_matches_the_two_factor_solves(self):
+        # inside ||rho M|| < 1 and ||lambda W|| < 1 one solve with R S
+        # replaces the R solve and the S solve, on mixed group sizes
+        blocks_W = [generate_mc_network(1, m, min(2, m - 1), seed=m).blocks_W()[0]
+                    for m in (4, 6, 4, 1)]
+        net = GroupedNetwork.from_blocks(blocks_W, [row_normalize(B) for B in blocks_W])
+        V = np.random.default_rng(2).standard_normal((net.n, 3))
+        lam, rho = 0.3, -0.8
+        want = solve_blockwise(lam, net.stacks_W(),
+                               solve_blockwise(rho, net.stacks_M(), V, "R(rho)"), "S(lambda)")
+        R = np.eye(net.n) - rho * dense_M(net)
+        np.testing.assert_allclose(apply_D(net, lam, rho, V),
+                                   R @ dense_W(net) @ want, rtol=1e-13, atol=1e-13)
 
     def test_singular_s_named_in_error(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
