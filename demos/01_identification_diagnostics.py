@@ -82,6 +82,6 @@ ring_net = GroupedNetwork.from_blocks([ring], [row_normalize(ring)], m_row_norma
 X = rng.standard_normal((n, 2))
 print("condition number of the stack's Gram matrix by lag order:")
 for order in (1, 2, 3, 4):
-    stack, _ = labelled_stack(ring_net, X, order)
+    stack, _, _ = labelled_stack(ring_net, X, order)
     sv = np.linalg.svd(stack, compute_uv=False)
     print(f"  order {order}: {(sv[0] / sv[-1]) ** 2:12.1f}")

@@ -12,7 +12,7 @@ Monte Carlo harness.
 from .graphs import (GroupedNetwork, JProjector, PanelData, build_block_diagonal,
                      generate_mc_network, lee_group_network, load_edge_csv,
                      load_network, load_node_csv, row_normalize)
-from .transforms import ModelParams, reduced_form, row_sum_norm
+from .transforms import ModelParams, reduced_form
 from .identification import (IdentificationReport, Verdict, build_report,
                              distinct_eigenvalues, labelled_stack,
                              lee_reduced_coefficient)

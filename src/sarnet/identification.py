@@ -111,32 +111,44 @@ def _stack_width(X: np.ndarray, order: int, centrality_columns: int,
 
 def labelled_stack(network: GroupedNetwork, X: np.ndarray, order: int,
                    centrality: bool = False, m_copy: bool = False,
-                   ) -> tuple[np.ndarray, list[str]]:
-    """Columns [W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)].
+                   ) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Columns [W X, ..., W^order X, X(, M copy)] and the centrality powers.
 
     W and M are the network's, applied with its block-wise lags; ``X`` is
-    n x k.  With ``centrality`` each power contributes one column per group,
-    iota being the network's ``group_ones()``; with ``m_copy`` the whole
-    stack is doubled by its M-premultiplied copy.  Returns the stack and one
-    provenance label per column: ``W^j.X[c]``, ``W^j.iota[r]``, ``X[c]`` and
-    ``M.`` in front of the copy's labels.
+    n x k.  With ``centrality`` each power W^j also contributes one column
+    per group, W^j iota_r on group r's rows, iota being the network's
+    ``group_ones()``: those are returned as the n x order matrix V, whose
+    column j is W^j 1 (column r of the power's block is that vector on
+    group r's rows), and None without.  With ``m_copy`` the stack and V are
+    each doubled by their M-premultiplied copies.  Returns the stack, V and
+    one provenance label per column: the stack's, ``W^j.X[c]`` and
+    ``X[c]``, then V's, one per group and power in order, ``W^j.iota[r]``;
+    ``M.`` in front of the copies' labels.
     """
     _stack_width(X, order, network.group_count if centrality else 0, m_copy)  # checks X, order
     cols, labels = [], []
-    for name, V in (("X", X), ("iota", network.group_ones() if centrality else None)):
-        if V is None:
-            continue
-        for j in range(1, order + 1):
-            V = network.lag_W(V)
-            cols.append(V)
-            labels += [f"W^{j}.{name}[{c}]" for c in range(V.shape[1])]
+    lag = X
+    for j in range(1, order + 1):
+        lag = network.lag_W(lag)
+        cols.append(lag)
+        labels += [f"W^{j}.X[{c}]" for c in range(X.shape[1])]
     cols.append(X)
     labels += [f"X[{c}]" for c in range(X.shape[1])]
-    stack = np.column_stack(cols)
+    stack, V, per_group = np.column_stack(cols), None, []
+    if centrality:
+        powers = [network.lag_W(np.ones(network.n))]
+        for _ in range(1, order):
+            powers.append(network.lag_W(powers[-1]))
+        V = np.column_stack(powers)
+        per_group = [f"W^{j}.iota[{r}]" for j in range(1, order + 1)
+                     for r in range(network.group_count)]
     if m_copy:
         stack = np.column_stack([stack, network.lag_M(stack)])
         labels += [f"M.{lab}" for lab in labels]
-    return stack, labels
+        if V is not None:
+            V = np.column_stack([V, network.lag_M(V)])
+            per_group += [f"M.{lab}" for lab in per_group]
+    return stack, V, labels + per_group
 
 
 def _rank_and_condition(stack: np.ndarray) -> tuple[int, bool, float]:
@@ -166,7 +178,10 @@ def _stack_rank_check(network: GroupedNetwork, X: np.ndarray, count: int,
     if _stack_width(X, order, network.group_count if correlated else 0,
                     correlated) > X.shape[0]:
         return False, math.inf
-    stack, _ = labelled_stack(network, X, order, correlated, correlated)
+    stack, V, _ = labelled_stack(network, X, order, correlated, correlated)
+    if V is not None:            # the per-group columns written out, a block per power
+        ones = network.group_ones()
+        stack = np.column_stack([stack, *(v[:, None] * ones for v in V.T)])
     _, full, cond = _rank_and_condition(stack)
     return full, cond
 

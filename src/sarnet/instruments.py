@@ -8,14 +8,18 @@ the fixed-effect annihilator J is always applied last so the instruments are
 orthogonal to the swept-out group effects by construction (J Q = Q).
 
 An ``InstrumentSet`` holds its global columns as a dense n x c matrix ``Q``.
-The large roster ``q2_roster`` adds one centrality column per group, J_r W_r
+Every power j of a centrality column adds one column per group, J_r W_r^j
 iota_r, which is nonzero only on group r's rows; those columns are held as
-one n-vector ``v`` (column r is v on group r's rows) and the first row of
-each group that has a column, never as an n x G block.  Products with the
-roster, its Gram and its normalization then cost O(n c) plus segment sums
-of v; its Gram F'F/n is an arrowhead, handed over as blocks (``arrowhead``).
-Only ``InstrumentSet`` reads that layout, so its methods are the column
-rule of every roster: ``nonzero``, ``column_sds``, ``select`` and ``rescaled``.
+one n-vector per power (column r is the vector on group r's rows), the
+columns of the n x o matrix ``V``, and the first row of each group that has
+a column, never as an n x G block.  ``q2_roster`` is the one-power case
+(J W 1); ``build_instruments`` holds o = order powers, twice that with the
+M copy.  Products with the roster and its normalization then cost O(n c)
+plus segment sums of V; with one power its Gram F'F/n is an arrowhead,
+handed over as blocks (``arrowhead``), and with more the spectrum reads V
+group by group (``blocks``).  Only ``InstrumentSet`` reads that layout, so
+its methods are the column rule of every roster: ``nonzero``,
+``column_sds``, ``select`` and ``rescaled``.
 """
 
 from __future__ import annotations
@@ -54,34 +58,46 @@ class NumericalFailure(ValueError):
 
 @dataclass(frozen=True)
 class InstrumentSet:
-    """Instrument matrix F = [Q | V] with per-column provenance labels.
+    """Instrument matrix F = [Q | per-group columns] with per-column provenance labels.
 
-    ``Q`` holds the global columns.  The optional per-group part V has one
-    column per entry of ``starts``: column r is ``v`` on the rows from
-    ``starts[r]`` up to the next start (or n) and zero elsewhere.  ``v`` is
-    zero on every row of a group without a column, so those rows add exact
-    zeros.  Without a per-group part F is Q, and every product below does
-    exactly the arithmetic of Q itself.
+    ``Q`` holds the global columns.  The optional per-group part splits the
+    rows into segments at ``starts`` (segment s runs from ``starts[s]`` up
+    to the next start, or n) and holds one column of the n x o matrix ``V``
+    per power p: the per-group column (s, p) is V[:, p] on segment s's rows
+    and zero elsewhere.  It exists where ``mask[s, p]``; ``mask`` is None
+    when all of them do, as they do for one power.  V[:, p] is zero on the
+    segment's rows where a column does not exist, as it is on every row of
+    a group without a column, so those rows add exact zeros.  The per-group
+    columns follow Q power by power, segments in order within a power.
+    Without a per-group part F is Q, and every product below does exactly
+    the arithmetic of Q itself; with one power (o = 1) it does that of the
+    one n-vector V[:, 0].
     """
 
     Q: np.ndarray
     labels: tuple[str, ...]
-    v: np.ndarray | None = None
+    V: np.ndarray | None = None
     starts: np.ndarray | None = None
+    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if (self.v is None) != (self.starts is None):
-            raise ValueError("a per-group part needs both v and starts")
-        if self.v is not None:
-            v = np.asarray(self.v, dtype=float)
+        if (self.V is None) != (self.starts is None) or (self.V is None and self.mask is not None):
+            raise ValueError("a per-group part needs both V and starts")
+        if self.V is not None:
+            V = np.asarray(self.V, dtype=float)
             starts = np.asarray(self.starts, dtype=np.intp)
-            if v.shape != (Q.shape[0],) or starts.ndim != 1 or starts.size == 0 \
-                    or starts[0] < 0 or starts[-1] >= v.size or np.any(np.diff(starts) <= 0):
-                raise ValueError("v needs one entry per row and starts ascending row indices")
-            object.__setattr__(self, "v", v)
+            if V.ndim != 2 or V.shape[0] != Q.shape[0] or starts.ndim != 1 or starts.size == 0 \
+                    or starts[0] < 0 or starts[-1] >= V.shape[0] or np.any(np.diff(starts) <= 0):
+                raise ValueError("V needs one row per row of Q and starts ascending row indices")
+            if self.mask is not None:
+                mask = np.asarray(self.mask, dtype=bool)
+                if mask.shape != (starts.size, V.shape[1]) or not mask.any(axis=1).all():
+                    raise ValueError("mask needs one row per segment, each with a column")
+                object.__setattr__(self, "mask", None if mask.all() else mask)
+            object.__setattr__(self, "V", V)
             object.__setattr__(self, "starts", starts)
         if self.n_columns != len(self.labels):
             raise ValueError("one label per column required")
@@ -91,37 +107,69 @@ class InstrumentSet:
         return self.Q.shape[0]
 
     @property
+    def powers(self) -> int:
+        """o, the number of columns of V; 0 without a per-group part."""
+        return 0 if self.V is None else self.V.shape[1]
+
+    @property
     def n_columns(self) -> int:
-        return self.Q.shape[1] + (0 if self.starts is None else self.starts.size)
+        if self.V is None:
+            return self.Q.shape[1]
+        per_group = self.powers * self.starts.size if self.mask is None else int(self.mask.sum())
+        return self.Q.shape[1] + per_group
 
     def _segment_sums(self, x: np.ndarray) -> np.ndarray:
-        """Row sums of x over each per-group column's rows, one row per column."""
+        """Row sums of x over each segment's rows, one row per segment."""
         return np.add.reduceat(x, self.starts, axis=0)
 
     def _rows(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Each per-group column's row of ``values`` on its rows, ``fill`` above them."""
+        """Each segment's row of ``values`` on its rows, ``fill`` above the first."""
         out = np.full((self.n,) + values.shape[1:], fill)
         out[self.starts[0]:] = np.repeat(values, np.diff(self.starts, append=self.n), axis=0)
         return out
 
-    def _per_row(self, c: np.ndarray) -> np.ndarray:
-        """V c for a vector or matrix c with one row per per-group column."""
-        return (self.v if c.ndim == 1 else self.v[:, None]) * self._rows(c)
+    def _by_power(self, per_segment: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``per_segment(v)`` for each column v of V, in column order: one row per column."""
+        parts = [per_segment(v) for v in self.V.T]
+        if self.mask is not None:
+            parts = [part[kept] for part, kept in zip(parts, self.mask.T)]
+        return np.concatenate(parts)
+
+    def _scatter(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """``values``, one row per per-group column, as a (segments, powers, ...) array.
+
+        Where a segment has no column of a power the entry is ``fill``.
+        """
+        by_power = (self.powers, self.starts.size) + values.shape[1:]
+        if self.mask is None:
+            return np.swapaxes(values.reshape(by_power), 0, 1)
+        out = np.full(by_power, fill)
+        out[self.mask.T] = values
+        return np.swapaxes(out, 0, 1)
+
+    def _single(self) -> np.ndarray:
+        """V's one column; the Gram's per-group block is diagonal only then."""
+        if self.powers != 1:
+            raise ValueError("an arrowhead needs a per-group part of one power")
+        return self.V[:, 0]
 
     def tdot(self, x: np.ndarray) -> np.ndarray:
         """F'x for an n-vector or an n-row matrix x."""
         head = self.Q.T @ x
-        if self.v is None:
+        if self.V is None:
             return head
-        vx = (self.v if x.ndim == 1 else self.v[:, None]) * x
-        return np.concatenate([head, self._segment_sums(vx)])
+        return np.concatenate([head, self._by_power(
+            lambda v: self._segment_sums((v if x.ndim == 1 else v[:, None]) * x))])
 
     def dot(self, c: np.ndarray) -> np.ndarray:
         """F c for an m-vector or an m-row matrix c."""
         k = self.Q.shape[1]
-        if self.v is None:
+        if self.V is None:
             return self.Q @ c
-        return self.Q @ c[:k] + self._per_row(c[k:])
+        out = self.Q @ c[:k]
+        for v, coef in zip(self.V.T, np.swapaxes(self._scatter(c[k:]), 0, 1)):
+            out += (v if c.ndim == 1 else v[:, None]) * self._rows(coef)
+        return out
 
     def arrowhead(self, apply: Callable[[np.ndarray], np.ndarray] | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -130,15 +178,17 @@ class InstrumentSet:
         F'AF = [[head, right'], [left, diag(diagonal)]]: head = Q'AQ, and
         ``left`` and ``right`` have one row per per-group column.  ``apply``
         maps V -> A V; without it A = I, F'F is symmetric and ``right`` is
-        ``left``.  A acts on the c + 1 columns [Q, v] once.  Being block
-        diagonal, it maps the per-group column r to (A v) on group r's rows,
-        so both borders and the diagonal are segment sums of entrywise
-        products of those columns.  Without a per-group part they are empty.
+        ``left``.  A acts on the c + 1 columns [Q, v] once, v the one column
+        of V.  Being block diagonal, it maps the per-group column s to (A v)
+        on segment s's rows, so both borders and the diagonal are segment
+        sums of entrywise products of those columns.  Without a per-group
+        part they are empty; with more than one power F'AF is no arrowhead.
         """
-        Q, v = self.Q, self.v
-        if v is None:
+        Q = self.Q
+        if self.V is None:
             empty = np.empty((0, Q.shape[1]))
             return Q.T @ (Q if apply is None else apply(Q)), empty, empty, np.empty(0)
+        v = self._single()
         if apply is None:
             AQ, Av = Q, v
         else:
@@ -149,37 +199,49 @@ class InstrumentSet:
         return Q.T @ AQ, left, right, self._segment_sums(v * Av)
 
     def per_group_squares(self, values: np.ndarray) -> np.ndarray:
-        """(V * V) values: v_i^2 times the entry of row i's per-group column."""
-        return self.v * self.v * self._rows(values)
+        """v_i^2 times row i's segment's entry of ``values``, v the one column of V."""
+        v = self._single()
+        return v * v * self._rows(values)
+
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The per-group part as (rows, V[rows]) per segment length L, rows g x L.
+
+        Each segment's rows of V, zero in the powers it has no column for,
+        stacked with the other segments of its length; empty without a
+        per-group part.  Together the blocks hold every per-group column.
+        """
+        if self.V is None:
+            return []
+        lengths = np.diff(self.starts, append=self.n)
+        return [(rows, self.V[rows]) for rows in
+                (self.starts[lengths == m][:, None] + np.arange(m) for m in np.unique(lengths))]
 
     def dense(self) -> np.ndarray:
         """F as one n x m matrix, the per-group columns written out in full."""
-        if self.v is None:
+        if self.V is None:
             return self.Q
-        out = np.zeros((self.n, self.n_columns))
-        k = self.Q.shape[1]
-        out[:, :k] = self.Q
-        out[:, k:] = self._per_row(np.eye(self.starts.size))
-        return out
+        segments = self._rows(np.eye(self.starts.size))
+        return np.column_stack([self.Q, self._by_power(lambda v: (v[:, None] * segments).T).T])
 
     def peaks(self) -> np.ndarray:
         """Each column's largest absolute entry."""
         peaks = np.abs(self.Q).max(axis=0)
-        if self.v is None:
+        if self.V is None:
             return peaks
-        return np.concatenate([peaks, np.maximum.reduceat(np.abs(self.v), self.starts)])
+        return np.concatenate([peaks, self._by_power(
+            lambda v: np.maximum.reduceat(np.abs(v), self.starts))])
 
     def column_sds(self) -> np.ndarray:
         """Each column's sample SD (ddof 1), NaN where rounding leaves no variance."""
         n, k = self.n, self.Q.shape[1]
         sd = np.empty(self.n_columns)
         sd[:k] = np.std(self.Q, axis=0, ddof=1)
-        if self.v is not None:
+        if self.V is not None:
             # sum over all n rows of (x - mean)^2 = s2 - s1^2/n; J sweeps each
             # group's mean, so s1 is rounding noise and nothing cancels.  A
             # group that spans all n rows can round below zero: NaN
-            s1 = self._segment_sums(self.v)
-            s2 = self._segment_sums(self.v * self.v)
+            s1 = self._by_power(self._segment_sums)
+            s2 = self._by_power(lambda v: self._segment_sums(v * v))
             with np.errstate(invalid="ignore"):
                 sd[k:] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
         return sd
@@ -199,10 +261,16 @@ class InstrumentSet:
         # F order; compress keeps C order, so column_sds rounds one way
         Q = self.Q if keep[:k].all() else np.compress(keep[:k], self.Q, axis=1)
         labels = tuple(lab for lab, kept in zip(self.labels, keep) if kept)
-        if self.v is None or not keep[k:].any():
+        if self.V is None or not keep[k:].any():
             return InstrumentSet(Q, labels)
-        v = self.v if keep[k:].all() else np.where(self._rows(keep[k:], fill=False), self.v, 0.0)
-        return InstrumentSet(Q, labels, v, self.starts[keep[k:]])
+        if keep[k:].all():
+            return InstrumentSet(Q, labels, self.V, self.starts, self.mask)
+        # V is zeroed where a column goes, and a segment left without one merges
+        # into the one before it
+        mask = self._scatter(keep[k:], fill=False)
+        V = np.where(self._rows(mask, fill=False), self.V, 0.0)
+        segments = mask.any(axis=1)
+        return InstrumentSet(Q, labels, V, self.starts[segments], mask[segments])
 
     def nonzero(self) -> InstrumentSet:
         """The columns whose peak is above ``ZERO_COLUMN_RTOL`` times the largest."""
@@ -213,32 +281,43 @@ class InstrumentSet:
         return self.select(peaks > ZERO_COLUMN_RTOL * scale, "numerically zero")
 
     def rescaled(self, sd: np.ndarray) -> InstrumentSet:
-        """Each column divided by its entry of ``sd``; v is divided row by row."""
+        """Each column divided by its entry of ``sd``; V is divided row by row."""
         k = self.Q.shape[1]
         # one n x c result, in C order as the Gram's bits need
         Q = np.divide(self.Q, sd[:k], out=np.empty(self.Q.shape))
-        v = None if self.v is None else self.v / self._rows(sd[k:], fill=1.0)
-        return InstrumentSet(Q, self.labels, v, self.starts)
+        V = None if self.V is None else self.V / self._rows(self._scatter(sd[k:], 1.0), 1.0)
+        return InstrumentSet(Q, self.labels, V, self.starts, self.mask)
 
 
 def build_instruments(network: GroupedNetwork, X: np.ndarray, order: int,
                       include_bonacich: bool = True,
                       include_M_lags: bool = True) -> InstrumentSet:
-    """Truncated instrument family J [lags of X, centrality columns, X, M copy].
+    """Truncated instrument family J [lags of X, X, centrality columns, M copy].
 
-    Columns, before J: W X, ..., W^order X, then (optionally) W iota, ...,
-    W^order iota, then X itself, then (optionally) the M-premultiplied copy
-    of everything so far, as built by ``identification.labelled_stack``.
-    iota is the block-diagonal matrix of per-group ones vectors, so every
-    power contributes one centrality column per group.  Numerically zero
-    columns (underflowed high powers, covariates constant within groups) are
-    dropped by ``InstrumentSet.nonzero``.
+    Columns, before J: W X, ..., W^order X, X itself, then (optionally) the
+    M-premultiplied copy of those, as built by
+    ``identification.labelled_stack``; then (optionally) the centrality
+    columns W iota, ..., W^order iota and their M copies.  iota is the
+    block-diagonal matrix of per-group ones vectors, so every power
+    contributes one column per group, held as the per-group part V.
+    Numerically zero columns (underflowed high powers, covariates constant
+    within groups) are dropped by ``InstrumentSet.nonzero``.
     """
     X = _as_rows(X, network.n)
     if X.shape[0] != network.n:
         raise ValueError("X rows must match the network order")
-    stack, labels = labelled_stack(network, X, order, include_bonacich, include_M_lags)
-    return InstrumentSet(network.J.apply(stack), [f"J.{lab}" for lab in labels]).nonzero()
+    stack, V, labels = labelled_stack(network, X, order, include_bonacich, include_M_lags)
+    labels = [f"J.{lab}" for lab in labels]
+    if V is None:
+        return InstrumentSet(network.J.apply(stack), labels).nonzero()
+    return InstrumentSet(network.J.apply(stack), labels, network.J.apply(V),
+                         _group_starts(network)).nonzero()
+
+
+def _group_starts(network: GroupedNetwork) -> np.ndarray:
+    """Each group's first row."""
+    sizes = np.asarray(network.group_sizes)
+    return np.cumsum(sizes) - sizes
 
 
 def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
@@ -303,12 +382,11 @@ def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:
     of groups (the many-instruments regime).
 
     Group r's column J_r W_r iota_r is nonzero only on that group's rows, and
-    there it equals the n-vector v = J W 1, which the roster holds as its
-    per-group part next to q1's shared columns.  Numerically zero columns
-    (groups without links, or whose W_r iota_r J annihilates) are dropped by
-    ``InstrumentSet.nonzero``.
+    there it equals the n-vector v = J W 1, which the roster holds as the one
+    column of its per-group part next to q1's shared columns.  Numerically
+    zero columns (groups without links, or whose W_r iota_r J annihilates)
+    are dropped by ``InstrumentSet.nonzero``.
     """
-    sizes = np.asarray(network.group_sizes)
     v = network.J.apply(network.lag_W(np.ones(q1.n)))
-    labels = q1.labels + tuple(f"J.W.iota[{r}]" for r in range(sizes.size))
-    return InstrumentSet(q1.Q, labels, v, np.cumsum(sizes) - sizes).nonzero()
+    labels = q1.labels + tuple(f"J.W.iota[{r}]" for r in range(network.group_count))
+    return InstrumentSet(q1.Q, labels, v[:, None], _group_starts(network)).nonzero()

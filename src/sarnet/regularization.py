@@ -25,11 +25,14 @@ LF scheme in its many-iteration limit) recovers the ordinary projection, so
 classical 2SLS is the undamped special case.
 
 Everything downstream of the eigendecomposition works in the rank-dimensional
-coordinates <e, psi_j>, the dual form of Carrasco (2012): with few
-instruments the psi_j are F phi_j / sqrt(n nu_j) for the eigenpairs
-(nu_j, phi_j) of K = F'F/n, F the instrument set, and ``Spectrum`` keeps
-them as that product, so the n x rank matrix psi is never needed.  For the
-large roster F = [Q | V], V one column per group held as one n-vector, K is
+coordinates <e, psi_j>, the dual form of Carrasco (2012).  ``Spectrum`` gets
+them one of two ways, and both keep the same nonzero spectrum.
+
+The Gram route takes a roster of m < n/4 columns whose per-group part, if
+any, has one power (the Monte Carlo rosters q1 and q2).  There the psi_j
+are F phi_j / sqrt(n nu_j) for the eigenpairs (nu_j, phi_j) of K = F'F/n,
+kept as that product, so the n x rank matrix psi is never formed.  For q2,
+F = [Q | V] with one per-group column per group held as one n-vector, K is
 the arrowhead [[A, B'], [B, diag(d)]] that ``InstrumentSet.arrowhead``
 assembles from Q'Q and segment sums.  When the per-group diagonal d is one
 value (unit-variance columns), a thin SVD of the G x c border B of rank r
@@ -39,9 +42,26 @@ reflectors, and only the (c + r)^2 core goes to ``eigh``.  Being one
 eigenvalue, the cluster carries one damping weight.  F'x, F c, the bias
 trace tr(P D) (``Spectrum.weighted_trace``) and the leverages
 (``Spectrum.weighted_diagonal``) then cost O(n c) plus O(G c^2), never a
-product with an n x G block or a G x G matrix.  A roster's spectrum belongs
-to its first stage: ``estimation.first_stage`` decomposes it once per
-stage, and an instrument set holds none.
+product with an n x G block or a G x G matrix.
+
+The block route takes every other roster, such as the CLI's, whose
+per-group part holds o > 1 powers (one column of V per centrality power and
+M copy).  Each group's columns live on its rows, so col(F) has the basis
+[blockdiag(U) | U_q]: a thin SVD V_r = U_r S_r W_r' of each group's rows,
+batched per group size, and a thin SVD of the residual of the global
+columns Q off blockdiag(U), taken with classical Gram-Schmidt twice.  In
+that basis F F'/n is the core (C C' + diag(S^2, 0))/n with
+C = [blockdiag(U) | U_q]'Q, one ``eigh`` whose order is F's rank, not n,
+and psi = blockdiag(U) phi_V + U_q phi_q is held whole.  Both rank cuts
+before the core use one tolerance, max(n, m) eps sigma_max(F), the
+convention of ``numpy.linalg.matrix_rank`` applied to F; sigma_max(F) is
+taken as its upper bound sqrt(max_r sigma_1(V_r)^2 + sigma_1(Q)^2).  After
+either route's ``eigh``, eigenvalues at or below ``EIGENVALUE_CUTOFF``
+times the largest are dropped, so the retained rank counts the singular
+values of F above 1e-6 sigma_max(F).
+
+A roster's spectrum belongs to its first stage: ``estimation.first_stage``
+decomposes it once per stage, and an instrument set holds none.
 """
 
 from __future__ import annotations
@@ -62,6 +82,8 @@ EIGENVALUE_CUTOFF = 1e-12
 LF_STEP = 0.9
 #: per-group Gram diagonal entries within this many ulps of their largest are one value
 DIAGONAL_ULPS = 64
+#: segments whose rows of psi the block route assembles in one batched product
+_SEGMENTS_PER_PRODUCT = 16
 
 _KINDS = ("T", "LF", "PC")
 
@@ -70,8 +92,8 @@ class Spectrum:
     """Nonzero eigenpairs (nu_j, psi_j) of F F'/n, psi held as a product F C.
 
     ``eigenvalues`` are descending and strictly positive after the relative
-    cutoff.  On the dense route ``factor`` is psi itself and C = I
-    (``basis`` is None).  On the Gram route ``factor`` is the
+    cutoff.  On the block route ``factor`` is psi itself, n x rank, and
+    C = I (``basis`` is None).  On the Gram route ``factor`` is the
     ``InstrumentSet`` F = [Q | V] and C = Phi diag(n nu)^(-1/2), Phi the
     eigenvectors of the arrowhead K = F'F/n = [[A, B'], [B, diag(d)]], one
     row of B and entry of d per column of V.  When d is one value,
@@ -179,7 +201,7 @@ class Spectrum:
         global rows a and per-group rows b, with the arrowhead blocks of
         F'AF (``InstrumentSet.arrowhead``, A applied to c + 1 columns); the
         cluster adds its one weight times ``cluster_diagonal`` against the
-        per-group block.  The dense route takes only the diagonal of
+        per-group block.  The block route takes only the diagonal of
         psi'A psi.  A = D gives tr(P^alpha D).
         """
         if self.basis is None:
@@ -212,13 +234,14 @@ class Spectrum:
 
     @classmethod
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
-        """Eigendecompose F F'/n, working in whichever dimension is smaller.
+        """Eigendecompose F F'/n in a basis of F's column space.
 
-        For m < n/4 instruments the Gram K = F'F/n is decomposed: ``_deflate``
-        splits off the cluster of K's per-group block, and only the
-        (c + r)^2 core goes to ``eigh``; without a per-group part the core is
-        Q'Q/n itself.  Otherwise F F'/n is decomposed directly, with F
-        written out in full, and psi is its eigenvectors.  Both routes share
+        A roster of m < n/4 columns with at most one per-group power takes
+        the Gram route: ``_deflate`` splits off the cluster of K = F'F/n's
+        per-group block, and only the (c + r)^2 core goes to ``eigh``;
+        without a per-group part the core is Q'Q/n itself.  Every other
+        roster takes the block route, ``_block_eigenpairs``, whose core has
+        the order of F's rank, and psi is held whole.  Both routes share
         their nonzero spectrum.  Every fit gets its roster's spectrum from
         here, through ``first_stage``; a bare matrix is taken as the global
         columns of an ``InstrumentSet``.
@@ -226,17 +249,13 @@ class Spectrum:
         if not isinstance(inst, InstrumentSet):
             Q = np.atleast_2d(np.asarray(inst, dtype=float))
             inst = InstrumentSet(Q, tuple(map(str, range(Q.shape[1]))))
-        n, m = inst.n, inst.n_columns
-        dense = m >= n / 4
-        if dense:
-            F = inst.dense()
-            vals, vecs = np.linalg.eigh(F @ F.T / n)
-            value, size = 0.0, 0
-        else:
-            head, border, _, diagonal = inst.arrowhead()
-            core, Y, T, value, size = _deflate(head, border, diagonal)
-            vals, vecs = np.linalg.eigh(core / n)
-            value /= n
+        n = inst.n
+        if inst.powers > 1 or inst.n_columns >= n / 4:
+            return cls(*_block_eigenpairs(inst), None, n)
+        head, border, _, diagonal = inst.arrowhead()
+        core, Y, T, value, size = _deflate(head, border, diagonal)
+        vals, vecs = np.linalg.eigh(core / n)
+        value /= n
         vals, vecs = vals[::-1], vecs[:, ::-1]
         cut = EIGENVALUE_CUTOFF * max(vals.max(initial=0.0), value if size else 0.0)
         keep = vals > cut
@@ -244,8 +263,6 @@ class Spectrum:
         size = size if value > cut else 0
         if vals.size + size == 0:
             raise NumericalFailure("instrument matrix has no nonzero spectrum")
-        if dense:
-            return cls(vals, vecs, None, n)
         k, G = head.shape[0], diagonal.size
         z = np.zeros((G, vecs.shape[1]))
         z[:core.shape[0] - k] = vecs[k:]                 # the core's r per-group rows
@@ -253,6 +270,61 @@ class Spectrum:
         start = int(np.count_nonzero(vals > value))
         eigenvalues = np.concatenate([vals[:start], np.full(size, value), vals[start:]])
         return cls(eigenvalues, inst, basis, n, (Y, T), (start, size))
+
+
+def _block_eigenpairs(inst: InstrumentSet) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero eigenpairs (nu, psi) of F F'/n from the basis [blockdiag(U) | U_q].
+
+    The block route of the module docstring, U_r per segment of V.  Q is
+    projected off blockdiag(U) twice: one pass leaves components of size
+    eps ||Q|| along U, which U_q, the residual over its small singular
+    values, would magnify.  The sigma_max(F) of the rank tolerance is its
+    upper bound, at most sqrt(2) above it; a residual cut relative to the
+    residual's own largest singular value would keep rounding noise.  The
+    core's rows on U_q are the residual's S_q W_q'.  No n x n or n x m
+    array is formed.
+    """
+    n, m, Q = inst.n, inst.n_columns, inst.Q
+    stacks = [(rows, *np.linalg.svd(V, full_matrices=False)[:2]) for rows, V in inst.blocks()]
+    peak = max((float(S.max(initial=0.0)) for *_, S in stacks), default=0.0)
+    top = float(np.linalg.norm(Q, 2)) if Q.size else 0.0
+    tol = max(n, m) * np.finfo(float).eps * math.hypot(peak, top)
+    residual, coefs, squares = Q.copy(), [], []
+    for i, (rows, U, S) in enumerate(stacks):
+        kept = S > tol
+        U = U * kept[:, None, :]                        # cut directions project to zero
+        coef = 0.0
+        for _ in range(2):
+            step = np.swapaxes(U, 1, 2) @ residual[rows]
+            residual[rows] -= U @ step
+            coef = coef + step
+        stacks[i] = rows, U, kept
+        coefs.append(coef[kept])
+        squares.append(S[kept] ** 2)
+    Uq, s, Wt = np.linalg.svd(residual, full_matrices=False)
+    Uq, C = Uq[:, s > tol], np.concatenate(coefs + [s[s > tol, None] * Wt[s > tol]])
+    if C.shape[0] == 0:
+        raise NumericalFailure("instrument matrix has no nonzero spectrum")
+    core = C @ C.T
+    squares = np.concatenate(squares + [np.zeros(0)])
+    core[np.diag_indices(squares.size)] += squares
+    core /= n
+    vals, vecs = np.linalg.eigh(core)
+    del core
+    rank = int(np.count_nonzero(vals > EIGENVALUE_CUTOFF * vals[-1]))
+    vals, phi = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
+    psi = Uq @ phi[squares.size:]
+    # the per-group rows, a few segments at a time to keep the temporaries small
+    first = 0
+    for rows, U, kept in stacks:
+        for lo in range(0, len(rows), _SEGMENTS_PER_PRODUCT):
+            part = slice(lo, lo + _SEGMENTS_PER_PRODUCT)
+            last = first + int(kept[part].sum())
+            coef = np.zeros(kept[part].shape + (rank,))
+            coef[kept[part]] = phi[first:last]
+            psi[rows[part]] += U[part] @ coef
+            first = last
+    return vals, psi
 
 
 def _turn(Y: np.ndarray, T: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -30,14 +30,8 @@ __all__ = [
     "apply_D",
     "whitened_residual",
     "reduced_form",
-    "row_sum_norm",
     "solve_blockwise",
 ]
-
-
-def row_sum_norm(A: np.ndarray) -> float:
-    """Maximum absolute row sum (the operator infinity-norm), over a whole stack."""
-    return float(np.abs(A).sum(axis=-1).max())
 
 
 def _require_stable(lam: float, network: GroupedNetwork, what: str) -> None:

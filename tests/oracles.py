@@ -15,7 +15,7 @@ import numpy as np
 
 from sarnet.graphs import GroupedNetwork, PanelData, build_block_diagonal, row_normalize
 from sarnet.instruments import InstrumentSet
-from sarnet.regularization import Scheme, Spectrum, q_weights
+from sarnet.regularization import EIGENVALUE_CUTOFF, Scheme, Spectrum, q_weights
 from sarnet.selection import SelectionContext
 
 
@@ -70,13 +70,22 @@ def dense_distinct_eigenvalues(W: np.ndarray, tol: float = 1e-8,
 
 def dense_stack(net: GroupedNetwork, X: np.ndarray, order: int,
                 centrality: bool = False, m_copy: bool = False) -> np.ndarray:
-    """[W X, ..., W^order X, (W iota, ..., W^order iota,) X(, M copy)] from
-    dense matrix powers of W; iota is the n x G matrix of group indicators."""
+    """[W X, ..., W^order X, X(, M copy)(, W iota, ..., W^order iota(, M copy))]
+    from dense matrix powers of W; iota is the n x G matrix of group
+    indicators, so each power's centrality columns are one n x G block."""
     powers = [np.linalg.matrix_power(dense_W(net), j) for j in range(1, order + 1)]
     iota = np.repeat(np.eye(net.group_count), net.group_sizes, axis=0)
-    cols = [P @ V for V in ([X, iota] if centrality else [X]) for P in powers]
-    base = np.column_stack(cols + [X])
-    return np.column_stack([base, dense_M(net) @ base]) if m_copy else base
+    parts = [np.column_stack([P @ X for P in powers] + [X])]
+    if centrality:
+        parts.append(np.column_stack([P @ iota for P in powers]))
+    if m_copy:
+        parts = [np.column_stack([part, dense_M(net) @ part]) for part in parts]
+    return np.column_stack(parts)
+
+
+def row_sum_norm(A: np.ndarray) -> float:
+    """Maximum absolute row sum (the operator infinity-norm), over a whole stack."""
+    return float(np.abs(A).sum(axis=-1).max())
 
 
 def s_matrix(lam: float, W: np.ndarray) -> np.ndarray:
@@ -113,6 +122,19 @@ def arrowhead_matrix(head, left, right, diagonal) -> np.ndarray:
     out[k:, :k] = left
     np.fill_diagonal(out[k:, k:], diagonal)
     return out
+
+
+def spectrum_dense(inst: InstrumentSet) -> Spectrum:
+    """The spectrum of ``inst`` from ``eigh`` of its written-out F F'/n.
+
+    The eigenvalues at or below ``EIGENVALUE_CUTOFF`` times the largest are
+    cut, as ``Spectrum.from_instruments`` cuts them; psi is held whole.
+    """
+    F = inst.dense()
+    vals, vecs = np.linalg.eigh(F @ F.T / inst.n)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > EIGENVALUE_CUTOFF * vals[0]
+    return Spectrum(vals[keep], vecs[:, keep], None, inst.n)
 
 
 def psi(spectrum: Spectrum) -> np.ndarray:

@@ -310,7 +310,7 @@ def test_criterion_8_csv_pipeline_and_conditioning(tmp_path, capsys):
     X = rng.standard_normal((n, 2))
     conds = []
     for order in (2, 3, 4):
-        stack, _ = labelled_stack(ring_net, X, order)
+        stack, _, _ = labelled_stack(ring_net, X, order)
         sv = np.linalg.svd(stack, compute_uv=False)
         conds.append(float((sv[0] / sv[-1]) ** 2))
     if not (conds[0] < conds[1] < conds[2]):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from sarnet.graphs import PanelData, lee_group_network
 from sarnet.regularization import Spectrum
 from sarnet.transforms import ModelParams, reduced_form
 from conftest import draw_dataset, write_network_csvs
+import oracles
 
 
 def run_cli(argv, capsys):
@@ -173,6 +175,41 @@ class TestEstimate:
                               str(edges), "--scheme", "T"], capsys)
         assert code == 0
         assert len(rosters) == 2 and rosters[0] is not rosters[1]
+
+    def test_order_one_roster_takes_the_block_route(self, tmp_path, capsys, monkeypatch):
+        # at --order 1 the centrality columns and their M copies are two
+        # powers of the per-group part: fewer than n/4 columns, but no
+        # arrowhead, so the block route decomposes the roster.  The output
+        # is that of the same run on the dense oracle's spectrum, eigh of
+        # the written-out F F'/n, to the printed six digits
+        net, data, _, _, _ = draw_dataset(seed=31, group_count=8, group_size=20,
+                                          shared_x=False)
+        edges, nodes = write_network_csvs(tmp_path, net, data)
+        argv = ["estimate", "--data", str(nodes), "--edges", str(edges), "--order", "1"]
+        original = Spectrum.from_instruments.__func__
+        rosters = []
+
+        def recording(cls, inst):
+            rosters.append((inst, original(cls, inst)))
+            return rosters[-1][1]
+
+        def dense(cls, inst):
+            return oracles.spectrum_dense(inst) if inst.powers > 1 else original(cls, inst)
+
+        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(recording))
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        inst, spectrum = rosters[-1]
+        assert inst.powers == 2 and inst.n_columns < inst.n / 4 and spectrum.basis is None
+        monkeypatch.setattr(Spectrum, "from_instruments", classmethod(dense))
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0
+        for got_line, want_line in zip(out.splitlines(), want.splitlines(), strict=True):
+            key, _, got = got_line.partition(" = ")
+            assert want_line.startswith(f"{key} = ")
+            expect = want_line.partition(" = ")[2]
+            if got != expect:       # one unit in the sixth digit at most
+                assert math.isclose(float(got), float(expect), rel_tol=1e-5), got_line
 
     def test_one_first_stage_per_roster(self, csv_pair, capsys, monkeypatch):
         # q1's stage gives the preliminary fit; the normalized large roster's

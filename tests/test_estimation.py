@@ -294,7 +294,7 @@ def rotated_in_cluster(inst, value, rng):
     cluster = np.flatnonzero(np.isclose(spectrum.eigenvalues, value, rtol=1e-10, atol=0.0))
     rotation, _ = np.linalg.qr(rng.standard_normal((cluster.size, cluster.size)))
     turned = TurnedSpectrum(spectrum, cluster, rotation)
-    copy = InstrumentSet(inst.Q, inst.labels, inst.v, inst.starts)
+    copy = InstrumentSet(inst.Q, inst.labels, inst.V, inst.starts, inst.mask)
     original = Spectrum.from_instruments.__func__
 
     def substituted(cls, roster):

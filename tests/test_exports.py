@@ -98,9 +98,12 @@ def test_removed_wrappers_stay_removed():
     # a selection curve already holds (alpha, criterion, S_hat) at every
     # grid point, and the bias trace reads the instrument set's Gram, so the
     # one-point selection wrappers and the support-scanning F'DF are gone;
-    # the structural residual is the whitened residual at (lambda, beta)
+    # the structural residual is the whitened residual at (lambda, beta);
+    # the package reads a stack's row-sum norm from BlockStacks, so the
+    # array form is a test oracle
     for module, name in (("selection", "criterion_value"), ("selection", "s_hat"),
-                         ("transforms", "gram_D"), ("transforms", "structural_residual")):
+                         ("transforms", "gram_D"), ("transforms", "structural_residual"),
+                         ("transforms", "row_sum_norm")):
         assert not hasattr(sarnet, name)
         assert not hasattr(importlib.import_module(f"sarnet.{module}"), name)
 
@@ -161,7 +164,8 @@ def test_instrument_set_owns_the_column_rule():
     instruments = importlib.import_module("sarnet.instruments")
     for name in ("_keep_nonzero", "_group_subset", "_drop_zero_columns"):
         assert not hasattr(instruments, name)
-    layout = {"v", "starts", "_rows", "_segment_sums", "_per_row"}
+    layout = {"V", "starts", "mask", "_rows", "_segment_sums", "_by_power", "_scatter",
+              "_single"}
     readers = []
     for m in MODULES:
         tree = ast.parse((PACKAGE / f"{m}.py").read_text())

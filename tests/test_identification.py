@@ -192,7 +192,7 @@ class TestProposition2:
         X = rng.standard_normal((n, 2))
         conds = []
         for order in (2, 3, 4):
-            stack, _ = labelled_stack(one_group(W), X, order)
+            stack, _, _ = labelled_stack(one_group(W), X, order)
             sv = np.linalg.svd(stack, compute_uv=False)
             conds.append((sv[0] / sv[-1]) ** 2)
         assert conds[0] < conds[1] < conds[2]

@@ -52,7 +52,7 @@ class TestBuildInstruments:
         net, X = net_and_x
         inst = build_instruments(net, X, order=2)
         J = net.J
-        np.testing.assert_allclose(J.apply(inst.Q), inst.Q, atol=1e-10)
+        np.testing.assert_allclose(J.apply(inst.dense()), inst.dense(), atol=1e-10)
 
     def test_constant_within_group_covariate_dropped_with_warning(self):
         net = generate_mc_network(3, 5, 2, seed=8)
@@ -68,7 +68,7 @@ class TestNormalize:
         net, X = net_and_x
         inst = build_instruments(net, X, order=1)
         out = normalize_columns(inst, "unit-variance")
-        np.testing.assert_allclose(np.var(out.Q, axis=0, ddof=1), 1.0,
+        np.testing.assert_allclose(np.var(out.dense(), axis=0, ddof=1), 1.0,
                                    atol=1e-10)
 
     def test_simple_column_scaled_to_unit_sd(self):
@@ -102,7 +102,7 @@ class TestNormalize:
         net, X = net_and_x
         inst = build_instruments(net, X, order=3)
         out = normalize_columns(inst, "unit-variance")
-        assert len(out.labels) == out.Q.shape[1]
+        assert len(out.labels) == out.n_columns == out.dense().shape[1]
         assert len(set(out.labels)) == len(out.labels)
 
 
@@ -170,7 +170,7 @@ class TestRosters:
         finally:
             tracemalloc.stop()
         assert q2.n_columns > 240 and q2.Q is q1.Q
-        assert peak <= 1.25 * (q2.Q.nbytes + q2.v.nbytes)
+        assert peak <= 1.25 * (q2.Q.nbytes + q2.V.nbytes)
 
     def test_normalize_allocates_little_beyond_the_result(self):
         # the global columns' sums run over small transposed blocks and the
@@ -188,7 +188,7 @@ class TestRosters:
         finally:
             tracemalloc.stop()
         assert out.n_columns == q2.n_columns > 240
-        assert peak <= 2.5 * (out.Q.nbytes + out.v.nbytes)
+        assert peak <= 2.5 * (out.Q.nbytes + out.V.nbytes)
 
 
 def test_instrument_set_validation():

@@ -23,13 +23,12 @@ from sarnet.identification import (_rank_and_condition, build_report,
                                    distinct_eigenvalues, labelled_stack)
 from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
 from sarnet.regularization import Scheme, Spectrum, apply_projector, q_weights
-from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form,
-                               row_sum_norm, solve_blockwise)
+from sarnet.transforms import ModelParams, apply_D, assemble_z, reduced_form, solve_blockwise
 import oracles
 from oracles import (arrowhead_matrix, d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
                      dense_stack, dense_W, group_slices,
                      load_network_by_cell, projector_matrix, q2_roster_dense, r_matrix,
-                     s_matrix, textbook_iv_oracle)
+                     row_sum_norm, s_matrix, textbook_iv_oracle)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -62,12 +61,17 @@ def odd_networks(draw, min_last=1, min_groups=2, max_groups=6):
 @given(net=odd_networks(), order=st.integers(1, 4), k=st.integers(1, 3),
        seed=st.integers(0, 1000))
 def test_labelled_stack_matches_dense_oracle(net, order, k, seed):
+    # the centrality powers come as the vectors W^j 1, one column of V
+    # each; written out per group they are the oracle's n x G blocks
     X = np.random.default_rng(seed).standard_normal((net.n, k))
-    stack, labels = labelled_stack(net, X, order, centrality=True, m_copy=True)
+    stack, V, labels = labelled_stack(net, X, order, centrality=True, m_copy=True)
+    assert V.shape == (net.n, 2 * order)
+    written = np.column_stack([stack, *(v[:, None] * net.group_ones() for v in V.T)])
     expect = dense_stack(net, X, order, centrality=True, m_copy=True)
-    np.testing.assert_allclose(stack, expect, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(written, expect, rtol=1e-12, atol=1e-12)
     assert len(labels) == expect.shape[1] == len(set(labels))
-    assert labels[0] == "W^1.X[0]" and labels[-1] == f"M.X[{k - 1}]"
+    assert labels[0] == "W^1.X[0]" and labels[stack.shape[1] - 1] == f"M.X[{k - 1}]"
+    assert labels[-1] == f"M.W^{order}.iota[{net.group_count - 1}]"
 
 
 @st.composite
@@ -103,24 +107,30 @@ def repeated_undirected_networks(draw):
 def test_stack_rank_check_matches_dense_svd_or_is_wide(net, k, seed):
     X = np.random.default_rng(seed).standard_normal((net.n, k))
     for rho_zero in (True, False):
-        built = []
+        built, decomposed = [], []
 
         def recording(*args):
-            out = labelled_stack(*args)
-            built.append(out[0])
-            return out
+            built.append(args)
+            return labelled_stack(*args)
 
-        with mock.patch.object(identification, "labelled_stack", recording):
+        def decomposing(stack):
+            decomposed.append(stack)
+            return _rank_and_condition(stack)
+
+        with mock.patch.object(identification, "labelled_stack", recording), \
+                mock.patch.object(identification, "_rank_and_condition", decomposing):
             report = build_report(net, X, rho_zero)
         count = report.distinct_eigenvalue_count
         assert count == dense_distinct_eigenvalues(dense_W(net))[0]
         oracle = dense_stack(net, X, max(count - 1, 1), not rho_zero, not rho_zero)
         if oracle.shape[1] > net.n:
             # a wide stack is neither built nor decomposed
-            assert built == []
+            assert built == decomposed == []
             assert (report.rank_flag, report.stack_condition_number) == (False, np.inf)
         else:
-            stack, = built
+            # the per-group columns are written out for the SVD, as blocks
+            stack, = decomposed
+            assert len(built) == 1
             np.testing.assert_allclose(stack, oracle, rtol=1e-12, atol=1e-12)
             assert (report.rank_flag, report.stack_condition_number) == \
                 _rank_and_condition(stack)[1:]
@@ -498,40 +508,42 @@ def test_normalize_columns_matches_per_column_loop(n, k, const, value, seed):
 
 # The spectrum's consumers work in the instrument coordinates psi'x.  The
 # rosters below mix a global column, one column on a random subset of the
-# groups and one column per group, so most supports are strict subsets.
+# groups and the centrality columns of two powers, one per group, so most
+# supports are strict subsets.
 
 def support_roster(net, rng):
-    """J [x, x on some groups, W iota_r per group]: global, partial and per-group columns."""
+    """J [x, x on some groups] and the per-group columns J W iota_r, J W^2 iota_r."""
     x = rng.standard_normal(net.n)
     some = net.expand_group_values((rng.random(net.group_count) < 0.5).astype(float))
-    return net.J.apply(np.column_stack([x, x * some, net.lag_W(net.group_ones())]))
+    degree = net.lag_W(np.ones(net.n))
+    V = net.J.apply(np.column_stack([degree, net.lag_W(degree)]))
+    labels = ["x", "x.some"] + [f"W^{j}.iota[{r}]" for j in (1, 2) for r in range(net.group_count)]
+    return InstrumentSet(net.J.apply(np.column_stack([x, x * some])), labels, V,
+                         np.cumsum(net.group_sizes) - np.asarray(net.group_sizes))
 
 
-def route_spectrum(Q, gram):
-    """The spectrum of Q, trimmed or widened to take the asked route.
+def route_spectrum(inst, gram):
+    """The spectrum of the roster ``inst`` on the asked route, and the F it decomposed.
 
-    The Gram route needs fewer than n/4 columns, so it keeps Q's leading
-    columns; the dense route needs at least n/4, so it appends random dense
-    columns.
+    The Gram route needs fewer than n/4 columns, so it keeps the leading
+    columns of the written-out roster; the block route takes the roster
+    with its two per-group powers whole.
     """
-    n = Q.shape[0]
-    quarter = -(-n // 4)                      # the first width on the dense route
+    F = inst.dense()
     if gram:
-        Q = Q[:, :quarter - 1]
-    else:
-        extra = max(0, quarter - Q.shape[1])
-        Q = np.column_stack([Q, np.random.default_rng(n).standard_normal((n, extra))])
-    assume(Q.shape[1] > 0 and np.abs(Q).max() > 0.0)
-    spectrum = Spectrum.from_instruments(Q)
+        quarter = -(-inst.n // 4)             # the first width off the Gram route
+        F = inst = F[:, :quarter - 1]
+    assume(F.shape[1] > 0 and np.abs(F).max() > 0.0)
+    spectrum = Spectrum.from_instruments(inst)
     assert (spectrum.basis is not None) == gram
-    return spectrum
+    return spectrum, F
 
 
 @PROPERTY_SETTINGS
 @given(net=odd_networks(), gram=st.booleans(), seed=st.integers(0, 1000))
 def test_coords_and_expand_match_materialized_psi(net, gram, seed):
     rng = np.random.default_rng(seed)
-    spectrum = route_spectrum(support_roster(net, rng), gram)
+    spectrum, F = route_spectrum(support_roster(net, rng), gram)
     x = rng.standard_normal((net.n, 3))
     c = rng.standard_normal((spectrum.rank, 3))
     psi = oracles.psi(spectrum)
@@ -542,14 +554,11 @@ def test_coords_and_expand_match_materialized_psi(net, gram, seed):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
-    if not gram:
-        return
-    # on the Gram route psi is expand(I), so the loop above checks expand
-    # against itself: psi is checked on its own against eigh of the
-    # written-out F F'/n, as orthonormal, spanning its nonzero eigenspace
-    # and diagonalizing it.  An eigenvector moves by about eps nu_1 / gap,
-    # so the tolerances are a multiple of eps times the condition number
-    F = spectrum.factor.dense()
+    # psi is expand(I), so the loop above checks expand against itself:
+    # psi is checked on its own against eigh of the written-out F F'/n, as
+    # orthonormal, spanning its nonzero eigenspace and diagonalizing it.
+    # An eigenvector moves by about eps nu_1 / gap, so the tolerances are a
+    # multiple of eps times the condition number
     K = F @ F.T / net.n
     vals, vecs = np.linalg.eigh(K)
     relative = vals / vals.max()
@@ -591,7 +600,7 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, partial, seed
             kept, want = (inst.select(keep, "numerically zero") for inst in (got, want))
         assert np.array_equal(kept.dense(), got.dense()[:, keep])
         for lab in np.array(got.labels)[~keep]:
-            assert kept.v is None or not kept.v[group_slices(net)[int(lab[9:-1])]].any()
+            assert kept.V is None or not kept.V[group_slices(net)[int(lab[9:-1])]].any()
         got = kept
     # J W 1 rounds as one vector, the oracle's J W iota as a block: each
     # centrality column is compared on the scale of W_r iota_r, before J
@@ -657,13 +666,76 @@ def test_q2_layout_matches_dense_roster(net, lam, rho, normalized, partial, seed
        gram=st.booleans(), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 1000))
 def test_bias_trace_matches_dense_oracle(net, lam, rho, gram, alpha, seed):
     lam /= max(1.0, row_sum_norm(dense_W(net)))
-    spectrum = route_spectrum(support_roster(net, np.random.default_rng(seed)), gram)
+    spectrum, _ = route_spectrum(support_roster(net, np.random.default_rng(seed)), gram)
     D = d_matrix(net, lam, rho)
     for scheme in (Scheme.principal_components(spectrum.rank), Scheme.tikhonov(alpha)):
         want = np.trace(projector_matrix(spectrum, scheme) @ D)
         got = spectrum.weighted_trace(q_weights(scheme, spectrum),
                                       lambda V: apply_D(net, lam, rho, V))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+# The block route decomposes F F'/n in a basis of col(F): a thin SVD of each
+# group's rows of the per-group part, and the global columns' residual off
+# their span.  Its rosters below have o = 1-3 powers, singletons (whose
+# columns J annihilates), groups left without a column, per-group blocks of
+# rank below min(m_r, o), and global columns inside or outside the span.
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(), powers=st.integers(1, 3), deficient=st.booleans(),
+       inside=st.booleans(), drop=st.booleans(), lam=st.floats(-0.9, 0.9),
+       rho=st.floats(-0.9, 0.9), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 1000))
+def test_block_route_matches_dense_oracle(net, powers, deficient, inside, drop, lam, rho,
+                                          alpha, seed):
+    # eigenvalues, psi psi' x, leverages and the bias trace against eigh of
+    # the written-out F F'/n (``oracles.spectrum_dense``).  The global
+    # columns number at least n/4, so every roster takes the block route.
+    # An eigenvector moves by about eps nu_1 / gap under rounding, so the
+    # projectors agree to a multiple of eps times the condition number
+    lam /= max(1.0, row_sum_norm(dense_W(net)))
+    rng = np.random.default_rng(seed)
+    V = net.J.apply(rng.standard_normal((net.n, powers)))
+    if deficient and powers > 1:
+        V[:, -1] = V[:, :-1].sum(axis=1) + V[:, 0]      # each V_r of rank below o
+    width = max(2, -(-net.n // 4))
+    if inside:      # combinations of the per-group columns, group by group
+        weights = rng.standard_normal((net.group_count, powers, width))
+        Q = np.einsum("ip,ipj->ij", V, weights.repeat(net.group_sizes, axis=0))
+    else:
+        Q = net.J.apply(rng.standard_normal((net.n, width)))
+    labels = [f"q{j}" for j in range(width)] + [f"v{p}[{r}]" for p in range(powers)
+                                                for r in range(net.group_count)]
+    starts = np.cumsum(net.group_sizes) - np.asarray(net.group_sizes)
+    try:
+        inst, _ = roster_and_warnings(lambda: InstrumentSet(Q, labels, V, starts).nonzero())
+        if drop:          # about half the per-group columns, whole groups among them
+            keep = np.concatenate([np.ones(width, bool), rng.random(inst.n_columns - width) < 0.5])
+            inst, _ = roster_and_warnings(lambda: inst.select(keep, "numerically zero"))
+    except ValueError:                         # no column is left
+        assume(False)
+    F = inst.dense()
+    relative = np.linalg.eigvalsh(F @ F.T / net.n)[::-1]
+    relative /= relative[0]
+    assume(not np.any((relative > 1e-15) & (relative < 1e-9)))   # no value near the cutoff
+    oracle = oracles.spectrum_dense(inst)
+    assume(oracle.condition_number < 1e8)
+    spectrum = Spectrum.from_instruments(inst)
+    assert spectrum.basis is None and spectrum.rank == oracle.rank
+    np.testing.assert_allclose(spectrum.eigenvalues, oracle.eigenvalues, rtol=0.0,
+                               atol=1e-13 * oracle.nu_max)
+    tol = 1e-13 * oracle.condition_number
+    x = rng.standard_normal((net.n, 3))
+    psi = oracles.psi(oracle)
+    np.testing.assert_allclose(spectrum.expand(spectrum.coords(x)), psi @ (psi.T @ x),
+                               rtol=0.0, atol=tol * np.abs(x).max())
+    D = d_matrix(net, lam, rho)
+    for scheme in (Scheme.tikhonov(alpha * oracle.nu_max ** 2), Scheme.landweber(16),
+                   Scheme.principal_components(oracle.rank)):
+        P = projector_matrix(oracle, scheme)
+        q = q_weights(scheme, spectrum)
+        np.testing.assert_allclose(spectrum.weighted_diagonal(q), np.diag(P), rtol=0.0, atol=tol)
+        got = spectrum.weighted_trace(q, lambda A: apply_D(net, lam, rho, A))
+        assert abs(got - np.trace(P @ D)) <= tol * max(1.0, np.abs(D).sum())
 
 
 # The Gram route splits the cluster of the large roster's per-group block off
@@ -675,8 +747,8 @@ def padded(inst):
     """``inst`` with zero rows appended until it takes the Gram route."""
     pad = max(0, 4 * inst.n_columns + 4 - inst.n)
     Q = np.vstack([inst.Q, np.zeros((pad, inst.Q.shape[1]))])
-    v = None if inst.v is None else np.concatenate([inst.v, np.zeros(pad)])
-    return InstrumentSet(Q, inst.labels, v, inst.starts)
+    V = None if inst.V is None else np.vstack([inst.V, np.zeros((pad, inst.powers))])
+    return InstrumentSet(Q, inst.labels, V, inst.starts, inst.mask)
 
 
 @PROPERTY_SETTINGS

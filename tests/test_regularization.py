@@ -1,10 +1,13 @@
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
+from sarnet.graphs import generate_mc_network
+from sarnet.instruments import (InstrumentSet, build_instruments, normalize_columns, q1_roster,
+                                q2_roster)
 from sarnet.montecarlo import McConfig, _draw_sample
 from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
                                    apply_projector,
@@ -177,6 +180,103 @@ def test_large_roster_spectrum_forms_no_gram_sized_array():
         tracemalloc.stop()
     assert peak < inst.n_columns ** 2 * 8 / 4
     assert spec.cluster[1] > 800
+
+
+def spying_eigh(monkeypatch) -> list[int]:
+    """The order of every matrix ``numpy.linalg.eigh`` decomposes from now on."""
+    orders, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        orders.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return orders
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-10, 1e-4])
+def test_block_route_rank_and_condition_match_the_svd(offset, monkeypatch):
+    # global columns at ``offset`` from the per-group span, relative to
+    # their norm: at 0 their residual off the span is rounding noise, at
+    # 1e-10 it is real but its eigenvalues (1e-20 relative) fall below the
+    # cutoff, and at 1e-4 it is kept, small.  The rank is the SVD's at the
+    # spectrum's cutoff, and the condition number the SVD's to a multiple
+    # of eps kappa (the smallest eigenvalue is good to eps nu_1 absolute, as
+    # the oracle's is).  The noise never reaches the core: a residual cut
+    # relative to the residual's own largest singular value, not to F's,
+    # would keep it, and the core's order would exceed the rank
+    rng = np.random.default_rng(3)
+    groups, size, powers = 40, 6, 3
+    n = groups * size
+    starts = np.arange(0, n, size)
+    V = rng.standard_normal((n, powers)) * [1.0, 1e-1, 1e-2]      # kappa 3e7 at offset 0
+    in_span = np.einsum("ip,ipj->ij", V, np.repeat(rng.standard_normal((groups, powers, 5)),
+                                                   size, axis=0))
+    noise = rng.standard_normal(in_span.shape)
+    Q = in_span + offset * noise * np.linalg.norm(in_span, axis=0) / np.linalg.norm(noise, axis=0)
+    labels = [f"q{j}" for j in range(5)] + [f"v{p}[{r}]" for p in range(powers)
+                                           for r in range(groups)]
+    inst = InstrumentSet(Q, labels, V, starts)
+    orders = spying_eigh(monkeypatch)
+    spec = Spectrum.from_instruments(inst)
+    sv = np.linalg.svd(inst.dense(), compute_uv=False)
+    rank = int(np.count_nonzero(sv ** 2 > EIGENVALUE_CUTOFF * sv[0] ** 2))
+    assert spec.rank == rank == groups * powers + (5 if offset == 1e-4 else 0)
+    if offset == 0.0:
+        assert orders == [rank]
+    kappa = (sv[0] / sv[rank - 1]) ** 2
+    assert spec.condition_number == pytest.approx(kappa, rel=64 * np.finfo(float).eps * kappa)
+
+
+def largest_named_array(call):
+    """``call()`` and the most entries of any array a package frame names meanwhile.
+
+    Every line a ``sarnet`` function runs is traced, and the arrays among
+    its local variables are measured there.
+    """
+    largest = 0
+
+    def trace(frame, event, arg):
+        nonlocal largest
+        if not frame.f_globals.get("__name__", "").startswith("sarnet"):
+            return None
+        largest = max([largest] + [v.size for v in frame.f_locals.values()
+                                   if isinstance(v, np.ndarray)])
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        out = call()
+    finally:
+        sys.settrace(previous)
+    return out, largest
+
+
+def test_many_instrument_roster_is_one_rank_sized_eigh(monkeypatch):
+    # the CLI's roster on a (60, 15, 6) directed network at order 10: the
+    # centrality powers and their M copies are 20 columns of V, over 1100
+    # per-group columns on n = 900 rows.  Its spectrum is one eigh whose
+    # order is the rank, below n; F is never written out, and no array the
+    # code names is larger than psi (n x rank), so none is n x n or n x m
+    rng = np.random.default_rng(0)
+    net = generate_mc_network(60, 15, 6, rng)
+    x = rng.standard_normal(net.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")            # columns J annihilates drop
+        inst = normalize_columns(build_instruments(net, np.column_stack([x, net.lag_W(x)]), 10),
+                                 "unit-variance")
+    n, m = inst.n, inst.n_columns
+    assert inst.powers == 20 and m > n
+
+    def written_out(self):
+        raise AssertionError("the roster was written out")
+
+    monkeypatch.setattr(InstrumentSet, "dense", written_out)
+    orders = spying_eigh(monkeypatch)
+    spec, largest = largest_named_array(lambda: Spectrum.from_instruments(inst))
+    assert orders == [spec.rank] and 600 < spec.rank < n
+    assert spec.basis is None and largest == n * spec.rank
 
 
 class TestScheme:

@@ -3,10 +3,10 @@ import pytest
 
 from sarnet.graphs import (COLLINEARITY_TOL, SV_CUTOFF, BlockStacks, GroupedNetwork,
                            JProjector, PanelData, generate_mc_network, row_normalize)
-from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form, row_sum_norm,
+from sarnet.transforms import (ModelParams, apply_D, assemble_z, reduced_form,
                                solve_blockwise, whiten, whitened_residual)
 from conftest import draw_dataset
-from oracles import dense_J, dense_M, dense_W, group_slices, r_matrix, s_matrix
+from oracles import dense_J, dense_M, dense_W, group_slices, r_matrix, row_sum_norm, s_matrix
 
 
 class TestSR:
