@@ -215,7 +215,7 @@ def _cmd_diagnose(args) -> int:
     X = None
     if data is not None:     # the stack lags the covariates, each once
         X = np.column_stack([data.x1, data.x2])
-        X = X[:, _distinct_columns(list(X.T))]
+        X = X[:, _distinct_columns(X.T)]
     report = build_report(net, X, rho_zero=not args.correlated,
                           tol=args.tol, weak_threshold=args.weak_threshold)
     lines = [f"{report.verdict} ({report.distinct_eigenvalue_count} distinct eigenvalues)"]

@@ -25,10 +25,9 @@ rho_tilde = 0, R is the identity and the whitening does no work.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .graphs import GroupedNetwork, PanelData
 from .instruments import InstrumentSet, NumericalFailure
@@ -126,14 +125,20 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
 
     g(rho) stacks eps(rho)' M_i eps(rho) for the three recentered quadratic
     moment matrices built from W, M and MW, with eps(rho) = J R(rho)(Y - Z
-    delta_tilde).  Each moment is quadratic in rho, so the objective is a
-    quartic polynomial; its minimum over the interval lies at a bound or at
-    a real root of the cubic derivative.  Every such candidate (the real
-    parts of all three roots, clipped to the interval, and both bounds) is
-    evaluated and the smallest objective value wins.  A numerically zero
-    residual (squared norm at most 1e-24 y'y, a threshold that scales with
-    the data) makes the objective flat; by convention that returns 0 with a
-    warning.
+    delta_tilde).  Each moment is quadratic in rho, g_k(rho) = c_k0 +
+    c_k1 rho + c_k2 rho^2, so the objective is the quartic whose
+    coefficients a (ascending powers) are sum_k conv(c_k, c_k); its
+    derivative's are j a_j, j = 1..4.  A moment with no rho^2 term leaves
+    rounding noise (~1e-16 of the other coefficients) on top, and the
+    companion matrix of such a cubic loses the genuine roots, so the
+    derivative's top coefficients at most 1e-12 times its largest in
+    absolute value are dropped first.  The candidates are the real parts of
+    the remaining roots (``np.roots``: the eigenvalues of the companion
+    matrix, sorted), clipped to the interval, then both bounds; each is
+    evaluated and the first smallest value wins.
+    A numerically zero residual (squared norm at most 1e-24 y'y, a threshold
+    that scales with the data) makes the objective flat; by convention that
+    returns 0 with a warning.
     """
     J = network.J
     Z = assemble_z(data, network)
@@ -145,20 +150,26 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     if np.trace(gram) <= 1e-24 * float(data.y @ data.y):
         warnings.warn("rho objective is degenerate (residual ~ 0); returning 0")
         return 0.0
-    moments = []
-    for A in (network.stacks_W(), network.stacks_M(), network.stacks_MW()):
+    moments = np.empty((3, 3))
+    for k, A in enumerate((network.stacks_W(), network.stacks_M(), network.stacks_MW())):
         c = J.trace_product(A) / J.trace       # tr(J A J) = tr(J A), J idempotent
         F = ab.T @ A.matmul(ab) - c * gram
-        moments.append(Polynomial([F[0, 0], -(F[0, 1] + F[1, 0]), F[1, 1]]))
+        moments[k] = F[0, 0], -(F[0, 1] + F[1, 0]), F[1, 1]
+    return _rho_argmin(moments)
+
+
+def _rho_argmin(moments: np.ndarray) -> float:
+    """The rho in [-0.99, 0.99] minimizing sum_k (moments[k] @ (1, rho, rho^2))^2,
+    by the convention ``preliminary_rho`` states."""
     lo, hi = RHO_BOUNDS
-    slopes = sum(g * g for g in moments).deriv()
-    # a moment with no rho^2 term leaves rounding noise (~1e-16 of the other
-    # coefficients) on top; the companion matrix of such a cubic loses the
-    # genuine roots, so negligible top coefficients are dropped first
-    slopes = slopes.trim(1e-12 * np.abs(slopes.coef).max())
-    candidates = np.concatenate([np.clip(slopes.roots().real, lo, hi), [lo, hi]])
-    values = sum(g(candidates) ** 2 for g in moments)
-    return float(candidates[np.argmin(values)])
+    quartic = sum(np.convolve(g, g) for g in moments)
+    slopes = quartic[1:] * np.arange(1, quartic.size)
+    kept = np.flatnonzero(np.abs(slopes) > 1e-12 * np.abs(slopes).max())
+    slopes = slopes[:kept[-1] + 1 if kept.size else 1]
+    roots = np.sort(np.roots(slopes[::-1])).real
+    candidates = np.concatenate([np.clip(roots, lo, hi), [lo, hi]])
+    g = (moments[:, 2:] * candidates + moments[:, 1:2]) * candidates + moments[:, :1]
+    return float(candidates[np.argmin((g * g).sum(axis=0))])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +187,9 @@ class FirstStage:
 
     D at (lambda, rho_tilde) is applied through ``apply_D``, which solves
     for iota alongside and keeps D iota; the selection context at the same
-    lambda reads it from ``D_iota`` instead of solving again.
+    lambda reads it from ``D_iota`` instead of solving again.  Each fit made
+    on the stage is kept too, keyed by its scheme, so the bias correction
+    starts from the classical fit instead of refitting it.
     """
 
     data: PanelData
@@ -188,6 +201,7 @@ class FirstStage:
     U: np.ndarray
     uy: np.ndarray
     _D_iota: dict = field(default_factory=dict, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply_D(self, lam: float, V: np.ndarray) -> np.ndarray:
         """D V at (lam, rho_tilde), iota solved as one more column and D iota kept."""
@@ -214,35 +228,34 @@ def first_stage(data: PanelData, network: GroupedNetwork, instruments: Instrumen
                       Uy[:, :-1], Uy[:, -1])
 
 
-def _fit(stage: FirstStage, scheme: Scheme,
-         lambda_tilde: float | None = None) -> EstimationResult:
-    """The one (regularized) 2SLS fit; bias-corrected when ``lambda_tilde`` is set.
+def _fit(stage: FirstStage, scheme: Scheme) -> tuple[EstimationResult, np.ndarray, np.ndarray]:
+    """The one (regularized) 2SLS fit per scheme, kept on the stage: (result, q, A).
 
     The damping weights q are computed once, from the stage's spectrum, and
-    serve the normal equations, tr P and the bias trace tr(P D).
-    The normal equations are formed from the stage's coordinates psi'R[Z y].
+    serve the normal equations A delta = U'(q uy), with A = U' diag(q) U
+    formed from the stage's coordinates psi'R[Z y], and tr P.  The result's
+    arrays are read-only, since every caller of the scheme shares them.
     """
+    if scheme in stage._fits:
+        return stage._fits[scheme]
     data, network, rho_tilde = stage.data, stage.network, stage.rho_tilde
     spectrum = stage.spectrum
     q = q_weights(scheme, spectrum)
-    tr_P = float(q.sum())
     U = stage.U
     A = U.T @ (q[:, None] * U)
     delta = _checked_solve(A, U.T @ (q * stage.uy), "regularized 2SLS normal equations")
     eps_hat = whitened_residual(network, rho_tilde, data.y, stage.Z, delta)
     sigma2 = float(eps_hat @ eps_hat) / network.n
     se = np.sqrt(np.maximum(np.diag(sigma2 * np.linalg.inv(A)), 0.0))
-    if lambda_tilde is not None:
-        tr_PD = spectrum.weighted_trace(q, lambda V: stage.apply_D(lambda_tilde, V))
-        e1 = np.zeros(delta.size)
-        e1[0] = 1.0
-        delta = delta - sigma2 * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")
-    return EstimationResult(
+    delta.flags.writeable = se.flags.writeable = False
+    result = EstimationResult(
         delta=delta, std_errors=se, rho_tilde=float(rho_tilde),
         sigma2_hat=sigma2, scheme=scheme,
-        tr_P=tr_P, condition_number=spectrum.condition_number,
+        tr_P=float(q.sum()), condition_number=spectrum.condition_number,
         k1=data.k1, k2=data.k2, n=network.n,
     )
+    stage._fits[scheme] = result, q, A
+    return stage._fits[scheme]
 
 
 def regularized_2sls(stage: FirstStage, scheme: Scheme) -> EstimationResult:
@@ -253,7 +266,7 @@ def regularized_2sls(stage: FirstStage, scheme: Scheme) -> EstimationResult:
     (1 + k1 + k2) square solve.  sigma2 comes from the structural residuals
     at (delta_hat, rho_tilde) divided by n.
     """
-    return _fit(stage, scheme)
+    return _fit(stage, scheme)[0]
 
 
 def classical_2sls(stage: FirstStage) -> EstimationResult:
@@ -270,6 +283,12 @@ def bias_corrected_2sls(stage: FirstStage, lambda_tilde: float) -> EstimationRes
 
     evaluated at the preliminary (rho_tilde, lambda_tilde) and the fitted
     sigma2 of the uncorrected estimator.  P keeps every principal component,
-    so tr P is the instrument rank, at least 1.
+    so tr P is the instrument rank, at least 1.  The uncorrected fit is the
+    stage's classical fit, made once whichever of the two is asked for first.
     """
-    return _fit(stage, Scheme.principal_components(stage.spectrum.rank), lambda_tilde)
+    fit, q, A = _fit(stage, Scheme.principal_components(stage.spectrum.rank))
+    tr_PD = stage.spectrum.weighted_trace(q, lambda V: stage.apply_D(lambda_tilde, V))
+    e1 = np.zeros(fit.delta.size)
+    e1[0] = 1.0
+    correction = fit.sigma2_hat * tr_PD * _checked_solve(A, e1, "bias-correction sandwich")
+    return replace(fit, delta=fit.delta - correction)

@@ -340,16 +340,26 @@ def normalize_columns(inst: InstrumentSet, mode: str) -> InstrumentSet:
 
 
 def _distinct_columns(columns) -> list[int]:
-    """Indices of the columns that repeat no earlier kept column, first ones kept.
+    """Indices of the rows of ``columns`` (one column per row) that repeat no
+    earlier kept one, first ones kept.
 
     A column repeats another when their difference has norm at most 1e-12
-    times the larger of the two norms.
+    times the larger of the two norms.  One Gram matrix screens the pairs:
+    |a|^2 + |b|^2 - 2 a'b is within about n eps max(|a|, |b|)^2 of
+    |a - b|^2, far below the 1e-6 max(|a|, |b|)^2 it is held against, so
+    every repeat passes the screen, and only the pairs that pass are
+    differenced.
     """
+    columns = np.ascontiguousarray(columns, dtype=float)
+    gram = columns @ columns.T
+    sq = gram.diagonal()
+    larger = np.maximum.outer(sq, sq)
+    near = sq[:, None] + sq - 2.0 * gram <= 1e-6 * larger
     kept: list[int] = []
     for i, col in enumerate(columns):
-        scale = float(np.linalg.norm(col))
-        if not any(np.linalg.norm(col - columns[j])
-                   <= 1e-12 * max(scale, np.linalg.norm(columns[j])) for j in kept):
+        close = [j for j in kept if near[i, j]]
+        if not close or not (np.linalg.norm(columns[close] - col, axis=1)
+                             <= 1e-12 * np.sqrt(larger[i, close])).any():
             kept.append(i)
     return kept
 
@@ -366,11 +376,10 @@ def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
     Wb = network.lag_W(base)
     blocks = [base, Wb, network.lag_M(base), network.lag_M(Wb)]
     tags = ["X", "W.X", "M.X", "M.W.X"]
-    cols = [blk[:, c] for blk in blocks for c in range(blk.shape[1])]
+    stack = np.column_stack(blocks)
     labels = [f"J.{tag}[{c}]" for blk, tag in zip(blocks, tags) for c in range(blk.shape[1])]
-    keep = _distinct_columns(cols)
-    return InstrumentSet(network.J.apply(np.column_stack([cols[i] for i in keep])),
-                         [labels[i] for i in keep]).nonzero()
+    keep = _distinct_columns(stack.T)
+    return InstrumentSet(network.J.apply(stack[:, keep]), [labels[i] for i in keep]).nonzero()
 
 
 def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:

@@ -14,7 +14,9 @@ invariant, but the undamped projector and the bias trace tr(P D) are, so
 normalizing the large-iv and bias-corrected rows gives the same estimator
 while one decomposition serves all five.  They and the damping selection
 also share one ``first_stage``, the coordinates of R[Z y] on that spectrum,
-so [Z y] is whitened and projected once, not once per fit.  Without
+so [Z y] is whitened and projected once, not once per fit, and one
+classical fit serves two rows: the stage keeps the large-iv fit, and the
+bias-corrected row is that fit minus its correction.  Without
 ``transform_with_rho`` the whitening is at rho = 0, where R = I and nothing
 is computed; with it, every row is whitened at rho_tilde, and the finite
 row fits a q1 stage of its own.  A replication makes two batched
@@ -33,7 +35,6 @@ draw order is fixed: network, covariate, group effects, disturbances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -149,7 +150,13 @@ def _draw_sample(config: McConfig, seed) -> tuple[GroupedNetwork, PanelData]:
 
 
 def run_replication(config: McConfig, seed) -> ReplicationResult:
-    """One draw, all six estimators on it; numerical failures become missing cells.
+    """One draw, all six estimators on it; numerical failures become missing cells."""
+    net, data = _draw_sample(config, seed)
+    return _estimate_draw(config, net, data)
+
+
+def _estimate_draw(config: McConfig, net: GroupedNetwork, data: PanelData) -> ReplicationResult:
+    """The six estimators of ``run_replication`` on one drawn (net, data).
 
     q1 is built once and extended into the large roster.  Its one fit at
     rho = 0 gives delta_tilde, whose first three entries are the finite
@@ -167,7 +174,6 @@ def run_replication(config: McConfig, seed) -> ReplicationResult:
     failures: dict[str, str] = {}
     regularized = {"t_2sls": "T", "lf_2sls": "LF", "pc_2sls": "PC"}
 
-    net, data = _draw_sample(config, seed)
     base = data.regressors(net)
 
     try:
@@ -237,6 +243,9 @@ def run_study(config: McConfig, workers: int = 1) -> list[ReplicationResult]:
     workers = math.ceil(config.replications / chunksize)
     if workers == 1:
         return [run_replication(config, s) for s in seeds]
+    # imported here: the process machinery (multiprocessing, sockets,
+    # logging) would otherwise load with every ``import sarnet``
+    from concurrent.futures import ProcessPoolExecutor
     tasks = [(config, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate_task, tasks, chunksize=chunksize))

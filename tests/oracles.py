@@ -177,6 +177,38 @@ def d_matrix(network, lam: float, rho: float) -> np.ndarray:
     return R @ W @ np.linalg.inv(s_matrix(lam, W)) @ np.linalg.inv(R)
 
 
+def rho_objective_polynomial(moments, bounds=(-0.99, 0.99)) -> float:
+    """The method-of-moments rho through ``numpy.polynomial`` objects.
+
+    Row k of ``moments`` holds g_k's coefficients in ascending powers of
+    rho.  The quartic sum_k g_k^2 is built as polynomial products and sums,
+    its derivative trimmed of top coefficients at most 1e-12 times its
+    largest, and the real parts of its roots, clipped to ``bounds``, are
+    evaluated with both bounds; the first smallest objective value wins.
+    """
+    from numpy.polynomial import Polynomial
+
+    polys = [Polynomial(np.asarray(g, dtype=float)) for g in moments]
+    lo, hi = bounds
+    slopes = sum(g * g for g in polys).deriv()
+    slopes = slopes.trim(1e-12 * np.abs(slopes.coef).max())
+    candidates = np.concatenate([np.clip(slopes.roots().real, lo, hi), [lo, hi]])
+    values = sum(g(candidates) ** 2 for g in polys)
+    return float(candidates[np.argmin(values)])
+
+
+def distinct_columns_pairwise(columns) -> list[int]:
+    """Indices of the columns that repeat no earlier kept column, compared one
+    pair at a time: a repeat differs by at most 1e-12 times the larger norm."""
+    kept: list[int] = []
+    for i, col in enumerate(columns):
+        scale = float(np.linalg.norm(col))
+        if not any(np.linalg.norm(col - columns[j])
+                   <= 1e-12 * max(scale, np.linalg.norm(columns[j])) for j in kept):
+            kept.append(i)
+    return kept
+
+
 def loo_refit(ctx: SelectionContext, scheme: Scheme) -> float:
     """Literal delete-one cross-validation.
 

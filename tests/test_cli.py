@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 
@@ -540,8 +541,7 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_nonpositive_workers_is_usage_error(self, workers, tmp_path, monkeypatch, capsys):
-        from sarnet import montecarlo
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)   # starts nothing
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)   # starts nothing
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"workers = {workers}\n")
         for argv in (["simulate", "--reps", "2", "--workers", workers],

@@ -253,6 +253,46 @@ class TestBiasCorrected:
         assert abs(np.mean(lam_corrected) - 0.1) < abs(np.mean(lam_plain) - 0.1)
 
 
+    def test_correction_starts_from_the_stage_classical_fit(self):
+        net, data, _, _, _ = draw_dataset(seed=48, group_count=10, group_size=8)
+        q1 = q1_roster(net, data.regressors(net))
+        lam = float(preliminary_delta(data, net, q1)[0])
+        q2 = normalize_columns(q2_roster(net, q1), "unit-variance")
+        for rho in (0.0, 0.2):
+            stage = first_stage(data, net, q2, rho)
+            corrected = bias_corrected_2sls(stage, lambda_tilde=lam)
+            plain = classical_2sls(stage)          # kept by the corrected fit
+            scheme = Scheme.principal_components(stage.spectrum.rank)
+            assert regularized_2sls(stage, scheme) is plain
+            assert not plain.delta.flags.writeable
+            q = q_weights(scheme, stage.spectrum)
+            A = stage.U.T @ (q[:, None] * stage.U)
+            tr_PD = stage.spectrum.weighted_trace(q, lambda V: stage.apply_D(lam, V))
+            e1 = np.eye(A.shape[0])[0]
+            want = plain.delta - plain.sigma2_hat * tr_PD * np.linalg.solve(A, e1)
+            assert np.array_equal(corrected.delta, want)
+            assert np.array_equal(corrected.std_errors, plain.std_errors)
+            assert corrected.sigma2_hat == plain.sigma2_hat
+            # the other order, on a stage of its own, gives the same bits
+            fresh = first_stage(data, net, q2, rho)
+            assert np.array_equal(classical_2sls(fresh).delta, plain.delta)
+            assert np.array_equal(bias_corrected_2sls(fresh, lam).delta, corrected.delta)
+
+    def test_singular_classical_system_fails_both_fits_alike(self):
+        net, data, _, _, _ = draw_dataset(seed=34)
+        col = net.J.apply(data.x1[:, 0])
+        stage = first_stage(data, net, InstrumentSet(np.column_stack([col, col * 2.0]),
+                                                     ("a", "b")), 0.0)
+        messages = []
+        for fit in (lambda: bias_corrected_2sls(stage, 0.1), lambda: classical_2sls(stage),
+                    lambda: bias_corrected_2sls(stage, 0.1)):
+            with pytest.raises(SingularSystemError) as err:
+                fit()
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("regularized 2SLS normal equations is numerically singular")
+
+
 def test_assemble_z_layout(small_dataset):
     net, data, params, _, _ = small_dataset
     Z = assemble_z(data, net)

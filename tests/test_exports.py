@@ -94,6 +94,20 @@ def test_package_imports_numpy_alone():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool_or_polynomial_classes():
+    # a pool's machinery (multiprocessing, sockets, logging) loads only when
+    # a study runs on more than one worker, and rho_tilde's quartic is plain
+    # coefficient arrays; a fresh interpreter, as above
+    code = ("import sarnet.cli, sys; "
+            "print(sorted(m for m in ('multiprocessing', 'numpy.polynomial') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_removed_wrappers_stay_removed():
     # a selection curve already holds (alpha, criterion, S_hat) at every
     # grid point, and the bias trace reads the instrument set's Gram, so the

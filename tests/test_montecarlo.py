@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -310,6 +311,22 @@ class TestFailureHandling:
         assert len(calls) == 1
 
 
+    def test_singular_classical_system_fails_both_of_its_rows_alike(self, monkeypatch):
+        # a large roster of one direction: the classical system is singular,
+        # and the bias-corrected row, which starts from that fit, fails with
+        # the large-iv row's message
+        def one_direction(net, q1):
+            col = q1.Q[:, 0]
+            return InstrumentSet(np.column_stack([col, 2.0 * col]), ("a", "b"))
+
+        monkeypatch.setattr(montecarlo, "q2_roster", one_direction)
+        rep = run_replication(McConfig(**SMALL), np.random.SeedSequence(1))
+        msg = rep.failures["2sls_large"]
+        assert "regularized 2SLS normal equations is numerically singular" in msg
+        assert rep.failures["bias_corrected"] == msg
+        assert np.all(np.isnan(rep.estimates["bias_corrected"]))
+
+
 class TestRunStudy:
     def test_study_matches_manual_loop(self):
         config = McConfig(**SMALL)
@@ -377,7 +394,7 @@ class TestWorkerCount:
     def test_no_more_processes_than_replications(self, monkeypatch, workers, reps, started):
         monkeypatch.setattr(FakeExecutor, "started", [])
         monkeypatch.setattr(FakeExecutor, "chunksizes", [])
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         config = McConfig(**{**SMALL, "replications": reps})
         results = run_study(config, workers=workers)
         assert FakeExecutor.started == started
@@ -388,7 +405,7 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_worker_count_is_refused(self, monkeypatch, workers):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run_study(McConfig(**SMALL), workers=workers)
 
@@ -545,3 +562,31 @@ def test_lapack_call_budget(monkeypatch):
     fresh = first_stage(data, net, q1, rho_tilde)
     selection.select_alpha(fresh, "T", "cp", delta_tilde)
     assert calls["solve"] == [1] and calls["svd"] == 0
+
+
+def test_bias_corrected_row_reuses_the_classical_fit(monkeypatch):
+    # the 2-D solves of one replication: delta_tilde's fit, the classical
+    # fit that the large-iv and bias-corrected rows share, the correction's
+    # sandwich, the selection context's target direction and one per T/LF/PC
+    # row, plus the finite row's own fit with transform_with_rho; a fit
+    # takes one inverse, for its standard errors
+    calls = {"solve": 0, "inv": 0}
+    solve, inv = np.linalg.solve, np.linalg.inv
+
+    def counting(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name] += np.ndim(a) == 2
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", inv))
+    seed = np.random.SeedSequence(0).spawn(1)[0]
+    for transform in (False, True):
+        config = McConfig(group_count=30, group_size=10, max_links=3,
+                          transform_with_rho=transform)
+        calls.update(solve=0, inv=0)
+        rep = run_replication(config, seed)
+        assert rep.failures == {}
+        fits = 5 + transform
+        assert calls == {"solve": fits + 2, "inv": fits}, transform

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sarnet import estimation, montecarlo
 from sarnet.estimation import (bias_corrected_2sls, classical_2sls,
                                first_stage, preliminary_delta, preliminary_rho,
                                regularized_2sls)
@@ -21,8 +22,11 @@ from sarnet.graphs import (BlockStacks, GroupedNetwork, PanelData, build_block_d
 from sarnet import identification
 from sarnet.identification import (_rank_and_condition, build_report,
                                    distinct_eigenvalues, labelled_stack)
-from sarnet.instruments import InstrumentSet, normalize_columns, q1_roster, q2_roster
+from sarnet.instruments import (InstrumentSet, _distinct_columns, normalize_columns,
+                                q1_roster, q2_roster)
+from sarnet.montecarlo import ESTIMATORS, McConfig
 from sarnet.regularization import Scheme, Spectrum, apply_projector, q_weights
+from sarnet.selection import prepare_selection, select_from_context
 from sarnet.transforms import ModelParams, apply_D, assemble_z, reduced_form, solve_blockwise
 import oracles
 from oracles import (arrowhead_matrix, d_matrix, dense_distinct_eigenvalues, dense_J, dense_M,
@@ -183,6 +187,92 @@ def test_exact_rho_when_the_quartic_is_only_quadratic():
     grid = dense_rho_objective(net, data, delta, np.linspace(-0.99, 0.99, 3961))
     assert -0.99 < rho < 0.99
     assert dense_rho_objective(net, data, delta, [rho])[0] <= grid.min()
+
+
+@st.composite
+def rho_moments(draw):
+    """Three moments' coefficients, ascending powers of rho, by shape of objective.
+
+    ``generic``: random coefficients on scales 1e-3..1e3.  ``no_square``: no
+    moment has a genuine rho^2 term; each carries rounding noise or an exact
+    zero there, so the quartic is a quadratic and its derivative a
+    degenerate cubic.  ``below``/``above``: every root of every moment lies
+    left/right of the interval, so the minimum sits at the lower/upper
+    bound.  ``common_root``: all moments vanish at one rho inside the
+    interval, a double root of the quartic and its minimum.
+    """
+    family = draw(st.sampled_from(["generic", "no_square", "below", "above", "common_root"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.integers(-3, 4, size=(3, 1))
+    if family == "generic":
+        return family, rng.uniform(-1, 1, (3, 3)) * scale
+    if family == "no_square":
+        g = rng.uniform(-1, 1, (3, 3)) * scale
+        g[:, 2] = 1e-17 * scale[:, 0] * rng.uniform(-1, 1, 3) * (rng.random(3) < 0.7)
+        return family, g
+    # g_k = s_k (rho - r_k)(rho - t_k): coefficients (s r t, -s (r + t), s)
+    if family == "common_root":
+        r = np.full(3, rng.uniform(-0.9, 0.9))
+        t = rng.uniform(-3, 3, 3)
+    else:
+        sign = -1.0 if family == "below" else 1.0
+        r, t = sign * rng.uniform(1.5, 4, (2, 3))
+    s = rng.choice([-1.0, 1.0], 3) * scale[:, 0]
+    return family, np.column_stack([s * r * t, -s * (r + t), s])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rho_moments())
+def test_rho_argmin_matches_polynomial_oracle(case):
+    family, moments = case
+    want = oracles.rho_objective_polynomial(moments)
+    # the minimizer must be unique: no grid point away from it comes within
+    # rounding of the smallest objective value
+    grid = np.linspace(-0.99, 0.99, 397)
+    values = ((moments @ np.vstack([np.ones_like(grid), grid, grid ** 2])) ** 2).sum(axis=0)
+    at_want = ((moments @ [1.0, want, want ** 2]) ** 2).sum()
+    far = np.abs(grid - want) > 0.02
+    assume(not np.any(values[far] <= at_want + 1e-9 * values.max()))
+    got = estimation._rho_argmin(moments)
+    assert abs(got - want) <= 1e-12, family
+    if family == "below":
+        assert got == -0.99
+    elif family == "above":
+        assert got == 0.99
+
+
+@PROPERTY_SETTINGS
+@given(net=odd_networks(min_last=4), seed=st.integers(0, 1000))
+def test_preliminary_rho_matches_polynomial_oracle(net, seed):
+    rng = np.random.default_rng(seed)
+    data = PanelData(y=rng.standard_normal(net.n), x1=rng.standard_normal(net.n),
+                     x2=rng.standard_normal(net.n), group_sizes=net.group_sizes)
+    delta = rng.normal(0.2, 0.1, size=3)
+    seen = []
+    argmin = estimation._rho_argmin
+    with mock.patch.object(estimation, "_rho_argmin",
+                           side_effect=lambda g: seen.append(g.copy()) or argmin(g)):
+        rho = preliminary_rho(data, net, delta)
+    moments, = seen
+    np.testing.assert_allclose(rho, oracles.rho_objective_polynomial(moments),
+                               rtol=1e-12, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), k=st.integers(1, 12))
+def test_distinct_columns_match_pairwise_oracle(seed, n, k):
+    # exact and scaled copies, zero columns, and copies moved by 0.5e-12 or
+    # 2e-12 of their norm, either side of the rule's 1e-12
+    rng = np.random.default_rng(seed)
+    cols = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)]
+    for _ in range(k - 1):
+        base = cols[rng.integers(len(cols))]
+        noise = rng.standard_normal(n)
+        noise *= np.linalg.norm(base) / max(np.linalg.norm(noise), 1e-300)
+        cols.append([rng.standard_normal(n), base.copy(), 2.0 * base, np.zeros(n),
+                     base + rng.choice([0.5e-12, 2e-12, 1e-9]) * noise][rng.integers(5)])
+    columns = np.column_stack(cols)
+    assert _distinct_columns(columns.T) == oracles.distinct_columns_pairwise(list(columns.T))
 
 
 @PROPERTY_SETTINGS
@@ -900,3 +990,116 @@ def test_csv_loaders_match_cell_by_cell_oracle(texts, with_nodes, with_m):
         assert data.group_sizes == want_data.group_sizes
         for field in ("y", "x1", "x2"):
             assert np.array_equal(getattr(data, field), getattr(want_data, field))
+
+
+# ---------------------------------------------------------------------------
+# Invariance of a whole replication at the benchmark's sizes: mixed group
+# sizes with singletons, up to 240 groups, through run_replication's calls
+# ---------------------------------------------------------------------------
+
+REGULARIZED_ROWS = {"t_2sls": "T", "lf_2sls": "LF", "pc_2sls": "PC"}
+
+
+def mixed_draw(seed, groups, max_links=3):
+    """W blocks of the Monte Carlo's wrap-around design on sizes 1..11, two
+    singletons among them, and the design's x and y on that network."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 12, size=groups)
+    sizes[rng.choice(groups, size=min(2, groups), replace=False)] = 1
+    blocks = []
+    for m in sizes:
+        B = np.zeros((m, m))
+        for i, k in enumerate(rng.integers(0, min(max_links, m - 1) + 1, size=m)):
+            B[i, (i + 1 + np.arange(k)) % m] = 1.0
+        blocks.append(B)
+    net = design_network(blocks)
+    x = rng.standard_normal(net.n)
+    gamma = 0.1 * rng.standard_normal(groups)
+    params = ModelParams.checked(net, lam=0.1, beta1=[0.2], beta2=[0.2], rho=0.1,
+                                 gamma=gamma, sigma2=1.0)
+    y = reduced_form(params, np.column_stack([x, net.lag_W(x)]), gamma,
+                     rng.standard_normal(net.n), net)
+    return blocks, x, y
+
+
+def design_network(blocks):
+    return GroupedNetwork.from_blocks(blocks, [row_normalize(B) for B in blocks],
+                                      m_row_normalized=True)
+
+
+def replicate(config, blocks, x, y):
+    """run_replication's estimators on (blocks, x, y), with the selection
+    margin of each regularized row: the gap from the smallest S_hat on its
+    grid to the next smallest, relative to the smallest."""
+    net = design_network(blocks)
+    data = PanelData(y=y, x1=x[:, None], x2=x[:, None], group_sizes=net.group_sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # zero centrality columns
+        result = montecarlo._estimate_draw(config, net, data)
+        q1 = q1_roster(net, data.regressors(net))
+        delta = preliminary_delta(data, net, q1)
+        stage = first_stage(data, net, normalize_columns(q2_roster(net, q1), "unit-variance"),
+                            0.0)
+        ctx = prepare_selection(stage, delta, config.criterion)
+    margins = {}
+    for kind in REGULARIZED_ROWS.values():
+        values = np.sort([s for _, _, s in select_from_context(ctx, kind).curve])
+        margins[kind] = (values[1] - values[0]) / abs(values[0]) if values.size > 1 else np.inf
+    return result, margins
+
+
+def assert_same_rows(got, want, margins, beta_scale=1.0):
+    # a regularized row whose S_hat minimum is within 1e-8 of the runner-up
+    # may pick the other point on rounding, so it is compared only at a margin
+    assert not got.failures and not want.failures
+    assert got.rho_tilde == pytest.approx(want.rho_tilde, rel=1e-9, abs=1e-12)
+    for name in ESTIMATORS:
+        kind = REGULARIZED_ROWS.get(name)
+        if kind is not None and margins[kind] < 1e-8:
+            continue
+        np.testing.assert_allclose(got.estimates[name] * [1.0, beta_scale, beta_scale],
+                                   want.estimates[name], rtol=1e-9, atol=1e-12, err_msg=name)
+        if kind is not None:
+            assert got.alphas[name] == pytest.approx(want.alphas[name], rel=1e-9), name
+
+
+INVARIANCE_SETTINGS = settings(max_examples=10, deadline=None)
+benchmark_draws = dict(seed=st.integers(0, 2 ** 32 - 1), groups=st.integers(20, 240),
+                       criterion=st.sampled_from(["cp", "loo"]))
+
+
+@INVARIANCE_SETTINGS
+@given(**benchmark_draws)
+def test_group_permutation_leaves_every_row_unchanged(seed, groups, criterion):
+    config = McConfig(criterion=criterion)
+    blocks, x, y = mixed_draw(seed, groups)
+    want, margins = replicate(config, blocks, x, y)
+    order = np.random.default_rng(seed).permutation(groups)
+    rows = np.split(np.arange(x.size), np.cumsum([len(B) for B in blocks])[:-1])
+    moved = np.concatenate([rows[g] for g in order])
+    got, _ = replicate(config, [blocks[g] for g in order], x[moved], y[moved])
+    assert_same_rows(got, want, margins)
+
+
+@INVARIANCE_SETTINGS
+@given(**benchmark_draws, c=st.floats(0.01, 100.0))
+def test_scaling_x_scales_beta_and_leaves_lambda(seed, groups, criterion, c):
+    config = McConfig(criterion=criterion)
+    blocks, x, y = mixed_draw(seed, groups)
+    want, margins = replicate(config, blocks, x, y)
+    got, _ = replicate(config, blocks, c * x, y)
+    assert_same_rows(got, want, margins, beta_scale=c)
+
+
+@INVARIANCE_SETTINGS
+@given(**benchmark_draws)
+def test_relabelling_nodes_within_groups_leaves_every_row_unchanged(seed, groups, criterion):
+    config = McConfig(criterion=criterion)
+    blocks, x, y = mixed_draw(seed, groups)
+    want, margins = replicate(config, blocks, x, y)
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(len(B)) for B in blocks]
+    starts = np.cumsum([0] + [len(B) for B in blocks[:-1]])
+    moved = np.concatenate([start + p for start, p in zip(starts, perms)])
+    got, _ = replicate(config, [B[p][:, p] for B, p in zip(blocks, perms)], x[moved], y[moved])
+    assert_same_rows(got, want, margins)
