@@ -53,25 +53,23 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce_config(key: str, value: str, where: str) -> object:
-    """One config value as its flag's type; a malformed value is a data error."""
-    try:
-        if key in {"groups", "size", "max_links", "reps", "seed", "order", "workers"}:
-            return int(value)
-        if key in {"tol", "weak_threshold"}:
-            return float(value)
-    except ValueError as exc:
-        raise DataError(f"{where}: {key}: {exc}") from exc
-    if key in {"transform_rho", "no_bonacich", "no_m_lags", "correlated"}:
+def _coerce_config(action: argparse.Action, value: str, where: str) -> object:
+    """One config value read as its flag's parser action reads it; a malformed
+    value is a data error.  A ``store_true`` flag takes a boolean word."""
+    if isinstance(action, argparse._StoreTrueAction):
         if value.lower() not in _BOOLEANS:
-            raise DataError(f"{where}: {key}: {value!r} is not a boolean; use one of "
+            raise DataError(f"{where}: {action.dest}: {value!r} is not a boolean; use one of "
                             f"{', '.join(_BOOLEANS)} (any case)")
         return _BOOLEANS[value.lower()]
-    return value
+    try:
+        return value if action.type is None else action.type(value)
+    except ValueError as exc:
+        raise DataError(f"{where}: {action.dest}: {exc}") from exc
 
 
-def _read_config_file(path: str) -> dict[str, object]:
-    out: dict[str, object] = {}
+def _read_config_file(path: str) -> list[tuple[str, str, str]]:
+    """The file's (key, value, "path:line") entries in order, values as written."""
+    entries = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -83,12 +81,11 @@ def _read_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        out[key] = _coerce_config(key, value.strip(), f"{path}:{lineno}")
-    return out
+        entries.append((key.strip().replace("-", "_"), value.strip(), f"{path}:{lineno}"))
+    return entries
 
 
-def _build_parser(defaults: dict[str, object]) -> _Parser:
+def _build_parser(config: list[tuple[str, str, str]]) -> _Parser:
     parser = _Parser(prog="sarnet", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key = value file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -142,9 +139,12 @@ def _build_parser(defaults: dict[str, object]) -> _Parser:
     sel = sub.add_parser("select", help="export the regularization-selection curve as CSV")
     add_estimation_flags(sel)
 
-    if defaults:
+    if config:
         actions = parser._actions + [a for p in sub.choices.values() for a in p._actions]
-        unknown = set(defaults) - {a.dest for a in actions}
+        by_dest = {a.dest: a for a in reversed(actions)}      # a flag's first action
+        defaults = {key: _coerce_config(by_dest[key], value, where)
+                    for key, value, where in config if key in by_dest}
+        unknown = {key for key, _, _ in config} - set(by_dest)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         for a in actions:   # set_defaults bypasses argparse's choices check
@@ -303,13 +303,13 @@ def main(argv: list[str] | None = None) -> int:
         # a library warning as one line, in the style of the notes, without its source
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            defaults: dict[str, object] = {}
+            config: list[tuple[str, str, str]] = []
             if "--config" in argv:
                 idx = argv.index("--config")
                 if idx + 1 >= len(argv):
                     raise UsageError("--config needs a path")
-                defaults = _read_config_file(argv[idx + 1])
-            parser = _build_parser(defaults)
+                config = _read_config_file(argv[idx + 1])
+            parser = _build_parser(config)
             args = parser.parse_args(argv)
             if args.command == "simulate":
                 return _cmd_simulate(args)

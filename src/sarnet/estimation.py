@@ -133,9 +133,12 @@ def preliminary_rho(data: PanelData, network: GroupedNetwork,
     companion matrix of such a cubic loses the genuine roots, so the
     derivative's top coefficients at most 1e-12 times its largest in
     absolute value are dropped first.  The candidates are the real parts of
-    the remaining roots (``np.roots``: the eigenvalues of the companion
-    matrix, sorted), clipped to the interval, then both bounds; each is
-    evaluated and the first smallest value wins.
+    the remaining roots (``np.roots``, the companion matrix's eigenvalues,
+    sorted) clipped to the interval.  They can be 1e-8 off, so each one
+    inside takes two Newton steps on f'/2 = sum_k g_k g_k' with
+    f''/2 = sum_k (g_k'^2 + 2 c_k2 g_k) from the moments, only where
+    f'' > 0 and stopping at a bound.  Those and both bounds are evaluated;
+    the first smallest value wins.
     A numerically zero residual (squared norm at most 1e-24 y'y, a threshold
     that scales with the data) makes the objective flat; by convention that
     returns 0 with a warning.
@@ -166,9 +169,15 @@ def _rho_argmin(moments: np.ndarray) -> float:
     slopes = quartic[1:] * np.arange(1, quartic.size)
     kept = np.flatnonzero(np.abs(slopes) > 1e-12 * np.abs(slopes).max())
     slopes = slopes[:kept[-1] + 1 if kept.size else 1]
-    roots = np.sort(np.roots(slopes[::-1])).real
-    candidates = np.concatenate([np.clip(roots, lo, hi), [lo, hi]])
-    g = (moments[:, 2:] * candidates + moments[:, 1:2]) * candidates + moments[:, :1]
+    rho = np.clip(np.sort(np.roots(slopes[::-1])).real, lo, hi)
+    c0, c1, c2 = moments[:, :1], moments[:, 1:2], moments[:, 2:]
+    for _ in range(2):
+        g, dg = (c2 * rho + c1) * rho + c0, 2.0 * c2 * rho + c1
+        slope, curvature = (g * dg).sum(axis=0), (dg * dg + 2.0 * c2 * g).sum(axis=0)
+        step = (rho > lo) & (rho < hi) & (curvature > 0.0)
+        rho[step] = np.clip(rho[step] - slope[step] / curvature[step], lo, hi)
+    candidates = np.concatenate([rho, [lo, hi]])
+    g = (c2 * candidates + c1) * candidates + c0
     return float(candidates[np.argmin((g * g).sum(axis=0))])
 
 

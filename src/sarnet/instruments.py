@@ -15,11 +15,13 @@ columns of the n x o matrix ``V``, and the first row of each group that has
 a column, never as an n x G block.  ``q2_roster`` is the one-power case
 (J W 1); ``build_instruments`` holds o = order powers, twice that with the
 M copy.  Products with the roster and its normalization then cost O(n c)
-plus segment sums of V; with one power its Gram F'F/n is an arrowhead,
-handed over as blocks (``arrowhead``), and with more the spectrum reads V
-group by group (``blocks``).  Only ``InstrumentSet`` reads that layout, so
-its methods are the column rule of every roster: ``nonzero``,
-``column_sds``, ``select`` and ``rescaled``.
+plus segment sums of V.  With one power its Gram F'F/n is an arrowhead,
+handed over as blocks (``arrowhead``), which the spectrum deflates in
+closed form when the per-group columns share one sum of squares (unit
+variance); every other roster the spectrum reads group by group
+(``blocks``).  Only ``InstrumentSet`` reads that layout, so its methods
+are the column rule of every roster: ``nonzero``, ``column_sds``,
+``select`` and ``rescaled``.
 """
 
 from __future__ import annotations
@@ -181,14 +183,10 @@ class InstrumentSet:
         ``left``.  A acts on the c + 1 columns [Q, v] once, v the one column
         of V.  Being block diagonal, it maps the per-group column s to (A v)
         on segment s's rows, so both borders and the diagonal are segment
-        sums of entrywise products of those columns.  Without a per-group
-        part they are empty; with more than one power F'AF is no arrowhead.
+        sums of entrywise products of those columns.  Without exactly one
+        power F'AF is no arrowhead.
         """
-        Q = self.Q
-        if self.V is None:
-            empty = np.empty((0, Q.shape[1]))
-            return Q.T @ (Q if apply is None else apply(Q)), empty, empty, np.empty(0)
-        v = self._single()
+        Q, v = self.Q, self._single()
         if apply is None:
             AQ, Av = Q, v
         else:

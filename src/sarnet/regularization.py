@@ -28,37 +28,37 @@ Everything downstream of the eigendecomposition works in the rank-dimensional
 coordinates <e, psi_j>, the dual form of Carrasco (2012).  ``Spectrum`` gets
 them one of two ways, and both keep the same nonzero spectrum.
 
-The Gram route takes a roster of m < n/4 columns whose per-group part, if
-any, has one power (the Monte Carlo rosters q1 and q2).  There the psi_j
-are F phi_j / sqrt(n nu_j) for the eigenpairs (nu_j, phi_j) of K = F'F/n,
-kept as that product, so the n x rank matrix psi is never formed.  For q2,
-F = [Q | V] with one per-group column per group held as one n-vector, K is
-the arrowhead [[A, B'], [B, diag(d)]] that ``InstrumentSet.arrowhead``
-assembles from Q'Q and segment sums.  When the per-group diagonal d is one
-value (unit-variance columns), a thin SVD of the G x c border B of rank r
-deflates it (Golub 1973): d is an eigenvalue of multiplicity G - r whose
-eigenvectors are the complement of B's column space, held as r Householder
-reflectors, and only the (c + r)^2 core goes to ``eigh``.  Being one
-eigenvalue, the cluster carries one damping weight.  F'x, F c, the bias
-trace tr(P D) (``Spectrum.weighted_trace``) and the leverages
-(``Spectrum.weighted_diagonal``) then cost O(n c) plus O(G c^2), never a
-product with an n x G block or a G x G matrix.
+The Gram route takes only a roster that the arrowhead deflation fits: one
+per-group power, fewer than n/4 columns, and per-group columns of one sum
+of squares to ``DIAGONAL_ULPS`` (the unit-variance q2, and the CLI's
+normalized roster at order 1 without the M copy).  F = [Q | V] holds the
+per-group columns as one n-vector, and K = F'F/n is the arrowhead
+[[A, B'], [B, d I]] that ``InstrumentSet.arrowhead`` assembles from Q'Q
+and segment sums.  A thin SVD of the G x c border B of rank r deflates it
+(Golub 1973): d is an eigenvalue of multiplicity G - r, one damping
+weight, whose eigenvectors are the complement of B's column space, held
+as r Householder reflectors, and only the (c + r)^2 core goes to
+``eigh``.  psi_j = F phi_j / sqrt(n nu_j) is kept as that product, so
+F'x, F c, the bias trace tr(P D) (``Spectrum.weighted_trace``) and the
+leverages (``Spectrum.weighted_diagonal``) cost O(n c) plus O(G c^2).
 
-The block route takes every other roster, such as the CLI's, whose
-per-group part holds o > 1 powers (one column of V per centrality power and
-M copy).  Each group's columns live on its rows, so col(F) has the basis
-[blockdiag(U) | U_q]: a thin SVD V_r = U_r S_r W_r' of each group's rows,
-batched per group size, and a thin SVD of the residual of the global
-columns Q off blockdiag(U), taken with classical Gram-Schmidt twice.  In
-that basis F F'/n is the core (C C' + diag(S^2, 0))/n with
+The block route takes every other roster: q1 or a bare matrix (one thin
+SVD of Q, so a fit loses about eps cond(Q), not the eps cond(Q)^2 of an
+eigendecomposition of Q'Q), an unnormalized one, and the CLI's, whose
+per-group part holds o > 1 powers (one column of V per centrality power
+and M copy).  Each group's columns live on its rows, so col(F) has the
+basis [blockdiag(U) | U_q]: a thin SVD V_r = U_r S_r W_r' of each group's
+rows, batched per group size, and a thin SVD of the residual of the
+global columns Q off blockdiag(U), taken with classical Gram-Schmidt
+twice.  In that basis F F'/n is the core (C C' + diag(S^2, 0))/n with
 C = [blockdiag(U) | U_q]'Q, one ``eigh`` whose order is F's rank, not n,
 and psi = blockdiag(U) phi_V + U_q phi_q is held whole.  Both rank cuts
 before the core use one tolerance, max(n, m) eps sigma_max(F), the
-convention of ``numpy.linalg.matrix_rank`` applied to F; sigma_max(F) is
-taken as its upper bound sqrt(max_r sigma_1(V_r)^2 + sigma_1(Q)^2).  After
-either route's ``eigh``, eigenvalues at or below ``EIGENVALUE_CUTOFF``
-times the largest are dropped, so the retained rank counts the singular
-values of F above 1e-6 sigma_max(F).
+convention of ``numpy.linalg.matrix_rank`` applied to F, with sigma_max(F)
+bounded by sqrt(max_r sigma_1(V_r)^2 + ||Q||_F^2), which needs no SVD of
+Q of its own.  After either route's ``eigh``, eigenvalues at or below
+``EIGENVALUE_CUTOFF`` times the largest are dropped, so the retained rank
+counts the singular values of F above 1e-6 sigma_max(F).
 
 A roster's spectrum belongs to its first stage: ``estimation.first_stage``
 decomposes it once per stage, and an instrument set holds none.
@@ -95,14 +95,14 @@ class Spectrum:
     cutoff.  On the block route ``factor`` is psi itself, n x rank, and
     C = I (``basis`` is None).  On the Gram route ``factor`` is the
     ``InstrumentSet`` F = [Q | V] and C = Phi diag(n nu)^(-1/2), Phi the
-    eigenvectors of the arrowhead K = F'F/n = [[A, B'], [B, diag(d)]], one
-    row of B and entry of d per column of V.  When d is one value,
-    ``_deflate`` finds an orthogonal H = I - Y T Y' (``reflectors`` = (Y, T))
-    on the per-group coordinates whose first r columns span B's columns;
-    its other G - r columns are eigenvectors of the eigenvalue d, the
-    cluster, which sits at ``cluster_start`` in the descending order with
-    ``cluster_size`` entries and is never formed: per unit weight, its part of
-    the leverages and bias trace is ``cluster_diagonal`` = 1 - ||H[g, :r]||^2.
+    eigenvectors of the arrowhead K = F'F/n = [[A, B'], [B, d I]], one row
+    of B per column of V.  ``_deflate`` finds an orthogonal H = I - Y T Y'
+    (``reflectors`` = (Y, T)) on the per-group coordinates whose first r
+    columns span B's columns; its other G - r columns are eigenvectors of
+    the eigenvalue d, the cluster, which sits at ``cluster_start`` in the
+    descending order with ``cluster_size`` entries and is never formed: per
+    unit weight, its part of the leverages and bias trace is
+    ``cluster_diagonal`` = 1 - ||H[g, :r]||^2.
     ``basis`` holds the other eigenvectors in the instrument coordinates.
     Consumers go through ``coords(x)`` = psi'x, ``expand(c)`` = psi c,
     ``weighted_trace`` and ``weighted_diagonal``; only this class reads the representation.
@@ -152,8 +152,6 @@ class Spectrum:
     def _split(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of a rank-row c on ``basis``'s components and on the cluster."""
         p, g = self.cluster_start, self.cluster_size
-        if g == 0:
-            return c, c[:0]
         return np.concatenate([c[:p], c[p + g:]]), c[p:p + g]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
@@ -236,10 +234,10 @@ class Spectrum:
     def from_instruments(cls, inst: InstrumentSet | np.ndarray) -> "Spectrum":
         """Eigendecompose F F'/n in a basis of F's column space.
 
-        A roster of m < n/4 columns with at most one per-group power takes
-        the Gram route: ``_deflate`` splits off the cluster of K = F'F/n's
-        per-group block, and only the (c + r)^2 core goes to ``eigh``;
-        without a per-group part the core is Q'Q/n itself.  Every other
+        A roster of m < n/4 columns with one per-group power whose squared
+        norms (K's diagonal) agree to ``DIAGONAL_ULPS`` takes the Gram
+        route: ``_deflate`` splits off the cluster of K = F'F/n's per-group
+        block, and only the (c + r)^2 core goes to ``eigh``.  Every other
         roster takes the block route, ``_block_eigenpairs``, whose core has
         the order of F's rank, and psi is held whole.  Both routes share
         their nonzero spectrum.  Every fit gets its roster's spectrum from
@@ -249,10 +247,11 @@ class Spectrum:
         if not isinstance(inst, InstrumentSet):
             Q = np.atleast_2d(np.asarray(inst, dtype=float))
             inst = InstrumentSet(Q, tuple(map(str, range(Q.shape[1]))))
-        n = inst.n
-        if inst.powers > 1 or inst.n_columns >= n / 4:
+        n, eps = inst.n, np.finfo(float).eps
+        arrow = inst.arrowhead() if inst.powers == 1 and inst.n_columns < n / 4 else None
+        if arrow is None or np.ptp(arrow[3]) > DIAGONAL_ULPS * eps * arrow[3].max():
             return cls(*_block_eigenpairs(inst), None, n)
-        head, border, _, diagonal = inst.arrowhead()
+        head, border, _, diagonal = arrow
         core, Y, T, value, size = _deflate(head, border, diagonal)
         vals, vecs = np.linalg.eigh(core / n)
         value /= n
@@ -279,15 +278,15 @@ def _block_eigenpairs(inst: InstrumentSet) -> tuple[np.ndarray, np.ndarray]:
     projected off blockdiag(U) twice: one pass leaves components of size
     eps ||Q|| along U, which U_q, the residual over its small singular
     values, would magnify.  The sigma_max(F) of the rank tolerance is its
-    upper bound, at most sqrt(2) above it; a residual cut relative to the
-    residual's own largest singular value would keep rounding noise.  The
-    core's rows on U_q are the residual's S_q W_q'.  No n x n or n x m
-    array is formed.
+    upper bound with Q's Frobenius norm, at most sqrt(c + 1) above it; a
+    residual cut relative to the residual's own largest singular value
+    would keep rounding noise.  The core's rows on U_q are the residual's
+    S_q W_q'.  No n x n or n x m array is formed.
     """
     n, m, Q = inst.n, inst.n_columns, inst.Q
     stacks = [(rows, *np.linalg.svd(V, full_matrices=False)[:2]) for rows, V in inst.blocks()]
     peak = max((float(S.max(initial=0.0)) for *_, S in stacks), default=0.0)
-    top = float(np.linalg.norm(Q, 2)) if Q.size else 0.0
+    top = float(np.linalg.norm(Q))
     tol = max(n, m) * np.finfo(float).eps * math.hypot(peak, top)
     residual, coefs, squares = Q.copy(), [], []
     for i, (rows, U, S) in enumerate(stacks):
@@ -351,32 +350,25 @@ def _reflectors(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _deflate(head: np.ndarray, border: np.ndarray, diagonal: np.ndarray):
     """Split the arrowhead K = [[head, border'], [border, diag(diagonal)]].
 
-    When the G diagonal entries agree to ``DIAGONAL_ULPS`` (a unit-variance
-    large roster: each column has sum of squares n - 1) they are taken as
-    their mean d.  A thin SVD border = U S W' of rank r then gives H (as
+    The G diagonal entries agree to ``DIAGONAL_ULPS`` (a unit-variance
+    roster: each column has sum of squares n - 1) and are taken as their
+    mean d.  A thin SVD border = U S W' of rank r gives H (as
     ``_reflectors`` of U), and diag(I, H)' K diag(I, H) is the core
     [[head, B'H_r], [H_r'B, d I_r]] plus d on the other G - r coordinates
-    (Golub 1973).  Otherwise H = I, r = G and the core is K itself, as it is
-    without a per-group part (G = 0, the core is ``head``).  Returns
-    (core, Y, T, d, G - r).
+    (Golub 1973).  Returns (core, Y, T, d, G - r).
     """
     G, k = border.shape
-    peak = float(np.abs(diagonal).max(initial=0.0))
-    if G and np.ptp(diagonal) <= DIAGONAL_ULPS * np.finfo(float).eps * peak:
-        value = float(diagonal.mean())
-        U, s, _ = np.linalg.svd(border, full_matrices=False)
-        # matrix_rank's tolerance
-        r = int(np.count_nonzero(s > s.max(initial=0.0) * max(G, k) * np.finfo(float).eps))
-        U, inner = U[:, :r], np.full(r, value)
-    else:
-        value, r, inner, U = 0.0, G, diagonal, np.empty((G, 0))
-    Y, T = _reflectors(U)
+    value = float(diagonal.mean())
+    U, s, _ = np.linalg.svd(border, full_matrices=False)
+    # matrix_rank's tolerance
+    r = int(np.count_nonzero(s > s.max(initial=0.0) * max(G, k) * np.finfo(float).eps))
+    Y, T = _reflectors(U[:, :r])
     turned = _turn(Y, T.T, border)[:r]                   # H_r'B; the rest vanishes
     core = np.zeros((k + r, k + r))
     core[:k, :k] = head
     core[k:, :k] = turned
     core[:k, k:] = turned.T
-    np.fill_diagonal(core[k:, k:], inner)
+    np.fill_diagonal(core[k:, k:], value)
     return core, Y, T, value, G - r
 
 

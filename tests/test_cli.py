@@ -510,10 +510,10 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("value, expect", [("TRUE", True), ("On", True),
                                                ("no", False), ("0", False)])
     def test_config_boolean_spellings(self, tmp_path, value, expect):
-        from sarnet.cli import _read_config_file
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"correlated = {value}\n")
-        assert _read_config_file(str(cfg)) == {"correlated": expect}
+        parser = cli._build_parser(cli._read_config_file(str(cfg)))
+        assert parser.parse_args(["diagnose", "--edges", "e.csv"]).correlated is expect
 
     def test_standardized_normalization_is_refused(self, csv_pair, tmp_path, capsys):
         # every roster satisfies J Q = Q, so its columns already have zero

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sarnet.estimation import preliminary_delta
 from sarnet.graphs import generate_mc_network
 from sarnet.instruments import (InstrumentSet, build_instruments, normalize_columns, q1_roster,
                                 q2_roster)
@@ -13,6 +14,7 @@ from sarnet.regularization import (EIGENVALUE_CUTOFF, LF_STEP, Scheme, Spectrum,
                                    apply_projector,
                                    projector_traces, q_weights)
 from sarnet.selection import default_grid
+from sarnet.transforms import assemble_z
 import oracles
 from oracles import arrowhead_matrix, projector_diagonal, projector_matrix
 
@@ -31,7 +33,7 @@ def spectrum():
 class TestSpectrum:
     @pytest.mark.parametrize("n,m", [(40, 6), (30, 12)])
     def test_orthonormal_and_reconstructs(self, n, m):
-        # m=6 takes the small-Gram route, m=12 the direct n x n route
+        # a bare matrix takes the block route, below n/4 columns (m=6) or not
         inst = random_instruments(3, n=n, m=m)
         spec = Spectrum.from_instruments(inst)
         r = spec.rank
@@ -43,13 +45,14 @@ class TestSpectrum:
         assert np.abs(G - approx).max() < 1e-8 * spec.nu_max
 
     def test_routes_agree(self):
-        inst = random_instruments(4, n=32, m=7)
-        small = Spectrum.from_instruments(inst)          # m < n/4 route
-        big = Spectrum.from_instruments(inst.Q.copy())    # force shapes
-        # same nonzero eigenvalues either way
-        G = inst.Q @ inst.Q.T / 32
-        direct = np.linalg.eigvalsh(G)[::-1][:small.rank]
-        np.testing.assert_allclose(small.eigenvalues, direct, atol=1e-10)
+        # the unit-variance q2 takes the Gram route, its written-out F as a
+        # bare matrix the block route; same nonzero eigenvalues either way
+        inst = route_roster("q2")
+        gram = Spectrum.from_instruments(inst)
+        block = Spectrum.from_instruments(inst.dense())
+        assert gram.basis is not None and block.basis is None
+        np.testing.assert_allclose(gram.eigenvalues, block.eigenvalues, rtol=0.0,
+                                   atol=1e-13 * block.nu_max)
 
     def test_rank_deficient_columns_are_cut(self):
         rng = np.random.default_rng(1)
@@ -140,24 +143,94 @@ def test_the_cluster_carries_one_weight():
             call()
 
 
-@pytest.mark.parametrize("roster", ["q1", "unnormalized q2"])
-def test_gram_route_without_a_cluster_is_one_eigh_of_the_gram(roster):
-    # a roster without a per-group part, and one whose per-group diagonal
-    # differs (unnormalized centrality columns), split nothing off: the
-    # core is K = F'F/n itself and the spectrum is one eigh of it, bit for bit
-    config = McConfig(group_count=60, group_size=15, max_links=6, replications=1, seed=0)
+def route_roster(roster):
+    """One roster of the route rule's table on a (20, 15, 6) draw."""
+    config = McConfig(group_count=20, group_size=15, max_links=6, replications=1, seed=0)
     net, data = _draw_sample(config, np.random.SeedSequence(0).spawn(1)[0])
-    inst = q1_roster(net, data.regressors(net))
-    if roster != "q1":
-        inst = q2_roster(net, inst)
+    X = data.regressors(net)
+    if roster == "bare 40 x 2":
+        return np.random.default_rng(0).standard_normal((40, 2))
+    if roster.startswith("order"):
+        inst = build_instruments(net, X, int(roster[-1]), include_M_lags=False)
+        return normalize_columns(inst, "unit-variance")
+    inst = q1_roster(net, X)
+    if roster == "q1":
+        return inst
+    return normalize_columns(q2_roster(net, inst),
+                             "none" if roster.startswith("unnormalized") else "unit-variance")
+
+
+@pytest.mark.parametrize("roster,gram", [
+    ("q1", False), ("bare 40 x 2", False), ("unnormalized q2", False), ("order 2", False),
+    ("q2", True), ("order 1", True)])
+def test_route_rule(roster, gram):
+    # the Gram route takes only a roster the arrowhead deflation fits: one
+    # per-group power, fewer than n/4 columns and per-group squared norms
+    # that agree (unit variance).  Every other roster, without a per-group
+    # part, unnormalized or of two powers, takes the block route.  Either
+    # way the spectrum is that of the written-out F F'/n to a multiple of
+    # eps times its condition number
+    inst = route_roster(roster)
     spec = Spectrum.from_instruments(inst)
-    K = arrowhead_matrix(*inst.arrowhead()) / inst.n
-    vals, vecs = np.linalg.eigh(K)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    keep = vals > EIGENVALUE_CUTOFF * vals[0]
-    assert spec.cluster == (0.0, 0)
-    assert np.array_equal(spec.eigenvalues, vals[keep])
-    assert np.array_equal(spec.basis, vecs[:, keep])
+    if not isinstance(inst, InstrumentSet):
+        inst = InstrumentSet(inst, ("a", "b"))
+    assert inst.n_columns < inst.n / 4
+    assert (spec.basis is not None) == gram
+    assert spec.cluster[1] > 0 if gram else spec.cluster == (0.0, 0)
+    oracle = oracles.spectrum_dense(inst)
+    tol = 1e-13 * oracle.condition_number
+    assert spec.rank == oracle.rank
+    np.testing.assert_allclose(spec.eigenvalues, oracle.eigenvalues, rtol=0.0,
+                               atol=tol * oracle.nu_max)
+    x = np.random.default_rng(1).standard_normal((inst.n, 3))
+    psi = oracles.psi(oracle)
+    np.testing.assert_allclose(spec.expand(spec.coords(x)), psi @ (psi.T @ x), rtol=0.0,
+                               atol=tol * np.abs(x).max())
+
+
+def spying_svd(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every matrix ``numpy.linalg.svd`` decomposes from now on,
+    ``numpy.linalg.norm``'s own calls included."""
+    shapes, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg._linalg, "svd", spy)
+    return shapes
+
+
+def test_roster_without_a_per_group_part_is_one_svd(monkeypatch):
+    # q1's columns need one thin SVD of Q; sigma_max(Q) in the rank
+    # tolerance is bounded by Q's Frobenius norm, not found by a second SVD
+    inst = route_roster("q1")
+    shapes = spying_svd(monkeypatch)
+    Spectrum.from_instruments(inst)
+    assert shapes == [inst.Q.shape]
+
+
+def test_ill_conditioned_q1_fits_to_eps_cond_q():
+    # a q1 whose last column is its first plus 1e-5 of noise: cond(Q) is
+    # about 5e5, so a fit from the eigenpairs of Q'Q (eps cond(Q)^2 = 6e-5)
+    # would miss the QR-based lstsq 2SLS by about 1e-7, and one from Q's
+    # SVD (eps cond(Q) = 1e-10) by far less.  Below cond(Q) = 1e6, so no
+    # singular value falls under the spectrum's cutoff
+    for seed in range(3):
+        config = McConfig(group_count=60, group_size=15, max_links=6, replications=1,
+                          seed=seed)
+        net, data = _draw_sample(config, np.random.SeedSequence(seed).spawn(1)[0])
+        q1 = q1_roster(net, data.regressors(net))
+        noise = net.J.apply(np.random.default_rng(seed).standard_normal(net.n))
+        Q = q1.Q.copy()
+        Q[:, -1] = Q[:, 0] + 1e-5 * noise * np.linalg.norm(Q[:, 0]) / np.linalg.norm(noise)
+        sv = np.linalg.svd(Q, compute_uv=False)
+        assert 1e5 < sv[0] / sv[-1] < 1e6
+        got = preliminary_delta(data, net, InstrumentSet(Q, q1.labels))
+        Z = assemble_z(data, net)
+        want = np.linalg.lstsq(Q @ np.linalg.lstsq(Q, Z, rcond=None)[0], data.y, rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_large_roster_spectrum_forms_no_gram_sized_array():
