@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +30,6 @@ __all__ = [
     "row_normalize",
     "generate_mc_network",
     "lee_group_network",
-    "load_edge_csv",
     "load_node_csv",
     "load_network",
 ]
@@ -251,8 +250,8 @@ class GroupedNetwork:
     W and M are stored as ``BlockStacks`` (``stacks_W()``, ``stacks_M()``):
     one read-only (g, m, m) stack per distinct group size, copied from the
     input.  The block-wise kernels (lags, solves, and ``J``, a ``JProjector``
-    on the same rows) make one batched call per size.  ``blocks_W()`` and
-    ``blocks_M()`` are read-only views into the stacks, one per group.
+    on the same rows) make one batched call per size.  ``blocks_W()`` lists
+    read-only views into W's stacks, one per group.
     """
 
     def __init__(self, group_sizes: Sequence[int], W: np.ndarray, M: np.ndarray,
@@ -328,10 +327,6 @@ class GroupedNetwork:
     def blocks_W(self) -> tuple[np.ndarray, ...]:
         """The diagonal blocks of W, one per group: read-only views into the stacks."""
         return self._W.blocks()
-
-    def blocks_M(self) -> tuple[np.ndarray, ...]:
-        """The diagonal blocks of M, one per group: read-only views into the stacks."""
-        return self._M.blocks()
 
     @functools.cached_property
     def J(self) -> JProjector:
@@ -472,7 +467,6 @@ class PanelData:
     x1: np.ndarray
     x2: np.ndarray
     group_sizes: tuple[int, ...]
-    node_ids: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float).ravel()
@@ -642,33 +636,23 @@ def load_node_csv(path: str | Path) -> tuple[list[tuple], PanelData]:
     node_keys = list(zip(gids[g[order, 0]].tolist(), nids[v[order, 0]].tolist()))
     y, x1, x2 = np.split(values[order], [1, 1 + len(x1)], axis=1)
     sizes = tuple(np.unique(g, return_counts=True)[1].tolist())
-    return node_keys, PanelData(y=y, x1=x1, x2=x2, group_sizes=sizes,
-                                node_ids=tuple(node_keys))
+    return node_keys, PanelData(y=y, x1=x1, x2=x2, group_sizes=sizes)
 
 
 def _group_layout(keys: Sequence[tuple]) -> tuple[tuple[int, ...], dict]:
-    """Group sizes of (group_id, node_id) keys listed group by group; key -> row."""
+    """Group sizes of (group_id, node_id) keys sorted by group; key -> row."""
     firsts = [k for k in range(len(keys)) if not k or keys[k][0] != keys[k - 1][0]]
-    if len({keys[k][0] for k in firsts}) != len(firsts):
-        raise ValueError("node keys must list each group's nodes together")
     return tuple(np.diff(firsts + [len(keys)]).tolist()), {key: k for k, key in enumerate(keys)}
 
 
-def load_edge_csv(path: str | Path,
-                  node_keys: Sequence[tuple] | None = None,
-                  ) -> GroupedNetwork:
-    """Read an edge list into a GroupedNetwork (M = row-normalized W).
-
-    When ``node_keys`` is given (from a node file) it fixes the node set and
-    ordering, so isolated nodes survive; otherwise the nodes are those that
-    appear in the edge list, ordered by (group_id, node_id).  A repeated
-    (group_id, src, dst) is refused; self-links are dropped with a warning.
-    """
-    return _edge_network(path, node_keys)[0]
-
-
 def _edge_network(path, node_keys) -> tuple[GroupedNetwork, Sequence[tuple]]:
-    """``load_edge_csv``'s network and its node keys, one per row."""
+    """An edge list's network (M = row-normalized W) and its node keys, one per row.
+
+    ``node_keys`` (from a node file, sorted by ``load_node_csv``) fixes the
+    node set and ordering, so isolated nodes survive; when it is None the
+    nodes are those that appear in the edge list, ordered by
+    (group_id, node_id).
+    """
     table = _CsvTable(path, "edge", ("group_id", "src", "dst"))
     gi, si, di = map(table.names.index, ("group_id", "src", "dst"))
     w = (table.floats([table.names.index("weight")], weights=True)[:, 0]
@@ -714,7 +698,8 @@ def load_network(edges_path: str | Path,
 
     M defaults to the row-normalized W.  An M edge file gives M's weights as
     they are, not row-normalized, and the network's ``m_row_normalized`` is
-    then False.
+    then False.  A repeated (group_id, src, dst) is refused; self-links are
+    dropped with a warning.
     """
     node_keys, data = load_node_csv(nodes_path) if nodes_path is not None else (None, None)
     net, keys = _edge_network(edges_path, node_keys)

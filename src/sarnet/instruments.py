@@ -363,21 +363,19 @@ def _distinct_columns(columns) -> list[int]:
 
 
 def q1_roster(network: GroupedNetwork, base: np.ndarray) -> InstrumentSet:
-    """Small roster J [base, W base, M base, M W base], duplicates dropped.
+    """Small roster J [W base, base, M W base, M base], duplicates dropped.
 
-    ``base`` is normally the regressor block (X1, W X2); when own and
-    contextual characteristics share columns the blocks overlap, so exact
-    duplicate columns are removed by ``_distinct_columns`` to keep the Gram
-    matrix invertible.
+    ``base`` is normally the regressor block (X1, W X2).  The columns are
+    ``labelled_stack``'s first-order stack with its M copy, labelled as in
+    ``build_instruments``.  When own and contextual characteristics share
+    columns the blocks overlap, so repeated columns are removed before J by
+    ``_distinct_columns``, first ones kept, to keep the Gram matrix
+    invertible.
     """
-    base = _as_rows(base, network.n)
-    Wb = network.lag_W(base)
-    blocks = [base, Wb, network.lag_M(base), network.lag_M(Wb)]
-    tags = ["X", "W.X", "M.X", "M.W.X"]
-    stack = np.column_stack(blocks)
-    labels = [f"J.{tag}[{c}]" for blk, tag in zip(blocks, tags) for c in range(blk.shape[1])]
+    stack, _, labels = labelled_stack(network, _as_rows(base, network.n), 1, m_copy=True)
     keep = _distinct_columns(stack.T)
-    return InstrumentSet(network.J.apply(stack[:, keep]), [labels[i] for i in keep]).nonzero()
+    return InstrumentSet(network.J.apply(stack[:, keep]),
+                         [f"J.{labels[i]}" for i in keep]).nonzero()
 
 
 def q2_roster(network: GroupedNetwork, q1: InstrumentSet) -> InstrumentSet:

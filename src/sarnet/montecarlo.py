@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -74,24 +74,27 @@ NUMERICAL_FAILURES = (np.linalg.LinAlgError, NumericalFailure)
 
 @dataclass(frozen=True)
 class McConfig:
-    """Design of one simulation cell.
+    """One simulation cell of the benchmark design.
 
-    Defaults follow the benchmark design: beta1 = beta2 = 0.2,
-    lambda = rho = 0.1, x ~ N(0,1), group effects ~ N(0, 0.01),
-    disturbances ~ N(0,1), 500 replications.
+    The design is fixed, as class constants: lambda = rho = 0.1,
+    beta1 = beta2 = 0.2, x ~ N(0,1), group effects ~ N(0, 0.01) and
+    disturbances ~ N(0,1).  A cell sets the rest: the network's size and
+    link cap, the replications and seed, the selection criterion and
+    ``transform_with_rho``.
     """
+
+    lam: ClassVar[float] = 0.1
+    rho: ClassVar[float] = 0.1
+    beta1: ClassVar[float] = 0.2
+    beta2: ClassVar[float] = 0.2
+    sigma_gamma: ClassVar[float] = 0.1
+    sigma_eps: ClassVar[float] = 1.0
 
     group_count: int = 30
     group_size: int = 10
     max_links: int = 3
     replications: int = 500
     seed: int = 0
-    lam: float = 0.1
-    rho: float = 0.1
-    beta1: float = 0.2
-    beta2: float = 0.2
-    sigma_gamma: float = 0.1
-    sigma_eps: float = 1.0
     criterion: str = "cp"
     #: plug the estimated rho into the whitening transform of every
     #: estimator.  Off by default: the preliminary rho is noisy enough at

@@ -288,7 +288,8 @@ def _block_eigenpairs(inst: InstrumentSet) -> tuple[np.ndarray, np.ndarray]:
     peak = max((float(S.max(initial=0.0)) for *_, S in stacks), default=0.0)
     top = float(np.linalg.norm(Q))
     tol = max(n, m) * np.finfo(float).eps * math.hypot(peak, top)
-    residual, coefs, squares = Q.copy(), [], []
+    # only a per-group part projects Q in place
+    residual, coefs, squares = Q.copy() if stacks else Q, [], []
     for i, (rows, U, S) in enumerate(stacks):
         kept = S > tol
         U = U * kept[:, None, :]                        # cut directions project to zero
@@ -301,7 +302,10 @@ def _block_eigenpairs(inst: InstrumentSet) -> tuple[np.ndarray, np.ndarray]:
         coefs.append(coef[kept])
         squares.append(S[kept] ** 2)
     Uq, s, Wt = np.linalg.svd(residual, full_matrices=False)
-    Uq, C = Uq[:, s > tol], np.concatenate(coefs + [s[s > tol, None] * Wt[s > tol]])
+    above = s > tol
+    if not above.all():                                 # a selection copies
+        Uq, s, Wt = Uq[:, above], s[above], Wt[above]
+    C = np.concatenate(coefs + [s[:, None] * Wt])
     if C.shape[0] == 0:
         raise NumericalFailure("instrument matrix has no nonzero spectrum")
     core = C @ C.T

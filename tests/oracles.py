@@ -32,7 +32,7 @@ def dense_W(net: GroupedNetwork) -> np.ndarray:
 
 def dense_M(net: GroupedNetwork) -> np.ndarray:
     """The n x n block-diagonal M."""
-    return build_block_diagonal(net.blocks_M())
+    return build_block_diagonal(net.stacks_M().blocks())
 
 
 def mc_network_by_group(group_count: int, group_size: int, max_links: int,
@@ -107,7 +107,7 @@ def dense_J(net: GroupedNetwork) -> np.ndarray:
     space of A, the pseudo-inverse cut at 1e-10 of the largest singular value.
     """
     blocks = []
-    for M_r in net.blocks_M():
+    for M_r in net.stacks_M().blocks():
         A = np.column_stack([np.ones(len(M_r)), M_r.sum(axis=1)])
         blocks.append(np.eye(len(M_r)) - A @ np.linalg.pinv(A, rcond=1e-10))
     return build_block_diagonal(blocks)
@@ -338,7 +338,7 @@ def load_node_csv_by_cell(path: str | Path) -> tuple[list[tuple], PanelData]:
     sizes, _ = _group_layout(keys)
     values = np.array([v for _, v in parsed]).reshape(len(parsed), len(numeric))
     y, x1, x2 = np.split(values, [1, 1 + len(x1_idx)], axis=1)
-    data = PanelData(y=y, x1=x1, x2=x2, group_sizes=tuple(sizes), node_ids=tuple(keys))
+    data = PanelData(y=y, x1=x1, x2=x2, group_sizes=tuple(sizes))
     return keys, data
 
 

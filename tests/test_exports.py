@@ -1,6 +1,7 @@
 """Every exported name exists, and the package re-exports only exported names."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import sarnet
-from sarnet.graphs import GroupedNetwork, JProjector
+from sarnet.graphs import GroupedNetwork, JProjector, PanelData
+from sarnet.montecarlo import McConfig
 from sarnet.regularization import Spectrum
 
 PACKAGE = Path(sarnet.__file__).parent
@@ -190,3 +192,20 @@ def test_instrument_set_owns_the_column_rule():
                     if isinstance(node, ast.Attribute) and node.attr in layout
                     and id(node) not in owner]
     assert readers == []
+
+
+def test_only_what_callers_set_is_settable():
+    # load_network reads an edge list alone, M's blocks are stacks_M().blocks(),
+    # load_node_csv returns the node keys, and the Monte Carlo design is fixed:
+    # a cell sets its size, replications, seed, criterion and whitening
+    graphs = importlib.import_module("sarnet.graphs")
+    assert not hasattr(sarnet, "load_edge_csv")
+    assert not hasattr(graphs, "load_edge_csv")
+    assert not hasattr(GroupedNetwork, "blocks_M")
+    assert "node_ids" not in [f.name for f in dataclasses.fields(PanelData)]
+    assert [f.name for f in dataclasses.fields(McConfig)] == [
+        "group_count", "group_size", "max_links", "replications", "seed", "criterion",
+        "transform_with_rho"]
+    assert McConfig.lam == McConfig().lam == 0.1
+    with pytest.raises(TypeError):
+        McConfig(lam=0.2)

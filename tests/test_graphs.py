@@ -3,8 +3,7 @@ import pytest
 
 from sarnet.graphs import (GroupedNetwork, PanelData, build_block_diagonal,
                            generate_mc_network, lee_group_network,
-                           load_edge_csv, load_network, load_node_csv,
-                           row_normalize)
+                           load_network, load_node_csv, row_normalize)
 from conftest import write_network_csvs
 from oracles import dense_M, dense_W, group_slices, mc_network_by_group
 
@@ -103,7 +102,8 @@ class TestGenerateMcNetwork:
         batched, looped = np.random.default_rng(5), np.random.default_rng(5)
         net = generate_mc_network(group_count, group_size, max_links, batched)
         want = mc_network_by_group(group_count, group_size, max_links, looped)
-        for got_B, want_B in ((net.blocks_W(), want.blocks_W()), (net.blocks_M(), want.blocks_M())):
+        for got_B, want_B in ((net.blocks_W(), want.blocks_W()),
+                              (net.stacks_M().blocks(), want.stacks_M().blocks())):
             assert all(np.array_equal(a, b) for a, b in zip(got_B, want_B, strict=True))
         assert batched.random(3).tolist() == looped.random(3).tolist()
         assert batched.integers(0, 7, size=5).tolist() == looped.integers(0, 7, size=5).tolist()
@@ -189,7 +189,7 @@ class TestGroupedNetworkInvariants:
         with pytest.raises(ValueError):
             net.blocks_W()[0][0, 1] = 2.0
         with pytest.raises(ValueError):
-            net.blocks_M()[0][1, 0] = 2.0
+            net.stacks_M().blocks()[0][1, 0] = 2.0
         dense = GroupedNetwork((2,), W, W)
         with pytest.raises(ValueError):
             dense.blocks_W()[0][0, 0] = 1.0
@@ -281,7 +281,7 @@ class TestCsvIngestion:
         (tmp_path / "edges.csv").write_text("group_id,src,dst\n1,0,1\n1,1,b\n")
         with pytest.raises(ValueError, match=r"line 3, column 3 \(dst\): text id 'b' "
                                              r"among integer ids"):
-            load_edge_csv(tmp_path / "edges.csv")
+            load_network(tmp_path / "edges.csv")
 
     def test_ids_sort_numerically_or_lexicographically(self, tmp_path):
         (tmp_path / "edges.csv").write_text(
@@ -309,18 +309,13 @@ class TestCsvIngestion:
         (tmp_path / "m.csv").write_text("group_id,src,dst,weight\n1,a,b,2\n1,a,c,3\n"
                                         "1,b,c,1\n")
         net, _ = load_network(tmp_path / "w.csv", None, tmp_path / "m.csv")
-        assert net.blocks_M()[0].tolist() == [[0, 2, 3], [0, 0, 1], [0, 0, 0]]
+        assert net.stacks_M().blocks()[0].tolist() == [[0, 2, 3], [0, 0, 1], [0, 0, 0]]
         assert not net.m_row_normalized
-
-    def test_node_keys_split_across_a_group_rejected(self, tmp_path):
-        (tmp_path / "edges.csv").write_text("group_id,src,dst,weight\n1,0,1,1\n")
-        with pytest.raises(ValueError, match="together"):
-            load_edge_csv(tmp_path / "edges.csv", [(1, 0), (2, 0), (1, 1)])
 
     def test_missing_columns_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="edge CSV needs"):
-            load_edge_csv(tmp_path / "bad.csv")
+            load_network(tmp_path / "bad.csv")
 
 
 class TestPanelData:

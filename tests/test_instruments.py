@@ -113,8 +113,11 @@ class TestRosters:
         X = data.regressors(net)
         J = net.J
         q1 = q1_roster(net, X)
-        expect = np.column_stack([X, dense_W(net) @ X, dense_M(net) @ X, dense_M(net) @ dense_W(net) @ X])
+        WX = dense_W(net) @ X
+        expect = np.column_stack([WX, X, dense_M(net) @ WX, dense_M(net) @ X])
         np.testing.assert_allclose(q1.Q, J.apply(expect), atol=1e-10)
+        assert q1.labels == tuple(f"J.{tag}[{c}]" for tag in ("W^1.X", "X", "M.W^1.X", "M.X")
+                                  for c in range(2))
 
     def test_q1_dedupes_shared_covariate(self):
         net, data, _, _, _ = draw_dataset(seed=4, group_count=3, group_size=6,

